@@ -8,7 +8,7 @@ map notions, actions, and the matching graph theorems.
 """
 
 from .algebra import AlgebraPres, AlgMorphism, Derivation
-from .groebner import IdealPres, ResourceCapExceeded, buchberger, ideal_membership, normal_form
+from .groebner import IdealPres, ResourceCapExceeded, buchberger, normal_form
 from .groupoid import (
     FiniteGroup,
     FinGroupoid,

@@ -288,18 +288,3 @@ class Derivation:
         )
         return "Derivation(%s)" % body
 
-
-def check_morphism(m):
-    return m.check()
-
-
-def apply_morphism(m, a):
-    return m.apply(a)
-
-
-def check_derivation(d):
-    return d.check()
-
-
-def apply_derivation(d, a):
-    return d.apply(a)

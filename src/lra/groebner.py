@@ -247,7 +247,3 @@ class IdealPres:
     def __repr__(self):
         return "IdealPres(arity=%d, groebner=%r)" % (self.arity, list(self.groebner))
 
-
-def ideal_membership(p, ideal):
-    """True iff ``p`` reduces to zero against the ideal's basis."""
-    return ideal.contains(p)

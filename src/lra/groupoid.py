@@ -138,11 +138,12 @@ def check_groupoid(g):
     report.add("tables are total and closed", True)
 
     bad = [x for x in g.objects if g.src[g.ident[x]] != x or g.tgt[g.ident[x]] != x]
-    report.add(
+    if not report.add(
         "identity arrows are loops at their objects",
         not bad,
         "objects with displaced identities: %r" % bad,
-    )
+    ):
+        return report
     domain = {(a, b) for a in g.arrows for b in g.arrows if g.tgt[a] == g.src[b]}
     missing = sorted((p for p in domain if p not in g.comp), key=repr)
     extra = sorted((p for p in g.comp if p not in domain), key=repr)
@@ -160,7 +161,8 @@ def check_groupoid(g):
         or g.src[g.comp[(a, b)]] != g.src[a]
         or g.tgt[g.comp[(a, b)]] != g.tgt[b]
     ]
-    report.add("products have the right endpoints", not bad, "bad pairs: %r" % bad[:3])
+    if not report.add("products have the right endpoints", not bad, "bad pairs: %r" % bad[:3]):
+        return report
     bad = [
         a
         for a in g.arrows
@@ -572,10 +574,6 @@ def compose_grpd_comorphisms(m1, m2):
 
 
 # -- orbits ------------------------------------------------------------------
-
-
-def orbit(g, x):
-    return g.orbit(x)
 
 
 def orbit_condition(phi, gamma, pi, kind):

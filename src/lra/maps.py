@@ -9,7 +9,10 @@ F-basis vector.
 Both notions are verified on basis data; the graph of either map is a
 family of mixed elements of the twisted sum, and the graph checker
 decides the subalgebra property, which matches the direct verifiers
-case by case.
+case by case.  The anchor conditions are instances of the twisted-sum
+membership identity (see ``psisum``) and the comorphism bracket condition
+is the twisted-sum bracket, so both verifiers call the same kernels as
+the graph checker.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from .algebra import AlgMorphism, Derivation
 from .pseudoalgebra import (
     KForm,
     PAElement,
+    _anchor_identity,
+    _leibniz_bracket,
     anchor_apply,
     bracket,
     differential,
@@ -144,9 +149,9 @@ def check_pamorphism(m):
     a_alg, b_alg = e.algebra, f.algebra
     for i in range(e.rank):
         for v in range(a_alg.arity):
-            var = a_alg.variable(v)
-            lhs = m.psi.apply(e.anchors[i].apply(var))
-            rhs = anchor_apply(m.images[i], m.psi.apply(var))
+            lhs, rhs = _anchor_identity(
+                m.psi, [(e.anchors[i], b_alg.one())], m.images[i], a_alg.variable(v)
+            )
             report.add(
                 "anchor condition on e_%d at %s" % (i, a_alg.variables[v]),
                 lhs == rhs,
@@ -180,13 +185,9 @@ def check_pacomorphism(m):
     a_alg, b_alg = e.algebra, f.algebra
     for j in range(f.rank):
         for v in range(a_alg.arity):
-            var = a_alg.variable(v)
-            lhs = anchor_apply(f.basis(j), m.psi.apply(var))
-            rhs = b_alg.zero()
-            for k, c in enumerate(m.images[j]):
-                if not c.is_zero():
-                    rhs = rhs + c * m.psi.apply(e.anchors[k].apply(var))
-            rhs = b_alg.nf(rhs)
+            rhs, lhs = _anchor_identity(
+                m.psi, zip(e.anchors, m.images[j]), f.basis(j), a_alg.variable(v)
+            )
             report.add(
                 "anchor condition on f_%d at %s" % (j, a_alg.variables[v]),
                 lhs == rhs,
@@ -196,7 +197,8 @@ def check_pacomorphism(m):
     for i in range(f.rank):
         for j in range(i + 1, f.rank):
             lhs = m.apply(f.bracket_basis(i, j))
-            rhs = _comorphism_bracket_rows(m, i, j)
+            rhs = _leibniz_bracket(e, m.psi, m.images[i], m.images[j], f.basis(i), f.basis(j))
+            rhs = [b_alg.nf(c) for c in rhs]
             report.add(
                 "bracket condition on (f_%d, f_%d)" % (i, j),
                 lhs == rhs,
@@ -209,30 +211,6 @@ def check_pacomorphism(m):
     if not report.checks:
         report.add("no conditions to check (rank <= 1 over the scalars)", True)
     return report
-
-
-def _comorphism_bracket_rows(m, i, j):
-    """The right side of the comorphism bracket condition for f_i, f_j."""
-    f, e = m.source, m.target
-    b_alg = f.algebra
-    out = [b_alg.zero()] * e.rank
-    for k, bk in enumerate(m.images[i]):
-        if bk.is_zero():
-            continue
-        for l, bl in enumerate(m.images[j]):
-            if bl.is_zero() or k == l:
-                continue
-            prod = b_alg.nf(bk * bl)
-            if prod.is_zero():
-                continue
-            for p, c in enumerate(e.struct_coeffs(k, l)):
-                if not c.is_zero():
-                    out[p] = out[p] + m.psi.apply(c) * prod
-    for k in range(e.rank):
-        out[k] = out[k] + anchor_apply(f.basis(i), m.images[j][k]) - anchor_apply(
-            f.basis(j), m.images[i][k]
-        )
-    return [b_alg.nf(c) for c in out]
 
 
 # -- graphs ----------------------------------------------------------------
@@ -446,9 +424,9 @@ def induced_infinitesimal_action(m):
         )
     for i in range(e.rank):
         for v in range(a_alg.arity):
-            var = a_alg.variable(v)
-            lhs = derivations[i].apply(m.psi.apply(var))
-            rhs = m.psi.apply(e.anchors[i].apply(var))
+            rhs, lhs = _anchor_identity(
+                m.psi, [(e.anchors[i], b_alg.one())], m.images[i], a_alg.variable(v)
+            )
             report.add(
                 "induced map %d projects onto the source anchor at %s" % (i, a_alg.variables[v]),
                 lhs == rhs,

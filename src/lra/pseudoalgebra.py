@@ -145,26 +145,37 @@ class PAElement:
 def bracket(x, y):
     """The bracket of two elements of one pseudoalgebra."""
     x._same_parent(y)
-    e = x.parent
-    alg = e.algebra
-    out = [MPoly.zero(alg.arity) for _ in range(e.rank)]
-    for i in range(e.rank):
-        xi = x.coords[i]
-        if xi.is_zero():
+    return PAElement(x.parent, _leibniz_bracket(x.parent, None, x.coords, y.coords, x, y))
+
+
+def _leibniz_bracket(e, push, u, w, x, y):
+    """The Leibniz-extended bracket, shared by every bracket formula.
+
+    Returns the unreduced coefficient list
+
+        out[k] = sum_{i != j} u_i w_j push([e_i, e_j]_k) + theta(x)(w_k) - theta(y)(u_k)
+
+    over the algebra of ``x`` and ``y``.  ``u`` and ``w`` are coefficients
+    on the basis of ``e``; ``push`` carries the structure coefficients of
+    ``e`` into that algebra (``None`` is the identity).
+    """
+    alg = x.parent.algebra
+    out = [alg.zero() for _ in range(e.rank)]
+    for i, ui in enumerate(u):
+        if ui.is_zero():
             continue
-        for j in range(e.rank):
-            yj = y.coords[j]
-            if yj.is_zero() or i == j:
+        for j, wj in enumerate(w):
+            if wj.is_zero() or i == j:
                 continue
-            coeff = alg.nf(xi * yj)
+            coeff = alg.nf(ui * wj)
             if coeff.is_zero():
                 continue
             for k, c in enumerate(e.struct_coeffs(i, j)):
                 if not c.is_zero():
-                    out[k] = out[k] + coeff * c
+                    out[k] = out[k] + coeff * (c if push is None else push.apply(c))
     for k in range(e.rank):
-        out[k] = out[k] + anchor_apply(x, y.coords[k]) - anchor_apply(y, x.coords[k])
-    return PAElement(e, out)
+        out[k] = out[k] + anchor_apply(x, w[k]) - anchor_apply(y, u[k])
+    return out
 
 
 def anchor_apply(x, a):
@@ -179,6 +190,20 @@ def anchor_apply(x, a):
             continue
         out = out + xi * delta.apply(a)
     return alg.nf(out)
+
+
+def _anchor_identity(push, terms, y, a):
+    """Both sides of the anchor identity sum_i push(theta_i(a)) b_i = theta(y)(push(a)).
+
+    ``terms`` pairs each derivation theta_i with its coefficient b_i in the
+    algebra of ``y``.  Returns ``(lhs, rhs)``, both in normal form.
+    """
+    alg = y.parent.algebra
+    lhs = alg.zero()
+    for delta, b in terms:
+        if not b.is_zero():
+            lhs = lhs + push.apply(delta.apply(a)) * b
+    return alg.nf(lhs), anchor_apply(y, push.apply(a))
 
 
 def anchor_derivation(x):

@@ -11,7 +11,9 @@ membership is decided by the equivalent identity
 
 checked on the variables of A only -- both sides are psi-twisted
 derivations in a, so agreement on generators propagates to all of A (the
-sampling test in the suite guards this reduction).
+sampling test in the suite guards this reduction).  The identity is
+evaluated by ``pseudoalgebra._anchor_identity`` and the bracket of the sum
+by ``pseudoalgebra._leibniz_bracket``, here and in the map verifiers.
 """
 
 from __future__ import annotations
@@ -19,7 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Derivation
-from .pseudoalgebra import PAlg, PAElement, bracket, anchor_apply, axioms_check
+from .pseudoalgebra import (
+    PAlg,
+    PAElement,
+    _anchor_identity,
+    _leibniz_bracket,
+    anchor_apply,
+    axioms_check,
+    bracket,
+)
 from .verdict import VerdictReport, VerificationError
 
 
@@ -216,18 +226,6 @@ def direct_sum(e, f):
 # -- membership and structure maps ---------------------------------------
 
 
-def _membership_identity_holds(ctx, z, a):
-    """The defining identity of the twisted sum, tested at one element a of A."""
-    b_alg = ctx.f.algebra
-    lhs = b_alg.zero()
-    for i, coeff in enumerate(z.tensor):
-        if coeff.is_zero():
-            continue
-        lhs = lhs + ctx.psi.apply(ctx.e.anchors[i].apply(a)) * coeff
-    rhs = anchor_apply(z.f_element(), ctx.psi.apply(a))
-    return b_alg.nf(lhs) == b_alg.nf(rhs)
-
-
 def membership(ctx, z):
     """Decide membership of a mixed element in the twisted sum."""
     return membership_report(ctx, z).verdict
@@ -237,10 +235,12 @@ def membership_report(ctx, z):
     report = VerdictReport()
     a_alg = ctx.e.algebra
     for v in range(a_alg.arity):
-        var = a_alg.variable(v)
+        lhs, rhs = _anchor_identity(
+            ctx.psi, zip(ctx.e.anchors, z.tensor), z.f_element(), a_alg.variable(v)
+        )
         report.add(
             "membership identity at %s" % a_alg.variables[v],
-            _membership_identity_holds(ctx, z, var),
+            lhs == rhs,
             "sum_i psi([X_i, %s]) b_i differs from [Y, psi(%s)]"
             % (a_alg.variables[v], a_alg.variables[v]),
         )
@@ -275,26 +275,10 @@ def psisum_bracket(ctx, z1, z2, check=True):
                     "%s argument is not a member of the twisted sum" % label,
                     membership_report(ctx, z),
                 )
-    b_alg = ctx.f.algebra
     y1 = z1.f_element()
     y2 = z2.f_element()
-    tensor = [b_alg.zero()] * ctx.e.rank
-    for i, bi in enumerate(z1.tensor):
-        if bi.is_zero():
-            continue
-        for j, bj in enumerate(z2.tensor):
-            if bj.is_zero() or i == j:
-                continue
-            prod = b_alg.nf(bi * bj)
-            if prod.is_zero():
-                continue
-            for k, c in enumerate(ctx.e.struct_coeffs(i, j)):
-                if not c.is_zero():
-                    tensor[k] = tensor[k] + ctx.psi.apply(c) * prod
-    for k in range(ctx.e.rank):
-        tensor[k] = tensor[k] + anchor_apply(y1, z2.tensor[k]) - anchor_apply(y2, z1.tensor[k])
-    f_part = bracket(y1, y2).coords
-    return MixedElement(ctx, tensor, list(f_part))
+    tensor = _leibniz_bracket(ctx.e, ctx.psi, z1.tensor, z2.tensor, y1, y2)
+    return MixedElement(ctx, tensor, list(bracket(y1, y2).coords))
 
 
 # -- the triple sum ------------------------------------------------------
@@ -353,19 +337,21 @@ class TripleElement:
 
 
 def _left_membership_report(ctx, elem):
-    """The outer membership identity of the left association, on B-variables."""
+    """The outer membership identity of the left association, on B-variables.
+
+    theta is an algebra map, so the theta-pushed anchors of the inner
+    F-parts sum to F's anchors against the flattened F-coefficients.
+    """
     report = VerdictReport()
     b_alg = ctx.inner.f.algebra
-    c_alg = ctx.g.algebra
+    _, f_coeffs, _ = elem.flatten()
     for v in range(b_alg.arity):
-        var = b_alg.variable(v)
-        lhs = c_alg.zero()
-        for z, c in elem.parts:
-            lhs = lhs + ctx.theta.apply(anchor_apply(z.f_element(), var)) * c
-        rhs = anchor_apply(elem.g_part, ctx.theta.apply(var))
+        lhs, rhs = _anchor_identity(
+            ctx.theta, zip(ctx.inner.f.anchors, f_coeffs), elem.g_part, b_alg.variable(v)
+        )
         report.add(
             "outer membership identity at %s" % b_alg.variables[v],
-            c_alg.nf(lhs) == c_alg.nf(rhs),
+            lhs == rhs,
             "theta-twisted anchors disagree at %s" % b_alg.variables[v],
         )
     if b_alg.arity == 0:
@@ -379,19 +365,13 @@ def _right_membership_report(ctx, e_coeffs, f_coeffs, g_part):
     inner_right = MixedElement(ctx.right, list(f_coeffs), list(g_part.coords))
     report.merge(membership_report(ctx.right, inner_right), prefix="inner: ")
     a_alg = ctx.inner.e.algebra
-    c_alg = ctx.g.algebra
-    composed_psi = ctx.composed.psi
     for v in range(a_alg.arity):
-        var = a_alg.variable(v)
-        lhs = c_alg.zero()
-        for i, coeff in enumerate(e_coeffs):
-            if coeff.is_zero():
-                continue
-            lhs = lhs + composed_psi.apply(ctx.inner.e.anchors[i].apply(var)) * coeff
-        rhs = anchor_apply(g_part, composed_psi.apply(var))
+        lhs, rhs = _anchor_identity(
+            ctx.composed.psi, zip(ctx.inner.e.anchors, e_coeffs), g_part, a_alg.variable(v)
+        )
         report.add(
             "outer membership identity at %s" % a_alg.variables[v],
-            c_alg.nf(lhs) == c_alg.nf(rhs),
+            lhs == rhs,
             "composed-map identity fails at %s" % a_alg.variables[v],
         )
     if a_alg.arity == 0:
@@ -424,25 +404,9 @@ def _right_bracket(ctx, flat1, flat2):
     e1, f1, w1 = flat1
     e2, f2, w2 = flat2
     c_alg = ctx.g.algebra
-    e_alg = ctx.inner.e
-    composed_psi = ctx.composed.psi
+    e_out = _leibniz_bracket(ctx.inner.e, ctx.composed.psi, e1, e2, w1, w2)
     v1 = MixedElement(ctx.right, list(f1), list(w1.coords))
     v2 = MixedElement(ctx.right, list(f2), list(w2.coords))
-    e_out = [c_alg.zero()] * e_alg.rank
-    for i, ci in enumerate(e1):
-        if ci.is_zero():
-            continue
-        for j, cj in enumerate(e2):
-            if cj.is_zero() or i == j:
-                continue
-            prod = c_alg.nf(ci * cj)
-            if prod.is_zero():
-                continue
-            for k, c in enumerate(e_alg.struct_coeffs(i, j)):
-                if not c.is_zero():
-                    e_out[k] = e_out[k] + composed_psi.apply(c) * prod
-    for k in range(e_alg.rank):
-        e_out[k] = e_out[k] + anchor_apply(w1, e2[k]) - anchor_apply(w2, e1[k])
     v_out = psisum_bracket(ctx.right, v1, v2, check=False)
     return ([c_alg.nf(q) for q in e_out], list(v_out.tensor), v_out.f_element())
 

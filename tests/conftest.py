@@ -56,6 +56,64 @@ def sl2_action_images(algebra):
     ]
 
 
+# -- reference formulas of the twisted sum -----------------------------------
+#
+# Written straight from the paper and independent of the library's bracket
+# and anchor code, so the direct verifiers and the graph test, which share
+# that code, are each compared with a second implementation.
+
+
+def ref_anchor(palg, coords, p):
+    """theta(sum_i c_i e_i)(p) = sum_i c_i sum_v dp/dx_v theta(e_i)(x_v), as an operator."""
+    out = palg.algebra.zero()
+    for c, delta in zip(coords, palg.anchors):
+        for v, image in enumerate(delta.images):
+            out = out + c * p.partial(v) * image
+    return palg.algebra.nf(out)
+
+
+def ref_identity_holds(ctx, z, a):
+    """sum_i psi([e_i, a]) b_i = [Y, psi(a)] at one element a of A."""
+    e, f, psi = ctx.e, ctx.f, ctx.psi
+    lhs = f.algebra.zero()
+    for i, b in enumerate(z.tensor):
+        unit = [e.algebra.one() if k == i else e.algebra.zero() for k in range(e.rank)]
+        lhs = lhs + psi.apply(ref_anchor(e, unit, a)) * b
+    rhs = ref_anchor(f, z.f_part, psi.apply(a))
+    return f.algebra.nf(lhs - rhs).is_zero()
+
+
+def ref_membership(ctx, z):
+    """Membership in the twisted sum: the identity on every variable of A."""
+    a_alg = ctx.e.algebra
+    return all(ref_identity_holds(ctx, z, a_alg.variable(v)) for v in range(a_alg.arity))
+
+
+def ref_psisum_bracket(ctx, z1, z2):
+    """(tensor, F-part) of [sum_i e_i@b_i + Y, sum_j e_j@b'_j + Y'], reduced:
+
+    sum_{i,j} psi([e_i, e_j]) b_i b'_j + sum_k e_k@(theta(Y)(b'_k) - theta(Y')(b_k)) + [Y, Y'].
+    """
+    e, f, psi = ctx.e, ctx.f, ctx.psi
+    b_alg = f.algebra
+
+    def leibniz(palg, push, u, w, x, y):
+        out = [b_alg.zero() for _ in range(palg.rank)]
+        for i in range(palg.rank):
+            for j in range(palg.rank):
+                for k, c in enumerate(palg.struct_coeffs(i, j)):
+                    out[k] = out[k] + u[i] * w[j] * push(c)
+        for k in range(palg.rank):
+            out[k] = out[k] + ref_anchor(f, x, w[k]) - ref_anchor(f, y, u[k])
+        return [b_alg.nf(c) for c in out]
+
+    y1, y2 = z1.f_part, z2.f_part
+    return (
+        leibniz(e, psi.apply, z1.tensor, z2.tensor, y1, y2),
+        leibniz(f, lambda c: c, y1, y2, y1, y2),
+    )
+
+
 # -- mutation protocol ------------------------------------------------------
 
 

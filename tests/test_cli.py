@@ -255,6 +255,26 @@ def test_grpd_map_commands(tmp_path):
     assert main(["grpd", "check-map", str(g1), str(g2), str(mp)]) == 1
 
 
+@pytest.mark.parametrize(
+    "field, key, value, failing",
+    [
+        ("comp", (("a", "b"), ("b", "a")), ("b", "b"), "products have the right endpoints"),
+        ("ident", "a", ("b", "b"), "identity arrows are loops at their objects"),
+    ],
+)
+def test_grpd_check_reports_broken_tables(tmp_path, capsys, field, key, value, failing):
+    from lra.groupoid import make_pair
+
+    g = make_pair(["a", "b"])
+    getattr(g, field)[key] = value
+    path = tmp_path / "broken.json"
+    docs.save_document(docs.groupoid_document(g), path)
+    assert main(["--format", "json", "grpd", "check", str(path)]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks[-1] == {"name": failing, "status": "fail", "witness": checks[-1]["witness"]}
+    assert [c["name"] for c in checks if c["status"] == "fail"] == [failing]
+
+
 def test_resource_cap_exit_code(tmp_path, monkeypatch):
     monkeypatch.setenv("LRA_STEP_CAP", "2")
     body = {

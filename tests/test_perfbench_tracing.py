@@ -1,0 +1,46 @@
+"""The benchmark's tracer must find every function it names in ``lra``.
+
+``perfbench/tracing.py`` patches functions by module and name; a renamed or
+moved function would crash the traced benchmark run, so this guard loads the
+tracer by path and checks that every span target is patched and restored.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+import pkgutil
+import sys
+
+import lra
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("lra_perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _holder(module, owner):
+    holder = sys.modules[module]
+    return holder if owner is None else getattr(holder, owner)
+
+
+def test_every_traced_name_is_patched():
+    for info in pkgutil.iter_modules(lra.__path__):
+        if info.name != "__main__":
+            importlib.import_module("lra." + info.name)
+    tracing = _load_tracing()
+    targets = [(_holder(module, owner), attr) for _, module, owner, attr in tracing.SPANS]
+    originals = [vars(holder)[attr] for holder, attr in targets]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        patched = [vars(holder)[attr] is not original for (holder, attr), original in zip(targets, originals)]
+    finally:
+        tracer.uninstall()
+    missing = [span[0] for span, ok in zip(tracing.SPANS, patched) if not ok]
+    assert not missing
+    assert [vars(holder)[attr] for holder, attr in targets] == originals
