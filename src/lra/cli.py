@@ -77,6 +77,12 @@ def _load_palg(path):
     return docs.to_palg(_load(path, "palg").body)
 
 
+def _load_groupoid(path):
+    g = docs.to_groupoid(_load(path, "groupoid").body)
+    check_groupoid(g).require("%s is not a groupoid" % path)
+    return g
+
+
 def _load_psictx(e_path, f_path, psi_path):
     e = _load_palg(e_path)
     f = _load_palg(f_path)
@@ -284,21 +290,15 @@ def cmd_grpd_build(args):
         )
         g = make_action_groupoid(group, objects, act)
     elif args.what == "product":
-        g = make_direct_product(
-            docs.to_groupoid(_load(args.inputs[0], "groupoid").body),
-            docs.to_groupoid(_load(args.inputs[1], "groupoid").body),
-        )
+        g = make_direct_product(_load_groupoid(args.inputs[0]), _load_groupoid(args.inputs[1]))
     elif args.what == "phi-product":
         g = make_phi_product(
-            docs.to_groupoid(_load(args.inputs[0], "groupoid").body),
-            docs.to_groupoid(_load(args.inputs[1], "groupoid").body),
+            _load_groupoid(args.inputs[0]),
+            _load_groupoid(args.inputs[1]),
             _parse_mapping(args.phi, "base map"),
         )
     elif args.what == "restrict":
-        g = restrict_groupoid(
-            docs.to_groupoid(_load(args.inputs[0], "groupoid").body),
-            _parse_items(args.objects),
-        )
+        g = restrict_groupoid(_load_groupoid(args.inputs[0]), _parse_items(args.objects))
     elif args.what == "gauge":
         total = _parse_items(args.total)
         group, act = _cyclic_action_from_perm(
@@ -316,8 +316,8 @@ def cmd_grpd_check(args):
 
 
 def cmd_grpd_check_map(args):
-    gamma = docs.to_groupoid(_load(args.gamma, "groupoid").body)
-    pi = docs.to_groupoid(_load(args.pi, "groupoid").body)
+    gamma = _load_groupoid(args.gamma)
+    pi = _load_groupoid(args.pi)
     m = docs.to_grpdmap(_load(args.map, "grpdmap").body)
     if isinstance(m, GrpdMorphism):
         return _emit_report(args, check_grpd_morphism(gamma, pi, m))
@@ -325,8 +325,8 @@ def cmd_grpd_check_map(args):
 
 
 def cmd_grpd_graph_theorem(args):
-    gamma = docs.to_groupoid(_load(args.gamma, "groupoid").body)
-    pi = docs.to_groupoid(_load(args.pi, "groupoid").body)
+    gamma = _load_groupoid(args.gamma)
+    pi = _load_groupoid(args.pi)
     m = docs.to_grpdmap(_load(args.map, "grpdmap").body)
     if isinstance(m, GrpdMorphism):
         direct = check_grpd_morphism(gamma, pi, m)
@@ -345,8 +345,8 @@ def cmd_grpd_graph_theorem(args):
 
 
 def cmd_grpd_enumerate(args):
-    gamma = docs.to_groupoid(_load(args.gamma, "groupoid").body)
-    pi = docs.to_groupoid(_load(args.pi, "groupoid").body)
+    gamma = _load_groupoid(args.gamma)
+    pi = _load_groupoid(args.pi)
     phi = _parse_mapping(args.phi, "base map")
     found = enumerate_maps(gamma, pi, phi, args.kind)
     if args.format == "json":

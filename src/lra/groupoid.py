@@ -63,6 +63,19 @@ class FiniteGroup:
         return "FiniteGroup(%r)" % (list(self.elements),)
 
 
+def _composable(arrows, src, tgt):
+    """Each arrow g with the arrows h after it, tgt(g) == src(h), both in arrow order.
+
+    The one walk over composable pairs: an index of arrows by source object,
+    read at each arrow's target.
+    """
+    leaving = {}
+    for h in arrows:
+        leaving.setdefault(src[h], []).append(h)
+    for g in arrows:
+        yield g, leaving.get(tgt[g], ())
+
+
 class FinGroupoid:
     """A finite groupoid: explicit source, target, identity, inverse, product."""
 
@@ -77,29 +90,16 @@ class FinGroupoid:
         self.inv = dict(inv)
         self.comp = dict(comp)
 
-    def identity(self, x):
-        return self.ident[x]
-
-    def is_composable(self, g, h):
-        return self.tgt[g] == self.src[h]
-
-    def compose(self, g, h):
-        return self.comp[(g, h)]
-
     def hom(self, x, y):
         return [g for g in self.arrows if self.src[g] == x and self.tgt[g] == y]
-
-    def arrows_from(self, x):
-        return [g for g in self.arrows if self.src[g] == x]
 
     def orbit(self, x):
         return {self.tgt[g] for g in self.arrows if self.src[g] == x}
 
     def composable_pairs(self):
-        for g in self.arrows:
-            for h in self.arrows:
-                if self.tgt[g] == self.src[h]:
-                    yield g, h
+        for g, after in _composable(self.arrows, self.src, self.tgt):
+            for h in after:
+                yield g, h
 
     def __eq__(self, other):
         if not isinstance(other, FinGroupoid):
@@ -121,16 +121,17 @@ class FinGroupoid:
 def check_groupoid(g):
     """Exhaustive verification of all groupoid table invariants."""
     report = VerdictReport()
+    objects, arrows = set(g.objects), set(g.arrows)
     ok = True
     for x in g.objects:
-        if x not in g.ident or g.ident[x] not in g.arrows:
+        if x not in g.ident or g.ident[x] not in arrows:
             report.add("identity arrow of %r exists" % (x,), False, "missing or dangling")
             ok = False
     for a in g.arrows:
-        if a not in g.src or a not in g.tgt or g.src[a] not in g.objects or g.tgt[a] not in g.objects:
+        if a not in g.src or a not in g.tgt or g.src[a] not in objects or g.tgt[a] not in objects:
             report.add("endpoints of %r are objects" % (a,), False, "missing or dangling")
             ok = False
-        if a not in g.inv or g.inv[a] not in g.arrows:
+        if a not in g.inv or g.inv[a] not in arrows:
             report.add("inverse of %r exists" % (a,), False, "missing or dangling")
             ok = False
     if not ok:
@@ -144,9 +145,11 @@ def check_groupoid(g):
         "objects with displaced identities: %r" % bad,
     ):
         return report
-    domain = {(a, b) for a in g.arrows for b in g.arrows if g.tgt[a] == g.src[b]}
+    after = dict(_composable(g.arrows, g.src, g.tgt))
+    domain = [(a, b) for a, bs in after.items() for b in bs]
+    pairs = set(domain)
     missing = sorted((p for p in domain if p not in g.comp), key=repr)
-    extra = sorted((p for p in g.comp if p not in domain), key=repr)
+    extra = sorted((p for p in g.comp if p not in pairs), key=repr)
     report.add(
         "product defined exactly on composable pairs",
         not missing and not extra,
@@ -157,7 +160,7 @@ def check_groupoid(g):
     bad = [
         (a, b)
         for (a, b) in domain
-        if g.comp[(a, b)] not in g.arrows
+        if g.comp[(a, b)] not in arrows
         or g.src[g.comp[(a, b)]] != g.src[a]
         or g.tgt[g.comp[(a, b)]] != g.tgt[b]
     ]
@@ -177,19 +180,23 @@ def check_groupoid(g):
         elif g.comp[(a, b)] != g.ident[g.src[a]] or g.comp[(b, a)] != g.ident[g.tgt[a]]:
             bad.append(a)
     report.add("inverses cancel on both sides", not bad, "arrows with broken inverses: %r" % bad[:3])
-    bad = []
-    for a, b in domain:
-        ab = g.comp[(a, b)]
-        for c in g.arrows:
-            if g.tgt[b] != g.src[c]:
-                continue
-            if g.comp[(ab, c)] != g.comp[(a, g.comp[(b, c)])]:
-                bad.append((a, b, c))
+    bad = [
+        (a, b, c)
+        for (a, b) in domain
+        for c in after[b]
+        if g.comp[(g.comp[(a, b)], c)] != g.comp[(a, g.comp[(b, c)])]
+    ]
     report.add("associativity on all composable triples", not bad, "triples: %r" % bad[:3])
     return report
 
 
 # -- constructors -----------------------------------------------------------
+
+
+def _from_product(objects, arrows, src, tgt, ident, inv, product):
+    """A groupoid whose product table is ``product(g, h)`` on exactly the composable pairs."""
+    comp = {(g, h): product(g, h) for g, after in _composable(arrows, src, tgt) for h in after}
+    return FinGroupoid(objects, arrows, src, tgt, ident, inv, comp)
 
 
 def make_pair(objects):
@@ -200,13 +207,7 @@ def make_pair(objects):
     tgt = {(x, y): y for (x, y) in arrows}
     ident = {x: (x, x) for x in objects}
     inv = {(x, y): (y, x) for (x, y) in arrows}
-    comp = {
-        ((x, y), (y2, z)): (x, z)
-        for (x, y) in arrows
-        for (y2, z) in arrows
-        if y == y2
-    }
-    return FinGroupoid(objects, arrows, src, tgt, ident, inv, comp)
+    return _from_product(objects, arrows, src, tgt, ident, inv, lambda a, b: (a[0], b[1]))
 
 
 def _check_group_action(group, objects, act):
@@ -233,12 +234,14 @@ def make_action_groupoid(group, objects, act):
     tgt = {(x, g): act[(x, g)] for (x, g) in arrows}
     ident = {x: (x, group.unit) for x in objects}
     inv = {(x, g): (act[(x, g)], group.inverse[g]) for (x, g) in arrows}
-    comp = {}
-    for (x, g1) in arrows:
-        for (y, g2) in arrows:
-            if y == act[(x, g1)]:
-                comp[((x, g1), (y, g2))] = (x, group.mul[(g1, g2)])
-    return FinGroupoid(objects, arrows, src, tgt, ident, inv, comp)
+    return _from_product(
+        objects, arrows, src, tgt, ident, inv, lambda a, b: (a[0], group.mul[(a[1], b[1])])
+    )
+
+
+def _componentwise(gamma, pi):
+    """The product of pairs of arrows, one component in each groupoid."""
+    return lambda a, b: (gamma.comp[(a[0], b[0])], pi.comp[(a[1], b[1])])
 
 
 def make_direct_product(gamma, pi):
@@ -249,12 +252,7 @@ def make_direct_product(gamma, pi):
     tgt = {(g, w): (gamma.tgt[g], pi.tgt[w]) for (g, w) in arrows}
     ident = {(m, n): (gamma.ident[m], pi.ident[n]) for (m, n) in objects}
     inv = {(g, w): (gamma.inv[g], pi.inv[w]) for (g, w) in arrows}
-    comp = {}
-    for (g, w) in arrows:
-        for (h, z) in arrows:
-            if gamma.tgt[g] == gamma.src[h] and pi.tgt[w] == pi.src[z]:
-                comp[((g, w), (h, z))] = (gamma.comp[(g, h)], pi.comp[(w, z)])
-    return FinGroupoid(objects, arrows, src, tgt, ident, inv, comp)
+    return _from_product(objects, arrows, src, tgt, ident, inv, _componentwise(gamma, pi))
 
 
 def restrict_groupoid(gamma, objects):
@@ -282,34 +280,37 @@ def restrict_groupoid(gamma, objects):
     )
 
 
-def relabel_objects(g, mapping):
-    """Rename objects through a bijection; arrows keep their labels."""
-    if len(set(mapping.values())) != len(g.objects):
-        raise ValueError("object relabeling must be a bijection")
-    return FinGroupoid(
-        [mapping[x] for x in g.objects],
-        g.arrows,
-        {a: mapping[g.src[a]] for a in g.arrows},
-        {a: mapping[g.tgt[a]] for a in g.arrows},
-        {mapping[x]: g.ident[x] for x in g.objects},
-        dict(g.inv),
-        dict(g.comp),
-    )
+def _check_base_map(gamma, pi, phi):
+    """A base map must be defined on every object of gamma and land in pi's objects."""
+    for x in gamma.objects:
+        if x not in phi:
+            raise ValueError("phi is not defined at %r" % (x,))
+        if phi[x] not in pi.objects:
+            raise ValueError("phi does not land in the other base")
 
 
 def make_phi_product(gamma, pi, phi):
     """Arrows (g, w) whose pi-component matches phi of the gamma endpoints.
 
-    Built as the restriction of the direct product to the graph of phi,
-    then relabeled to live on gamma's base.
+    This is the direct product restricted to the graph of phi, with each
+    object (x, phi(x)) named x, so it lives on gamma's base.
     """
-    for x in gamma.objects:
-        if phi[x] not in pi.objects:
-            raise ValueError("phi does not land in the other base")
-    product = make_direct_product(gamma, pi)
-    graph_objects = [(x, phi[x]) for x in gamma.objects]
-    restricted = restrict_groupoid(product, graph_objects)
-    return relabel_objects(restricted, {(x, phi[x]): x for x in gamma.objects})
+    _check_base_map(gamma, pi, phi)
+    arrows = [
+        (g, w)
+        for g in gamma.arrows
+        for w in pi.arrows
+        if pi.src[w] == phi[gamma.src[g]] and pi.tgt[w] == phi[gamma.tgt[g]]
+    ]
+    return _from_product(
+        gamma.objects,
+        arrows,
+        {(g, w): gamma.src[g] for (g, w) in arrows},
+        {(g, w): gamma.tgt[g] for (g, w) in arrows},
+        {x: (gamma.ident[x], pi.ident[phi[x]]) for x in gamma.objects},
+        {(g, w): (gamma.inv[g], pi.inv[w]) for (g, w) in arrows},
+        _componentwise(gamma, pi),
+    )
 
 
 def make_gauge(total, projection, group, act):
@@ -360,14 +361,11 @@ def make_gauge(total, projection, group, act):
     for x in total:
         ident.setdefault(projection[x], canonical((x, x)))
     inv = {a: canonical((a[1], a[0])) for a in arrows}
-    comp = {}
-    for a in arrows:
-        for b in arrows:
-            if tgt[a] != src[b]:
-                continue
-            g = translate(b[0], a[1])
-            comp[(a, b)] = canonical((a[0], act[(b[1], g)]))
-    return FinGroupoid(base, arrows, src, tgt, ident, inv, comp)
+
+    def product(a, b):
+        return canonical((a[0], act[(b[1], translate(b[0], a[1]))]))
+
+    return _from_product(base, arrows, src, tgt, ident, inv, product)
 
 
 # -- maps of groupoids -------------------------------------------------------
@@ -454,7 +452,8 @@ def check_grpd_comorphism(gamma, pi, m):
             return report
     domain = pullback_domain(gamma, pi, phi)
     missing = [p for p in domain if p not in m.table]
-    extra = [p for p in m.table if p not in set(domain)]
+    domain_set = set(domain)
+    extra = [p for p in m.table if p not in domain_set]
     if missing or extra:
         report.add(
             "table is defined exactly on the pullback",
@@ -489,15 +488,12 @@ def check_grpd_comorphism(gamma, pi, m):
     report.add("targets are compatible over the base map", not bad, "entries: %r" % bad[:3])
     if bad:
         return report
+    after = dict(_composable(pi.arrows, pi.src, pi.tgt))
     bad = []
     for (x, w) in domain:
-        mid = gamma.tgt[m.table[(x, w)]]
-        for z in pi.arrows:
-            if pi.src[z] != pi.tgt[w]:
-                continue
-            lhs = m.table[(x, pi.comp[(w, z)])]
-            rhs = gamma.comp[(m.table[(x, w)], m.table[(mid, z)])]
-            if lhs != rhs:
+        g = m.table[(x, w)]
+        for z in after[w]:
+            if m.table[(x, pi.comp[(w, z)])] != gamma.comp[(g, m.table[(gamma.tgt[g], z)])]:
                 bad.append((x, w, z))
     report.add(
         "products pull back through the cocycle identity",
@@ -540,13 +536,15 @@ def graph_subgroupoid_check(gamma, pi, phi, graph, product=None):
         not missing,
         "objects without identities: %r" % missing[:3],
     )
-    bad = [p for p in graph if product.inv[p] not in graph]
+    members = [p for p in product.arrows if p in graph]
+    bad = [p for p in members if product.inv[p] not in graph]
     report.add("graph is closed under inversion", not bad, "arrows: %r" % bad[:3])
-    bad = []
-    for p in graph:
-        for q in graph:
-            if (p, q) in product.comp and product.comp[(p, q)] not in graph:
-                bad.append((p, q))
+    bad = [
+        (p, q)
+        for p, after in _composable(members, product.src, product.tgt)
+        for q in after
+        if product.comp[(p, q)] not in graph
+    ]
     report.add("graph is closed under the product", not bad, "pairs: %r" % bad[:3])
     return report
 
@@ -726,12 +724,9 @@ def make_action_groupoid_of_action(action):
     tgt = {(z, a): action.maps[a][z] for (z, a) in arrows}
     ident = {z: (z, g.ident[proj[z]]) for z in space}
     inv = {(z, a): (action.maps[a][z], g.inv[a]) for (z, a) in arrows}
-    comp = {}
-    for (z, a) in arrows:
-        for (y, b) in arrows:
-            if y == action.maps[a][z] and g.tgt[a] == g.src[b]:
-                comp[((z, a), (y, b))] = (z, g.comp[(a, b)])
-    groupoid = FinGroupoid(space, arrows, src, tgt, ident, inv, comp)
+    groupoid = _from_product(
+        space, arrows, src, tgt, ident, inv, lambda p, q: (p[0], g.comp[(p[1], q[1])])
+    )
     projection = GrpdMorphism(dict(proj), {(z, a): a for (z, a) in arrows})
     return groupoid, projection
 
@@ -746,6 +741,7 @@ def iter_candidate_maps(gamma, pi, phi, kind, cap=10**6):
     cannot pass either the direct verifier or the graph test, since their
     graphs leave the phi-product).  The full search space is capped.
     """
+    _check_base_map(gamma, pi, phi)
     if kind == "morphism":
         slots = list(gamma.arrows)
         options = [

@@ -23,7 +23,7 @@ from .pseudoalgebra import (
     PAElement,
     _anchor_identity,
     _leibniz_bracket,
-    anchor_apply,
+    anchor_derivation,
     bracket,
     differential,
 )
@@ -402,18 +402,15 @@ def induced_infinitesimal_action(m):
     The input carries morphism data from a pseudoalgebra S (typically a
     Lie algebra over Q) to a pseudoalgebra with anchor; each S-basis
     vector yields the derivation of the target algebra obtained by pushing
-    its image through the anchor.  The verdict confirms, per basis pair,
-    that brackets are preserved, that each output is a valid derivation,
-    and that the outputs project onto the source anchor through psi
-    (semilinearity holds by the semilinear extension of the map).
+    its image through the anchor.  The verdict confirms that each output
+    is a valid derivation and, per basis pair, that brackets are preserved.
+    The outputs project onto the source anchor through psi by the anchor
+    condition of the morphism, which is required first (semilinearity holds
+    by the semilinear extension of the map).
     """
     check_pamorphism(m).require("the map is not a pseudoalgebra morphism")
-    e, f = m.source, m.target
-    a_alg, b_alg = e.algebra, f.algebra
-    derivations = [
-        Derivation(b_alg, [anchor_apply(img, b_alg.variable(v)) for v in range(b_alg.arity)])
-        for img in m.images
-    ]
+    e, b_alg = m.source, m.target.algebra
+    derivations = [anchor_derivation(img) for img in m.images]
     report = VerdictReport()
     for i, d in enumerate(derivations):
         sub = d.check()
@@ -422,17 +419,6 @@ def induced_infinitesimal_action(m):
             sub.verdict,
             "; ".join(c.witness for c in sub.failures()),
         )
-    for i in range(e.rank):
-        for v in range(a_alg.arity):
-            rhs, lhs = _anchor_identity(
-                m.psi, [(e.anchors[i], b_alg.one())], m.images[i], a_alg.variable(v)
-            )
-            report.add(
-                "induced map %d projects onto the source anchor at %s" % (i, a_alg.variables[v]),
-                lhs == rhs,
-                "derivation gives %s, projected anchor gives %s"
-                % (b_alg.render(lhs), b_alg.render(rhs)),
-            )
     for i in range(e.rank):
         for j in range(i + 1, e.rank):
             comm = derivations[i].commutator(derivations[j])

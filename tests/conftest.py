@@ -313,6 +313,11 @@ def groupoid_corpus():
     }
 
 
+def composable_oracle(g):
+    """Brute force: every pair (a, b) with tgt(a) == src(b), a then b in arrow order."""
+    return [(a, b) for a in g.arrows for b in g.arrows if g.tgt[a] == g.src[b]]
+
+
 def all_base_maps(gamma, pi):
     """Every map from gamma's objects to pi's objects."""
     import itertools

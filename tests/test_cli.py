@@ -344,3 +344,112 @@ def test_check_palg_failure_exits_one(tmp_path):
     path = tmp_path / "broken.json"
     docs.save_document(docs.Document("palg", "1", body), path)
     assert main(["check-palg", str(path)]) == 1
+
+
+def _pair_without_product(tmp_path):
+    """make_pair(["a", "b"]) with the product of (a, b) and (b, a) deleted."""
+    from lra.groupoid import make_pair
+
+    g = make_pair(["a", "b"])
+    del g.comp[(("a", "b"), ("b", "a"))]
+    broken = tmp_path / "broken.json"
+    docs.save_document(docs.groupoid_document(g), broken)
+    good = tmp_path / "good.json"
+    docs.save_document(docs.groupoid_document(make_pair(["a", "b"])), good)
+    return str(broken), str(good)
+
+
+def _identity_map_doc(tmp_path, base):
+    from lra.groupoid import GrpdMorphism, make_pair
+
+    path = tmp_path / "map.json"
+    arrows = {a: a for a in make_pair(["a", "b"]).arrows}
+    docs.save_document(docs.grpdmap_document(GrpdMorphism(base, arrows)), path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-map", "{broken}", "{good}", "{map}"],
+        ["graph-theorem", "{good}", "{broken}", "{map}"],
+        ["enumerate", "{broken}", "{good}", "--phi", "a->a,b->b", "--kind", "morphism"],
+        ["build", "product", "{good}", "{broken}"],
+        ["build", "phi-product", "{broken}", "{good}", "--phi", "a->a,b->b"],
+        ["build", "restrict", "{broken}", "--objects", "a"],
+    ],
+)
+def test_grpd_commands_reject_broken_groupoids(tmp_path, capsys, argv):
+    broken, good = _pair_without_product(tmp_path)
+    identity = _identity_map_doc(tmp_path, {"a": "a", "b": "b"})
+    paths = {"broken": broken, "good": good, "map": identity}
+    assert main(["grpd"] + [arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert "%s is not a groupoid" % broken in err
+    assert "[FAIL] product defined exactly on composable pairs" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["enumerate", "{g}", "{g}", "--phi", "a->a", "--kind", "morphism"],
+            "phi is not defined at 'b'",
+        ),
+        (["build", "phi-product", "{g}", "{g}", "--phi", "a->a"], "phi is not defined at 'b'"),
+        (["graph-theorem", "{g}", "{g}", "{partial}"], "phi is not defined at 'b'"),
+        (
+            ["enumerate", "{g}", "{g}", "--phi", "a->zz,b->a", "--kind", "comorphism"],
+            "phi does not land in the other base",
+        ),
+    ],
+)
+def test_grpd_commands_reject_bad_base_maps(tmp_path, capsys, argv, message):
+    _, good = _pair_without_product(tmp_path)
+    paths = {"g": good, "partial": _identity_map_doc(tmp_path, {"a": "a"})}
+    assert main(["grpd"] + [arg.format(**paths) for arg in argv]) == 2
+    assert "lra: input error: %s" % message in capsys.readouterr().err
+
+
+def test_grpd_witnesses_do_not_depend_on_hash_seed(tmp_path):
+    """Failing witnesses list arrows in table order, not in set order."""
+    import os
+    import subprocess
+    import sys
+
+    from lra.groupoid import FiniteGroup, GrpdMorphism, make_action_groupoid
+
+    z3 = FiniteGroup.cyclic(3)
+    objects = ["o1", "o2", "o3"]
+    bundle = make_action_groupoid(z3, objects, {(x, g): x for x in objects for g in range(3)})
+    point = make_action_groupoid(z3, ["t"], {("t", g): "t" for g in range(3)})
+    mutant = {(x, g): ("t", g) for x in objects for g in range(3)}
+    mutant[("o2", 0)] = ("t", 1)
+    broken = make_action_groupoid(z3, objects, {(x, g): x for x in objects for g in range(3)})
+    broken.comp[(("o3", 1), ("o3", 1))] = ("o3", 0)
+    paths = {}
+    for name, doc in (
+        ("bundle", docs.groupoid_document(bundle)),
+        ("point", docs.groupoid_document(point)),
+        ("mutant", docs.grpdmap_document(GrpdMorphism({x: "t" for x in objects}, mutant))),
+        ("broken", docs.groupoid_document(broken)),
+    ):
+        paths[name] = str(tmp_path / (name + ".json"))
+        docs.save_document(doc, paths[name])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    for argv in (
+        ["grpd", "graph-theorem", paths["bundle"], paths["point"], paths["mutant"]],
+        ["grpd", "check", paths["broken"]],
+    ):
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-m", "lra", "--format", "json"] + argv,
+                env=env, capture_output=True, text=True, check=False,
+            )
+            assert run.returncode == 1, run.stderr
+            payload = json.loads(run.stdout)
+            payload.pop("timing_ms")
+            outputs.append(payload)
+        assert outputs[0] == outputs[1]

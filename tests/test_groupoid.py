@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import action_tables, all_base_maps, groupoid_corpus
+from conftest import action_tables, all_base_maps, composable_oracle, groupoid_corpus
 from lra.groebner import ResourceCapExceeded
 from lra.groupoid import (
     FiniteGroup,
@@ -337,3 +337,27 @@ def test_constructors_pass_check_groupoid():
     p2 = make_pair([1, 2])
     assert check_groupoid(make_direct_product(p2, p2)).verdict
     assert check_groupoid(make_phi_product(p2, p2, {1: 1, 2: 2})).verdict
+
+
+def test_product_tables_match_the_brute_force_pairs():
+    """Builders, validator and verifiers share one composable-pair walk; test it alone."""
+
+    def check(g):
+        pairs = composable_oracle(g)
+        assert set(g.comp) == set(pairs), g
+        assert list(g.composable_pairs()) == pairs, g
+
+    corpus = groupoid_corpus()
+    for g in corpus.values():
+        check(g)
+    for gamma in corpus.values():
+        for pi in corpus.values():
+            check(make_direct_product(gamma, pi))
+            for phi in all_base_maps(gamma, pi):
+                check(make_phi_product(gamma, pi, phi))
+    total, projection, act = gauge_bundle()
+    check(make_gauge(total, projection, Z2, act))
+    for action in action_tables():
+        check(make_action_groupoid_of_action(action)[0])
+    check(make_action_groupoid(Z2, ["1", "2"], SWAP))
+    check(restrict_groupoid(make_pair([1, 2, 3]), [1, 3]))
