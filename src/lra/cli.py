@@ -461,7 +461,7 @@ def build_parser():
     p.add_argument("map")
     p.set_defaults(handler=cmd_grpd_graph_theorem)
 
-    p = gsub.add_parser("enumerate", help="brute-force all maps of one kind over a base map")
+    p = gsub.add_parser("enumerate", help="list every map of one kind over a base map (pruned search)")
     p.add_argument("gamma")
     p.add_argument("pi")
     p.add_argument("--phi", required=True)

@@ -7,8 +7,9 @@ set as their identity arrows.
 
 All constructions here are finite and checked exhaustively: pair, action,
 direct product, base-map product, restriction, gauge, plus both map
-notions with their verifiers, graphs, orbit tests, groupoid actions, and
-a brute-force enumerator used as the oracle for the graph theorem.
+notions with their verifiers, graphs, orbit tests, groupoid actions, a
+pruned depth-first map search, and ``iter_candidate_maps``, the brute-force
+candidate generator that tests use as its oracle and for the graph theorem.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ def _check_base_map(gamma, pi, phi):
         if x not in phi:
             raise ValueError("phi is not defined at %r" % (x,))
         if phi[x] not in pi.objects:
-            raise ValueError("phi does not land in the other base")
+            raise ValueError("phi does not land in the other base: %r -> %r" % (x, phi[x]))
 
 
 def make_phi_product(gamma, pi, phi):
@@ -739,7 +740,8 @@ def iter_candidate_maps(gamma, pi, phi, kind, cap=10**6):
 
     Candidates respect sources and targets pointwise (maps that do not
     cannot pass either the direct verifier or the graph test, since their
-    graphs leave the phi-product).  The full search space is capped.
+    graphs leave the phi-product).  The full search space is capped.  This
+    is the brute-force oracle for ``enumerate_maps``; only tests use it.
     """
     _check_base_map(gamma, pi, phi)
     if kind == "morphism":
@@ -772,21 +774,152 @@ def iter_candidate_maps(gamma, pi, phi, kind, cap=10**6):
             yield GrpdComorphism(dict(phi), dict(zip(slots, combo)))
 
 
-def enumerate_maps(gamma, pi, phi, kind, cap=10**6):
-    """Brute force: every candidate passing the direct verifier."""
-    out = []
-    for m in iter_candidate_maps(gamma, pi, phi, kind, cap):
-        if kind == "morphism":
-            ok = check_grpd_morphism(gamma, pi, m).verdict
+def _depth_first(options, fits, leave, cap):
+    """Assignments of one option per slot, in ``itertools.product`` order, that fit.
+
+    Slot i takes its options in order; ``fits(i, values)`` sees ``values[:i + 1]``
+    filled and returns False to cut the branch.  ``leave(i, values)`` undoes
+    what an accepted ``fits`` recorded, before slot i takes its next option.
+    The yielded list is reused: copy it before the next step.  More than
+    ``cap`` partial assignments tried raises ResourceCapExceeded.
+    """
+    n = len(options)
+    if not n:
+        yield []
+        return
+    values = [None] * n
+    tried = 0
+    stack = [iter(options[0])]
+    while stack:
+        i = len(stack) - 1
+        for value in stack[i]:
+            tried += 1
+            if tried > cap:
+                raise ResourceCapExceeded("map search exceeds the cap of %d partial maps" % cap)
+            values[i] = value
+            if fits(i, values):
+                break
         else:
-            ok = check_grpd_comorphism(gamma, pi, m).verdict
-        if ok:
-            out.append(m)
-    return out
+            stack.pop()
+            if stack:
+                leave(i - 1, values)
+            continue
+        if i + 1 < n:
+            stack.append(iter(options[i + 1]))
+        else:
+            yield values
+            leave(i, values)
+
+
+def _morphism_search(gamma, pi, phi, cap):
+    """Arrow maps over phi that send identities to identities and keep every product.
+
+    Each composable pair (g, h) is checked once, when the last of g, h, g*h
+    is filled.
+    """
+    hom = {}
+    for w in pi.arrows:
+        hom.setdefault((pi.src[w], pi.tgt[w]), []).append(w)
+    slots = list(gamma.arrows)
+    unit = {gamma.ident[x]: pi.ident[phi[x]] for x in gamma.objects}
+    options = [
+        [unit[g]] if g in unit else hom.get((phi[gamma.src[g]], phi[gamma.tgt[g]]), [])
+        for g in slots
+    ]
+    pos = {g: i for i, g in enumerate(slots)}
+    rules = [[] for _ in slots]
+    for g, h in gamma.composable_pairs():
+        triple = (pos[g], pos[h], pos[gamma.comp[(g, h)]])
+        rules[max(triple)].append(triple)
+
+    def fits(i, values):
+        return all(values[c] == pi.comp[(values[a], values[b])] for a, b, c in rules[i])
+
+    for values in _depth_first(options, fits, lambda i, values: None, cap):
+        yield GrpdMorphism(dict(phi), dict(zip(slots, values)))
+
+
+def _comorphism_search(gamma, pi, phi, cap):
+    """Pullback tables over phi that pull identities back to identities and keep
+    the cocycle identity table[(x, w*z)] = table[(x, w)] * table[(tgt table[(x, w)], z)].
+
+    Each triple (x, w, z) is checked once, when the last of its three slots
+    is filled.  The third slot depends on the value of the first, so the
+    filled slots are indexed by the target of their value.
+    """
+    slots = pullback_domain(gamma, pi, phi)
+    typed = {}
+    for h in gamma.arrows:
+        typed.setdefault((gamma.src[h], phi[gamma.tgt[h]]), []).append(h)
+    options = [
+        [gamma.ident[x]] if w == pi.ident[phi[x]] else typed.get((x, pi.tgt[w]), [])
+        for x, w in slots
+    ]
+    pos = {s: i for i, s in enumerate(slots)}
+    after = dict(_composable(pi.arrows, pi.src, pi.tgt))
+    factors = {}
+    for w, z in pi.composable_pairs():
+        factors.setdefault(pi.comp[(w, z)], []).append((w, z))
+    landing = {}  # object y -> filled slots whose value ends at y, in slot order
+
+    def fits(i, values):
+        x, v = slots[i]
+        g = values[i]
+        for z in after[v]:  # slot i as (x, w)
+            b, c = pos[(x, pi.comp[(v, z)])], pos[(gamma.tgt[g], z)]
+            if b <= i and c <= i and values[b] != gamma.comp[(g, values[c])]:
+                return False
+        for w, z in factors[v]:  # slot i as (x, w*z), with (x, w) filled before it
+            a = pos[(x, w)]
+            if a < i:
+                c = pos[(gamma.tgt[values[a]], z)]
+                if c <= i and g != gamma.comp[(values[a], values[c])]:
+                    return False
+        for a in landing.get(x, ()):  # slot i as (tgt table[(x', w)], z), both others before it
+            xa, w = slots[a]
+            b = pos[(xa, pi.comp[(w, v)])]
+            if b < i and values[b] != gamma.comp[(values[a], g)]:
+                return False
+        landing.setdefault(gamma.tgt[g], []).append(i)
+        return True
+
+    def leave(i, values):
+        landing[gamma.tgt[values[i]]].pop()
+
+    for values in _depth_first(options, fits, leave, cap):
+        yield GrpdComorphism(dict(phi), dict(zip(slots, values)))
+
+
+def _verified_maps(gamma, pi, phi, kind, cap):
+    """Maps of one kind over phi that the direct verifier passes, in candidate order."""
+    _check_base_map(gamma, pi, phi)
+    if kind == "morphism":
+        search, check = _morphism_search, check_grpd_morphism
+    elif kind == "comorphism":
+        search, check = _comorphism_search, check_grpd_comorphism
+    else:
+        raise ValueError("kind must be 'morphism' or 'comorphism'")
+    return (m for m in search(gamma, pi, phi, cap) if check(gamma, pi, m).verdict)
+
+
+def enumerate_maps(gamma, pi, phi, kind, cap=10**6):
+    """Every map of one kind over phi, by a pruned depth-first search.
+
+    The search fills the slots of ``iter_candidate_maps`` in order and cuts a
+    branch at the first broken product rule (morphisms) or cocycle identity
+    (comorphisms), so the maps come out in that generator's order.  Each
+    complete map still passes the direct verifier before it is returned.
+    ``cap`` bounds the partial maps tried.
+    """
+    return list(_verified_maps(gamma, pi, phi, kind, cap))
 
 
 def find_isomorphism(g1, g2):
-    """Brute-force isomorphism search; returns (object map, arrow map) or None."""
+    """Isomorphism search; returns (object map, arrow map) or None.
+
+    For each bijection of objects, the first morphism over it with an
+    injective arrow map.
+    """
     if len(g1.objects) != len(g2.objects) or len(g1.arrows) != len(g2.arrows):
         return None
 
@@ -797,44 +930,8 @@ def find_isomorphism(g1, g2):
 
     if hom_profile(g1) != hom_profile(g2):
         return None
-    arrows1 = sorted(g1.arrows, key=repr)
     for perm in itertools.permutations(g2.objects):
-        obj_map = dict(zip(sorted(g1.objects, key=repr), perm))
-        assignment = {}
-
-        def extend(index):
-            if index == len(arrows1):
-                candidate = GrpdMorphism(obj_map, dict(assignment))
-                return check_grpd_morphism(g1, g2, candidate).verdict
-            a = arrows1[index]
-            for b in g2.arrows:
-                if b in assignment.values():
-                    continue
-                if g2.src[b] != obj_map[g1.src[a]] or g2.tgt[b] != obj_map[g1.tgt[a]]:
-                    continue
-                if a == g1.ident[g1.src[a]] and b != g2.ident[g2.src[b]]:
-                    continue
-                assignment[a] = b
-                ok = True
-                inv_a = g1.inv[a]
-                if inv_a in assignment and assignment[inv_a] != g2.inv[b]:
-                    ok = False
-                if ok:
-                    for c in list(assignment):
-                        d = assignment[c]
-                        if g1.tgt[c] == g1.src[a] and g1.comp[(c, a)] in assignment:
-                            if g2.comp[(d, b)] != assignment[g1.comp[(c, a)]]:
-                                ok = False
-                                break
-                        if g1.tgt[a] == g1.src[c] and g1.comp[(a, c)] in assignment:
-                            if g2.comp[(b, d)] != assignment[g1.comp[(a, c)]]:
-                                ok = False
-                                break
-                if ok and extend(index + 1):
-                    return True
-                del assignment[a]
-            return False
-
-        if extend(0):
-            return obj_map, dict(assignment)
+        for m in _verified_maps(g1, g2, dict(zip(g1.objects, perm)), "morphism", 10**6):
+            if len(set(m.arrows.values())) == len(m.arrows):
+                return m.base, m.arrows
     return None

@@ -408,7 +408,10 @@ def test_grpd_commands_reject_bad_base_maps(tmp_path, capsys, argv, message):
     _, good = _pair_without_product(tmp_path)
     paths = {"g": good, "partial": _identity_map_doc(tmp_path, {"a": "a"})}
     assert main(["grpd"] + [arg.format(**paths) for arg in argv]) == 2
-    assert "lra: input error: %s" % message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "lra: input error: %s" % message in err
+    if "a->zz,b->a" in argv:
+        assert "'a' -> 'zz'" in err
 
 
 def test_grpd_witnesses_do_not_depend_on_hash_seed(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import action_tables, all_base_maps, composable_oracle, groupoid_corpus
@@ -80,6 +82,18 @@ def test_make_direct_product_examples():
     trivial = make_pair(["t"])
     again = make_direct_product(p2, trivial)
     assert find_isomorphism(again, p2) is not None
+
+
+def test_find_isomorphism_tells_vertex_groups_apart():
+    z4 = make_action_groupoid(FiniteGroup.cyclic(4), ["o"], {("o", g): "o" for g in range(4)})
+    one_object_z2 = make_action_groupoid(Z2, ["o"], {("o", 0): "o", ("o", 1): "o"})
+    klein = make_direct_product(one_object_z2, one_object_z2)
+    assert sorted(len(klein.hom(x, y)) for x in klein.objects for y in klein.objects) == [4]
+    assert find_isomorphism(z4, klein) is None
+    assert find_isomorphism(klein, z4) is None
+    base, arrows = find_isomorphism(z4, z4)
+    assert check_grpd_morphism(z4, z4, GrpdMorphism(base, arrows)).verdict
+    assert sorted(arrows.values()) == sorted(z4.arrows)
 
 
 def test_make_phi_product_examples():
@@ -239,6 +253,66 @@ def test_enumerate_respects_cap():
     g = make_action_groupoid(z3, ["o"], {("o", k): "o" for k in range(3)})
     with pytest.raises(ResourceCapExceeded):
         list(iter_candidate_maps(g, g, {"o": "o"}, "morphism", cap=10))
+
+
+def trivial_bundle(k, m):
+    """The trivial Z_k-bundle over m objects, Z_k on one object, and the constant base map."""
+    zk = FiniteGroup.cyclic(k)
+    objects = ["o%d" % n for n in range(m)]
+    gamma = make_action_groupoid(zk, objects, {(x, g): x for x in objects for g in range(k)})
+    pi = make_action_groupoid(zk, ["t"], {("t", g): "t" for g in range(k)})
+    return gamma, pi, {x: "t" for x in objects}
+
+
+def brute_force_maps(gamma, pi, phi, kind):
+    check = check_grpd_morphism if kind == "morphism" else check_grpd_comorphism
+    return [m for m in iter_candidate_maps(gamma, pi, phi, kind) if check(gamma, pi, m).verdict]
+
+
+def test_search_matches_brute_force():
+    """The pruned search returns exactly the verified candidates, in candidate order."""
+    corpus = groupoid_corpus()
+    cases = [
+        (gamma, pi, phi)
+        for gamma in corpus.values()
+        for pi in corpus.values()
+        for phi in all_base_maps(gamma, pi)
+    ]
+    cases.append(trivial_bundle(3, 3))
+    for gamma, pi, phi in cases:
+        for kind in ("morphism", "comorphism"):
+            assert enumerate_maps(gamma, pi, phi, kind) == brute_force_maps(gamma, pi, phi, kind), (
+                gamma, pi, phi, kind,
+            )
+    gamma, pi, phi = trivial_bundle(3, 3)
+    assert [len(enumerate_maps(gamma, pi, phi, kind)) for kind in ("morphism", "comorphism")] == [27, 27]
+
+
+@pytest.mark.parametrize("k, m", [(4, 2), (6, 2)])
+def test_search_finds_every_bundle_map(k, m):
+    """Over the constant base map both kinds are g -> a_x g, one a_x per object."""
+    gamma, pi, phi = trivial_bundle(k, m)
+    objects = gamma.objects
+    choices = [dict(zip(objects, a)) for a in itertools.product(range(k), repeat=m)]
+    morphisms = {
+        GrpdMorphism(phi, {(x, g): ("t", a[x] * g % k) for x in objects for g in range(k)})
+        for a in choices
+    }
+    comorphisms = {
+        GrpdComorphism(phi, {(x, ("t", h)): (x, a[x] * h % k) for x in objects for h in range(k)})
+        for a in choices
+    }
+    for kind, expected in (("morphism", morphisms), ("comorphism", comorphisms)):
+        found = enumerate_maps(gamma, pi, phi, kind)
+        assert len(found) == k ** m
+        assert set(found) == expected
+
+
+def test_search_respects_cap():
+    gamma, pi, phi = trivial_bundle(3, 3)
+    for kind in ("morphism", "comorphism"):
+        with pytest.raises(ResourceCapExceeded, match="cap of 10 partial maps"):
+            enumerate_maps(gamma, pi, phi, kind, cap=10)
 
 
 def test_orbit_condition_necessity_across_corpus():
