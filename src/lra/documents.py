@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraPres, AlgMorphism, Derivation
 from .groebner import IdealPres
-from .groupoid import FinGroupoid, GroupoidAction, GrpdComorphism, GrpdMorphism
+from .groupoid import FinGroupoid, GrpdComorphism, GrpdMorphism
 from .maps import PAComorphism, PAMorphism
 from .poly import PolyParseError
 from .pseudoalgebra import PAlg, PAElement
@@ -35,7 +35,6 @@ KINDS = (
     "pacomorphism",
     "groupoid",
     "grpdmap",
-    "action",
 )
 
 
@@ -251,15 +250,6 @@ def _validate_body(kind, body):
                     or not all(isinstance(s, str) for s in entry)
                 ):
                     raise DocumentError("expected [x, w, g]", "%s.table[%d]" % (path, n))
-    elif kind == "action":
-        groupoid = _expect(body, "groupoid", dict, path)
-        _validate_body("groupoid", groupoid)
-        _expect_str_list(body, "space", path)
-        _expect(body, "projection", dict, path)
-        maps = _expect(body, "maps", dict, path)
-        for g, table in maps.items():
-            if not isinstance(table, dict):
-                raise DocumentError("expected an object", "%s.maps[%r]" % (path, g))
 
 
 # -- converters: documents -> objects ---------------------------------------
@@ -546,7 +536,7 @@ def to_groupoid(body, path="body"):
     )
 
 
-def from_grpdmap(m, gamma=None, pi=None):
+def from_grpdmap(m):
     if isinstance(m, GrpdMorphism):
         return {
             "maptype": "morphism",
@@ -571,25 +561,3 @@ def to_grpdmap(body, path="body"):
     for x, w, g in body["table"]:
         table[(x, w)] = g
     return GrpdComorphism(dict(body["base"]), table)
-
-
-def from_action(action):
-    return {
-        "groupoid": from_groupoid(action.groupoid),
-        "space": sorted(str(z) for z in action.space),
-        "projection": {str(z): str(m) for z, m in action.projection.items()},
-        "maps": {
-            str(g): {str(z): str(y) for z, y in table.items()}
-            for g, table in action.maps.items()
-        },
-    }
-
-
-def action_document(action):
-    return Document("action", VERSION, from_action(action))
-
-
-def to_action(body, path="body"):
-    groupoid = to_groupoid(body["groupoid"], "%s.groupoid" % path)
-    maps = {g: dict(table) for g, table in body["maps"].items()}
-    return GroupoidAction(groupoid, body["space"], dict(body["projection"]), maps)

@@ -87,7 +87,7 @@ def _reduce_terms(arity, work, prepared, key, budget):
     return MPoly(arity, remainder)
 
 
-def normal_form(p, basis, order="grevlex", cap=None):
+def normal_form(p, basis, order="grevlex"):
     """Remainder of ``p`` under multivariate division by ``basis``.
 
     Unique (depends only on the residue class of ``p``) whenever ``basis``
@@ -97,7 +97,7 @@ def normal_form(p, basis, order="grevlex", cap=None):
     for g in basis:
         if g.arity != p.arity:
             raise ValueError("arity mismatch between polynomial and basis")
-    return _reduce_terms(p.arity, dict(p.terms), _prepare(basis, key), key, _Budget(cap))
+    return _reduce_terms(p.arity, dict(p.terms), _prepare(basis, key), key, _Budget(None))
 
 
 def s_polynomial(f, g, order="grevlex"):
@@ -202,7 +202,7 @@ class IdealPres:
 
     __slots__ = ("arity", "generators", "order", "groebner")
 
-    def __init__(self, arity, generators=(), order="grevlex", cap=None):
+    def __init__(self, arity, generators=(), order="grevlex"):
         order_key(order)  # validate tag
         gens = []
         for p in generators:
@@ -213,14 +213,14 @@ class IdealPres:
         self.arity = arity
         self.generators = tuple(gens)
         self.order = order
-        self.groebner = tuple(buchberger(gens, order, cap)) if gens else ()
+        self.groebner = tuple(buchberger(gens, order)) if gens else ()
 
-    def normal_form(self, p, cap=None):
+    def normal_form(self, p):
         if p.arity != self.arity:
             raise ValueError("arity mismatch: polynomial has %d variables, ideal %d" % (p.arity, self.arity))
         if not self.groebner:
             return p
-        return normal_form(p, self.groebner, self.order, cap)
+        return normal_form(p, self.groebner, self.order)
 
     def contains(self, p):
         return self.normal_form(p).is_zero()

@@ -52,6 +52,8 @@ class FiniteGroup:
 
     @classmethod
     def cyclic(cls, n):
+        if n < 1:
+            raise ValueError("a cyclic group needs a positive order, got %d" % n)
         elements = tuple(range(n))
         mul = {(a, b): (a + b) % n for a in elements for b in elements}
         return cls(elements, 0, mul)
@@ -323,6 +325,9 @@ def make_gauge(total, projection, group, act):
     translates the middle terms by the unique matching group element.
     """
     total = tuple(total)
+    for x in total:
+        if x not in projection:
+            raise ValueError("projection is not defined at %r" % (x,))
     act = dict(act)
     _check_group_action(group, total, act)
     base = []
@@ -504,7 +509,7 @@ def check_grpd_comorphism(gamma, pi, m):
     return report
 
 
-def graph_of_map(m, gamma=None, pi=None):
+def graph_of_map(m):
     """The graph, as a set of phi-product arrows."""
     if isinstance(m, GrpdMorphism):
         return {(g, w) for g, w in m.arrows.items()}

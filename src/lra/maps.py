@@ -224,20 +224,22 @@ def graph(m):
     """
     if isinstance(m, PAMorphism):
         ctx = PsiSumCtx(m.source, m.target, m.psi)
-        gens = []
-        for i in range(m.source.rank):
-            z = ctx.tensor_generator(i)
-            gens.append(MixedElement(ctx, list(z.tensor), list(m.images[i].coords)))
+        b_alg = m.target.algebra
+        gens = [
+            MixedElement(
+                ctx,
+                [b_alg.one() if k == i else b_alg.zero() for k in range(m.source.rank)],
+                list(img.coords),
+            )
+            for i, img in enumerate(m.images)
+        ]
         return ctx, gens
     if isinstance(m, PAComorphism):
         ctx = PsiSumCtx(m.target, m.source, m.psi)
-        gens = []
-        for j in range(m.source.rank):
-            f_coords = [
-                m.source.algebra.one() if jj == j else m.source.algebra.zero()
-                for jj in range(m.source.rank)
-            ]
-            gens.append(MixedElement(ctx, list(m.images[j]), f_coords))
+        gens = [
+            MixedElement(ctx, list(row), list(m.source.basis(j).coords))
+            for j, row in enumerate(m.images)
+        ]
         return ctx, gens
     raise TypeError("expected a PAMorphism or PAComorphism")
 
@@ -255,12 +257,7 @@ def graph_subalgebra_check(ctx, generators, kind):
         raise ValueError("kind must be 'morphism' or 'comorphism'")
     report = VerdictReport()
     for n, gen in enumerate(generators):
-        sub = membership_report(ctx, gen)
-        report.add(
-            "generator %d is a member of the twisted sum" % n,
-            sub.verdict,
-            "; ".join(c.witness for c in sub.failures()),
-        )
+        report.fold("generator %d is a member of the twisted sum" % n, membership_report(ctx, gen))
     if not report.verdict:
         return report
     for n1 in range(len(generators)):
@@ -413,12 +410,7 @@ def induced_infinitesimal_action(m):
     derivations = [anchor_derivation(img) for img in m.images]
     report = VerdictReport()
     for i, d in enumerate(derivations):
-        sub = d.check()
-        report.add(
-            "induced map %d is a derivation" % i,
-            sub.verdict,
-            "; ".join(c.witness for c in sub.failures()),
-        )
+        report.fold("induced map %d is a derivation" % i, d.check())
     for i in range(e.rank):
         for j in range(i + 1, e.rank):
             comm = derivations[i].commutator(derivations[j])

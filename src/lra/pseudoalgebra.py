@@ -222,12 +222,7 @@ def axioms_check(e):
     report = VerdictReport()
     alg = e.algebra
     for i, delta in enumerate(e.anchors):
-        sub = delta.check()
-        report.add(
-            "anchor of e_%d is a derivation" % i,
-            sub.verdict,
-            "; ".join(c.witness for c in sub.failures()),
-        )
+        report.fold("anchor of e_%d is a derivation" % i, delta.check())
     if not report.verdict:
         return report
 
@@ -358,7 +353,7 @@ def differential(e, omega):
 # -- constructors --------------------------------------------------------
 
 
-def _structure_from_commutators(algebra, basis, structure, max_degree=None):
+def _structure_from_commutators(algebra, basis, structure):
     """Solve or verify the structure coefficients of pairwise commutators."""
     rank = len(basis)
     columns = [[d.images[v] for v in range(algebra.arity)] for d in basis]
@@ -379,7 +374,7 @@ def _structure_from_commutators(algebra, basis, structure, max_degree=None):
                             % (i, j, algebra.variables[v])
                         )
             else:
-                row = _solve_span(algebra, columns, target, max_degree)
+                row = _solve_span(algebra, columns, target)
                 if row is None:
                     raise VerificationError(
                         "commutator of basis entries %d and %d is not expressible in the span "
@@ -389,11 +384,12 @@ def _structure_from_commutators(algebra, basis, structure, max_degree=None):
     return table
 
 
-def _solve_span(algebra, columns, target, max_degree=None):
+def _solve_span(algebra, columns, target):
     """Find algebra coefficients c_k with sum_k c_k * columns[k][v] = target[v] mod I.
 
-    Exact bounded-degree linear solve over Q; the bound grows from the data
-    degrees, so genuinely low-degree witnesses are always found.
+    Exact bounded-degree linear solve over Q; the coefficient degree bound
+    grows up to the data degree plus 2, so genuinely low-degree witnesses
+    are always found.
     """
     data_degree = 0
     for col in columns:
@@ -401,9 +397,7 @@ def _solve_span(algebra, columns, target, max_degree=None):
             data_degree = max(data_degree, q.total_degree())
     for q in target:
         data_degree = max(data_degree, q.total_degree())
-    if max_degree is None:
-        max_degree = max(data_degree, 0) + 2
-    for bound in range(max_degree + 1):
+    for bound in range(data_degree + 3):
         solution = _solve_span_at(algebra, columns, target, bound)
         if solution is not None:
             return solution

@@ -14,6 +14,12 @@ derivations in a, so agreement on generators propagates to all of A (the
 sampling test in the suite guards this reduction).  The identity is
 evaluated by ``pseudoalgebra._anchor_identity`` and the bracket of the sum
 by ``pseudoalgebra._leibniz_bracket``, here and in the map verifiers.
+
+Triple sums use the same ``membership_report`` and ``psisum_bracket``: a
+flattened member of the triple sum E + F + G is a pair of mixed elements,
+its (E-part, G-part) in E + G along theta.psi and its (F-part, G-part) in
+F + G along theta, so re-association is decided by twisted sums of
+twisted sums.
 """
 
 from __future__ import annotations
@@ -52,19 +58,6 @@ class PsiSumCtx:
         b = self.f.algebra
         return MixedElement(self, [b.zero()] * self.e.rank, [b.zero()] * self.f.rank)
 
-    def tensor_generator(self, i, coeff=None):
-        """The element e_i tensor coeff (coeff defaults to 1)."""
-        b = self.f.algebra
-        tensor = [b.zero()] * self.e.rank
-        tensor[i] = b.one() if coeff is None else coeff
-        return MixedElement(self, tensor, [b.zero()] * self.f.rank)
-
-    def f_generator(self, j):
-        b = self.f.algebra
-        f_part = [b.zero()] * self.f.rank
-        f_part[j] = b.one()
-        return MixedElement(self, [b.zero()] * self.e.rank, f_part)
-
 
 class MixedElement:
     """An element of (E tensor_A B) + F in free-module normal form.
@@ -87,17 +80,6 @@ class MixedElement:
         self.ctx = ctx
         self.tensor = tuple(tensor)
         self.f_part = tuple(f_part)
-
-    @classmethod
-    def from_pairs(cls, ctx, pairs, f_coords=None):
-        """Build from (E-basis index, B-coefficient) pairs, merging indices."""
-        b = ctx.f.algebra
-        tensor = [b.zero()] * ctx.e.rank
-        for index, coeff in pairs:
-            tensor[index] = tensor[index] + coeff
-        if f_coords is None:
-            f_coords = [b.zero()] * ctx.f.rank
-        return cls(ctx, tensor, f_coords)
 
     def f_element(self):
         return PAElement(self.ctx.f, list(self.f_part))
@@ -330,52 +312,6 @@ class TripleElement:
         )
 
 
-def _left_membership_report(ctx, elem):
-    """The outer membership identity of the left association, on B-variables.
-
-    theta is an algebra map, so the theta-pushed anchors of the inner
-    F-parts sum to F's anchors against the flattened F-coefficients.
-    """
-    report = VerdictReport()
-    b_alg = ctx.inner.f.algebra
-    _, f_coeffs, _ = elem.flatten()
-    for v in range(b_alg.arity):
-        lhs, rhs = _anchor_identity(
-            ctx.theta, zip(ctx.inner.f.anchors, f_coeffs), elem.g_part, b_alg.variable(v)
-        )
-        report.add(
-            "outer membership identity at %s" % b_alg.variables[v],
-            lhs == rhs,
-            "theta-twisted anchors disagree at %s" % b_alg.variables[v],
-        )
-    if b_alg.arity == 0:
-        report.add("outer membership identity is vacuous over the scalars", True)
-    return report
-
-
-def _right_membership_report(ctx, e_coeffs, g_part):
-    """Membership of flattened coordinates in E + (F + G along theta).
-
-    Only the outer identity on A-variables is evaluated: membership of the
-    (F-coefficients, G-part) in F + G along theta is the identity that
-    ``_left_membership_report`` has already verified.
-    """
-    report = VerdictReport()
-    a_alg = ctx.inner.e.algebra
-    for v in range(a_alg.arity):
-        lhs, rhs = _anchor_identity(
-            ctx.composed.psi, zip(ctx.inner.e.anchors, e_coeffs), g_part, a_alg.variable(v)
-        )
-        report.add(
-            "outer membership identity at %s" % a_alg.variables[v],
-            lhs == rhs,
-            "composed-map identity fails at %s" % a_alg.variables[v],
-        )
-    if a_alg.arity == 0:
-        report.add("outer membership identity is vacuous over the scalars", True)
-    return report
-
-
 def _left_bracket(ctx, t1, t2):
     """Bracket in the left association, returned as a TripleElement."""
     parts = []
@@ -397,15 +333,22 @@ def _left_bracket(ctx, t1, t2):
 
 
 def _right_bracket(ctx, flat1, flat2):
-    """Bracket in the right association, on flattened coordinates."""
-    e1, f1, w1 = flat1
-    e2, f2, w2 = flat2
-    c_alg = ctx.g.algebra
-    e_out = _leibniz_bracket(ctx.inner.e, ctx.composed.psi, e1, e2, w1, w2)
-    v1 = MixedElement(ctx.right, list(f1), list(w1.coords))
-    v2 = MixedElement(ctx.right, list(f2), list(w2.coords))
-    v_out = psisum_bracket(ctx.right, v1, v2, check=False)
-    return ([c_alg.nf(q) for q in e_out], list(v_out.tensor), v_out.f_element())
+    """Bracket in the right association, on flattened coordinates: the E-part
+    in E + G along the composed map, the F- and G-parts in F + G along theta."""
+    (e1, f1, w1), (e2, f2, w2) = flat1, flat2
+    u = psisum_bracket(
+        ctx.composed,
+        MixedElement(ctx.composed, e1, w1.coords),
+        MixedElement(ctx.composed, e2, w2.coords),
+        check=False,
+    )
+    v = psisum_bracket(
+        ctx.right,
+        MixedElement(ctx.right, f1, w1.coords),
+        MixedElement(ctx.right, f2, w2.coords),
+        check=False,
+    )
+    return (list(u.tensor), list(v.tensor), v.f_element())
 
 
 def triple_inclusion_check(e, f, g, psi, theta, elements):
@@ -413,48 +356,44 @@ def triple_inclusion_check(e, f, g, psi, theta, elements):
 
     Preconditions (violations raise): every inner component is a member of
     E + F along psi, and each supplied element satisfies the outer
-    membership identity of the left association.  The report then asserts
-    that every flattened element is a member of the right association and
-    that pairwise brackets agree after re-association.
+    membership identity of the left association, which is membership of
+    its flattened (F-part, G-part) in F + G along theta.  The report then
+    asserts that every flattened element is a member of the right
+    association, which needs only its (E-part, G-part) to be a member of
+    E + G along theta.psi, and that pairwise brackets agree after
+    re-association.
     """
     ctx = TripleSumCtx(e, f, g, psi, theta)
     checked = []
+    flats = []
     for n, (parts, g_part) in enumerate(elements):
         for z, _ in parts:
             membership_report(ctx.inner, z).require(
                 "element %d has a non-member inner component" % n
             )
         t = TripleElement(ctx, parts, g_part)
-        _left_membership_report(ctx, t).require(
+        flat = t.flatten()
+        membership_report(ctx.right, MixedElement(ctx.right, flat[1], flat[2].coords)).require(
             "element %d is not a member of the left association" % n
         )
         checked.append(t)
+        flats.append(flat)
 
     report = VerdictReport()
-    flats = []
-    for n, t in enumerate(checked):
-        flat = t.flatten()
-        sub = _right_membership_report(ctx, flat[0], flat[2])
-        report.add(
+    for n, (e_coeffs, _, g_part) in enumerate(flats):
+        report.fold(
             "element %d re-associates into the right sum" % n,
-            sub.verdict,
-            "; ".join(c.witness for c in sub.failures()),
+            membership_report(ctx.composed, MixedElement(ctx.composed, e_coeffs, g_part.coords)),
         )
-        flats.append(flat)
 
     for n1 in range(len(checked)):
         for n2 in range(n1 + 1, len(checked)):
             left = _left_bracket(ctx, checked[n1], checked[n2]).flatten()
             right = _right_bracket(ctx, flats[n1], flats[n2])
-            agree = (
-                left[0] == right[0]
-                and left[1] == right[1]
-                and left[2] == right[2]
-            )
             report.add(
                 "brackets of elements %d and %d agree under re-association" % (n1, n2),
-                agree,
+                left == right,
                 "left association gives %r / %r / %r, right gives %r / %r / %r"
-                % (left[0], left[1], left[2], right[0], right[1], right[2]),
+                % (left + right),
             )
     return report

@@ -40,6 +40,10 @@ class VerdictReport:
         self.timing_ms = (time.monotonic() - self.started) * 1000.0
         return passed
 
+    def fold(self, name, sub):
+        """One check that passes exactly when ``sub`` does, with its witnesses joined."""
+        return self.add(name, sub.verdict, "; ".join(c.witness for c in sub.failures()))
+
     def merge(self, other, prefix=""):
         for check in other.checks:
             name = "%s%s" % (prefix, check.name)

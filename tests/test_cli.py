@@ -456,3 +456,40 @@ def test_grpd_witnesses_do_not_depend_on_hash_seed(tmp_path):
             payload.pop("timing_ms")
             outputs.append(payload)
         assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, culprit",
+    [
+        (
+            ["psisum", "bracket", "{dx}", "{dy}", "{psi_square}", "{member}"],
+            "bracket needs two elements, got 1",
+        ),
+        (
+            ["restrict", "bracket", "{dx}", "{elem_x}", "--ideal", "x"],
+            "bracket needs two elements, got 1",
+        ),
+        (
+            ["grpd", "build", "action", "--cyclic", "2", "--objects", "a,b", "--perm", "a->zz,b->a"],
+            "permutation sends 'a' outside the objects: 'zz'",
+        ),
+        (
+            ["grpd", "build", "action", "--cyclic", "0", "--objects", "a", "--perm", "a->a"],
+            "a cyclic group needs a positive order, got 0",
+        ),
+        (
+            [
+                "grpd", "build", "gauge", "--cyclic", "2",
+                "--total", "p,q", "--proj", "p->1", "--perm", "p->q,q->p",
+            ],
+            "projection is not defined at 'q'",
+        ),
+    ],
+)
+def test_malformed_command_lines_exit_two(workspace, capsys, argv, culprit):
+    _, p = workspace
+    paths = {name[: -len(".json")]: path for name, path in p.items()}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "lra: input error: %s\n" % culprit
+    assert captured.out == ""

@@ -56,6 +56,8 @@ def test_parse_rejects_bad_envelopes():
         docs.parse_document('{"kind": "algebra", "version": "1"}')
     with pytest.raises(docs.DocumentError, match="unknown kind"):
         docs.parse_document('{"kind": "widget", "version": "1", "body": {}}')
+    with pytest.raises(docs.DocumentError, match="unknown kind"):
+        docs.parse_document('{"kind": "action", "version": "1", "body": {}}')
     with pytest.raises(docs.DocumentError, match="unsupported version"):
         docs.parse_document('{"kind": "algebra", "version": "9", "body": {}}')
 

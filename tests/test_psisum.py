@@ -2,12 +2,15 @@ import random
 
 import pytest
 
-from conftest import ref_identity_holds, sl2
+from conftest import ref_anchor, ref_identity_holds, ref_psisum_bracket, sl2
 from lra.algebra import AlgebraPres, AlgMorphism
 from lra.pseudoalgebra import axioms_check, bracket, make_der, make_klie
 from lra.psisum import (
     MixedElement,
     PsiSumCtx,
+    TripleElement,
+    TripleSumCtx,
+    _left_bracket,
     direct_sum,
     membership,
     psisum_anchor,
@@ -277,6 +280,59 @@ def test_triple_inclusion_rejects_nonmembers():
         triple_inclusion_check(
             e, f, g, psi, theta, [([(good_inner, qz.one())], g.basis(0))]
         )
+
+
+def test_triple_sum_matches_the_paper_reference():
+    """Rank-2 inner and middle summands over two-variable algebras.
+
+    E = Der(Q[u,v]), F = Der(Q[x,y]), G = Der(Q[z]), psi: u -> x+y, v -> xy,
+    theta: x -> z^2, y -> z^3.  Inner members are Y(psi(u_i)) e_i + Y for
+    Y = f_j, with outer coefficients W(theta(x_j)) for W = w d/dz.  The
+    left-association bracket of every pair, flattened, must equal the
+    reference bracket in E + G along theta.psi (E-part) and in F + G along
+    theta (F- and G-parts).
+    """
+    quv, qxy, qz = AlgebraPres.free("u", "v"), AlgebraPres.free("x", "y"), AlgebraPres.free("z")
+    e, f, g = make_der(quv), make_der(qxy), make_der(qz)
+    x, y = qxy.variable(0), qxy.variable(1)
+    z = qz.variable(0)
+    psi = AlgMorphism(quv, qxy, [x + y, x * y])
+    theta = AlgMorphism(qxy, qz, [z ** 2, z ** 3])
+    inner_ctx = PsiSumCtx(e, f, psi)
+    inner = []
+    for j in range(f.rank):
+        y_j = f.basis(j).coords
+        tensor = [ref_anchor(f, y_j, psi.apply(quv.variable(i))) for i in range(e.rank)]
+        inner.append(MixedElement(inner_ctx, tensor, y_j))
+    elements = []
+    for w in (qz.one(), z, z ** 2 + 1, 2 * z ** 3 - z):
+        big_w = g.basis(0).scale(w)
+        outer = [ref_anchor(g, big_w.coords, theta.apply(b)) for b in (x, y)]
+        elements.append((list(zip(inner, outer)), big_w))
+
+    report = triple_inclusion_check(e, f, g, psi, theta, elements)
+    assert report.verdict, report.render_text()
+    assert len(report.checks) == 4 + 6
+
+    ctx = TripleSumCtx(e, f, g, psi, theta)
+    members = [TripleElement(ctx, parts, g_part) for parts, g_part in elements]
+    for n1 in range(len(members)):
+        for n2 in range(n1 + 1, len(members)):
+            (e1, f1, w1), (e2, f2, w2) = members[n1].flatten(), members[n2].flatten()
+            e_part, f_part, w = _left_bracket(ctx, members[n1], members[n2]).flatten()
+            ref_e, ref_w = ref_psisum_bracket(
+                ctx.composed,
+                MixedElement(ctx.composed, e1, w1.coords),
+                MixedElement(ctx.composed, e2, w2.coords),
+            )
+            ref_f, ref_w_again = ref_psisum_bracket(
+                ctx.right,
+                MixedElement(ctx.right, f1, w1.coords),
+                MixedElement(ctx.right, f2, w2.coords),
+            )
+            assert (e_part, f_part, list(w.coords)) == (ref_e, ref_f, ref_w)
+            assert ref_w == ref_w_again
+            assert any(not c.is_zero() for c in e_part + f_part)
 
 
 def quotient_ctx():
