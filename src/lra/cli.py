@@ -4,6 +4,13 @@ Exit codes: 0 = pass, 1 = fail (witness printed), 2 = input error,
 3 = resource cap exceeded.  ``--format json`` switches reports to JSON.
 The environment variable ``LRA_STEP_CAP`` overrides the default
 reduction-step budget of the Groebner engine.
+
+Every command is declared once, in ``COMMANDS``: its words, help text,
+argparse arguments and handler.  ``build_parser`` adds only the entry
+the command line names (all of them for help and for unknown commands).
+Where a command takes a variable number of documents, its first
+positional's choices give the count for each variant, and ``main``
+rejects any other count with exit 2 before a document is read.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import documents as docs
 from . import groebner
@@ -56,9 +64,8 @@ def _emit_report(args, report):
 
 def _emit_document(args, doc):
     text = docs.render_document(doc)
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -108,12 +115,6 @@ def _parse_items(text):
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _bracket_pair(elements):
-    if len(elements) < 2:
-        raise docs.DocumentError("bracket needs two elements, got %d" % len(elements))
-    return elements[:2]
-
-
 def _agreement(direct, via_graph):
     """Both reports side by side, plus the check that their verdicts agree."""
     report = VerdictReport()
@@ -148,6 +149,15 @@ def cmd_check_palg(args):
     return _emit_report(args, axioms_check(e))
 
 
+def _load_map(kind, path, e, f):
+    if kind == "morphism":
+        return docs.to_pamorphism(_load(path, "pamorphism").body, e, f)
+    return docs.to_pacomorphism(_load(path, "pacomorphism").body, e, f)
+
+
+_DIRECT = {"morphism": check_pamorphism, "comorphism": check_pacomorphism}
+
+
 def cmd_check(args):
     if args.what == "algmorphism":
         m = docs.to_algmorphism(_load(args.paths[0], "morphism").body)
@@ -155,31 +165,18 @@ def cmd_check(args):
     if args.what == "derivation":
         d = docs.to_derivation(_load(args.paths[0], "derivation").body)
         return _emit_report(args, d.check())
-    if len(args.paths) != 3:
-        raise docs.DocumentError("expected E.palg F.palg MAP.json")
     e = _load_palg(args.paths[0])
     f = _load_palg(args.paths[1])
-    if args.what == "morphism":
-        m = docs.to_pamorphism(_load(args.paths[2], "pamorphism").body, e, f)
-        return _emit_report(args, check_pamorphism(m))
-    if args.what == "comorphism":
-        m = docs.to_pacomorphism(_load(args.paths[2], "pacomorphism").body, e, f)
-        return _emit_report(args, check_pacomorphism(m))
     if args.what == "chainmap":
-        m = docs.to_pacomorphism(_load(args.paths[2], "pacomorphism").body, e, f)
-        return _emit_report(args, chain_map_check(m))
-    raise docs.DocumentError("unknown check %r" % args.what)
+        return _emit_report(args, chain_map_check(_load_map("comorphism", args.paths[2], e, f)))
+    return _emit_report(args, _DIRECT[args.what](_load_map(args.what, args.paths[2], e, f)))
 
 
 def cmd_graph_theorem(args):
     e = _load_palg(args.e)
     f = _load_palg(args.f)
-    if args.kind == "morphism":
-        m = docs.to_pamorphism(_load(args.map, "pamorphism").body, e, f)
-        direct = check_pamorphism(m)
-    else:
-        m = docs.to_pacomorphism(_load(args.map, "pacomorphism").body, e, f)
-        direct = check_pacomorphism(m)
+    m = _load_map(args.kind, args.map, e, f)
+    direct = _DIRECT[args.kind](m)
     ctx, gens = graph(m)
     return _emit_report(args, _agreement(direct, graph_subalgebra_check(ctx, gens, args.kind)))
 
@@ -188,12 +185,10 @@ def cmd_compose(args):
     e = _load_palg(args.e)
     f = _load_palg(args.f)
     g = _load_palg(args.g)
+    m1 = _load_map(args.kind, args.m1, e, f)
+    m2 = _load_map(args.kind, args.m2, f, g)
     if args.kind == "morphism":
-        m1 = docs.to_pamorphism(_load(args.m1, "pamorphism").body, e, f)
-        m2 = docs.to_pamorphism(_load(args.m2, "pamorphism").body, f, g)
         return _emit_document(args, docs.pamorphism_document(compose_morphisms(m1, m2)))
-    m1 = docs.to_pacomorphism(_load(args.m1, "pacomorphism").body, e, f)
-    m2 = docs.to_pacomorphism(_load(args.m2, "pacomorphism").body, f, g)
     return _emit_document(args, docs.pacomorphism_document(compose_comorphisms(m1, m2)))
 
 
@@ -201,8 +196,9 @@ def cmd_restrict(args):
     e = _load_palg(args.palg)
     gens = [e.algebra.parse(text) for text in args.ideal]
     ctx = RestrictionCtx(e, gens)
+    elements = [docs.to_element(_load(path, "element").body, e) for path in args.elements]
     if args.action == "member":
-        x = docs.to_element(_load(args.elements[0], "element").body, e)
+        (x,) = elements
         report = VerdictReport()
         if args.kind in ("upper", "both"):
             report.add(
@@ -217,8 +213,7 @@ def cmd_restrict(args):
                 "some coordinate has a nonzero residue",
             )
         return _emit_report(args, report)
-    x, y = (docs.to_element(_load(path, "element").body, e) for path in _bracket_pair(args.elements))
-    value = quotient_bracket(ctx, x, y)
+    value = quotient_bracket(ctx, *elements)
     report = VerdictReport()
     report.add(
         "quotient bracket = (%s)"
@@ -236,10 +231,9 @@ def cmd_psisum(args):
     if args.action == "member":
         return _emit_report(args, membership_report(ctx, elements[0]))
     if args.action == "bracket":
-        value = psisum_bracket(ctx, *_bracket_pair(elements))
-        doc = docs.mixed_element_document(value)
-        if getattr(args, "output", None):
-            return _emit_document(args, doc)
+        value = psisum_bracket(ctx, *elements)
+        if args.output:
+            return _emit_document(args, docs.mixed_element_document(value))
         report = VerdictReport()
         b_alg = ctx.f.algebra
         report.add(
@@ -266,53 +260,48 @@ def cmd_psisum(args):
     return _emit_report(args, report)
 
 
-def _cyclic_action_from_perm(n, objects, perm):
-    group = FiniteGroup.cyclic(n)
-    step = dict(perm)
+def _cyclic_action(args, objects):
+    """The cyclic group of order ``--cyclic`` acting on ``objects`` through ``--perm``."""
+    step = _parse_mapping(args.perm, "permutation")
+    group = FiniteGroup.cyclic(args.cyclic)
     for x in objects:
         if x not in step:
             raise docs.DocumentError("permutation misses %r" % x)
         if step[x] not in objects:
             raise docs.DocumentError("permutation sends %r outside the objects: %r" % (x, step[x]))
+    for x in step:
+        if x not in objects:
+            raise docs.DocumentError("permutation moves %r, which is not an object" % x)
     current = {x: x for x in objects}
     act = {}
-    for g in range(n):
+    for g in range(args.cyclic):
         for x in objects:
             act[(x, g)] = current[x]
         current = {x: step[current[x]] for x in objects}
     for x in objects:
         if current[x] != x:
-            raise docs.DocumentError("the permutation does not have order dividing %d" % n)
+            raise docs.DocumentError("the permutation does not have order dividing %d" % args.cyclic)
     return group, act
 
 
 def cmd_grpd_build(args):
+    inputs = [_load_groupoid(path) for path in args.inputs]
     if args.what == "pair":
         g = make_pair(_parse_items(args.objects))
+    elif args.what == "product":
+        g = make_direct_product(*inputs)
+    elif args.what == "phi-product":
+        g = make_phi_product(*inputs, _parse_mapping(args.phi, "base map"))
+    elif args.what == "restrict":
+        g = restrict_groupoid(*inputs, _parse_items(args.objects))
     elif args.what == "action":
         objects = _parse_items(args.objects)
-        group, act = _cyclic_action_from_perm(
-            args.cyclic, objects, _parse_mapping(args.perm, "permutation")
-        )
+        group, act = _cyclic_action(args, objects)
         g = make_action_groupoid(group, objects, act)
-    elif args.what == "product":
-        g = make_direct_product(_load_groupoid(args.inputs[0]), _load_groupoid(args.inputs[1]))
-    elif args.what == "phi-product":
-        g = make_phi_product(
-            _load_groupoid(args.inputs[0]),
-            _load_groupoid(args.inputs[1]),
-            _parse_mapping(args.phi, "base map"),
-        )
-    elif args.what == "restrict":
-        g = restrict_groupoid(_load_groupoid(args.inputs[0]), _parse_items(args.objects))
-    elif args.what == "gauge":
-        total = _parse_items(args.total)
-        group, act = _cyclic_action_from_perm(
-            args.cyclic, total, _parse_mapping(args.perm, "permutation")
-        )
-        g = make_gauge(total, _parse_mapping(args.proj, "projection"), group, act)
     else:
-        raise docs.DocumentError("unknown construction %r" % args.what)
+        total = _parse_items(args.total)
+        group, act = _cyclic_action(args, total)
+        g = make_gauge(total, _parse_mapping(args.proj, "projection"), group, act)
     return _emit_document(args, docs.groupoid_document(g))
 
 
@@ -321,23 +310,21 @@ def cmd_grpd_check(args):
     return _emit_report(args, check_groupoid(g))
 
 
-def cmd_grpd_check_map(args):
+def _grpd_direct(args):
+    """The two groupoids and the map of a grpd map command, with the direct verdict."""
     gamma = _load_groupoid(args.gamma)
     pi = _load_groupoid(args.pi)
     m = docs.to_grpdmap(_load(args.map, "grpdmap").body)
-    if isinstance(m, GrpdMorphism):
-        return _emit_report(args, check_grpd_morphism(gamma, pi, m))
-    return _emit_report(args, check_grpd_comorphism(gamma, pi, m))
+    check = check_grpd_morphism if isinstance(m, GrpdMorphism) else check_grpd_comorphism
+    return gamma, pi, m, check(gamma, pi, m)
+
+
+def cmd_grpd_check_map(args):
+    return _emit_report(args, _grpd_direct(args)[3])
 
 
 def cmd_grpd_graph_theorem(args):
-    gamma = _load_groupoid(args.gamma)
-    pi = _load_groupoid(args.pi)
-    m = docs.to_grpdmap(_load(args.map, "grpdmap").body)
-    if isinstance(m, GrpdMorphism):
-        direct = check_grpd_morphism(gamma, pi, m)
-    else:
-        direct = check_grpd_comorphism(gamma, pi, m)
+    gamma, pi, m, direct = _grpd_direct(args)
     via_graph = graph_subgroupoid_check(gamma, pi, m.base, graph_of_map(m))
     return _emit_report(args, _agreement(direct, via_graph))
 
@@ -348,16 +335,8 @@ def cmd_grpd_enumerate(args):
     phi = _parse_mapping(args.phi, "base map")
     found = enumerate_maps(gamma, pi, phi, args.kind)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "count": len(found),
-                    "maps": [docs.from_grpdmap(m) for m in found],
-                },
-                sort_keys=True,
-                indent=2,
-            )
-        )
+        payload = {"count": len(found), "maps": [docs.from_grpdmap(m) for m in found]}
+        print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print("found %d verified %ss" % (len(found), args.kind))
         for m in found:
@@ -365,111 +344,134 @@ def cmd_grpd_enumerate(args):
     return 0
 
 
-# -- parser ------------------------------------------------------------------
+# -- command table -----------------------------------------------------------
 
 
-def build_parser():
+def _arg(*flags, **options):
+    return flags, options
+
+
+class Command(NamedTuple):
+    """One command: its words, help text, handler and argparse arguments.
+
+    A command with a variadic positional (``nargs`` "+" or "*") gives its
+    first positional a dict as ``choices``: each variant maps to the number
+    of paths the variadic positional takes, or None for any number.
+    """
+
+    words: tuple
+    help: str
+    handler: Callable
+    arguments: tuple
+
+
+GROUP_HELP = {"grpd": "finite groupoid commands"}
+MAP_KINDS = ("morphism", "comorphism")
+
+COMMANDS = (
+    Command(("check-algebra",), "validate an algebra presentation", cmd_check_algebra,
+            (_arg("document"),)),
+    Command(("check-palg",), "run the pseudoalgebra axiom checks", cmd_check_palg,
+            (_arg("document"),)),
+    Command(("check",), "verify maps: morphism/comorphism/chainmap/...", cmd_check, (
+        _arg("what", choices={"morphism": 3, "comorphism": 3, "chainmap": 3,
+                              "algmorphism": 1, "derivation": 1}),
+        _arg("paths", nargs="+"),
+    )),
+    Command(("graph-theorem",), "compare a direct verifier with the graph test", cmd_graph_theorem,
+            (_arg("kind", choices=MAP_KINDS), _arg("e"), _arg("f"), _arg("map"))),
+    Command(("compose",), "compose two verified maps", cmd_compose, (
+        _arg("kind", choices=MAP_KINDS),
+        _arg("e"), _arg("f"), _arg("g"), _arg("m1"), _arg("m2"), _arg("-o", "--output"),
+    )),
+    Command(("restrict",), "membership and brackets for ideal restrictions", cmd_restrict, (
+        _arg("action", choices={"member": 1, "bracket": 2}),
+        _arg("palg"),
+        _arg("elements", nargs="+"),
+        _arg("--ideal", action="append", required=True, help="ideal generator (repeatable)"),
+        _arg("--kind", choices=("upper", "lower", "both"), default="both"),
+    )),
+    Command(("psisum",), "membership and brackets in a twisted sum", cmd_psisum, (
+        _arg("action", choices={"member": 1, "bracket": 2, "closure-suite": None}),
+        _arg("e"), _arg("f"), _arg("psi"), _arg("elements", nargs="+"), _arg("-o", "--output"),
+    )),
+    Command(("grpd", "build"), "construct a groupoid", cmd_grpd_build, (
+        _arg("what", choices={"pair": 0, "action": 0, "product": 2, "phi-product": 2,
+                              "gauge": 0, "restrict": 1}),
+        _arg("inputs", nargs="*", help="input groupoid documents where applicable"),
+        _arg("--objects", default="", help="comma-separated object labels"),
+        _arg("--cyclic", type=int, default=1, help="order of the cyclic group"),
+        _arg("--perm", default="", help="generator permutation, e.g. 'a->b,b->a'"),
+        _arg("--phi", default="", help="base map, e.g. 'a->x,b->y'"),
+        _arg("--total", default="", help="total space labels for gauge"),
+        _arg("--proj", default="", help="projection for gauge, e.g. 'p->m'"),
+        _arg("-o", "--output"),
+    )),
+    Command(("grpd", "check"), "verify all groupoid axioms", cmd_grpd_check, (_arg("document"),)),
+    Command(("grpd", "check-map"), "verify a groupoid morphism or comorphism", cmd_grpd_check_map,
+            (_arg("gamma"), _arg("pi"), _arg("map"))),
+    Command(("grpd", "graph-theorem"), "compare the direct verifier with the graph test",
+            cmd_grpd_graph_theorem, (_arg("gamma"), _arg("pi"), _arg("map"))),
+    Command(("grpd", "enumerate"), "list every map of one kind over a base map (pruned search)",
+            cmd_grpd_enumerate, (
+                _arg("gamma"), _arg("pi"), _arg("--phi", required=True),
+                _arg("--kind", choices=MAP_KINDS, required=True),
+            )),
+)
+
+
+def build_parser(argv=()):
+    """A parser holding the command whose words open ``argv``, or every command."""
+    rest = list(argv)
+    while rest and (rest[0] == "--format" or rest[0].startswith("--format=")):
+        del rest[: 2 if rest[0] == "--format" else 1]
+    named = [c for c in COMMANDS if tuple(rest[: len(c.words)]) == c.words] or COMMANDS
     parser = argparse.ArgumentParser(
         prog="lra",
         description="Exact constructions and decision procedures for Lie "
         "pseudoalgebras over polynomial quotient rings and for finite groupoids.",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-algebra", help="validate an algebra presentation")
-    p.add_argument("document")
-    p.set_defaults(handler=cmd_check_algebra)
-
-    p = sub.add_parser("check-palg", help="run the pseudoalgebra axiom checks")
-    p.add_argument("document")
-    p.set_defaults(handler=cmd_check_palg)
-
-    p = sub.add_parser("check", help="verify maps: morphism/comorphism/chainmap/...")
-    p.add_argument(
-        "what", choices=("morphism", "comorphism", "chainmap", "algmorphism", "derivation")
-    )
-    p.add_argument("paths", nargs="+")
-    p.set_defaults(handler=cmd_check)
-
-    p = sub.add_parser("graph-theorem", help="compare a direct verifier with the graph test")
-    p.add_argument("kind", choices=("morphism", "comorphism"))
-    p.add_argument("e")
-    p.add_argument("f")
-    p.add_argument("map")
-    p.set_defaults(handler=cmd_graph_theorem)
-
-    p = sub.add_parser("compose", help="compose two verified maps")
-    p.add_argument("kind", choices=("morphism", "comorphism"))
-    p.add_argument("e")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("m1")
-    p.add_argument("m2")
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler=cmd_compose)
-
-    p = sub.add_parser("restrict", help="membership and brackets for ideal restrictions")
-    p.add_argument("action", choices=("member", "bracket"))
-    p.add_argument("palg")
-    p.add_argument("elements", nargs="+")
-    p.add_argument("--ideal", action="append", required=True, help="ideal generator (repeatable)")
-    p.add_argument("--kind", choices=("upper", "lower", "both"), default="both")
-    p.set_defaults(handler=cmd_restrict)
-
-    p = sub.add_parser("psisum", help="membership and brackets in a twisted sum")
-    p.add_argument("action", choices=("member", "bracket", "closure-suite"))
-    p.add_argument("e")
-    p.add_argument("f")
-    p.add_argument("psi")
-    p.add_argument("elements", nargs="+")
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler=cmd_psisum)
-
-    grpd = sub.add_parser("grpd", help="finite groupoid commands")
-    gsub = grpd.add_subparsers(dest="grpd_command", required=True)
-
-    p = gsub.add_parser("build", help="construct a groupoid")
-    p.add_argument(
-        "what", choices=("pair", "action", "product", "phi-product", "gauge", "restrict")
-    )
-    p.add_argument("inputs", nargs="*", help="input groupoid documents where applicable")
-    p.add_argument("--objects", default="", help="comma-separated object labels")
-    p.add_argument("--cyclic", type=int, default=1, help="order of the cyclic group")
-    p.add_argument("--perm", default="", help="generator permutation, e.g. 'a->b,b->a'")
-    p.add_argument("--phi", default="", help="base map, e.g. 'a->x,b->y'")
-    p.add_argument("--total", default="", help="total space labels for gauge")
-    p.add_argument("--proj", default="", help="projection for gauge, e.g. 'p->m'")
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler=cmd_grpd_build)
-
-    p = gsub.add_parser("check", help="verify all groupoid axioms")
-    p.add_argument("document")
-    p.set_defaults(handler=cmd_grpd_check)
-
-    p = gsub.add_parser("check-map", help="verify a groupoid morphism or comorphism")
-    p.add_argument("gamma")
-    p.add_argument("pi")
-    p.add_argument("map")
-    p.set_defaults(handler=cmd_grpd_check_map)
-
-    p = gsub.add_parser("graph-theorem", help="compare the direct verifier with the graph test")
-    p.add_argument("gamma")
-    p.add_argument("pi")
-    p.add_argument("map")
-    p.set_defaults(handler=cmd_grpd_graph_theorem)
-
-    p = gsub.add_parser("enumerate", help="list every map of one kind over a base map (pruned search)")
-    p.add_argument("gamma")
-    p.add_argument("pi")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--kind", choices=("morphism", "comorphism"), required=True)
-    p.set_defaults(handler=cmd_grpd_enumerate)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for entry in named:
+        prefix, name = entry.words[:-1], entry.words[-1]
+        if prefix not in groups:
+            group = groups[()].add_parser(prefix[0], help=GROUP_HELP[prefix[0]])
+            groups[prefix] = group.add_subparsers(dest=prefix[0] + "_command", required=True)
+        p = groups[prefix].add_parser(name, help=entry.help)
+        for flags, options in entry.arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(entry=entry)
+    if named is not COMMANDS:
+        # usage lines still list every command, as the full parser prints them
+        for prefix, group in groups.items():
+            names = dict.fromkeys(
+                c.words[len(prefix)] for c in COMMANDS if c.words[: len(prefix)] == prefix
+            )
+            group.metavar = "{%s}" % ",".join(names)
     return parser
 
 
+_COUNT_WORDS = ("no", "one", "two", "three")
+
+
+def _check_document_count(args):
+    """Reject a variadic positional whose path count is not the one its variant takes."""
+    variadic = [flags[0] for flags, options in args.entry.arguments if "nargs" in options]
+    if variadic:
+        (first,), options = args.entry.arguments[0]
+        variant, got = getattr(args, first), len(getattr(args, variadic[0]))
+        want = options["choices"][variant]
+        if want is not None and got != want:
+            noun = variadic[0] if want != 1 else variadic[0][:-1]
+            raise docs.DocumentError(
+                "%s needs %s %s, got %d" % (variant, _COUNT_WORDS[want], noun, got)
+            )
+
+
 def main(argv=None):
+    if argv is None:
+        argv = sys.argv[1:]
     previous_cap = groebner.default_step_cap()
     cap = os.environ.get("LRA_STEP_CAP")
     if cap:
@@ -478,15 +480,12 @@ def main(argv=None):
         except ValueError:
             print("lra: LRA_STEP_CAP must be an integer", file=sys.stderr)
             return 2
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
+        _check_document_count(args)
+        return args.entry.handler(args)
     except SystemExit as err:
-        code = err.code
-        groebner.set_default_step_cap(previous_cap)
-        return code if isinstance(code, int) else 2
-    try:
-        return args.handler(args)
+        return err.code if isinstance(err.code, int) else 2
     except groebner.ResourceCapExceeded as err:
         print("lra: resource cap: %s" % err, file=sys.stderr)
         return 3

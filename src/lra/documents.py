@@ -134,6 +134,15 @@ def _expect_str_list(body, field, path, required=True):
     return value
 
 
+def _expect_str_table(body, field, path):
+    """An object field whose values are all strings."""
+    table = _expect(body, field, dict, path)
+    for key, value in table.items():
+        if not isinstance(value, str):
+            raise DocumentError("expected a string", "%s.%s[%r]" % (path, field, key))
+    return table
+
+
 def _validate_algebra_body(body, path):
     _expect_str_list(body, "variables", path)
     _expect_str_list(body, "ideal", path)
@@ -211,13 +220,10 @@ def _validate_body(kind, body):
         arrows = _expect_str_list(body, "arrows", path)
         arrow_set = set(arrows)
         for field in ("src", "tgt", "inv"):
-            table = _expect(body, field, dict, path)
-            for key, value in table.items():
+            for key in _expect_str_table(body, field, path):
                 if key not in arrow_set:
                     raise DocumentError("unknown arrow %r" % key, "%s.%s" % (path, field))
-                if not isinstance(value, str):
-                    raise DocumentError("expected a string", "%s.%s[%r]" % (path, field, key))
-        ident = _expect(body, "id", dict, path)
+        ident = _expect_str_table(body, "id", path)
         for key, value in ident.items():
             if value not in arrow_set:
                 raise DocumentError(
@@ -238,9 +244,9 @@ def _validate_body(kind, body):
         maptype = _expect(body, "maptype", str, path)
         if maptype not in ("morphism", "comorphism"):
             raise DocumentError("maptype must be 'morphism' or 'comorphism'", "%s.maptype" % path)
-        _expect(body, "base", dict, path)
+        _expect_str_table(body, "base", path)
         if maptype == "morphism":
-            _expect(body, "arrows", dict, path)
+            _expect_str_table(body, "arrows", path)
         else:
             table = _expect(body, "table", list, path)
             for n, entry in enumerate(table):

@@ -215,11 +215,13 @@ def make_pair(objects):
 
 def _check_group_action(group, objects, act):
     for x in objects:
+        for g in group.elements:
+            if (x, g) not in act or act[(x, g)] not in objects:
+                raise VerificationError("action table is not total at %r" % ((x, g),))
+    for x in objects:
         if act[(x, group.unit)] != x:
             raise VerificationError("action fails the unit axiom at %r" % (x,))
         for g1 in group.elements:
-            if (x, g1) not in act or act[(x, g1)] not in objects:
-                raise VerificationError("action table is not total at %r" % ((x, g1),))
             for g2 in group.elements:
                 if act[(x, group.mul[(g1, g2)])] != act[(act[(x, g1)], g2)]:
                     raise VerificationError(

@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
+import os
+import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import algebras, sl2, sl2_action_images
 from lra import documents as docs
 from lra.algebra import AlgebraPres, AlgMorphism
-from lra.cli import main
+from lra.cli import COMMANDS, build_parser, main
 from lra.maps import PAComorphism, PAMorphism
 from lra.pseudoalgebra import make_action, make_der
 from lra.psisum import MixedElement, PsiSumCtx
+
+DATA = {path.stem: path for path in sorted((pathlib.Path(__file__).parent / "data").glob("*.json"))}
 
 
 @pytest.fixture()
@@ -299,6 +306,14 @@ def test_bad_inputs_exit_two(tmp_path):
     assert main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["check-palg", "x"], ["--format=json", "grpd", "check", "x"]])
+def test_parser_for_one_command_prints_the_full_usage(capsys, argv):
+    usage = build_parser().format_usage()
+    assert build_parser(argv).format_usage() == usage
+    assert main(["--format", "yaml"] + argv) == 2
+    assert capsys.readouterr().err.startswith(usage)
+
+
 def test_compose_comorphism_command(workspace, tmp_path):
     _, p = workspace
     qw = AlgebraPres.free("w")
@@ -484,12 +499,164 @@ def test_grpd_witnesses_do_not_depend_on_hash_seed(tmp_path):
             ],
             "projection is not defined at 'q'",
         ),
+        (["grpd", "build", "product", "{groupoid_pair2}"], "product needs two inputs, got 1"),
+        (["grpd", "build", "restrict", "--objects", "a"], "restrict needs one input, got 0"),
+        (
+            ["grpd", "build", "pair", "{groupoid_pair2}", "--objects", "a,b"],
+            "pair needs no inputs, got 1",
+        ),
+        (["check", "algmorphism", "{psi_curve}", "{psi_curve}"], "algmorphism needs one path, got 2"),
+        (["check", "derivation", "{derivation_euler}", "extra"], "derivation needs one path, got 2"),
+        (["check", "morphism", "{dx}", "{dy}"], "morphism needs three paths, got 2"),
+        (
+            ["restrict", "member", "{dx}", "{elem_x}", "{elem_d}", "--ideal", "x"],
+            "member needs one element, got 2",
+        ),
+        (
+            ["psisum", "bracket", "{dx}", "{dy}", "{psi_square}", "{member}", "{member}", "{member}"],
+            "bracket needs two elements, got 3",
+        ),
+        (
+            [
+                "grpd", "build", "action", "--cyclic", "2",
+                "--objects", "a,b", "--perm", "a->b,b->a,zz->a",
+            ],
+            "permutation moves 'zz', which is not an object",
+        ),
     ],
 )
 def test_malformed_command_lines_exit_two(workspace, capsys, argv, culprit):
     _, p = workspace
     paths = {name[: -len(".json")]: path for name, path in p.items()}
+    paths.update(DATA)
     assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err == "lra: input error: %s\n" % culprit
     assert captured.out == ""
+
+
+# -- robustness: command lines from the table and mutated corpus documents ----
+
+JUNK = ([], {}, 0, None, "zz", "x^")
+DELETE = object()
+OPTION_VALUES = (
+    "", "x", "zz", "x^", "1", "a,b", "1,2", "p,q", "1->2,2->1", "a->b,b->a", "p->q,q->p",
+    "1->a,2->b", "a->a,b->b", "a->1,b->2", "p->1,q->1", "zz->a",
+)
+
+
+def _run(argv):
+    """Exit code of ``main(argv)``, with its output swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main([str(arg) for arg in argv])
+
+
+@st.composite
+def command_lines(draw):
+    """A command line of some table entry, with 0 to required + 1 corpus documents."""
+    entry = draw(st.sampled_from(COMMANDS))
+    argv = list(entry.words)
+    positionals = [(flags[0], o) for flags, o in entry.arguments if not flags[0].startswith("-")]
+    needed = 0
+    if "choices" in positionals[0][1]:
+        choices = positionals.pop(0)[1]["choices"]
+        argv.append(draw(st.sampled_from(list(choices))))
+        if isinstance(choices, dict):
+            needed = 2 if choices[argv[-1]] is None else choices[argv[-1]]
+    needed += sum(1 for _, o in positionals if "nargs" not in o)
+    argv += draw(st.lists(st.sampled_from(sorted(DATA.values())), max_size=needed + 1))
+    for flags, o in entry.arguments:
+        if not flags[0].startswith("-") or not draw(st.booleans()):
+            continue
+        if flags[-1] == "--output":
+            value = os.devnull
+        elif "choices" in o:
+            value = draw(st.sampled_from(o["choices"]))
+        elif o.get("type") is int:
+            value = draw(st.integers(-1, 4))
+        else:
+            value = draw(st.sampled_from(OPTION_VALUES))
+        argv += [flags[-1], value]
+    return argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(command_lines())
+def test_command_lines_from_the_table_never_crash(argv):
+    assert _run(argv) in (0, 1, 2, 3)
+
+
+CORPUS_COMMANDS = (
+    ["check-algebra", "algebra_truncated"],
+    ["check", "derivation", "derivation_euler"],
+    ["check", "algmorphism", "morphism_curve"],
+    ["check-palg", "palg_sl2_action"],
+    ["check", "morphism", "palg_der_line", "palg_der_line", "pamorphism_line_identity"],
+    ["graph-theorem", "comorphism", "palg_der_plane", "palg_der_line", "pacomorphism_curve"],
+    ["restrict", "bracket", "palg_sl2_action", "element_sl2", "element_sl2", "--ideal", "x"],
+    [
+        "psisum", "closure-suite", "palg_der_plane", "palg_der_line", "morphism_curve",
+        "element_curve", "element_curve",
+    ],
+    ["grpd", "check", "groupoid_pair2"],
+    ["grpd", "graph-theorem", "groupoid_swap", "groupoid_pair2", "grpdmap_swap_pair2_morphism"],
+    ["grpd", "check-map", "groupoid_swap", "groupoid_pair2", "grpdmap_swap_pair2_comorphism"],
+    ["grpd", "enumerate", "groupoid_swap", "groupoid_pair2", "--phi", "1->a,2->b", "--kind", "morphism"],
+    ["grpd", "build", "phi-product", "groupoid_pair2", "groupoid_swap", "--phi", "a->1,b->2"],
+)
+
+
+def _with_corpus(argv):
+    return [DATA.get(arg, arg) for arg in argv]
+
+
+@pytest.mark.parametrize("argv", CORPUS_COMMANDS)
+def test_corpus_commands_pass(argv):
+    """Every command line the mutation test starts from passes on the unmutated corpus."""
+    assert _run(_with_corpus(argv)) == 0
+
+
+def _nodes(value, path=()):
+    """Every path below the root of a JSON value."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def mutants(draw):
+    """A corpus command line, and one of its documents with one value replaced or deleted."""
+    argv = draw(st.sampled_from(CORPUS_COMMANDS))
+    slot = draw(st.sampled_from([n for n, arg in enumerate(argv) if arg in DATA]))
+    doc = json.loads(DATA[argv[slot]].read_text(encoding="utf-8"))
+    nodes = list(_nodes(doc))
+    # a field of the body first, then a node in it: short tables such as a
+    # groupoid's `id` are hit as often as its long `comp` list
+    field = draw(st.sampled_from(list(dict.fromkeys(path[:2] for path in nodes))))
+    path = draw(st.sampled_from([p for p in nodes if p[:2] == field]))
+    junk = draw(st.sampled_from(JUNK + (DELETE,)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if junk is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = junk
+    return argv, slot, json.dumps(doc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(mutants())
+def test_mutated_documents_never_crash(tmp_path_factory, case):
+    argv, slot, text = case
+    path = tmp_path_factory.getbasetemp() / "mutant.json"
+    path.write_text(text, encoding="utf-8")
+    argv = _with_corpus(argv)
+    argv[slot] = path
+    assert _run(argv) in (0, 1, 2, 3)

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import pytest
 
 from conftest import algebras, groupoid_corpus, sl2, sl2_action_images
@@ -60,6 +63,24 @@ def test_parse_rejects_bad_envelopes():
         docs.parse_document('{"kind": "action", "version": "1", "body": {}}')
     with pytest.raises(docs.DocumentError, match="unsupported version"):
         docs.parse_document('{"kind": "algebra", "version": "9", "body": {}}')
+
+
+@pytest.mark.parametrize("junk", [[], 0])
+@pytest.mark.parametrize(
+    "name, field, key, location",
+    [
+        ("groupoid_pair2", "id", "a", "body.id['a']"),
+        ("grpdmap_swap_pair2_morphism", "arrows", "('1', 0)", 'body.arrows["(\'1\', 0)"]'),
+        ("grpdmap_swap_pair2_comorphism", "base", "1", "body.base['1']"),
+    ],
+)
+def test_table_values_must_be_strings(name, field, key, location, junk):
+    path = pathlib.Path(__file__).parent / "data" / (name + ".json")
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw["body"][field][key] = junk
+    with pytest.raises(docs.DocumentError) as err:
+        docs.parse_document(json.dumps(raw))
+    assert str(err.value) == "expected a string (at %s)" % location
 
 
 def test_schema_violations_name_the_field():
@@ -125,8 +146,6 @@ def test_mixed_element_documents():
 
 def test_committed_corpus_is_byte_stable():
     """render . parse is the identity, byte for byte, on the shipped corpus."""
-    import pathlib
-
     corpus_dir = pathlib.Path(__file__).parent / "data"
     files = sorted(corpus_dir.glob("*.json"))
     assert len(files) >= 10
@@ -136,8 +155,6 @@ def test_committed_corpus_is_byte_stable():
 
 
 def test_committed_corpus_objects_verify():
-    import pathlib
-
     from lra.groupoid import check_groupoid
     from lra.pseudoalgebra import axioms_check
 

@@ -70,6 +70,8 @@ def test_make_action_groupoid_examples():
     assert len(one_object.objects) == 1 and len(one_object.arrows) == 2
     with pytest.raises(VerificationError):
         make_action_groupoid(Z2, ["1", "2"], {**SWAP, ("1", 0): "2"})
+    with pytest.raises(VerificationError, match=r"action table is not total at \('a', 0\)"):
+        make_action_groupoid(Z2, ["a"], {("a", 1): "a"})
 
 
 def test_make_direct_product_examples():
