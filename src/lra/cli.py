@@ -9,8 +9,10 @@ Every command is declared once, in ``COMMANDS``: its words, help text,
 argparse arguments and handler.  ``build_parser`` adds only the entry
 the command line names (all of them for help and for unknown commands).
 Where a command takes a variable number of documents, its first
-positional's choices give the count for each variant, and ``main``
-rejects any other count with exit 2 before a document is read.
+positional's choices give the count for each variant, and an option read
+by only some variants lists them; ``main`` rejects any other count, and
+such an option set for another variant, with exit 2 before a document is
+read.
 """
 
 from __future__ import annotations
@@ -356,7 +358,9 @@ class Command(NamedTuple):
 
     A command with a variadic positional (``nargs`` "+" or "*") gives its
     first positional a dict as ``choices``: each variant maps to the number
-    of paths the variadic positional takes, or None for any number.
+    of paths the variadic positional takes, or None for any number.  An
+    option of such a command that only some variants read names them in
+    ``variants``.
     """
 
     words: tuple
@@ -389,22 +393,26 @@ COMMANDS = (
         _arg("palg"),
         _arg("elements", nargs="+"),
         _arg("--ideal", action="append", required=True, help="ideal generator (repeatable)"),
-        _arg("--kind", choices=("upper", "lower", "both"), default="both"),
+        _arg("--kind", choices=("upper", "lower", "both"), default="both", variants=("member",)),
     )),
     Command(("psisum",), "membership and brackets in a twisted sum", cmd_psisum, (
         _arg("action", choices={"member": 1, "bracket": 2, "closure-suite": None}),
-        _arg("e"), _arg("f"), _arg("psi"), _arg("elements", nargs="+"), _arg("-o", "--output"),
+        _arg("e"), _arg("f"), _arg("psi"), _arg("elements", nargs="+"),
+        _arg("-o", "--output", variants=("bracket",)),
     )),
     Command(("grpd", "build"), "construct a groupoid", cmd_grpd_build, (
         _arg("what", choices={"pair": 0, "action": 0, "product": 2, "phi-product": 2,
                               "gauge": 0, "restrict": 1}),
         _arg("inputs", nargs="*", help="input groupoid documents where applicable"),
-        _arg("--objects", default="", help="comma-separated object labels"),
-        _arg("--cyclic", type=int, default=1, help="order of the cyclic group"),
-        _arg("--perm", default="", help="generator permutation, e.g. 'a->b,b->a'"),
-        _arg("--phi", default="", help="base map, e.g. 'a->x,b->y'"),
-        _arg("--total", default="", help="total space labels for gauge"),
-        _arg("--proj", default="", help="projection for gauge, e.g. 'p->m'"),
+        _arg("--objects", default="", help="comma-separated object labels",
+             variants=("pair", "action", "restrict")),
+        _arg("--cyclic", type=int, default=1, help="order of the cyclic group",
+             variants=("action", "gauge")),
+        _arg("--perm", default="", help="generator permutation, e.g. 'a->b,b->a'",
+             variants=("action", "gauge")),
+        _arg("--phi", default="", help="base map, e.g. 'a->x,b->y'", variants=("phi-product",)),
+        _arg("--total", default="", help="total space labels for gauge", variants=("gauge",)),
+        _arg("--proj", default="", help="projection for gauge, e.g. 'p->m'", variants=("gauge",)),
         _arg("-o", "--output"),
     )),
     Command(("grpd", "check"), "verify all groupoid axioms", cmd_grpd_check, (_arg("document"),)),
@@ -440,7 +448,7 @@ def build_parser(argv=()):
             groups[prefix] = group.add_subparsers(dest=prefix[0] + "_command", required=True)
         p = groups[prefix].add_parser(name, help=entry.help)
         for flags, options in entry.arguments:
-            p.add_argument(*flags, **options)
+            p.add_argument(*flags, **{k: v for k, v in options.items() if k != "variants"})
         p.set_defaults(entry=entry)
     if named is not COMMANDS:
         # usage lines still list every command, as the full parser prints them
@@ -455,18 +463,23 @@ def build_parser(argv=()):
 _COUNT_WORDS = ("no", "one", "two", "three")
 
 
-def _check_document_count(args):
-    """Reject a variadic positional whose path count is not the one its variant takes."""
-    variadic = [flags[0] for flags, options in args.entry.arguments if "nargs" in options]
-    if variadic:
-        (first,), options = args.entry.arguments[0]
-        variant, got = getattr(args, first), len(getattr(args, variadic[0]))
-        want = options["choices"][variant]
-        if want is not None and got != want:
-            noun = variadic[0] if want != 1 else variadic[0][:-1]
+def _check_variant(args):
+    """Reject a path count, or an option value, that the command's variant does not take."""
+    (first,), options = args.entry.arguments[0]
+    if not isinstance(options.get("choices"), dict):
+        return
+    variant = getattr(args, first)
+    want = options["choices"][variant]
+    for flags, options in args.entry.arguments[1:]:
+        name = flags[-1].lstrip("-").replace("-", "_")
+        value = getattr(args, name)
+        if "nargs" in options and want is not None and len(value) != want:
+            noun = name if want != 1 else name[:-1]
             raise docs.DocumentError(
-                "%s needs %s %s, got %d" % (variant, _COUNT_WORDS[want], noun, got)
+                "%s needs %s %s, got %d" % (variant, _COUNT_WORDS[want], noun, len(value))
             )
+        if variant not in options.get("variants", (variant,)) and value != options.get("default"):
+            raise docs.DocumentError("%s takes no %s" % (variant, flags[-1]))
 
 
 def main(argv=None):
@@ -476,13 +489,17 @@ def main(argv=None):
     cap = os.environ.get("LRA_STEP_CAP")
     if cap:
         try:
-            groebner.set_default_step_cap(int(cap))
+            cap = int(cap)
         except ValueError:
             print("lra: LRA_STEP_CAP must be an integer", file=sys.stderr)
             return 2
+        if cap < 1:
+            print("lra: LRA_STEP_CAP must be at least 1, got %d" % cap, file=sys.stderr)
+            return 2
+        groebner.set_default_step_cap(cap)
     try:
         args = build_parser(argv).parse_args(argv)
-        _check_document_count(args)
+        _check_variant(args)
         return args.entry.handler(args)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2

@@ -134,6 +134,29 @@ def _expect_str_list(body, field, path, required=True):
     return value
 
 
+def _expect_str_rows(body, field, path, shape="a list of strings", width=None):
+    """A list field whose entries are lists of strings (``width`` of them, if given)."""
+    rows = _expect(body, field, list, path)
+    for n, row in enumerate(rows):
+        if (
+            not isinstance(row, list)
+            or not all(isinstance(s, str) for s in row)
+            or width not in (None, len(row))
+        ):
+            raise DocumentError("expected %s" % shape, "%s.%s[%d]" % (path, field, n))
+    return rows
+
+
+def _no_repeats(keys, what, path):
+    """Reject the first key that equals an earlier one; ``path`` names the list."""
+    if len(set(keys)) < len(keys):
+        seen = set()
+        for n, key in enumerate(keys):
+            if key in seen:
+                raise DocumentError("repeated %s %r" % (what, key), "%s[%d]" % (path, n))
+            seen.add(key)
+
+
 def _expect_str_table(body, field, path):
     """An object field whose values are all strings."""
     table = _expect(body, field, dict, path)
@@ -173,12 +196,8 @@ def _validate_body(kind, body):
         algebra = _expect(body, "algebra", dict, path)
         _validate_algebra_body(algebra, "%s.algebra" % path)
         rank = _expect(body, "rank", int, path)
-        anchor = _expect(body, "anchor", list, path)
-        if len(anchor) != rank:
+        if len(_expect_str_rows(body, "anchor", path)) != rank:
             raise DocumentError("need one anchor row per basis vector", "%s.anchor" % path)
-        for i, row in enumerate(anchor):
-            if not isinstance(row, list) or not all(isinstance(s, str) for s in row):
-                raise DocumentError("expected a list of strings", "%s.anchor[%d]" % (path, i))
         structure = _expect(body, "structure", list, path)
         for n, entry in enumerate(structure):
             epath = "%s.structure[%d]" % (path, n)
@@ -201,23 +220,14 @@ def _validate_body(kind, body):
         else:
             _expect_str_list(body, "tensor", path)
             _expect_str_list(body, "f_part", path)
-    elif kind == "pamorphism":
+    elif kind in ("pamorphism", "pacomorphism"):
         psi = _expect(body, "psi", dict, path)
         _validate_morphism_body(psi, "%s.psi" % path)
-        images = _expect(body, "images", list, path)
-        for i, row in enumerate(images):
-            if not isinstance(row, list) or not all(isinstance(s, str) for s in row):
-                raise DocumentError("expected a list of strings", "%s.images[%d]" % (path, i))
-    elif kind == "pacomorphism":
-        psi = _expect(body, "psi", dict, path)
-        _validate_morphism_body(psi, "%s.psi" % path)
-        images = _expect(body, "images", list, path)
-        for i, row in enumerate(images):
-            if not isinstance(row, list) or not all(isinstance(s, str) for s in row):
-                raise DocumentError("expected a list of strings", "%s.images[%d]" % (path, i))
+        _expect_str_rows(body, "images", path)
     elif kind == "groupoid":
-        _expect_str_list(body, "objects", path)
+        _no_repeats(_expect_str_list(body, "objects", path), "object", "%s.objects" % path)
         arrows = _expect_str_list(body, "arrows", path)
+        _no_repeats(arrows, "arrow", "%s.arrows" % path)
         arrow_set = set(arrows)
         for field in ("src", "tgt", "inv"):
             for key in _expect_str_table(body, field, path):
@@ -229,17 +239,12 @@ def _validate_body(kind, body):
                 raise DocumentError(
                     "identity of %r is not an arrow" % key, "%s.id[%r]" % (path, key)
                 )
-        comp = _expect(body, "comp", list, path)
+        comp = _expect_str_rows(body, "comp", path, "[g, h, gh]", 3)
         for n, entry in enumerate(comp):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 3
-                or not all(isinstance(s, str) for s in entry)
-            ):
-                raise DocumentError("expected [g, h, gh]", "%s.comp[%d]" % (path, n))
             for s in entry:
                 if s not in arrow_set:
                     raise DocumentError("unknown arrow %r" % s, "%s.comp[%d]" % (path, n))
+        _no_repeats([(g, h) for g, h, _ in comp], "pair", "%s.comp" % path)
     elif kind == "grpdmap":
         maptype = _expect(body, "maptype", str, path)
         if maptype not in ("morphism", "comorphism"):
@@ -248,14 +253,8 @@ def _validate_body(kind, body):
         if maptype == "morphism":
             _expect_str_table(body, "arrows", path)
         else:
-            table = _expect(body, "table", list, path)
-            for n, entry in enumerate(table):
-                if (
-                    not isinstance(entry, list)
-                    or len(entry) != 3
-                    or not all(isinstance(s, str) for s in entry)
-                ):
-                    raise DocumentError("expected [x, w, g]", "%s.table[%d]" % (path, n))
+            table = _expect_str_rows(body, "table", path, "[x, w, g]", 3)
+            _no_repeats([(x, w) for x, w, _ in table], "pair", "%s.table" % path)
 
 
 # -- converters: documents -> objects ---------------------------------------

@@ -7,9 +7,10 @@ set as their identity arrows.
 
 All constructions here are finite and checked exhaustively: pair, action,
 direct product, base-map product, restriction, gauge, plus both map
-notions with their verifiers, graphs, orbit tests, groupoid actions, a
-pruned depth-first map search, and ``iter_candidate_maps``, the brute-force
-candidate generator that tests use as its oracle and for the graph theorem.
+notions with their verifiers, graphs, orbit tests and groupoid actions.
+Both map notions are searched as one thing, graphs in the phi-product
+closed under its product (``enumerate_maps``); ``iter_candidate_maps``, the
+brute-force candidate generator, is the tests' oracle for that search.
 """
 
 from __future__ import annotations
@@ -818,105 +819,84 @@ def _depth_first(options, fits, leave, cap):
             leave(i, values)
 
 
-def _morphism_search(gamma, pi, phi, cap):
-    """Arrow maps over phi that send identities to identities and keep every product.
+def _graph_search(product, slots, slot_of, cap):
+    """Graphs in ``product`` with one arrow per slot that are closed under its product.
 
-    Each composable pair (g, h) is checked once, when the last of g, h, g*h
-    is filled.
+    Slot s takes the arrows p with ``slot_of(p) == s`` in arrow order, and the
+    slot of an identity only that identity.  Each chosen pair (p, q) with
+    tgt(p) == src(q) needs p*q at ``slot_of(p*q)``: chosen there already, or
+    forced there until that slot is filled.  Yields the chosen arrows in slot
+    order; the list is reused.
     """
-    hom = {}
-    for w in pi.arrows:
-        hom.setdefault((pi.src[w], pi.tgt[w]), []).append(w)
-    slots = list(gamma.arrows)
-    unit = {gamma.ident[x]: pi.ident[phi[x]] for x in gamma.objects}
-    options = [
-        [unit[g]] if g in unit else hom.get((phi[gamma.src[g]], phi[gamma.tgt[g]]), [])
-        for g in slots
-    ]
-    pos = {g: i for i, g in enumerate(slots)}
-    rules = [[] for _ in slots]
-    for g, h in gamma.composable_pairs():
-        triple = (pos[g], pos[h], pos[gamma.comp[(g, h)]])
-        rules[max(triple)].append(triple)
-
-    def fits(i, values):
-        return all(values[c] == pi.comp[(values[a], values[b])] for a, b, c in rules[i])
-
-    for values in _depth_first(options, fits, lambda i, values: None, cap):
-        yield GrpdMorphism(dict(phi), dict(zip(slots, values)))
-
-
-def _comorphism_search(gamma, pi, phi, cap):
-    """Pullback tables over phi that pull identities back to identities and keep
-    the cocycle identity table[(x, w*z)] = table[(x, w)] * table[(tgt table[(x, w)], z)].
-
-    Each triple (x, w, z) is checked once, when the last of its three slots
-    is filled.  The third slot depends on the value of the first, so the
-    filled slots are indexed by the target of their value.
-    """
-    slots = pullback_domain(gamma, pi, phi)
-    typed = {}
-    for h in gamma.arrows:
-        typed.setdefault((gamma.src[h], phi[gamma.tgt[h]]), []).append(h)
-    options = [
-        [gamma.ident[x]] if w == pi.ident[phi[x]] else typed.get((x, pi.tgt[w]), [])
-        for x, w in slots
-    ]
     pos = {s: i for i, s in enumerate(slots)}
-    after = dict(_composable(pi.arrows, pi.src, pi.tgt))
-    factors = {}
-    for w, z in pi.composable_pairs():
-        factors.setdefault(pi.comp[(w, z)], []).append((w, z))
-    landing = {}  # object y -> filled slots whose value ends at y, in slot order
+    at = {p: pos[slot_of(p)] for p in product.arrows}  # arrow -> position of its slot
+    options = [[] for _ in slots]
+    for p in product.arrows:
+        options[at[p]].append(p)
+    for x in product.objects:
+        options[at[product.ident[x]]] = [product.ident[x]]
+    leaving, arriving = {}, {}  # object -> chosen arrows from / to it
+    forced = {}  # slot position -> the product a chosen pair puts there
+    undo = []  # per chosen arrow, the positions it forced
 
     def fits(i, values):
-        x, v = slots[i]
-        g = values[i]
-        for z in after[v]:  # slot i as (x, w)
-            b, c = pos[(x, pi.comp[(v, z)])], pos[(gamma.tgt[g], z)]
-            if b <= i and c <= i and values[b] != gamma.comp[(g, values[c])]:
+        p = values[i]
+        if forced.get(i, p) != p:
+            return False
+        s, t = product.src[p], product.tgt[p]
+        # p joins ``leaving`` before and ``arriving`` after the pairs are read,
+        # so a loop p meets itself once
+        leaving.setdefault(s, []).append(p)
+        pairs = [(p, q) for q in leaving.get(t, ())] + [(q, p) for q in arriving.get(s, ())]
+        arriving.setdefault(t, []).append(p)
+        undo.append([])
+        for pq in pairs:
+            r = product.comp[pq]
+            j = at[r]
+            if j > i and j not in forced:
+                forced[j] = r
+                undo[-1].append(j)
+            elif (values[j] if j <= i else forced[j]) != r:
+                leave(i, values)
                 return False
-        for w, z in factors[v]:  # slot i as (x, w*z), with (x, w) filled before it
-            a = pos[(x, w)]
-            if a < i:
-                c = pos[(gamma.tgt[values[a]], z)]
-                if c <= i and g != gamma.comp[(values[a], values[c])]:
-                    return False
-        for a in landing.get(x, ()):  # slot i as (tgt table[(x', w)], z), both others before it
-            xa, w = slots[a]
-            b = pos[(xa, pi.comp[(w, v)])]
-            if b < i and values[b] != gamma.comp[(values[a], g)]:
-                return False
-        landing.setdefault(gamma.tgt[g], []).append(i)
         return True
 
     def leave(i, values):
-        landing[gamma.tgt[values[i]]].pop()
+        p = values[i]
+        leaving[product.src[p]].pop()
+        arriving[product.tgt[p]].pop()
+        for j in undo.pop():
+            del forced[j]
 
-    for values in _depth_first(options, fits, leave, cap):
-        yield GrpdComorphism(dict(phi), dict(zip(slots, values)))
+    return _depth_first(options, fits, leave, cap)
 
 
 def _verified_maps(gamma, pi, phi, kind, cap):
     """Maps of one kind over phi that the direct verifier passes, in candidate order."""
-    _check_base_map(gamma, pi, phi)
+    product = make_phi_product(gamma, pi, phi)
     if kind == "morphism":
-        search, check = _morphism_search, check_grpd_morphism
+        slots, make, check = list(gamma.arrows), GrpdMorphism, check_grpd_morphism
+        slot_of, value = (lambda p: p[0]), 1
     elif kind == "comorphism":
-        search, check = _comorphism_search, check_grpd_comorphism
+        slots, make, check = pullback_domain(gamma, pi, phi), GrpdComorphism, check_grpd_comorphism
+        slot_of, value = (lambda p: (gamma.src[p[0]], p[1])), 0
     else:
         raise ValueError("kind must be 'morphism' or 'comorphism'")
-    return (m for m in search(gamma, pi, phi, cap) if check(gamma, pi, m).verdict)
+    for graph in _graph_search(product, slots, slot_of, cap):
+        m = make(dict(phi), {slot_of(p): p[value] for p in graph})
+        if check(gamma, pi, m).verdict:
+            yield m
 
 
 def enumerate_maps(gamma, pi, phi, kind, cap=10**6):
-    """Every map of one kind over phi, by a pruned depth-first search.
+    """Every map of one kind over phi, as a closed graph in the phi-product.
 
-    The search fills the slots of ``iter_candidate_maps`` in order and cuts a
-    branch at the first broken product rule (morphisms) or cocycle identity
-    (comorphisms), so the maps come out in that generator's order.  Each
-    complete map still passes the direct verifier before it is returned.
-    ``cap`` bounds the partial maps tried.
+    A morphism picks an arrow (g, w) for each arrow g of gamma, a comorphism
+    one for each pullback pair (src g, w).  Slots and options come in
+    ``iter_candidate_maps`` order, and so do the maps.  A branch is cut as
+    soon as two chosen arrows have a product the graph cannot hold; each
+    complete map still passes the direct verifier.  ``cap`` bounds the
+    partial maps tried.
     """
     return list(_verified_maps(gamma, pi, phi, kind, cap))
 

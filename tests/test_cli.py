@@ -294,6 +294,13 @@ def test_resource_cap_exit_code(tmp_path, monkeypatch):
     assert main(["check-algebra", str(path)]) == 3
 
 
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_step_cap_below_one_exits_two(monkeypatch, capsys, cap):
+    monkeypatch.setenv("LRA_STEP_CAP", cap)
+    assert main(["check-algebra", str(DATA["algebra_line"])]) == 2
+    assert capsys.readouterr().err == "lra: LRA_STEP_CAP must be at least 1, got %s\n" % cap
+
+
 def test_bad_inputs_exit_two(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
@@ -522,6 +529,27 @@ def test_grpd_witnesses_do_not_depend_on_hash_seed(tmp_path):
                 "--objects", "a,b", "--perm", "a->b,b->a,zz->a",
             ],
             "permutation moves 'zz', which is not an object",
+        ),
+        (
+            [
+                "grpd", "build", "pair", "--objects", "a",
+                "--phi", "zz", "--cyclic", "-3", "--proj", "junk",
+            ],
+            "pair takes no --cyclic",
+        ),
+        (["grpd", "build", "pair", "--objects", "a", "--phi", "zz"], "pair takes no --phi"),
+        (["grpd", "build", "gauge", "--objects", "a"], "gauge takes no --objects"),
+        (
+            ["grpd", "build", "product", "{groupoid_pair2}", "{groupoid_swap}", "--perm", "a->b"],
+            "product takes no --perm",
+        ),
+        (
+            ["restrict", "bracket", "{dx}", "{elem_x}", "{elem_x}", "--ideal", "x", "--kind", "lower"],
+            "bracket takes no --kind",
+        ),
+        (
+            ["psisum", "member", "{dx}", "{dy}", "{psi_square}", "{member}", "-o", "out.json"],
+            "member takes no --output",
         ),
     ],
 )

@@ -83,6 +83,46 @@ def test_table_values_must_be_strings(name, field, key, location, junk):
     assert str(err.value) == "expected a string (at %s)" % location
 
 
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "name, field, at, row, message",
+    [
+        ("groupoid_pair2", "objects", 2, "a", "repeated object 'a' (at body.objects[2])"),
+        (
+            "groupoid_pair2", "arrows", 4, "('a', 'b')",
+            "repeated arrow \"('a', 'b')\" (at body.arrows[4])",
+        ),
+        (
+            "groupoid_pair2", "comp", 8, ["('a', 'a')", "('a', 'a')", "('a', 'b')"],
+            "repeated pair (\"('a', 'a')\", \"('a', 'a')\") (at body.comp[8])",
+        ),
+        (
+            "grpdmap_swap_pair2_comorphism", "table", 0, ["1", "('a', 'a')", "('1', 1)"],
+            "repeated pair ('1', \"('a', 'a')\") (at body.table[1])",
+        ),
+    ],
+)
+def test_repeated_entries_are_rejected(tmp_path, capsys, name, field, at, row, message):
+    """A later entry must not silently replace an earlier one."""
+    from lra.cli import main
+
+    raw = json.loads((DATA / (name + ".json")).read_text(encoding="utf-8"))
+    raw["body"][field].insert(at, row)
+    with pytest.raises(docs.DocumentError) as err:
+        docs.parse_document(json.dumps(raw))
+    assert str(err.value) == message
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    if name == "groupoid_pair2":
+        argv = ["grpd", "check", path]
+    else:
+        argv = ["grpd", "check-map", DATA / "groupoid_swap.json", DATA / "groupoid_pair2.json", path]
+    assert main([str(arg) for arg in argv]) == 2
+    assert capsys.readouterr().err == "lra: input error: %s\n" % message
+
+
 def test_schema_violations_name_the_field():
     with pytest.raises(docs.DocumentError, match="body.variables"):
         docs.parse_document('{"kind": "algebra", "version": "1", "body": {"ideal": []}}')

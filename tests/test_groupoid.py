@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -29,8 +30,10 @@ from lra.groupoid import (
     make_pair,
     make_phi_product,
     orbit_condition,
+    pullback_domain,
     restrict_groupoid,
 )
+from lra.groupoid import _graph_search
 from lra.verdict import VerificationError
 
 Z2 = FiniteGroup.cyclic(2)
@@ -315,6 +318,53 @@ def test_search_respects_cap():
     for kind in ("morphism", "comorphism"):
         with pytest.raises(ResourceCapExceeded, match="cap of 10 partial maps"):
             enumerate_maps(gamma, pi, phi, kind, cap=10)
+
+
+def shuffled_copy(g, rng):
+    """g with its objects and arrows relabelled and listed in a random order."""
+    objects = {x: "x%d" % n for n, x in enumerate(rng.sample(g.objects, len(g.objects)))}
+    arrows = {a: "a%d" % n for n, a in enumerate(rng.sample(g.arrows, len(g.arrows)))}
+    return FinGroupoid(
+        rng.sample(list(objects.values()), len(objects)),
+        rng.sample(list(arrows.values()), len(arrows)),
+        {arrows[a]: objects[x] for a, x in g.src.items()},
+        {arrows[a]: objects[x] for a, x in g.tgt.items()},
+        {objects[x]: arrows[a] for x, a in g.ident.items()},
+        {arrows[a]: arrows[b] for a, b in g.inv.items()},
+        {(arrows[a], arrows[b]): arrows[c] for (a, b), c in g.comp.items()},
+    )
+
+
+def graph_search_maps(gamma, pi, phi, kind):
+    """The raw output of the graph search, before any verifier, read back as maps."""
+    product = make_phi_product(gamma, pi, phi)
+    if kind == "morphism":
+        graphs = _graph_search(product, list(gamma.arrows), lambda p: p[0], 10**6)
+        return [GrpdMorphism(phi, {g: w for g, w in graph}) for graph in graphs]
+    slots = pullback_domain(gamma, pi, phi)
+    graphs = _graph_search(product, slots, lambda p: (gamma.src[p[0]], p[1]), 10**6)
+    return [GrpdComorphism(phi, {(gamma.src[g], w): g for g, w in graph}) for graph in graphs]
+
+
+def test_graph_search_is_exact():
+    """Every closed graph the search yields is a verified map, also on reordered copies."""
+    rng = random.Random(7)
+    corpus = list(groupoid_corpus().values())
+    copies = [shuffled_copy(g, rng) for g in corpus]
+    cases = [
+        (gamma, pi, phi)
+        for groupoids in (corpus, copies)
+        for gamma in groupoids
+        for pi in groupoids
+        for phi in all_base_maps(gamma, pi)
+    ]
+    bundle, zk, _ = trivial_bundle(3, 3)
+    for gamma, pi in ((bundle, zk), (shuffled_copy(bundle, rng), shuffled_copy(zk, rng))):
+        cases.append((gamma, pi, {x: pi.objects[0] for x in gamma.objects}))
+    for gamma, pi, phi in cases:
+        for kind in ("morphism", "comorphism"):
+            found = enumerate_maps(gamma, pi, phi, kind)
+            assert graph_search_maps(gamma, pi, phi, kind) == found, (gamma.arrows, phi, kind)
 
 
 def test_orbit_condition_necessity_across_corpus():
