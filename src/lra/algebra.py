@@ -253,28 +253,8 @@ class Derivation:
     def commutator(self, other):
         if other.algebra != self.algebra:
             raise ValueError("derivations live on different algebras")
-        images = [
-            self.algebra.nf(self.apply(other.images[i]) - other.apply(self.images[i]))
-            for i in range(self.algebra.arity)
-        ]
+        images = [self.apply(q) - other.apply(p) for p, q in zip(self.images, other.images)]
         return Derivation(self.algebra, images)
-
-    def scaled(self, a):
-        return Derivation(self.algebra, [self.algebra.nf(a * q) for q in self.images])
-
-    def __add__(self, other):
-        if other.algebra != self.algebra:
-            raise ValueError("derivations live on different algebras")
-        return Derivation(
-            self.algebra,
-            [self.algebra.nf(p + q) for p, q in zip(self.images, other.images)],
-        )
-
-    def __neg__(self):
-        return Derivation(self.algebra, [-q for q in self.images])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __eq__(self, other):
         if not isinstance(other, Derivation):

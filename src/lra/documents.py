@@ -54,20 +54,21 @@ class Document:
     version: str
     body: dict
 
-    def __eq__(self, other):
-        if not isinstance(other, Document):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.version == other.version
-            and self.body == other.body
-        )
+
+def _unique_keys(pairs):
+    """A JSON object from its key-value pairs; a repeated key is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DocumentError("repeated key %r in a JSON object" % key)
+        obj[key] = value
+    return obj
 
 
 def parse_document(text):
     """Parse and structurally validate one document."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise DocumentError(
             "invalid JSON: %s (line %d, column %d)" % (err.msg, err.lineno, err.colno)

@@ -174,24 +174,11 @@ def buchberger(generators, order="grevlex", cap=None):
         if not dominated:
             minimal.append(g)
 
-    # autoreduce tails until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1 :]
-            r = _reduce_terms(
-                arity, dict(minimal[i].terms), _prepare(others, key), key, budget
-            )
-            if r.is_zero():
-                minimal.pop(i)
-                changed = True
-                break
-            r = _monic(r, key)
-            if r != minimal[i]:
-                minimal[i] = r
-                changed = True
-                break
+    # interreduce: no lead divides another, so one reduction of each element
+    # against the others keeps every (monic) lead and leaves the reduced basis
+    for i, g in enumerate(minimal):
+        others = _prepare(minimal[:i] + minimal[i + 1 :], key)
+        minimal[i] = _reduce_terms(arity, dict(g.terms), others, key, budget)
 
     minimal.sort(key=lambda g: key(g.leading(key)[0]))
     return minimal

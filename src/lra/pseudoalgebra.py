@@ -220,24 +220,12 @@ def axioms_check(e):
     variables), and the Jacobi identity holds on all basis triples.
     """
     report = VerdictReport()
-    alg = e.algebra
     for i, delta in enumerate(e.anchors):
         report.fold("anchor of e_%d is a derivation" % i, delta.check())
     if not report.verdict:
         return report
 
-    for i in range(e.rank):
-        for j in range(i + 1, e.rank):
-            lhs = anchor_derivation(e.bracket_basis(i, j))
-            rhs = e.anchors[i].commutator(e.anchors[j])
-            for v in range(alg.arity):
-                ok = lhs.images[v] == rhs.images[v]
-                report.add(
-                    "anchor respects [e_%d, e_%d] on %s" % (i, j, alg.variables[v]),
-                    ok,
-                    "anchor of bracket gives %s, commutator gives %s"
-                    % (alg.render(lhs.images[v]), alg.render(rhs.images[v])),
-                )
+    _anchor_axiom(report, e.anchors, e.structure)
 
     for i in range(e.rank):
         for j in range(i + 1, e.rank):
@@ -249,6 +237,30 @@ def axioms_check(e):
                     "jacobiator is %s" % e.render_element(jac.coords),
                 )
     return report
+
+
+def _anchor_axiom(report, derivations, structure):
+    """Add the anchor axiom [d_i, d_j] = sum_k c_ij^k d_k to ``report``.
+
+    ``structure[(i, j)]`` holds c_ij^k for i < j, in normal form over the
+    algebra of the derivations ``d_k``, which must already be known to be
+    derivations.  One check per pair and algebra variable.
+    """
+    for (i, j), row in structure.items():
+        comm = derivations[i].commutator(derivations[j])
+        alg = comm.algebra
+        for v in range(alg.arity):
+            image = MPoly.zero(alg.arity)
+            for c, delta in zip(row, derivations):
+                if not c.is_zero():
+                    image = image + c * delta.images[v]
+            image = alg.nf(image)
+            report.add(
+                "anchor respects [e_%d, e_%d] on %s" % (i, j, alg.variables[v]),
+                image == comm.images[v],
+                "anchor of bracket gives %s, commutator gives %s"
+                % (alg.render(image), alg.render(comm.images[v])),
+            )
 
 
 def jacobiator(x, y, z):
@@ -335,7 +347,6 @@ def differential(e, omega):
     """
     if omega.parent != e:
         raise ValueError("form does not live on this pseudoalgebra")
-    alg = e.algebra
     if omega.degree == 0:
         return KForm.one_form(e, [d.apply(omega.data) for d in e.anchors])
     if omega.degree == 1:
@@ -345,7 +356,7 @@ def differential(e, omega):
                 value = e.anchors[i].apply(omega.data[j]) - e.anchors[j].apply(omega.data[i])
                 for k, c in enumerate(e.struct_coeffs(i, j)):
                     value = value - c * omega.data[k]
-                table[(i, j)] = alg.nf(value)
+                table[(i, j)] = value
         return KForm.two_form(e, table)
     raise ValueError("the differential of a degree-2 form is not supported")
 
@@ -353,33 +364,18 @@ def differential(e, omega):
 # -- constructors --------------------------------------------------------
 
 
-def _structure_from_commutators(algebra, basis, structure):
-    """Solve or verify the structure coefficients of pairwise commutators."""
-    rank = len(basis)
-    columns = [[d.images[v] for v in range(algebra.arity)] for d in basis]
+def _structure_from_commutators(algebra, basis):
+    """Solve for the structure coefficients of pairwise commutators."""
+    columns = [d.images for d in basis]
     table = {}
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            comm = basis[i].commutator(basis[j])
-            target = [comm.images[v] for v in range(algebra.arity)]
-            if structure is not None:
-                row = [algebra.nf(c) for c in structure[(i, j)]]
-                for v in range(algebra.arity):
-                    acc = MPoly.zero(algebra.arity)
-                    for k in range(rank):
-                        acc = acc + row[k] * columns[k][v]
-                    if algebra.nf(acc) != target[v]:
-                        raise VerificationError(
-                            "supplied coefficients for [e_%d, e_%d] do not match the commutator on %s"
-                            % (i, j, algebra.variables[v])
-                        )
-            else:
-                row = _solve_span(algebra, columns, target)
-                if row is None:
-                    raise VerificationError(
-                        "commutator of basis entries %d and %d is not expressible in the span "
-                        "(searched coefficient degrees up to the data degree plus 2)" % (i, j)
-                    )
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            row = _solve_span(algebra, columns, basis[i].commutator(basis[j]).images)
+            if row is None:
+                raise VerificationError(
+                    "commutator of basis entries %d and %d is not expressible in the span "
+                    "(searched coefficient degrees up to the data degree plus 2)" % (i, j)
+                )
             table[(i, j)] = row
     return table
 
@@ -460,7 +456,7 @@ def _solve_span_at(algebra, columns, target, degree):
         for col_index, (kk, m) in enumerate(unknowns):
             if kk == k and values[col_index] != 0:
                 terms[m] = values[col_index]
-        coeffs.append(algebra.nf(MPoly(arity, terms)))
+        coeffs.append(MPoly(arity, terms))
     return coeffs
 
 
@@ -469,9 +465,11 @@ def make_der(algebra, basis=None, structure=None):
 
     For a free polynomial algebra the default basis is the partial
     derivatives (zero structure table).  For user-supplied bases the
-    pairwise commutators are expressed in the span automatically, or
-    verified against caller-supplied coefficients; inexpressible
-    commutators are an error.
+    pairwise commutators are expressed in the span automatically, or taken
+    from caller-supplied coefficients (a pair left out is zero);
+    inexpressible commutators are an error.  The axiom check then decides
+    that each basis entry is a derivation, that the coefficients give the
+    commutators, and the Jacobi identity.
     """
     if basis is None:
         if not algebra.is_free():
@@ -479,17 +477,12 @@ def make_der(algebra, basis=None, structure=None):
                 "a derivation basis must be supplied for quotient algebras"
             )
         basis = [Derivation.partial(algebra, i) for i in range(algebra.arity)]
-        structure = {
-            (i, j): [algebra.zero()] * algebra.arity
-            for i in range(algebra.arity)
-            for j in range(i + 1, algebra.arity)
-        }
+        structure = {}
     basis = list(basis)
-    for d in basis:
-        d.check().require("basis entry is not a derivation of the algebra")
-    table = _structure_from_commutators(algebra, basis, structure)
-    e = PAlg(algebra, len(basis), basis, table)
-    axioms_check(e).require("derivation pseudoalgebra fails its axioms")
+    if structure is None:
+        structure = _structure_from_commutators(algebra, basis)
+    e = PAlg(algebra, len(basis), basis, structure)
+    axioms_check(e).require("derivations and structure coefficients do not match the axioms")
     return e
 
 
@@ -511,40 +504,22 @@ def make_action(algebra, klie, theta):
     """The action pseudoalgebra of a Q-Lie algebra acting by derivations.
 
     ``theta`` assigns a derivation of ``algebra`` to each basis vector of
-    ``klie`` and must be a Lie algebra morphism (checked on basis pairs).
+    ``klie``.  The axiom check decides that every image is a derivation
+    and that theta is a Lie algebra morphism: its anchor condition on the
+    constant structure table of ``klie`` is [theta_i, theta_j] =
+    sum_k c_ij^k theta_k.
     """
     theta = list(theta)
     if klie.algebra.arity != 0:
         raise ValueError("the acting object must be a Lie algebra over Q")
     if len(theta) != klie.rank:
         raise ValueError("need one derivation per Lie algebra basis vector")
-    for d in theta:
-        if d.algebra != algebra:
-            raise ValueError("action derivation lives on the wrong algebra")
-        d.check().require("action image is not a derivation")
-    report = VerdictReport()
-    for i in range(klie.rank):
-        for j in range(i + 1, klie.rank):
-            comm = theta[i].commutator(theta[j])
-            expected = Derivation.zero(algebra)
-            for k, c in enumerate(klie.struct_coeffs(i, j)):
-                expected = expected + theta[k].scaled(algebra.const(c.constant_value()))
-            report.add(
-                "theta respects [e_%d, e_%d]" % (i, j),
-                comm == expected,
-                "commutator is %r, image of the bracket is %r" % (comm, expected),
-            )
-    report.require("theta is not a Lie algebra morphism")
     table = {
-        (i, j): [
-            algebra.const(c.constant_value())
-            for c in klie.struct_coeffs(i, j)
-        ]
-        for i in range(klie.rank)
-        for j in range(i + 1, klie.rank)
+        key: [algebra.const(c.constant_value()) for c in row]
+        for key, row in klie.structure.items()
     }
     e = PAlg(algebra, klie.rank, theta, table)
-    axioms_check(e).require("action pseudoalgebra fails its axioms")
+    axioms_check(e).require("theta is not a Lie algebra morphism into the derivations")
     return e
 
 

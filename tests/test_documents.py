@@ -123,6 +123,34 @@ def test_repeated_entries_are_rejected(tmp_path, capsys, name, field, at, row, m
     assert capsys.readouterr().err == "lra: input error: %s\n" % message
 
 
+@pytest.mark.parametrize(
+    "anchor",
+    ['"(\'a\', \'a\')": "a",\n', '"(\'b\', \'b\')": "b"'],
+    ids=["before", "after"],
+)
+def test_repeated_json_key_is_rejected(tmp_path, capsys, anchor):
+    """A second tgt entry for ('a', 'b') must not replace the first, wherever it stands.
+
+    Written as raw text: ``json.dumps`` cannot write a repeated key.
+    """
+    from lra.cli import main
+
+    text = (DATA / "groupoid_pair2.json").read_text(encoding="utf-8")
+    tgt = text.index('"tgt": {')
+    at = text.index(anchor, tgt) + len(anchor)
+    extra = '      "(\'a\', \'b\')": "a",\n' if anchor.endswith("\n") else ',\n      "(\'a\', \'b\')": "a"'
+    text = text[:at] + extra + text[at:]
+    assert text[tgt:].count('"(\'a\', \'b\')":') == 2
+    message = "repeated key \"('a', 'b')\" in a JSON object"
+    with pytest.raises(docs.DocumentError) as err:
+        docs.parse_document(text)
+    assert str(err.value) == message
+    path = tmp_path / "repeated.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["grpd", "check", str(path)]) == 2
+    assert capsys.readouterr().err == "lra: input error: %s\n" % message
+
+
 def test_schema_violations_name_the_field():
     with pytest.raises(docs.DocumentError, match="body.variables"):
         docs.parse_document('{"kind": "algebra", "version": "1", "body": {"ideal": []}}')

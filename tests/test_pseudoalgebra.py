@@ -1,3 +1,4 @@
+import pathlib
 import random
 from fractions import Fraction
 
@@ -328,3 +329,120 @@ def test_line_bracket_formula():
         value = bracket(der.basis(0).scale(f), der.basis(0).scale(g))
         expected = f * g.partial(0) - g * f.partial(0)
         assert value.coords[0] == expected
+
+
+# -- the anchor axiom against the operator oracle ------------------------------
+
+
+def _circle():
+    """Q[x,y]/(x^2 + y^2 - 1)."""
+    return AlgebraPres(("x", "y"), IdealPres(2, [MPoly.variable(2, 0) ** 2 + MPoly.variable(2, 1) ** 2 - MPoly.one(2)]))
+
+
+def palg_corpus():
+    """The tests/data pseudoalgebras, the constructors' outputs and two circle bundles."""
+    from lra import documents as docs
+
+    data = pathlib.Path(__file__).parent / "data"
+    out = [docs.to_palg(docs.load_document(path).body) for path in sorted(data.glob("palg_*.json"))]
+    qx = AlgebraPres.free("x")
+    qxy = AlgebraPres.free("x", "y")
+    q3 = AlgebraPres.free("x1", "x2", "x3")
+    x1, x2, x3 = (q3.variable(i) for i in range(3))
+    z = q3.zero()
+    out += [
+        make_der(qxy),
+        make_der(qx, [Derivation.partial(qx, 0), Derivation(qx, [qx.variable(0)])]),
+        make_klie({(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]}),
+        make_action(qx, sl2(), sl2_action_images(qx)),
+        make_cotangent_poisson(q3, [[z, 2 * x2, (-2) * x3], [(-2) * x2, z, x1], [2 * x3, -x1, z]]),
+    ]
+    circle = _circle()
+    x, y = circle.variable(0), circle.variable(1)
+    rotation, x_rotation = Derivation(circle, [-y, x]), Derivation(circle, [-x * y, x * x])
+    out.append(make_der(circle, [rotation, x_rotation]))
+    out.append(PAlg(circle, 2, [rotation, x_rotation], {}))  # wrong table: [R, xR] = -y R
+    return out
+
+
+def anchor_mutants(e):
+    """Copies of ``e`` with one anchor image entry plus 1, or times the first variable."""
+    alg = e.algebra
+    out = []
+    for i, delta in enumerate(e.anchors):
+        for v, image in enumerate(delta.images):
+            values = [image + alg.one()]
+            if alg.arity and not image.is_zero():
+                values.append(image * alg.variable(0))
+            for value in values:
+                images = list(delta.images)
+                images[v] = value
+                anchors = list(e.anchors)
+                anchors[i] = Derivation(alg, images)
+                out.append(PAlg(alg, e.rank, anchors, e.structure))
+    return out
+
+
+def oracle_anchor_verdicts(e):
+    """(name, verdict) of every anchor-axiom check, from op_apply alone.
+
+    Empty when some anchor entry carries an ideal generator outside the
+    ideal, because the axiom check stops at that point.
+    """
+    alg = e.algebra
+    units = [e.basis(i) for i in range(e.rank)]
+    if any(not op_apply(u, g).is_zero() for u in units for g in alg.ideal.groebner):
+        return []
+    out = []
+    for i in range(e.rank):
+        for j in range(i + 1, e.rank):
+            for v in range(alg.arity):
+                a = alg.variable(v)
+                lhs = op_apply(e.bracket_basis(i, j), a)
+                rhs = alg.nf(op_apply(units[i], op_apply(units[j], a)) - op_apply(units[j], op_apply(units[i], a)))
+                out.append(("anchor respects [e_%d, e_%d] on %s" % (i, j, alg.variables[v]), lhs == rhs))
+    return out
+
+
+def test_anchor_axiom_matches_the_operator_oracle():
+    verdicts = []
+    for e in palg_corpus():
+        for candidate in [e] + anchor_mutants(e):
+            report = axioms_check(candidate)
+            got = [(c.name, c.passed) for c in report.checks if c.name.startswith("anchor respects")]
+            assert got == oracle_anchor_verdicts(candidate)
+            verdicts += [passed for _, passed in got]
+    assert True in verdicts and False in verdicts
+
+
+def _plane_basis():
+    """d/dx, d/dy, x d/dx on Q[x,y], and 1 and 0 there."""
+    qxy = AlgebraPres.free("x", "y")
+    basis = [Derivation.partial(qxy, 0), Derivation.partial(qxy, 1), Derivation(qxy, [qxy.variable(0), qxy.zero()])]
+    return qxy, basis, qxy.one(), qxy.zero()
+
+
+def test_make_der_table_may_leave_out_a_commuting_pair():
+    qxy, basis, one, zero = _plane_basis()
+    # [d/dx, d/dy] = 0 and [d/dy, x d/dx] = 0 are left out
+    e = make_der(qxy, basis, structure={(0, 2): [one, zero, zero]})
+    assert all(c.is_zero() for c in e.struct_coeffs(0, 1))
+
+
+def test_make_der_table_leaving_out_a_bracket_fails():
+    qxy, basis, one, zero = _plane_basis()
+    # [d/dx, x d/dx] = d/dx is left out, so it reads as zero
+    with pytest.raises(VerificationError, match="do not match"):
+        make_der(qxy, basis, structure={(0, 1): [zero] * 3, (1, 2): [zero] * 3})
+
+
+def test_non_derivations_of_a_quotient_are_rejected():
+    circle = _circle()
+    x, y = circle.variable(0), circle.variable(1)
+    rotation, d_x = Derivation(circle, [-y, x]), Derivation.partial(circle, 0)
+    with pytest.raises(VerificationError):
+        make_der(circle, [rotation, d_x])
+    with pytest.raises(VerificationError):
+        make_der(circle, [rotation, d_x], structure={})
+    with pytest.raises(VerificationError):
+        make_action(circle, make_klie({}, rank=2), [rotation, d_x])
