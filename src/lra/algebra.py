@@ -7,6 +7,8 @@ polynomials.
 
 from __future__ import annotations
 
+from operator import add
+
 from .groebner import IdealPres
 from .poly import MPoly, parse_poly, poly_to_string
 from .verdict import VerdictReport
@@ -220,12 +222,34 @@ class Derivation:
         return cls(algebra, images)
 
     def _extend(self, p):
-        out = MPoly.zero(self.algebra.arity)
+        """Leibniz extension sum_i (d p / d x_i) * images[i], before reduction.
+
+        Each term c*x^exp of ``p`` adds c*e_i*x^(exp - e_i)*image_i
+        straight into one dict."""
+        out = {}
+        terms = p.terms.items()
         for i, image in enumerate(self.images):
-            if image.is_zero():
+            if not image.terms:
                 continue
-            out = out + p.partial(i) * image
-        return out
+            image_terms = image.terms.items()
+            for exp, c in terms:
+                e = exp[i]
+                if not e:
+                    continue
+                lowered = exp[:i] + (e - 1,) + exp[i + 1 :]
+                factor = c * e
+                for gexp, gc in image_terms:
+                    tgt = tuple(map(add, lowered, gexp))
+                    acc = out.get(tgt)
+                    if acc is None:
+                        out[tgt] = factor * gc
+                    else:
+                        acc += factor * gc
+                        if acc:
+                            out[tgt] = acc
+                        else:
+                            del out[tgt]
+        return MPoly._raw(self.algebra.arity, out)
 
     def check(self):
         if self._report is not None:

@@ -84,7 +84,7 @@ def _reduce_terms(arity, work, prepared, key, budget):
                 break
         else:
             remainder[exp] = coeff
-    return MPoly(arity, remainder)
+    return MPoly._raw(arity, remainder)
 
 
 def normal_form(p, basis, order="grevlex"):
@@ -185,12 +185,17 @@ def buchberger(generators, order="grevlex", cap=None):
 
 
 class IdealPres:
-    """An ideal of Q[x1..xn] presented by generators plus a reduced basis."""
+    """An ideal of Q[x1..xn] presented by generators plus a reduced basis.
 
-    __slots__ = ("arity", "generators", "order", "groebner")
+    The basis is also held prepared for division (each element with its
+    leading monomial and coefficient), so ``normal_form`` never searches
+    for a leading monomial again.
+    """
+
+    __slots__ = ("arity", "generators", "order", "groebner", "_key", "_prepared")
 
     def __init__(self, arity, generators=(), order="grevlex"):
-        order_key(order)  # validate tag
+        key = order_key(order)  # validates the tag
         gens = []
         for p in generators:
             if p.arity != arity:
@@ -201,13 +206,15 @@ class IdealPres:
         self.generators = tuple(gens)
         self.order = order
         self.groebner = tuple(buchberger(gens, order)) if gens else ()
+        self._key = key
+        self._prepared = _prepare(self.groebner, key)
 
     def normal_form(self, p):
         if p.arity != self.arity:
             raise ValueError("arity mismatch: polynomial has %d variables, ideal %d" % (p.arity, self.arity))
         if not self.groebner:
             return p
-        return normal_form(p, self.groebner, self.order)
+        return _reduce_terms(self.arity, dict(p.terms), self._prepared, self._key, _Budget(None))
 
     def contains(self, p):
         return self.normal_form(p).is_zero()

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add as _add
+
+_new = object.__new__
 
 
 def grevlex_key(exp):
@@ -51,6 +54,13 @@ class MPoly:
 
     ``terms`` maps exponent tuples to nonzero Fractions; zero coefficients
     are never stored, so equality of polynomials is dict equality.
+
+    ``MPoly(arity, terms)`` validates: it copies ``terms``, checks every
+    exponent and turns every coefficient into a Fraction.  The parser, the
+    document loaders and the public constructors build through it.
+    Arithmetic on polynomials that are already valid builds its results
+    with ``MPoly._raw``, which trusts a fresh dict and neither copies nor
+    checks it.  Polynomials are never mutated after construction.
     """
 
     __slots__ = ("arity", "terms")
@@ -77,8 +87,18 @@ class MPoly:
     # -- constructors ------------------------------------------------
 
     @classmethod
+    def _raw(cls, arity, terms):
+        """Trusted constructor: ``terms`` is a dict that no other polynomial
+        holds, from exponent tuples of length ``arity`` with no negative
+        entry to nonzero Fractions.  It is neither copied nor checked."""
+        p = _new(cls)
+        p.arity = arity
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, arity):
-        return cls(arity)
+        return cls._raw(arity, {})
 
     @classmethod
     def const(cls, arity, value):
@@ -137,25 +157,29 @@ class MPoly:
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MPoly and not isinstance(other, MPoly):
             other = MPoly.const(self.arity, other)
         self._check_same_arity(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            acc = terms.get(exp, Fraction(0)) + c
-            if acc == 0:
-                terms.pop(exp, None)
+            acc = terms.get(exp)
+            if acc is None:
+                terms[exp] = c
             else:
-                terms[exp] = acc
-        return MPoly(self.arity, terms)
+                acc += c
+                if acc:
+                    terms[exp] = acc
+                else:
+                    del terms[exp]
+        return MPoly._raw(self.arity, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return MPoly._raw(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MPoly and not isinstance(other, MPoly):
             other = MPoly.const(self.arity, other)
         return self + (-other)
 
@@ -163,19 +187,24 @@ class MPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MPoly and not isinstance(other, MPoly):
             return self.scale(other)
         self._check_same_arity(other)
         out = {}
+        other_terms = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(exp, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    out.pop(exp, None)
+            for e2, c2 in other_terms:
+                exp = tuple(map(_add, e1, e2))
+                acc = out.get(exp)
+                if acc is None:
+                    out[exp] = c1 * c2
                 else:
-                    out[exp] = acc
-        return MPoly(self.arity, out)
+                    acc += c1 * c2
+                    if acc:
+                        out[exp] = acc
+                    else:
+                        del out[exp]
+        return MPoly._raw(self.arity, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -185,8 +214,8 @@ class MPoly:
     def scale(self, value):
         value = _as_fraction(value)
         if value == 0:
-            return MPoly(self.arity)
-        return MPoly(self.arity, {e: c * value for e, c in self.terms.items()})
+            return MPoly._raw(self.arity, {})
+        return MPoly._raw(self.arity, {e: c * value for e, c in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -207,15 +236,10 @@ class MPoly:
         out = {}
         for exp, c in self.terms.items():
             e = exp[index]
-            if e == 0:
-                continue
-            lowered = exp[:index] + (e - 1,) + exp[index + 1 :]
-            acc = out.get(lowered, Fraction(0)) + c * e
-            if acc == 0:
-                out.pop(lowered, None)
-            else:
-                out[lowered] = acc
-        return MPoly(self.arity, out)
+            if e:
+                # distinct exponents stay distinct when lowered, so no sum
+                out[exp[:index] + (e - 1,) + exp[index + 1 :]] = c * e
+        return MPoly._raw(self.arity, out)
 
     def subs(self, images):
         """Substitute ``images[i]`` (all of one common arity) for variable i."""
@@ -230,8 +254,8 @@ class MPoly:
                     raise ValueError("substitution images have mixed arities")
         else:
             target_arity = 0
-        # cache powers of each image
-        powers = [{0: MPoly.one(target_arity)} for _ in images]
+        # powers of each image, built on first use
+        powers = [{1: q} for q in images]
 
         def power(i, e):
             cache = powers[i]
@@ -239,24 +263,34 @@ class MPoly:
                 cache[e] = power(i, e - 1) * images[i]
             return cache[e]
 
-        out = MPoly.zero(target_arity)
+        out = {}
+        constant = (0,) * target_arity
         for exp, c in self.terms.items():
-            term = MPoly.const(target_arity, c)
+            monomial = None
             for i, e in enumerate(exp):
                 if e:
-                    term = term * power(i, e)
-            out = out + term
-        return out
+                    factor = power(i, e)
+                    monomial = factor if monomial is None else monomial * factor
+            pieces = monomial.terms.items() if monomial is not None else ((constant, 1),)
+            for tgt, v in pieces:
+                acc = out.get(tgt)
+                if acc is None:
+                    out[tgt] = c * v
+                else:
+                    acc += c * v
+                    if acc:
+                        out[tgt] = acc
+                    else:
+                        del out[tgt]
+        return MPoly._raw(target_arity, out)
 
     def lift(self, arity, offset=0):
         """Reinterpret in a larger variable list, shifting variables by ``offset``."""
         if offset < 0 or offset + self.arity > arity:
             raise ValueError("lift does not fit target arity")
-        out = {}
-        for exp, c in self.terms.items():
-            new = (0,) * offset + exp + (0,) * (arity - offset - self.arity)
-            out[new] = c
-        return MPoly(arity, out)
+        before = (0,) * offset
+        after = (0,) * (arity - offset - self.arity)
+        return MPoly._raw(arity, {before + exp + after: c for exp, c in self.terms.items()})
 
     # -- comparisons ----------------------------------------------------
 

@@ -1,12 +1,17 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lra.algebra import AlgebraPres, AlgMorphism, Derivation
+from lra.documents import load_document, to_algebra
 from lra.groebner import IdealPres
 from lra.poly import MPoly
 from lra.verdict import VerificationError
+
+from test_poly import small_polys
 
 T = MPoly.variable(1, 0)
 
@@ -110,6 +115,45 @@ def test_derivation_leibniz_on_random_pairs():
     for _ in range(25):
         p, q = rand_poly(), rand_poly()
         assert d.apply(a.nf(p * q)) == a.nf(d.apply(p) * q + p * d.apply(q))
+
+
+PLANE = to_algebra(
+    load_document(os.path.join(os.path.dirname(__file__), "data", "palg_der_plane.json")).body["algebra"]
+)
+CIRCLE = AlgebraPres(
+    ("x", "y"), IdealPres(2, [MPoly.variable(2, 0) ** 2 + MPoly.variable(2, 1) ** 2 - 1])
+)
+
+
+@pytest.mark.parametrize("case", ["constant", "missing variables", "zero image"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_derivation_apply_is_the_leibniz_sum(case, data):
+    """``apply`` agrees with nf(sum_i dp/dx_i * images[i]), built from partials."""
+    algebra = data.draw(st.sampled_from([AlgebraPres.free("x", "y", "z"), PLANE, CIRCLE]))
+    n = algebra.arity
+    p = data.draw(small_polys(arity=n, max_terms=5, max_exp=3))
+    if case == "constant":
+        p = MPoly.const(n, p.constant_value() + 1)
+    elif case == "missing variables":
+        kept = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+        p = MPoly(n, {e: c for e, c in p.terms.items() if all(e[i] == 0 or i in kept for i in range(n))})
+    if algebra is CIRCLE:
+        # the circle's derivations are the multiples of the rotation (-y, x)
+        h = data.draw(small_polys(arity=2, max_terms=3, max_exp=2))
+        if case == "zero image":
+            h = MPoly.zero(2)
+        x, y = algebra.variable(0), algebra.variable(1)
+        images = [-y * h, x * h]
+    else:
+        images = [data.draw(small_polys(arity=n, max_terms=3, max_exp=2)) for _ in range(n)]
+        if case == "zero image":
+            images[data.draw(st.integers(0, n - 1))] = MPoly.zero(n)
+    d = Derivation(algebra, images)
+    expected = MPoly.zero(n)
+    for i, image in enumerate(d.images):
+        expected = expected + p.partial(i) * image
+    assert d.apply(p) == algebra.nf(expected)
 
 
 def test_commutator_is_a_derivation():

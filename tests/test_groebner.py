@@ -162,3 +162,90 @@ def test_buchberger_katsura_system():
             assert normal_form(s_polynomial(basis[i], basis[j]), basis).is_zero()
     # the reduced basis is a fixed point of the completion
     assert buchberger(basis) == basis
+
+
+# -- sympy as an independent Groebner engine ----------------------------------
+
+
+def _katsura(n):
+    """Katsura-n in u_0..u_n: sum_l u_|l| u_|m-l| = u_m for m < n, plus the norm."""
+    arity = n + 1
+
+    def u(k, coeff=1):
+        k = abs(k)
+        if k > n:
+            return {}
+        return {tuple(1 if i == k else 0 for i in range(arity)): Fraction(coeff)}
+
+    def add(*dicts):
+        out = {}
+        for d in dicts:
+            for exp, c in d.items():
+                out[exp] = out.get(exp, 0) + c
+        return {exp: c for exp, c in out.items() if c}
+
+    def mul(a, b):
+        return add(*({tuple(x + y for x, y in zip(e1, e2)): c1 * c2} for e1, c1 in a.items() for e2, c2 in b.items()))
+
+    gens = [add(u(0), *(u(i, 2) for i in range(1, arity)), {(0,) * arity: Fraction(-1)})]
+    for m in range(n):
+        gens.append(add(*(mul(u(l), u(m - l)) for l in range(-n, n + 1)), u(m, -1)))
+    return arity, gens
+
+
+def _cyclic(n):
+    """Cyclic-n: the elementary cyclic sums of degree 1..n-1, and x_0...x_{n-1} - 1."""
+    gens = []
+    for d in range(1, n):
+        gens.append({tuple(1 if (i - s) % n < d else 0 for i in range(n)): Fraction(1) for s in range(n)})
+    gens.append({(1,) * n: Fraction(1), (0,) * n: Fraction(-1)})
+    return n, gens
+
+
+def _random_system(seed):
+    rng = random.Random(seed)
+    arity = 3
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        terms = {}
+        for _ in range(rng.randint(2, 4)):
+            exp = tuple(rng.randint(0, 2) for _ in range(arity))
+            terms[exp] = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+        gens.append(terms)
+    return arity, gens
+
+
+ORACLE_SYSTEMS = {
+    "katsura-3": _katsura(3),
+    "katsura-4": _katsura(4),
+    "cyclic-4": _cyclic(4),
+    **{"random-%d" % seed: _random_system(seed) for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_reduced_basis_matches_sympy(name):
+    """The reduced basis and the normal forms agree with sympy's grevlex engine."""
+    sympy = pytest.importorskip("sympy")
+    arity, gens = ORACLE_SYSTEMS[name]
+    symbols = sympy.symbols("v0:%d" % arity)
+
+    def to_sympy(terms):
+        return sympy.Poly.from_dict(
+            {exp: sympy.Rational(c.numerator, c.denominator) for exp, c in terms.items()}, *symbols
+        )
+
+    def as_terms(poly):
+        return frozenset((exp, Fraction(int(c.p), int(c.q))) for exp, c in poly.terms() if c)
+
+    reference = sympy.groebner([to_sympy(g) for g in gens], *symbols, order="grevlex", domain=sympy.QQ)
+    ideal = IdealPres(arity, [MPoly(arity, g) for g in gens])
+    assert {frozenset(g.terms.items()) for g in ideal.groebner} == set(map(as_terms, reference.polys))
+    rng = random.Random(name)
+    for _ in range(5):
+        p = {
+            tuple(rng.randint(0, 2) for _ in range(arity)): Fraction(rng.randint(-5, 5) or 1)
+            for _ in range(4)
+        }
+        _, remainder = reference.reduce(to_sympy(p))
+        assert frozenset(ideal.normal_form(MPoly(arity, p)).terms.items()) == as_terms(remainder)

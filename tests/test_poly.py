@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from lra.algebra import AlgebraPres, Derivation
+from lra.groebner import IdealPres
 from lra.poly import (
     MPoly,
     PolyParseError,
@@ -112,3 +114,65 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
+
+
+@pytest.mark.parametrize("operand", [1.5, "x", None])
+def test_non_exact_operands_raise_type_error(operand):
+    p = MPoly.variable(2, 0)
+    for op in (
+        lambda: p + operand,
+        lambda: operand + p,
+        lambda: p - operand,
+        lambda: operand - p,
+        lambda: p * operand,
+    ):
+        with pytest.raises(TypeError, match="coefficients must be integers or Fractions"):
+            op()
+
+
+def test_exact_scalar_operands_work_on_both_sides():
+    x = MPoly.variable(2, 0)
+    half = Fraction(1, 2)
+    assert x + 1 == 1 + x == MPoly(2, {(1, 0): 1, (0, 0): 1})
+    assert x - half == -(half - x) == MPoly(2, {(1, 0): 1, (0, 0): -half})
+    assert x * 3 == 3 * x == MPoly(2, {(1, 0): 3})
+    assert x * half == half * x == MPoly(2, {(1, 0): half})
+    assert x * 0 == 0 * x == MPoly.zero(2)
+
+
+def _assert_trusted_result(result, *operands):
+    """``result`` is what the validating constructor would build, and owns its dict."""
+    assert result == MPoly(result.arity, result.terms)
+    for exp, coeff in result.terms.items():
+        assert type(exp) is tuple and len(exp) == result.arity
+        assert all(e >= 0 for e in exp)
+        assert type(coeff) is Fraction and coeff != 0
+    for operand in operands:
+        assert result.terms is not operand.terms
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    small_polys(max_terms=4, max_exp=3),
+    small_polys(max_terms=4, max_exp=3),
+    small_polys(arity=1, max_terms=3, max_exp=2),
+    small_polys(arity=1, max_terms=3, max_exp=2),
+    st.sampled_from([0, 1, -2, Fraction(3, 2)]),
+    st.integers(0, 3),
+)
+def test_trusted_results_are_valid_and_fresh(p, q, f, g, scalar, power):
+    checks = [
+        (p + q, p, q), (p - q, p, q), (-p, p), (p * q, p, q),
+        (p + scalar, p), (scalar + p, p), (p - scalar, p), (scalar - p, p),
+        (p * scalar, p), (scalar * p, p), (p.scale(scalar), p),
+        (p.partial(0), p), (p.partial(1), p), (p ** power, p),
+        (p.subs([f, g]), p, f, g), (p.lift(4, 1), p), (p.lift(2), p),
+    ]
+    x, y = MPoly.variable(2, 0), MPoly.variable(2, 1)
+    ideal = IdealPres(2, [x ** 2 + y ** 2 - 1])
+    checks.append((ideal.normal_form(p), p) + ideal.groebner)
+    for algebra in (AlgebraPres(("x", "y")), AlgebraPres(("x", "y"), ideal)):
+        rotation = Derivation(algebra, [-y * q, x * q])
+        checks.append((rotation.apply(p), p, q) + rotation.images)
+    for result, *operands in checks:
+        _assert_trusted_result(result, *operands)
