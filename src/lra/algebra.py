@@ -74,8 +74,8 @@ class AlgebraPres:
     def tensor(self, other):
         """Tensor product over Q: disjoint variables, union of lifted ideals.
 
-        Returns (algebra, left_renaming, right_renaming); colliding right
-        variable names get a numeric suffix.
+        Returns (algebra, right_renaming); left variable names are kept and
+        colliding right ones get a numeric suffix.
         """
         left_names = list(self.variables)
         used = set(left_names)
@@ -98,7 +98,7 @@ class AlgebraPres:
             left_names + right_names,
             IdealPres(arity, gens, self.ideal.order),
         )
-        return algebra, {}, right_renaming
+        return algebra, right_renaming
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraPres):

@@ -2,8 +2,9 @@
 
 Exit codes: 0 = pass, 1 = fail (witness printed), 2 = input error,
 3 = resource cap exceeded.  ``--format json`` switches reports to JSON.
-The environment variable ``LRA_STEP_CAP`` overrides the default
-reduction-step budget of the Groebner engine.
+Each command runs under one step budget: reduction steps, S-pairs and
+partial maps of the groupoid search all spend from it.  The environment
+variable ``LRA_STEP_CAP`` sets its size (default ``DEFAULT_STEP_CAP``).
 
 Every command is declared once, in ``COMMANDS``: its words, help text,
 argparse arguments and handler.  ``build_parser`` adds only the entry
@@ -100,7 +101,7 @@ def _load_psictx(e_path, f_path, psi_path):
     return PsiSumCtx(e, f, psi)
 
 
-def _parse_mapping(text, what="mapping"):
+def _parse_mapping(text, what):
     mapping = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -108,8 +109,10 @@ def _parse_mapping(text, what="mapping"):
             continue
         if "->" not in chunk:
             raise docs.DocumentError("bad %s entry %r (expected key->value)" % (what, chunk))
-        key, _, value = chunk.partition("->")
-        mapping[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in chunk.partition("->"))
+        if key in mapping:
+            raise docs.DocumentError("repeated key %r in the %s" % (key, what))
+        mapping[key] = value
     return mapping
 
 
@@ -485,22 +488,19 @@ def _check_variant(args):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    previous_cap = groebner.default_step_cap()
-    cap = os.environ.get("LRA_STEP_CAP")
-    if cap:
-        try:
-            cap = int(cap)
-        except ValueError:
-            print("lra: LRA_STEP_CAP must be an integer", file=sys.stderr)
-            return 2
-        if cap < 1:
-            print("lra: LRA_STEP_CAP must be at least 1, got %d" % cap, file=sys.stderr)
-            return 2
-        groebner.set_default_step_cap(cap)
+    try:
+        cap = int(os.environ.get("LRA_STEP_CAP") or groebner.DEFAULT_STEP_CAP)
+    except ValueError:
+        print("lra: LRA_STEP_CAP must be an integer", file=sys.stderr)
+        return 2
+    if cap < 1:
+        print("lra: LRA_STEP_CAP must be at least 1, got %d" % cap, file=sys.stderr)
+        return 2
     try:
         args = build_parser(argv).parse_args(argv)
         _check_variant(args)
-        return args.entry.handler(args)
+        with groebner.step_budget(cap):
+            return args.entry.handler(args)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
     except groebner.ResourceCapExceeded as err:
@@ -514,8 +514,6 @@ def main(argv=None):
     except (OSError, ValueError) as err:
         print("lra: input error: %s" % err, file=sys.stderr)
         return 2
-    finally:
-        groebner.set_default_step_cap(previous_cap)
 
 
 if __name__ == "__main__":

@@ -4,47 +4,61 @@ Multivariate division with remainder, Buchberger completion to a reduced
 basis, and presented ideals with canonical (reduced, sorted) bases that
 make ideal membership decidable.
 
-Every reduction draws on a step budget.  Exhausting the budget raises
-``ResourceCapExceeded`` -- out of resources, never a wrong answer.
+Work spends from one step budget per scope, opened by ``step_budget``:
+reduction steps, S-pairs and (in ``groupoid``) partial maps tried.  A call
+outside any block gets a fresh ``DEFAULT_STEP_CAP`` budget.  Exhausting it
+raises ``ResourceCapExceeded`` -- out of resources, never a wrong answer.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from fractions import Fraction
 
 from .poly import MPoly, order_key
 
 DEFAULT_STEP_CAP = 10**6
 
-# process-wide default, adjustable via the CLI environment hook
-_step_cap = DEFAULT_STEP_CAP
-
-
-def set_default_step_cap(cap):
-    global _step_cap
-    _step_cap = int(cap)
-
-
-def default_step_cap():
-    return _step_cap
-
 
 class ResourceCapExceeded(RuntimeError):
-    """The reduction-step budget ran out before the computation finished."""
+    """The step budget ran out before the computation finished."""
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("cap", "left")
 
     def __init__(self, cap):
-        self.left = cap if cap is not None else default_step_cap()
+        self.cap = self.left = cap
 
-    def spend(self, n=1):
+    def spend(self, operation, n=1):
         self.left -= n
         if self.left < 0:
-            raise ResourceCapExceeded(
-                "reduction step cap exceeded; raise the cap to continue"
-            )
+            raise ResourceCapExceeded("step cap of %d exhausted in %s" % (self.cap, operation))
+
+
+_open_budget = contextvars.ContextVar("lra_step_budget", default=None)
+
+
+@contextlib.contextmanager
+def step_budget(cap):
+    """Open one budget of ``cap`` steps for everything the block runs; yields it."""
+    steps = _Budget(int(cap))
+    token = _open_budget.set(steps)
+    try:
+        yield steps
+    finally:
+        _open_budget.reset(token)
+
+
+def budget():
+    """The open budget, or a fresh default one outside any ``step_budget`` block."""
+    return _open_budget.get() or _Budget(DEFAULT_STEP_CAP)
+
+
+def default_step_cap():
+    """The cap of the open budget, or ``DEFAULT_STEP_CAP`` outside any block."""
+    return budget().cap
 
 
 def _divides(small, big):
@@ -52,16 +66,11 @@ def _divides(small, big):
 
 
 def _prepare(basis, key):
-    prepared = []
-    for g in basis:
-        if g.is_zero():
-            continue
-        exp, coeff = g.leading(key)
-        prepared.append((exp, coeff, g))
-    return prepared
+    """(leading exponent, leading coefficient, element) for each nonzero element."""
+    return [g.leading(key) + (g,) for g in basis if not g.is_zero()]
 
 
-def _reduce_terms(arity, work, prepared, key, budget):
+def _reduce_terms(arity, work, prepared, key, steps):
     """Full remainder of the term dict ``work`` against a prepared basis."""
     remainder = {}
     while work:
@@ -69,7 +78,7 @@ def _reduce_terms(arity, work, prepared, key, budget):
         coeff = work.pop(exp)
         for lead, lc, g in prepared:
             if _divides(lead, exp):
-                budget.spend()
+                steps.spend("polynomial reduction")
                 shift = tuple(a - b for a, b in zip(exp, lead))
                 factor = coeff / lc
                 for gexp, gc in g.terms.items():
@@ -97,7 +106,7 @@ def normal_form(p, basis, order="grevlex"):
     for g in basis:
         if g.arity != p.arity:
             raise ValueError("arity mismatch between polynomial and basis")
-    return _reduce_terms(p.arity, dict(p.terms), _prepare(basis, key), key, _Budget(None))
+    return _reduce_terms(p.arity, dict(p.terms), _prepare(basis, key), key, budget())
 
 
 def s_polynomial(f, g, order="grevlex"):
@@ -115,14 +124,14 @@ def _monic(p, key):
     return p.scale(Fraction(1, 1) / c)
 
 
-def buchberger(generators, order="grevlex", cap=None):
+def buchberger(generators, order="grevlex"):
     """Reduced Groebner basis of the ideal spanned by ``generators``.
 
     The result is autoreduced, monic and sorted by leading monomial, so
     equal ideals (over the same order) get structurally equal bases.
     """
     key = order_key(order)
-    budget = _Budget(cap)
+    steps = budget()
     arity = None
     basis = []
     for p in generators:
@@ -147,38 +156,35 @@ def buchberger(generators, order="grevlex", cap=None):
     while pairs:
         i, j = min(pairs, key=pair_weight)
         pairs.remove((i, j))
-        budget.spend()
+        steps.spend("the S-pairs of Buchberger completion")
         lead_i, lead_j = prepared[i][0], prepared[j][0]
         if all(a == 0 or b == 0 for a, b in zip(lead_i, lead_j)):
             continue  # coprime leading monomials: S-polynomial reduces to zero
         s = s_polynomial(basis[i], basis[j], order)
-        r = _reduce_terms(arity, dict(s.terms), prepared, key, budget)
+        r = _reduce_terms(arity, dict(s.terms), prepared, key, steps)
         if not r.is_zero():
             r = _monic(r, key)
             basis.append(r)
-            prepared.append((r.leading(key)[0], r.leading(key)[1], r))
+            prepared.append(r.leading(key) + (r,))
             new = len(basis) - 1
             pairs.extend((k, new) for k in range(new))
 
     # minimalize: drop any element whose lead another element's lead divides
     leads = [g.leading(key)[0] for g in basis]
-    minimal = []
-    for i, g in enumerate(basis):
-        dominated = False
-        for j in range(len(basis)):
-            if j == i or not _divides(leads[j], leads[i]):
-                continue
-            if leads[j] != leads[i] or j < i:  # equal leads: keep first only
-                dominated = True
-                break
-        if not dominated:
-            minimal.append(g)
+    minimal = [
+        g
+        for i, g in enumerate(basis)
+        if not any(  # of equal leads only the first stays
+            j != i and _divides(leads[j], leads[i]) and (leads[j] != leads[i] or j < i)
+            for j in range(len(basis))
+        )
+    ]
 
     # interreduce: no lead divides another, so one reduction of each element
     # against the others keeps every (monic) lead and leaves the reduced basis
     for i, g in enumerate(minimal):
         others = _prepare(minimal[:i] + minimal[i + 1 :], key)
-        minimal[i] = _reduce_terms(arity, dict(g.terms), others, key, budget)
+        minimal[i] = _reduce_terms(arity, dict(g.terms), others, key, steps)
 
     minimal.sort(key=lambda g: key(g.leading(key)[0]))
     return minimal
@@ -214,7 +220,7 @@ class IdealPres:
             raise ValueError("arity mismatch: polynomial has %d variables, ideal %d" % (p.arity, self.arity))
         if not self.groebner:
             return p
-        return _reduce_terms(self.arity, dict(p.terms), self._prepared, self._key, _Budget(None))
+        return _reduce_terms(self.arity, dict(p.terms), self._prepared, self._key, budget())
 
     def contains(self, p):
         return self.normal_form(p).is_zero()

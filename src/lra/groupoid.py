@@ -16,9 +16,10 @@ brute-force candidate generator, is the tests' oracle for that search.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .groebner import ResourceCapExceeded
+from .groebner import budget
 from .verdict import VerdictReport, VerificationError
 
 
@@ -422,6 +423,10 @@ def check_grpd_morphism(gamma, pi, m):
         if g not in m.arrows or m.arrows[g] not in pi.arrows:
             report.add("arrow map is total at %r" % (g,), False, "missing or dangling")
             return report
+    if len(m.arrows) != len(gamma.arrows):
+        extra = [g for g in m.arrows if g not in gamma.src]
+        report.add("arrow map is defined only on arrows of gamma", False, "extra arrows: %r" % extra[:3])
+        return report
     report.add("maps are total", True)
     bad = [x for x in gamma.objects if m.arrows[gamma.ident[x]] != pi.ident[m.base[x]]]
     report.add(
@@ -743,67 +748,55 @@ def make_action_groupoid_of_action(action):
 # -- enumeration and isomorphism ---------------------------------------------
 
 
-def iter_candidate_maps(gamma, pi, phi, kind, cap=10**6):
+def iter_candidate_maps(gamma, pi, phi, kind):
     """All typing-compatible candidates for one map kind over phi.
 
     Candidates respect sources and targets pointwise (maps that do not
     cannot pass either the direct verifier or the graph test, since their
-    graphs leave the phi-product).  The full search space is capped.  This
-    is the brute-force oracle for ``enumerate_maps``; only tests use it.
+    graphs leave the phi-product).  The size of the whole search space is
+    spent from the step budget up front.  This is the brute-force oracle
+    for ``enumerate_maps``; only tests use it.
     """
     _check_base_map(gamma, pi, phi)
     if kind == "morphism":
-        slots = list(gamma.arrows)
+        slots, make = list(gamma.arrows), GrpdMorphism
         options = [
             [w for w in pi.arrows if pi.src[w] == phi[gamma.src[g]] and pi.tgt[w] == phi[gamma.tgt[g]]]
             for g in slots
         ]
     elif kind == "comorphism":
-        slots = pullback_domain(gamma, pi, phi)
+        slots, make = pullback_domain(gamma, pi, phi), GrpdComorphism
         options = [
             [h for h in gamma.arrows if gamma.src[h] == x and phi[gamma.tgt[h]] == pi.tgt[w]]
             for (x, w) in slots
         ]
     else:
         raise ValueError("kind must be 'morphism' or 'comorphism'")
-    size = 1
-    for opts in options:
-        size *= len(opts)
-        if size > cap:
-            raise ResourceCapExceeded(
-                "map search space exceeds the cap of %d" % cap
-            )
-    if size == 0:
-        return
+    budget().spend("the candidate map space", math.prod(len(opts) for opts in options))
     for combo in itertools.product(*options):
-        if kind == "morphism":
-            yield GrpdMorphism(dict(phi), dict(zip(slots, combo)))
-        else:
-            yield GrpdComorphism(dict(phi), dict(zip(slots, combo)))
+        yield make(dict(phi), dict(zip(slots, combo)))
 
 
-def _depth_first(options, fits, leave, cap):
+def _depth_first(options, fits, leave):
     """Assignments of one option per slot, in ``itertools.product`` order, that fit.
 
     Slot i takes its options in order; ``fits(i, values)`` sees ``values[:i + 1]``
     filled and returns False to cut the branch.  ``leave(i, values)`` undoes
     what an accepted ``fits`` recorded, before slot i takes its next option.
-    The yielded list is reused: copy it before the next step.  More than
-    ``cap`` partial assignments tried raises ResourceCapExceeded.
+    The yielded list is reused: copy it before the next step.  Each partial
+    assignment tried spends one step of the budget.
     """
     n = len(options)
     if not n:
         yield []
         return
     values = [None] * n
-    tried = 0
+    steps = budget()
     stack = [iter(options[0])]
     while stack:
         i = len(stack) - 1
         for value in stack[i]:
-            tried += 1
-            if tried > cap:
-                raise ResourceCapExceeded("map search exceeds the cap of %d partial maps" % cap)
+            steps.spend("the map search")
             values[i] = value
             if fits(i, values):
                 break
@@ -819,7 +812,7 @@ def _depth_first(options, fits, leave, cap):
             leave(i, values)
 
 
-def _graph_search(product, slots, slot_of, cap):
+def _graph_search(product, slots, slot_of):
     """Graphs in ``product`` with one arrow per slot that are closed under its product.
 
     Slot s takes the arrows p with ``slot_of(p) == s`` in arrow order, and the
@@ -868,10 +861,10 @@ def _graph_search(product, slots, slot_of, cap):
         for j in undo.pop():
             del forced[j]
 
-    return _depth_first(options, fits, leave, cap)
+    return _depth_first(options, fits, leave)
 
 
-def _verified_maps(gamma, pi, phi, kind, cap):
+def _verified_maps(gamma, pi, phi, kind):
     """Maps of one kind over phi that the direct verifier passes, in candidate order."""
     product = make_phi_product(gamma, pi, phi)
     if kind == "morphism":
@@ -882,23 +875,23 @@ def _verified_maps(gamma, pi, phi, kind, cap):
         slot_of, value = (lambda p: (gamma.src[p[0]], p[1])), 0
     else:
         raise ValueError("kind must be 'morphism' or 'comorphism'")
-    for graph in _graph_search(product, slots, slot_of, cap):
+    for graph in _graph_search(product, slots, slot_of):
         m = make(dict(phi), {slot_of(p): p[value] for p in graph})
         if check(gamma, pi, m).verdict:
             yield m
 
 
-def enumerate_maps(gamma, pi, phi, kind, cap=10**6):
+def enumerate_maps(gamma, pi, phi, kind):
     """Every map of one kind over phi, as a closed graph in the phi-product.
 
     A morphism picks an arrow (g, w) for each arrow g of gamma, a comorphism
     one for each pullback pair (src g, w).  Slots and options come in
     ``iter_candidate_maps`` order, and so do the maps.  A branch is cut as
     soon as two chosen arrows have a product the graph cannot hold; each
-    complete map still passes the direct verifier.  ``cap`` bounds the
-    partial maps tried.
+    complete map still passes the direct verifier.  Each partial map tried
+    spends one step of the step budget (see ``groebner.step_budget``).
     """
-    return list(_verified_maps(gamma, pi, phi, kind, cap))
+    return list(_verified_maps(gamma, pi, phi, kind))
 
 
 def find_isomorphism(g1, g2):
@@ -918,7 +911,7 @@ def find_isomorphism(g1, g2):
     if hom_profile(g1) != hom_profile(g2):
         return None
     for perm in itertools.permutations(g2.objects):
-        for m in _verified_maps(g1, g2, dict(zip(g1.objects, perm)), "morphism", 10**6):
+        for m in _verified_maps(g1, g2, dict(zip(g1.objects, perm)), "morphism"):
             if len(set(m.arrows.values())) == len(m.arrows):
                 return m.base, m.arrows
     return None

@@ -219,9 +219,7 @@ def axioms_check(e):
     anchor sends basis brackets to commutators (tested on algebra
     variables), and the Jacobi identity holds on all basis triples.
     """
-    report = VerdictReport()
-    for i, delta in enumerate(e.anchors):
-        report.fold("anchor of e_%d is a derivation" % i, delta.check())
+    report = _derivation_checks(e.anchors)
     if not report.verdict:
         return report
 
@@ -236,6 +234,14 @@ def axioms_check(e):
                     jac.is_zero(),
                     "jacobiator is %s" % e.render_element(jac.coords),
                 )
+    return report
+
+
+def _derivation_checks(derivations):
+    """A report with one check per basis entry: is it a derivation of its algebra?"""
+    report = VerdictReport()
+    for i, delta in enumerate(derivations):
+        report.fold("anchor of e_%d is a derivation" % i, delta.check())
     return report
 
 
@@ -468,8 +474,9 @@ def make_der(algebra, basis=None, structure=None):
     pairwise commutators are expressed in the span automatically, or taken
     from caller-supplied coefficients (a pair left out is zero);
     inexpressible commutators are an error.  The axiom check then decides
-    that each basis entry is a derivation, that the coefficients give the
-    commutators, and the Jacobi identity.
+    that each basis entry is a derivation (checked first, before any
+    commutator is solved for), that the coefficients give the commutators,
+    and the Jacobi identity.
     """
     if basis is None:
         if not algebra.is_free():
@@ -479,10 +486,13 @@ def make_der(algebra, basis=None, structure=None):
         basis = [Derivation.partial(algebra, i) for i in range(algebra.arity)]
         structure = {}
     basis = list(basis)
+    failure = "derivations and structure coefficients do not match the axioms"
     if structure is None:
+        # commutators of non-derivations of a quotient are not defined on it
+        _derivation_checks(basis).require(failure)
         structure = _structure_from_commutators(algebra, basis)
     e = PAlg(algebra, len(basis), basis, structure)
-    axioms_check(e).require("derivations and structure coefficients do not match the axioms")
+    axioms_check(e).require(failure)
     return e
 
 

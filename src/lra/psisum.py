@@ -169,7 +169,7 @@ def direct_sum(e, f):
     axioms_check(e).require("the first summand fails its axioms")
     axioms_check(f).require("the second summand fails its axioms")
     a, b = e.algebra, f.algebra
-    tensor_algebra, _, right_renaming = a.tensor(b)
+    tensor_algebra, right_renaming = a.tensor(b)
     n_left = a.arity
     arity = tensor_algebra.arity
 

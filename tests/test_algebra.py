@@ -170,7 +170,7 @@ def test_commutator_is_a_derivation():
 def test_tensor_product_presentation():
     a = quotient(2)
     b = AlgebraPres(("x", "z"), IdealPres(2, [MPoly.variable(2, 1) ** 2]))
-    t, _, renaming = a.tensor(b)
+    t, renaming = a.tensor(b)
     assert t.variables == ("x", "x_1", "z")
     assert renaming == {"x": "x_1"}
     # both lifted relations still hold

@@ -294,6 +294,93 @@ def test_resource_cap_exit_code(tmp_path, monkeypatch):
     assert main(["check-algebra", str(path)]) == 3
 
 
+def test_step_cap_bounds_the_whole_command(tmp_path, monkeypatch, capsys):
+    """check-algebra spends Buchberger at load and one normal form per generator from one budget.
+
+    Counted here: each Buchberger run and each normal form fits under the
+    total minus one, so only a budget for the whole command can run out.
+    """
+    from lra import groebner
+
+    body = {"variables": ["x", "y"], "ideal": ["x^3 + y", "x*y + 1", "y^2 - x"], "order": "grevlex"}
+    path = tmp_path / "alg.json"
+    docs.save_document(docs.Document("algebra", "1", body), path)
+    units, opened = [], []
+
+    def counted(fn):
+        def wrapper(*args):
+            steps = groebner.budget()
+            before = steps.left
+            try:
+                return fn(*args)
+            finally:
+                units.append(before - steps.left)
+
+        return wrapper
+
+    @contextlib.contextmanager
+    def spy(cap, open_budget=groebner.step_budget):
+        with open_budget(cap) as steps:
+            opened.append(steps)
+            yield steps
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "buchberger", counted(groebner.buchberger))
+        patch.setattr(groebner.IdealPres, "normal_form", counted(groebner.IdealPres.normal_form))
+        patch.setattr(groebner, "step_budget", spy)
+        assert main(["check-algebra", str(path)]) == 0
+    (steps,) = opened
+    total = steps.cap - steps.left
+    assert sum(units) == total and 0 < max(units) < total
+    capsys.readouterr()
+    monkeypatch.setenv("LRA_STEP_CAP", str(total))
+    assert main(["check-algebra", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("LRA_STEP_CAP", str(total - 1))
+    assert main(["check-algebra", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("lra: resource cap: step cap of %d exhausted in " % (total - 1))
+
+
+def test_step_cap_bounds_the_map_search(monkeypatch, capsys):
+    pair = str(DATA["groupoid_pair2"])
+    argv = ["grpd", "enumerate", pair, pair, "--phi", "a->a,b->b", "--kind", "morphism"]
+    monkeypatch.setenv("LRA_STEP_CAP", "2")
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "lra: resource cap: step cap of 2 exhausted in the map search\n"
+    monkeypatch.delenv("LRA_STEP_CAP")
+    assert main(argv) == 0
+
+
+def test_step_budget_closes_with_the_command(workspace, tmp_path, monkeypatch):
+    """The command's budget is open while it runs and gone after any exit or exception."""
+    from lra import cli, groebner
+
+    _, p = workspace
+    alg = tmp_path / "alg.json"
+    body = {"variables": ["x", "y"], "ideal": ["x^3 + y", "x*y + 1", "y^2 - x"], "order": "grevlex"}
+    docs.save_document(docs.Document("algebra", "1", body), alg)
+    monkeypatch.setenv("LRA_STEP_CAP", "5")
+    for argv, code in (
+        (["grpd", "check", str(DATA["groupoid_pair2"])], 0),
+        (["check", "comorphism", p["duv.json"], p["dx.json"], p["mut.json"]], 1),
+        (["check-algebra", str(tmp_path / "missing.json")], 2),
+        (["check-algebra", str(alg)], 3),
+    ):
+        assert main(argv) == code
+        assert groebner.default_step_cap() == groebner.DEFAULT_STEP_CAP
+    seen = []
+
+    def boom(g):
+        seen.append(groebner.default_step_cap())
+        raise RuntimeError("internal bug")
+
+    monkeypatch.setattr(cli, "check_groupoid", boom)
+    with pytest.raises(RuntimeError, match="internal bug"):
+        main(["grpd", "check", str(DATA["groupoid_pair2"])])
+    assert seen == [5]
+    assert groebner.default_step_cap() == groebner.DEFAULT_STEP_CAP
+
+
 @pytest.mark.parametrize("cap", ["-5", "0"])
 def test_step_cap_below_one_exits_two(monkeypatch, capsys, cap):
     monkeypatch.setenv("LRA_STEP_CAP", cap)
@@ -551,6 +638,31 @@ def test_grpd_witnesses_do_not_depend_on_hash_seed(tmp_path):
             ["psisum", "member", "{dx}", "{dy}", "{psi_square}", "{member}", "-o", "out.json"],
             "member takes no --output",
         ),
+        (
+            [
+                "grpd", "enumerate", "{groupoid_pair2}", "{groupoid_pair2}",
+                "--phi", "a->a,b->b,a->b", "--kind", "morphism",
+            ],
+            "repeated key 'a' in the base map",
+        ),
+        (
+            [
+                "grpd", "build", "phi-product", "{groupoid_pair2}", "{groupoid_pair2}",
+                "--phi", "a->a,b->b,b->b",
+            ],
+            "repeated key 'b' in the base map",
+        ),
+        (
+            ["grpd", "build", "action", "--cyclic", "2", "--objects", "a,b", "--perm", "a->b,b->a, a -> a"],
+            "repeated key 'a' in the permutation",
+        ),
+        (
+            [
+                "grpd", "build", "gauge", "--cyclic", "2", "--total", "p,q",
+                "--proj", "p->1,q->1,p->2", "--perm", "p->q,q->p",
+            ],
+            "repeated key 'p' in the projection",
+        ),
     ],
 )
 def test_malformed_command_lines_exit_two(workspace, capsys, argv, culprit):
@@ -561,6 +673,30 @@ def test_malformed_command_lines_exit_two(workspace, capsys, argv, culprit):
     captured = capsys.readouterr()
     assert captured.err == "lra: input error: %s\n" % culprit
     assert captured.out == ""
+
+
+def test_arrow_map_with_an_extra_arrow_fails_both_tests(tmp_path, capsys):
+    """An arrow-map key outside gamma fails the direct verifier as it fails the graph test."""
+    from lra.groupoid import GrpdMorphism, make_pair
+
+    pair = make_pair(["a", "b"])
+    g, mp = tmp_path / "pair.json", tmp_path / "map.json"
+    docs.save_document(docs.groupoid_document(pair), g)
+    extra = GrpdMorphism({"a": "a", "b": "b"}, {**{w: w for w in pair.arrows}, "zz": ("a", "a")})
+    docs.save_document(docs.grpdmap_document(extra), mp)
+    assert main(["--format", "json", "grpd", "check-map", str(g), str(g), str(mp)]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks == [
+        {
+            "name": "arrow map is defined only on arrows of gamma",
+            "status": "fail",
+            "witness": "extra arrows: ['zz']",
+        }
+    ]
+    assert main(["--format", "json", "grpd", "graph-theorem", str(g), str(g), str(mp)]) == 1
+    status = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert status["direct verifier and graph test agree"] == "pass"
+    assert status["graph: graph lies inside the phi-product"] == "fail"
 
 
 # -- robustness: command lines from the table and mutated corpus documents ----

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import action_tables, all_base_maps, composable_oracle, groupoid_corpus
-from lra.groebner import ResourceCapExceeded
+from lra.groebner import ResourceCapExceeded, step_budget
 from lra.groupoid import (
     FiniteGroup,
     FinGroupoid,
@@ -256,8 +256,8 @@ def test_enumerate_maps_examples():
 def test_enumerate_respects_cap():
     z3 = FiniteGroup.cyclic(3)
     g = make_action_groupoid(z3, ["o"], {("o", k): "o" for k in range(3)})
-    with pytest.raises(ResourceCapExceeded):
-        list(iter_candidate_maps(g, g, {"o": "o"}, "morphism", cap=10))
+    with step_budget(10), pytest.raises(ResourceCapExceeded, match="in the candidate map space"):
+        list(iter_candidate_maps(g, g, {"o": "o"}, "morphism"))
 
 
 def trivial_bundle(k, m):
@@ -316,8 +316,9 @@ def test_search_finds_every_bundle_map(k, m):
 def test_search_respects_cap():
     gamma, pi, phi = trivial_bundle(3, 3)
     for kind in ("morphism", "comorphism"):
-        with pytest.raises(ResourceCapExceeded, match="cap of 10 partial maps"):
-            enumerate_maps(gamma, pi, phi, kind, cap=10)
+        with step_budget(10):
+            with pytest.raises(ResourceCapExceeded, match="cap of 10 exhausted in the map search"):
+                enumerate_maps(gamma, pi, phi, kind)
 
 
 def shuffled_copy(g, rng):
@@ -338,12 +339,13 @@ def shuffled_copy(g, rng):
 def graph_search_maps(gamma, pi, phi, kind):
     """The raw output of the graph search, before any verifier, read back as maps."""
     product = make_phi_product(gamma, pi, phi)
-    if kind == "morphism":
-        graphs = _graph_search(product, list(gamma.arrows), lambda p: p[0], 10**6)
-        return [GrpdMorphism(phi, {g: w for g, w in graph}) for graph in graphs]
-    slots = pullback_domain(gamma, pi, phi)
-    graphs = _graph_search(product, slots, lambda p: (gamma.src[p[0]], p[1]), 10**6)
-    return [GrpdComorphism(phi, {(gamma.src[g], w): g for g, w in graph}) for graph in graphs]
+    with step_budget(10**6):
+        if kind == "morphism":
+            graphs = _graph_search(product, list(gamma.arrows), lambda p: p[0])
+            return [GrpdMorphism(phi, {g: w for g, w in graph}) for graph in graphs]
+        slots = pullback_domain(gamma, pi, phi)
+        graphs = _graph_search(product, slots, lambda p: (gamma.src[p[0]], p[1]))
+        return [GrpdComorphism(phi, {(gamma.src[g], w): g for g, w in graph}) for graph in graphs]
 
 
 def test_graph_search_is_exact():

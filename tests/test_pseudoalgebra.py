@@ -440,9 +440,11 @@ def test_non_derivations_of_a_quotient_are_rejected():
     circle = _circle()
     x, y = circle.variable(0), circle.variable(1)
     rotation, d_x = Derivation(circle, [-y, x]), Derivation.partial(circle, 0)
-    with pytest.raises(VerificationError):
-        make_der(circle, [rotation, d_x])
-    with pytest.raises(VerificationError):
-        make_der(circle, [rotation, d_x], structure={})
+    failing = []
+    for structure in (None, {}):  # solved for, or supplied: the same axiom report
+        with pytest.raises(VerificationError) as err:
+            make_der(circle, [rotation, d_x], structure=structure)
+        failing.append([c.name for c in err.value.report.failures()])
+    assert failing == [["anchor of e_1 is a derivation"]] * 2
     with pytest.raises(VerificationError):
         make_action(circle, make_klie({}, rank=2), [rotation, d_x])
