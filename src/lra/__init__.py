@@ -55,7 +55,6 @@ from .pseudoalgebra import (
     axioms_check,
     bracket,
     differential,
-    jacobiator,
     make_action,
     make_cotangent_poisson,
     make_der,

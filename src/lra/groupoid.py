@@ -288,12 +288,32 @@ def restrict_groupoid(gamma, objects):
 
 
 def _check_base_map(gamma, pi, phi):
-    """A base map must be defined on every object of gamma and land in pi's objects."""
+    """A base map must be defined exactly on the objects of gamma and land in pi's objects."""
     for x in gamma.objects:
         if x not in phi:
             raise ValueError("phi is not defined at %r" % (x,))
         if phi[x] not in pi.objects:
             raise ValueError("phi does not land in the other base: %r -> %r" % (x, phi[x]))
+    extra = _extra_objects(gamma, phi)
+    if extra:
+        raise ValueError("phi is defined at %r, which is not an object" % (extra[0],))
+
+
+def _extra_objects(gamma, phi):
+    """Keys of the base map ``phi`` that are not objects of gamma, in map order."""
+    objects = set(gamma.objects)
+    return [x for x in phi if x not in objects]
+
+
+def _base_map_fault(gamma, pi, phi):
+    """(check name, witness) of the first fault of a base map on gamma, or None."""
+    for x in gamma.objects:
+        if x not in phi or phi[x] not in pi.objects:
+            return "base map is total at %r" % (x,), "missing or dangling"
+    extra = _extra_objects(gamma, phi)
+    if extra:
+        return "base map is defined only on objects of gamma", "extra objects: %r" % extra[:3]
+    return None
 
 
 def make_phi_product(gamma, pi, phi):
@@ -415,10 +435,10 @@ def pullback_domain(gamma, pi, phi):
 def check_grpd_morphism(gamma, pi, m):
     """Verify a morphism of groupoids from gamma to pi over its base map."""
     report = VerdictReport()
-    for x in gamma.objects:
-        if x not in m.base or m.base[x] not in pi.objects:
-            report.add("base map is total at %r" % (x,), False, "missing or dangling")
-            return report
+    fault = _base_map_fault(gamma, pi, m.base)
+    if fault:
+        report.add(fault[0], False, fault[1])
+        return report
     for g in gamma.arrows:
         if g not in m.arrows or m.arrows[g] not in pi.arrows:
             report.add("arrow map is total at %r" % (g,), False, "missing or dangling")
@@ -460,10 +480,10 @@ def check_grpd_comorphism(gamma, pi, m):
     """Verify a comorphism from pi to gamma over phi: base(gamma) -> base(pi)."""
     report = VerdictReport()
     phi = m.base
-    for x in gamma.objects:
-        if x not in phi or phi[x] not in pi.objects:
-            report.add("base map is total at %r" % (x,), False, "missing or dangling")
-            return report
+    fault = _base_map_fault(gamma, pi, phi)
+    if fault:
+        report.add(fault[0], False, fault[1])
+        return report
     domain = pullback_domain(gamma, pi, phi)
     missing = [p for p in domain if p not in m.table]
     domain_set = set(domain)
@@ -530,9 +550,13 @@ def graph_subgroupoid_check(gamma, pi, phi, graph, product=None):
     """Is the given set of pairs a wide subgroupoid of the phi-product?
 
     ``product`` may carry a prebuilt phi-product for repeated checks over
-    one base map.
+    one base map.  A base map with keys that are not objects of gamma fails.
     """
     report = VerdictReport()
+    extra = _extra_objects(gamma, phi)
+    if extra:
+        report.add("base map is defined only on objects of gamma", False, "extra objects: %r" % extra[:3])
+        return report
     if product is None:
         product = make_phi_product(gamma, pi, phi)
     arrow_set = set(product.arrows)

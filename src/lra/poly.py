@@ -56,11 +56,12 @@ class MPoly:
     are never stored, so equality of polynomials is dict equality.
 
     ``MPoly(arity, terms)`` validates: it copies ``terms``, checks every
-    exponent and turns every coefficient into a Fraction.  The parser, the
-    document loaders and the public constructors build through it.
-    Arithmetic on polynomials that are already valid builds its results
-    with ``MPoly._raw``, which trusts a fresh dict and neither copies nor
-    checks it.  Polynomials are never mutated after construction.
+    exponent and turns every coefficient into a Fraction.  The document
+    loaders and the public constructors build through it.  Arithmetic on
+    polynomials that are already valid, and the parser, which builds its
+    own term dict, build their results with ``MPoly._raw``, which trusts
+    a fresh dict and neither copies nor checks it.  Polynomials are never
+    mutated after construction.
     """
 
     __slots__ = ("arity", "terms")
@@ -369,12 +370,15 @@ def parse_poly(text, names):
     """Parse a polynomial in the declared variables ``names``.
 
     Grammar: ``poly := [-] term {(+|-) term}``; ``term := factor {* factor}``;
-    ``factor := int [/ int] | name [^ int]``.
+    ``factor := int [/ int] | name [^ int]``.  The grammar has no
+    parentheses, so it is read term by term: each term becomes one
+    exponent list and one coefficient, and the terms are summed in a dict
+    of exponent tuples, with no polynomial arithmetic.
     """
     index = {name: i for i, name in enumerate(names)}
     arity = len(names)
     toks = _Tokens(text)
-    result = MPoly.zero(arity)
+    terms = {}
 
     def parse_int(what):
         kind, value, _ = toks.peek()
@@ -383,57 +387,60 @@ def parse_poly(text, names):
         toks.advance()
         return int(value)
 
-    def parse_factor():
-        kind, value, _ = toks.peek()
-        if kind == "num":
-            toks.advance()
-            coeff = Fraction(int(value))
-            if toks.peek()[:2] == ("op", "/"):
+    def parse_term(sign):
+        num, den = sign, 1
+        exp = [0] * arity
+        while True:
+            kind, value, pos = toks.peek()
+            if kind == "num":
                 toks.advance()
-                den = parse_int("denominator")
-                if den == 0:
-                    toks.error("zero denominator")
-                coeff /= den
-            return MPoly.const(arity, coeff)
-        if kind == "name":
-            toks.advance()
-            if value not in index:
-                raise PolyParseError(
-                    "unknown variable %r" % value, *_line_col(text, toks.items[toks.pos - 1][2])
-                )
-            exponent = 1
-            if toks.peek()[:2] == ("op", "^"):
+                num *= int(value)
+                if toks.peek()[:2] == ("op", "/"):
+                    toks.advance()
+                    d = parse_int("denominator")
+                    if d == 0:
+                        toks.error("zero denominator")
+                    den *= d
+            elif kind == "name":
                 toks.advance()
-                exponent = parse_int("exponent")
-            return MPoly.variable(arity, index[value]) ** exponent
-        toks.error("expected a coefficient or variable")
-
-    def parse_term():
-        factor = parse_factor()
-        while toks.peek()[:2] == ("op", "*"):
+                if value not in index:
+                    raise PolyParseError("unknown variable %r" % value, *_line_col(text, pos))
+                e = 1
+                if toks.peek()[:2] == ("op", "^"):
+                    toks.advance()
+                    e = parse_int("exponent")
+                exp[index[value]] += e
+            else:
+                toks.error("expected a coefficient or variable")
+            if toks.peek()[:2] != ("op", "*"):
+                break
             toks.advance()
-            factor = factor * parse_factor()
-        return factor
+        if num:
+            coeff = Fraction(num) if den == 1 else Fraction(num, den)
+            key = tuple(exp)
+            acc = terms.get(key)
+            if acc is None:
+                terms[key] = coeff
+            else:
+                acc += coeff
+                if acc:
+                    terms[key] = acc
+                else:
+                    del terms[key]
 
-    negative = False
+    sign = 1
     if toks.peek()[:2] == ("op", "-"):
         toks.advance()
-        negative = True
-    term = parse_term()
-    result = result + (-term if negative else term)
+        sign = -1
     while True:
+        parse_term(sign)
         kind, value, _ = toks.peek()
         if kind == "end":
-            break
-        if (kind, value) == ("op", "+"):
-            toks.advance()
-            result = result + parse_term()
-        elif (kind, value) == ("op", "-"):
-            toks.advance()
-            result = result - parse_term()
-        else:
+            return MPoly._raw(arity, terms)
+        if kind != "op" or value not in ("+", "-"):
             toks.error("expected '+' or '-'")
-    return result
+        toks.advance()
+        sign = 1 if value == "+" else -1
 
 
 def poly_to_string(p, names, order="grevlex"):

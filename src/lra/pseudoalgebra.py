@@ -8,10 +8,18 @@ Leibniz-compatible bilinear extension:
     [X, Y] = sum_{i<j} (x_i y_j - x_j y_i) [e_i, e_j]
            + sum_k theta(X)(y_k) e_k - sum_k theta(Y)(x_k) e_k
 
-Axioms are checked on basis data only; that suffices because the
-compatibility rules extend all three defining identities from basis
-vectors to general elements (the degree-0/1 consequence tests in the
-suite guard this reduction).
+Axioms are checked on basis data only.  The rule [fX, Y] = f[X, Y] -
+rho(Y)(f) X gives the Jacobiator of basis vectors straight from the
+table c_ab^l and the anchors: coordinate m of [[e_a, e_b], e_c] is
+
+    sum_l c_ab^l c_lc^m - rho_c(c_ab^m),
+
+and the Jacobiator is its cyclic sum over (a, b, c).  Basis triples
+suffice: once rho is a derivation on each basis vector and sends
+brackets to commutators, the Jacobiator is alternating and A-linear in
+each argument, since J(fX, Y, Z) = f J(X, Y, Z) + (rho([Y, Z]) -
+[rho(Y), rho(Z)])(f) X.  So it vanishes when it vanishes on e_a, e_b,
+e_c for a < b < c.
 """
 
 from __future__ import annotations
@@ -184,6 +192,12 @@ def anchor_apply(x, a):
     alg = e.algebra
     if a.arity != alg.arity:
         raise ValueError("argument arity does not match the coefficient algebra")
+    if a.is_constant():
+        # a derivation kills constants; it must still be one of the algebra
+        for xi, delta in zip(x.coords, e.anchors):
+            if not xi.is_zero():
+                delta.check().require("derivation does not preserve the ideal")
+        return alg.zero()
     out = MPoly.zero(alg.arity)
     for xi, delta in zip(x.coords, e.anchors):
         if xi.is_zero():
@@ -217,7 +231,12 @@ def axioms_check(e):
 
     Checks, itemized per witness: every anchor entry is a derivation, the
     anchor sends basis brackets to commutators (tested on algebra
-    variables), and the Jacobi identity holds on all basis triples.
+    variables), and the Jacobi identity holds on all basis triples
+    a < b < c.  Coordinate m of the Jacobiator of a triple is the cyclic
+    sum of sum_l c_ab^l c_lc^m - rho_c(c_ab^m), read from the table.
+    Given the first two axioms the Jacobiator is A-trilinear and
+    alternating (see the module docstring), so basis triples suffice.
+    When some anchor entry is not a derivation the report stops there.
     """
     report = _derivation_checks(e.anchors)
     if not report.verdict:
@@ -228,13 +247,34 @@ def axioms_check(e):
     for i in range(e.rank):
         for j in range(i + 1, e.rank):
             for k in range(j + 1, e.rank):
-                jac = jacobiator(e.basis(i), e.basis(j), e.basis(k))
+                jac = _basis_jacobiator(e, i, j, k)
                 report.add(
                     "Jacobi identity on (e_%d, e_%d, e_%d)" % (i, j, k),
-                    jac.is_zero(),
-                    "jacobiator is %s" % e.render_element(jac.coords),
+                    all(c.is_zero() for c in jac),
+                    "jacobiator is %s" % e.render_element(jac),
                 )
     return report
+
+
+def _basis_jacobiator(e, a, b, c):
+    """Coordinates of [[e_a, e_b], e_c] + [[e_b, e_c], e_a] + [[e_c, e_a], e_b].
+
+    By [fX, Y] = f[X, Y] - rho(Y)(f) X, coordinate m of [[e_i, e_j], e_k]
+    is sum_l c_ij^l c_lk^m - rho_k(c_ij^m), straight from the table; rho_k
+    of a constant is zero.  The anchors must be known to be derivations.
+    """
+    alg = e.algebra
+    out = [alg.zero()] * e.rank
+    for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+        for l, u in enumerate(e.struct_coeffs(i, j)):
+            if u.is_zero():
+                continue
+            for m, v in enumerate(e.struct_coeffs(l, k)):
+                if not v.is_zero():
+                    out[m] = out[m] + u * v
+            if not u.is_constant():
+                out[l] = out[l] - e.anchors[k].apply(u)
+    return [alg.nf(p) for p in out]
 
 
 def _derivation_checks(derivations):
@@ -267,14 +307,6 @@ def _anchor_axiom(report, derivations, structure):
                 "anchor of bracket gives %s, commutator gives %s"
                 % (alg.render(image), alg.render(comm.images[v])),
             )
-
-
-def jacobiator(x, y, z):
-    return (
-        bracket(bracket(x, y), z)
-        + bracket(bracket(y, z), x)
-        + bracket(bracket(z, x), y)
-    )
 
 
 class KForm:

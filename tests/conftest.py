@@ -17,6 +17,7 @@ from lra import (
     PAComorphism,
     PAElement,
     PAMorphism,
+    bracket,
     make_action_groupoid,
     make_der,
     make_klie,
@@ -54,6 +55,18 @@ def sl2_action_images(algebra):
         Derivation.partial(algebra, 0),
         Derivation(algebra, [-(x ** 2)]),
     ]
+
+
+# -- the Jacobi identity through the general bracket ---------------------------
+
+
+def jacobiator(x, y, z):
+    """[[x, y], z] + [[y, z], x] + [[z, x], y], through the Leibniz-extended bracket.
+
+    The reference for the axiom check, which reads the Jacobiator of
+    basis vectors straight from the structure table and the anchors.
+    """
+    return bracket(bracket(x, y), z) + bracket(bracket(y, z), x) + bracket(bracket(z, x), y)
 
 
 # -- reference formulas of the twisted sum -----------------------------------

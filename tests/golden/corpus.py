@@ -1,0 +1,301 @@
+"""The golden corpus: command lines whose exact output is committed.
+
+Each record holds one ``lra`` command line (its argv and step cap), its
+exit code, stdout and stderr, with report times stripped.  The command
+lines are:
+
+- every job of the palg-verdicts and groupoid-search benchmark workloads
+  at smoke size (seed 7), in text and in ``--format json``;
+- every ``tests/data`` document through each command that reads it;
+- pseudoalgebras with seeded random structure tables over Q[x,y,z] and
+  over the circle Q[x,y]/(x^2 + y^2 - 1), most of them failing, so
+  their reports carry Jacobi and anchor witnesses;
+- algebra documents with malformed polynomial text (exit 2 with a
+  location);
+- a few runs under ``LRA_STEP_CAP`` 1 to 5.
+
+This is a change detector, not an oracle: a record only says what the
+program printed when it was written.  ``tests/test_golden.py`` runs every
+command line in-process and prints a unified diff on a mismatch.  After a
+change of output that is meant, rewrite the records with
+
+    PYTHONPATH=src python tests/golden/corpus.py
+
+and name every changed record, and why it changed, in CHANGES.md.
+"""
+
+import contextlib
+import difflib
+import importlib.util
+import io
+import json
+import os
+import pathlib
+import random
+import re
+import sys
+
+HERE = pathlib.Path(__file__).resolve().parent
+ROOT = HERE.parents[1]
+DATA = ROOT / "tests" / "data"
+PERFBENCH = ROOT / "perfbench"
+RECORDS = HERE / "records.json"
+SEED = 7
+
+_TIMES = (
+    (re.compile(r"time: [0-9.]+ ms"), "time: * ms"),
+    (re.compile(r'"timing_ms": [0-9.eE+-]+'), '"timing_ms": *'),
+)
+
+
+def _load_workloads():
+    """perfbench/workloads.py, loaded by path (it imports its sibling ``polys``)."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("lra_golden_workloads", PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
+
+
+# -- documents written here ------------------------------------------------------
+
+
+def _doc(workdir, name, kind, body):
+    path = workdir / (name + ".json")
+    path.write_text(json.dumps({"kind": kind, "version": "1", "body": body}, sort_keys=True, indent=2))
+    return str(path)
+
+
+def _factor_text(rng, names):
+    """One factor: an integer, a fraction or a variable with an optional exponent."""
+    roll = rng.random()
+    if roll < 0.2:
+        return str(rng.randint(1, 3))
+    if roll < 0.3:
+        return "%d/%d" % (rng.randint(1, 3), rng.randint(1, 3))
+    name = rng.choice(names)
+    return name if rng.random() < 0.7 else "%s^%d" % (name, rng.randint(0, 2))
+
+
+def _poly_terms(rng, names, max_terms=2, max_factors=3):
+    """Signed term bodies; the factors repeat variables and numbers freely."""
+    terms = []
+    for _ in range(rng.randint(0, max_terms)):
+        factors = [_factor_text(rng, names) for _ in range(rng.randint(1, max_factors))]
+        terms.append((rng.choice("+-"), "*".join(factors)))
+    return terms
+
+
+def _text(terms):
+    if not terms:
+        return "0"
+    (sign, body), rest = terms[0], terms[1:]
+    return ("-" if sign == "-" else "") + body + "".join(" %s %s" % term for term in rest)
+
+
+def _times(terms, factor, flip=False):
+    return [("-" if (sign == "-") != flip else "+", body + "*" + factor) for sign, body in terms]
+
+
+def _palg_body(variables, ideal, anchors, table):
+    return {
+        "algebra": {"variables": list(variables), "ideal": list(ideal), "order": "grevlex"},
+        "rank": len(anchors),
+        "anchor": anchors,
+        "structure": [{"i": i, "j": j, "coeffs": row} for (i, j), row in sorted(table.items())],
+    }
+
+
+CIRCLE = ("x", "y"), ("x^2 + y^2 - 1",)
+
+
+def _random_palgs(rng):
+    """(name, body) of seeded random tables: free Q[x,y,z], and the circle with
+    anchors f*(-y, x), which are derivations of the circle."""
+    out = []
+    for n, rank in enumerate((3, 3, 3, 4, 4, 4)):
+        names = ("x", "y", "z")
+        anchors = [[_text(_poly_terms(rng, names, 1, 2)) for _ in names] for _ in range(rank)]
+        table = {(i, j): [_text(_poly_terms(rng, names)) for _ in range(rank)]
+                 for i in range(rank) for j in range(i + 1, rank)}
+        out.append(("free-random-%d" % n, _palg_body(names, (), anchors, table)))
+    names, ideal = CIRCLE
+    for n, rank in enumerate((3, 3, 3, 4, 4, 4)):
+        anchors = []
+        for _ in range(rank):
+            f = _poly_terms(rng, names, 2, 2)
+            anchors.append([_text(_times(f, "y", flip=True)), _text(_times(f, "x"))])
+        table = {(i, j): [_text(_poly_terms(rng, names)) for _ in range(rank)]
+                 for i in range(rank) for j in range(i + 1, rank)}
+        out.append(("circle-random-%d" % n, _palg_body(names, ideal, anchors, table)))
+    rotations = [["-y", "x"], ["-x*y", "x^2"]]
+    # [R, xR] = -y R passes; the zero table and a wrong sign fail
+    out.append(("circle-rotations", _palg_body(names, ideal, rotations, {(0, 1): ["-y", "0"]})))
+    out.append(("circle-rotations-zero-table", _palg_body(names, ideal, rotations, {})))
+    out.append(("circle-rotations-wrong-sign", _palg_body(names, ideal, rotations, {(0, 1): ["y", "0"]})))
+    three = rotations + [["-y^3", "x*y^2"]]
+    out.append(("circle-rank3-zero-table", _palg_body(names, ideal, three, {})))
+    return out
+
+
+BAD_POLYNOMIALS = (
+    "2*x^", "1/0", "q + 1", "x 2", "x + ", "", "x $ y", "x\n+ y^", "x +\n\n  3/0*y", "*x", "x^y",
+)
+
+
+# -- the command lines -----------------------------------------------------------
+
+
+def _both_formats(name, argv, cap=None):
+    return [(name + " [text]", argv, cap), (name + " [json]", ["--format", "json"] + argv, cap)]
+
+
+def _data(name):
+    return "{data}/%s.json" % name
+
+
+def cases(workdir):
+    """(name, argv, step cap) of every record; writes the documents into ``workdir``."""
+    workdir = pathlib.Path(workdir)
+    out = []
+    workloads = _load_workloads()
+    for workload in ("palg-verdicts", "groupoid-search"):
+        sub = workdir / workload
+        load = workloads.build(workload, SEED, str(sub), True, str(DATA))
+        for job in load.jobs:
+            argv = [arg.replace(str(workdir), "{work}") for arg in job.argv]
+            assert argv[:2] == ["--format", "json"]
+            out += _both_formats("%s: %s" % (workload, job.label), argv[2:])
+
+    line, plane, sl2 = _data("palg_der_line"), _data("palg_der_plane"), _data("palg_sl2_action")
+    curve, swap, pair = _data("morphism_curve"), _data("groupoid_swap"), _data("groupoid_pair2")
+    data_lines = [
+        ["check-algebra", _data("algebra_line")],
+        ["check-algebra", _data("algebra_truncated")],
+        ["check", "algmorphism", curve],
+        ["check", "derivation", _data("derivation_euler")],
+        ["check-palg", line],
+        ["check-palg", plane],
+        ["check-palg", sl2],
+        ["check", "morphism", line, line, _data("pamorphism_line_identity")],
+        ["graph-theorem", "morphism", line, line, _data("pamorphism_line_identity")],
+        ["check", "comorphism", plane, line, _data("pacomorphism_curve")],
+        ["check", "chainmap", plane, line, _data("pacomorphism_curve")],
+        ["graph-theorem", "comorphism", plane, line, _data("pacomorphism_curve")],
+        ["psisum", "member", plane, line, curve, _data("element_curve")],
+        ["psisum", "bracket", plane, line, curve, _data("element_curve"), _data("element_curve")],
+        ["psisum", "closure-suite", plane, line, curve, _data("element_curve"), _data("element_curve")],
+        ["restrict", "member", sl2, _data("element_sl2"), "--ideal", "x"],
+        ["restrict", "bracket", sl2, _data("element_sl2"), _data("element_sl2"), "--ideal", "x"],
+        ["grpd", "check", pair],
+        ["grpd", "check", swap],
+        ["grpd", "check-map", swap, pair, _data("grpdmap_swap_pair2_morphism")],
+        ["grpd", "check-map", swap, pair, _data("grpdmap_swap_pair2_comorphism")],
+        ["grpd", "graph-theorem", swap, pair, _data("grpdmap_swap_pair2_morphism")],
+        ["grpd", "graph-theorem", swap, pair, _data("grpdmap_swap_pair2_comorphism")],
+        ["grpd", "enumerate", swap, pair, "--phi", "1->a,2->b", "--kind", "morphism"],
+        ["grpd", "enumerate", swap, pair, "--phi", "1->a,2->b", "--kind", "comorphism"],
+    ]
+    for argv in data_lines:
+        out += _both_formats("data: " + " ".join(argv), argv)
+
+    palgs = workdir / "palgs"
+    palgs.mkdir()
+    for name, body in _random_palgs(random.Random("golden/%d" % SEED)):
+        _doc(palgs, name, "palg", body)
+        out += _both_formats("palg: check-palg " + name, ["check-palg", "{work}/palgs/%s.json" % name])
+
+    for n, text in enumerate(BAD_POLYNOMIALS):
+        _doc(palgs, "bad%d" % n, "algebra", {"variables": ["x", "y"], "ideal": [text], "order": "grevlex"})
+        out += _both_formats("parse: %r" % text, ["check-algebra", "{work}/palgs/bad%d.json" % n])
+
+    capped = [
+        ["check-palg", "{work}/palgs/circle-rotations.json"],
+        ["check-palg", "{work}/palgs/circle-random-0.json"],
+        ["check-palg", sl2],
+        ["check", "comorphism", plane, line, _data("pacomorphism_curve")],
+        ["grpd", "enumerate", pair, pair, "--phi", "a->a,b->b", "--kind", "morphism"],
+    ]
+    for argv in capped:
+        for cap in range(1, 6):
+            out += _both_formats("cap %d: %s" % (cap, " ".join(argv)), argv, cap)
+    return out
+
+
+# -- running and comparing -----------------------------------------------------------
+
+
+def run(argv, cap, workdir):
+    """The record of one command line, run in-process."""
+    from lra import cli
+
+    subs = {"{data}": str(DATA), "{work}": str(workdir)}
+    real = [arg.replace("{data}", subs["{data}"]).replace("{work}", subs["{work}"]) for arg in argv]
+    saved = os.environ.pop("LRA_STEP_CAP", None)
+    if cap is not None:
+        os.environ["LRA_STEP_CAP"] = str(cap)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(real)
+    finally:
+        os.environ.pop("LRA_STEP_CAP", None)
+        if saved is not None:
+            os.environ["LRA_STEP_CAP"] = saved
+
+    def clean(text):
+        for placeholder, path in subs.items():
+            text = text.replace(path, placeholder)
+        for pattern, repl in _TIMES:
+            text = pattern.sub(repl, text)
+        return text.splitlines()
+
+    return {"argv": argv, "cap": cap, "exit": code, "stdout": clean(out.getvalue()), "stderr": clean(err.getvalue())}
+
+
+def generate(workdir):
+    """Every record, keyed by name."""
+    records = {}
+    for name, argv, cap in cases(workdir):
+        assert name not in records, name
+        records[name] = run(argv, cap, workdir)
+    return records
+
+
+def load_records():
+    return json.loads(RECORDS.read_text(encoding="utf-8"))
+
+
+def _lines(records):
+    lines = []
+    for name in sorted(records):
+        r = records[name]
+        lines.append("## %s" % name)
+        lines.append("argv: %s" % " ".join(r["argv"]))
+        lines.append("cap: %s, exit: %s" % (r["cap"], r["exit"]))
+        lines += ["out| " + line for line in r["stdout"]]
+        lines += ["err| " + line for line in r["stderr"]]
+    return lines
+
+
+def diff(expected, actual):
+    """A unified diff of two record sets; empty when they agree."""
+    if expected == actual:
+        return ""
+    return "\n".join(difflib.unified_diff(_lines(expected), _lines(actual), "golden", "now", lineterm=""))
+
+
+def main():
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as workdir:
+        records = generate(workdir)
+    RECORDS.write_text(json.dumps(records, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    print("wrote %d records to %s" % (len(records), RECORDS.relative_to(ROOT)))
+
+
+if __name__ == "__main__":
+    main()

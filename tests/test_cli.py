@@ -523,6 +523,43 @@ def test_grpd_commands_reject_bad_base_maps(tmp_path, capsys, argv, message):
         assert "'a' -> 'zz'" in err
 
 
+def _base_with_extra_key_doc(tmp_path, kind):
+    """The identity map of make_pair(["a", "b"]) whose base also sends zz to a."""
+    from lra.groupoid import GrpdComorphism, GrpdMorphism, make_pair
+
+    g = make_pair(["a", "b"])
+    base = {"a": "a", "b": "b", "zz": "a"}
+    if kind == "morphism":
+        m = GrpdMorphism(base, {a: a for a in g.arrows})
+    else:
+        m = GrpdComorphism(base, {(g.src[w], w): w for w in g.arrows})
+    path = tmp_path / ("extra-%s.json" % kind)
+    docs.save_document(docs.grpdmap_document(m), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["morphism", "comorphism"])
+def test_grpd_base_map_keys_outside_gamma_fail(tmp_path, capsys, kind):
+    _, good = _pair_without_product(tmp_path)
+    path = _base_with_extra_key_doc(tmp_path, kind)
+    failing = "base map is defined only on objects of gamma -- extra objects: ['zz']"
+    assert main(["grpd", "check-map", good, good, path]) == 1
+    assert "[FAIL] %s" % failing in capsys.readouterr().out
+    assert main(["grpd", "graph-theorem", good, good, path]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] direct: %s" % failing in out
+    assert "[FAIL] graph: %s" % failing in out
+    assert "[ok  ] direct verifier and graph test agree" in out
+
+
+@pytest.mark.parametrize("kind", ["morphism", "comorphism"])
+def test_grpd_enumerate_rejects_base_map_keys_outside_gamma(tmp_path, capsys, kind):
+    _, good = _pair_without_product(tmp_path)
+    argv = ["grpd", "enumerate", good, good, "--phi", "a->a,b->b,zz->a", "--kind", kind]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "lra: input error: phi is defined at 'zz', which is not an object\n"
+
+
 def test_grpd_witnesses_do_not_depend_on_hash_seed(tmp_path):
     """Failing witnesses list arrows in table order, not in set order."""
     import os

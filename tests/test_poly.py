@@ -96,6 +96,105 @@ def test_parse_errors_carry_position():
         parse_poly("1/0", ("x",))
 
 
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("q + 1", "unknown variable 'q'", 1, 1),
+        ("x*w", "unknown variable 'w'", 1, 3),
+        ("x +\n  q", "unknown variable 'q'", 2, 3),
+        ("1/0", "zero denominator", 1, 4),
+        ("2/0*x", "zero denominator", 1, 4),
+        ("x + 3/0", "zero denominator", 1, 8),
+        ("x +\n\n  3/0*y", "zero denominator", 3, 6),
+        ("2/x", "expected denominator", 1, 3),
+        ("x^", "expected exponent", 1, 3),
+        ("2*x^", "expected exponent", 1, 5),
+        ("x^y", "expected exponent", 1, 3),
+        ("x^-1", "expected exponent", 1, 3),
+        ("x\n+ y^", "expected exponent", 2, 5),
+        ("x + * y", "expected a coefficient or variable", 1, 5),
+        ("x * + y", "expected a coefficient or variable", 1, 5),
+        ("+x", "expected a coefficient or variable", 1, 1),
+        ("*x", "expected a coefficient or variable", 1, 1),
+        ("x +", "expected a coefficient or variable", 1, 4),
+        ("x -- y", "expected a coefficient or variable", 1, 4),
+        ("- -x", "expected a coefficient or variable", 1, 3),
+        ("-", "expected a coefficient or variable", 1, 2),
+        ("x / y", "expected '+' or '-'", 1, 3),
+        ("x/2", "expected '+' or '-'", 1, 2),
+        ("x^2^3", "expected '+' or '-'", 1, 4),
+        ("1/2/3", "expected '+' or '-'", 1, 4),
+        ("x 2", "expected '+' or '-'", 1, 3),
+        ("2 x", "expected '+' or '-'", 1, 3),
+        ("x $ y", "unexpected character '$'", 1, 3),
+        ("x + 1.5", "unexpected character '.'", 1, 6),
+        ("x\n\ny\t$", "unexpected character '$'", 3, 3),
+        ("", "expected a coefficient or variable", 1, 1),
+        ("   ", "expected a coefficient or variable", 1, 4),
+    ],
+)
+def test_parse_error_text_and_position(text, message, line, column):
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text, NAMES)
+    assert str(err.value) == "%s (line %d, column %d)" % (message, line, column)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def _factor():
+    """(text, polynomial) of one factor of the grammar, over NAMES."""
+    number = st.tuples(st.integers(0, 5), st.sampled_from([None, 1, 2, 3])).map(
+        lambda nd: ("%d" % nd[0], MPoly.const(3, nd[0]))
+        if nd[1] is None
+        else ("%d/%d" % nd, MPoly.const(3, Fraction(*nd)))
+    )
+    power = st.tuples(st.integers(0, 2), st.sampled_from([None, 0, 1, 2, 3])).map(
+        lambda ve: (NAMES[ve[0]], MPoly.variable(3, ve[0]))
+        if ve[1] is None
+        else ("%s^%d" % (NAMES[ve[0]], ve[1]), MPoly.variable(3, ve[0]) ** ve[1])
+    )
+    return st.one_of(number, power)
+
+
+@st.composite
+def _term_strings(draw):
+    """Random grammar text and the same polynomial built with MPoly arithmetic."""
+    expected = MPoly.zero(3)
+    pieces = []
+    for n in range(draw(st.integers(1, 4))):
+        factors = draw(st.lists(_factor(), min_size=1, max_size=4))
+        term = MPoly.one(3)
+        for _, value in factors:
+            term = term * value
+        sign = draw(st.sampled_from("+-"))
+        body = "*".join(text for text, _ in factors)
+        if n == 0:
+            pieces.append(("-" if sign == "-" else "") + body)
+        else:
+            pieces.append(" %s %s" % (sign, body))
+        expected = expected - term if sign == "-" else expected + term
+        if draw(st.booleans()):  # the same term again with the other sign cancels it
+            pieces.append(" %s %s" % ("+" if sign == "-" else "-", body))
+            expected = expected + term if sign == "-" else expected - term
+    return "".join(pieces), expected
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_term_strings())
+def test_parse_equals_arithmetic(case):
+    text, expected = case
+    assert parse_poly(text, NAMES) == expected
+
+
+def test_parse_term_shapes():
+    x, y = MPoly.variable(3, 0), MPoly.variable(3, 1)
+    assert parse_poly("x*x^2*y", NAMES) == x ** 3 * y
+    assert parse_poly("2*3/4*x", NAMES) == MPoly(3, {(1, 0, 0): Fraction(3, 2)})
+    assert parse_poly("x^0", NAMES) == MPoly.one(3)
+    assert parse_poly("0*x", NAMES).is_zero()
+    assert parse_poly("x - x", NAMES).is_zero()
+    assert parse_poly("-x^2 + y", NAMES) == y - x ** 2
+
+
 def test_render_is_canonical():
     p = parse_poly("y + x^2 - 1/2", NAMES[:2])
     assert poly_to_string(p, NAMES[:2]) == "x^2 + y - 1/2"
@@ -171,6 +270,8 @@ def test_trusted_results_are_valid_and_fresh(p, q, f, g, scalar, power):
     x, y = MPoly.variable(2, 0), MPoly.variable(2, 1)
     ideal = IdealPres(2, [x ** 2 + y ** 2 - 1])
     checks.append((ideal.normal_form(p), p) + ideal.groebner)
+    names = ("x", "y")
+    checks.append((parse_poly(poly_to_string(p, names), names), p))
     for algebra in (AlgebraPres(("x", "y")), AlgebraPres(("x", "y"), ideal)):
         rotation = Derivation(algebra, [-y * q, x * q])
         checks.append((rotation.apply(p), p, q) + rotation.images)

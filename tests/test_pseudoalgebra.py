@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import sl2, sl2_action_images
+from conftest import jacobiator, sl2, sl2_action_images
 from lra.algebra import AlgebraPres, Derivation
 from lra.groebner import IdealPres
 from lra.poly import MPoly
@@ -13,10 +14,11 @@ from lra.pseudoalgebra import (
     PAlg,
     PAElement,
     anchor_apply,
+    _anchor_axiom,
+    _derivation_checks,
     axioms_check,
     bracket,
     differential,
-    jacobiator,
     make_action,
     make_cotangent_poisson,
     make_der,
@@ -448,3 +450,85 @@ def test_non_derivations_of_a_quotient_are_rejected():
     assert failing == [["anchor of e_1 is a derivation"]] * 2
     with pytest.raises(VerificationError):
         make_action(circle, make_klie({}, rank=2), [rotation, d_x])
+
+
+# -- the Jacobi identity against the bracket-based reference --------------------
+
+
+def _derivation_pool(algebra):
+    """Anchor candidates: every one is a derivation of ``algebra``."""
+    x, y = algebra.variable(0), algebra.variable(1)
+    zero = algebra.zero()
+    if algebra.is_free():
+        z = algebra.variable(2)
+        images = [[algebra.one(), zero, zero], [zero, algebra.one(), zero], [zero, zero, algebra.one()],
+                  [-y, x, zero], [x, zero, z], [y * z, zero, zero], [zero, zero, zero]]
+    else:
+        images = [[-y * f, x * f] for f in (algebra.one(), x, y, x * y, 2 * algebra.one(), zero)]
+    return [Derivation(algebra, row) for row in images]
+
+
+_ALGEBRAS = [AlgebraPres.free("x", "y", "z"), _circle()]
+
+
+@st.composite
+def random_tables(draw):
+    """Rank-3/4 pseudoalgebras over Q[x,y,z] or the circle, mostly failing ones."""
+    alg = _ALGEBRAS[draw(st.integers(0, 1))]
+    rank = draw(st.integers(3, 4))
+    pool = _derivation_pool(alg)
+    anchors = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(rank)]
+    monomials = [alg.one()] + [alg.variable(v) for v in range(alg.arity)] + [alg.variable(0) * alg.variable(1)]
+    coefficient = st.sampled_from([0, 0, 0, 1, -1, Fraction(1, 2), 2])
+
+    def entry():
+        return sum((draw(coefficient) * m for m in draw(st.lists(st.sampled_from(monomials), max_size=2))),
+                   alg.zero())
+
+    table = {(i, j): [entry() for _ in range(rank)] for i in range(rank) for j in range(i + 1, rank)}
+    return PAlg(alg, rank, anchors, table)
+
+
+def reference_axioms_report(e):
+    """The axiom report with each Jacobi check decided by the conftest jacobiator."""
+    report = _derivation_checks(e.anchors)
+    if not report.verdict:
+        return report
+    _anchor_axiom(report, e.anchors, e.structure)
+    for i in range(e.rank):
+        for j in range(i + 1, e.rank):
+            for k in range(j + 1, e.rank):
+                jac = jacobiator(e.basis(i), e.basis(j), e.basis(k))
+                report.add(
+                    "Jacobi identity on (e_%d, e_%d, e_%d)" % (i, j, k),
+                    jac.is_zero(),
+                    "jacobiator is %s" % e.render_element(jac.coords),
+                )
+    return report
+
+
+def test_jacobi_from_the_table_matches_the_bracket():
+    """Whole axiom reports agree with the reference on random tables; both
+    Jacobi verdicts occur over both algebras."""
+    seen = set()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(random_tables())
+    def compare(e):
+        report = axioms_check(e)
+        got = [(c.name, c.passed, c.witness) for c in report.checks]
+        assert got == [(c.name, c.passed, c.witness) for c in reference_axioms_report(e).checks]
+        seen.update((e.algebra.is_free(), c.passed) for c in report.checks if c.name.startswith("Jacobi"))
+
+    compare()
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_anchor_apply_on_constants_keeps_the_ideal_check():
+    circle = _circle()
+    x, y = circle.variable(0), circle.variable(1)
+    e = PAlg(circle, 2, [Derivation(circle, [-y, x]), Derivation.partial(circle, 0)], {})
+    for a in (circle.zero(), circle.one(), circle.const(Fraction(-3, 2))):
+        assert anchor_apply(e.basis(0), a).is_zero()
+        with pytest.raises(VerificationError, match="derivation does not preserve the ideal"):
+            anchor_apply(e.basis(1), a)
