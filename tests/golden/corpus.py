@@ -4,8 +4,10 @@ Each record holds one ``lra`` command line (its argv and step cap), its
 exit code, stdout and stderr, with report times stripped.  The command
 lines are:
 
-- every job of the palg-verdicts and groupoid-search benchmark workloads
-  at smoke size (seed 7), in text and in ``--format json``;
+- every job of the three benchmark workloads at smoke size (seed 7), in
+  text and in ``--format json``;
+- ``check-algebra`` on katsura-3 and cyclic-4 under grevlex, katsura-3
+  under grlex and cyclic-4 under lex;
 - every ``tests/data`` document through each command that reads it;
 - pseudoalgebras with seeded random structure tables over Q[x,y,z] and
   over the circle Q[x,y]/(x^2 + y^2 - 1), most of them failing, so
@@ -162,13 +164,27 @@ def cases(workdir):
     workdir = pathlib.Path(workdir)
     out = []
     workloads = _load_workloads()
-    for workload in ("palg-verdicts", "groupoid-search"):
+    for workload in ("ideal-completion", "palg-verdicts", "groupoid-search"):
         sub = workdir / workload
         load = workloads.build(workload, SEED, str(sub), True, str(DATA))
         for job in load.jobs:
             argv = [arg.replace(str(workdir), "{work}") for arg in job.argv]
             assert argv[:2] == ["--format", "json"]
-            out += _both_formats("%s: %s" % (workload, job.label), argv[2:])
+            label = job.label
+            if workload == "ideal-completion":  # the variants of one system share a label
+                label = "check-algebra " + pathlib.Path(argv[-1]).stem
+            out += _both_formats("%s: %s" % (workload, label), argv[2:])
+
+    ideals = workdir / "ideals"
+    ideals.mkdir()
+    systems = (("katsura-3", "grevlex"), ("cyclic-4", "grevlex"), ("katsura-3", "grlex"), ("cyclic-4", "lex"))
+    for system, order in systems:
+        family, n = system.rsplit("-", 1)
+        names, eqs = getattr(workloads.P, family)(int(n))
+        name = "%s-%s" % (system, order)
+        body = {"variables": names, "ideal": [workloads.P.render(p, names) for p in eqs], "order": order}
+        _doc(ideals, name, "algebra", body)
+        out += _both_formats("ideal: check-algebra " + name, ["check-algebra", "{work}/ideals/%s.json" % name])
 
     line, plane, sl2 = _data("palg_der_line"), _data("palg_der_plane"), _data("palg_sl2_action")
     curve, swap, pair = _data("morphism_curve"), _data("groupoid_swap"), _data("groupoid_pair2")
