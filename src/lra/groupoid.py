@@ -550,12 +550,13 @@ def graph_subgroupoid_check(gamma, pi, phi, graph, product=None):
     """Is the given set of pairs a wide subgroupoid of the phi-product?
 
     ``product`` may carry a prebuilt phi-product for repeated checks over
-    one base map.  A base map with keys that are not objects of gamma fails.
+    one base map.  A base map that is not a map from gamma's objects to
+    pi's fails as in the direct verifiers.
     """
     report = VerdictReport()
-    extra = _extra_objects(gamma, phi)
-    if extra:
-        report.add("base map is defined only on objects of gamma", False, "extra objects: %r" % extra[:3])
+    fault = _base_map_fault(gamma, pi, phi)
+    if fault:
+        report.add(fault[0], False, fault[1])
         return report
     if product is None:
         product = make_phi_product(gamma, pi, phi)

@@ -35,11 +35,11 @@ class PAlg:
     """A Lie pseudoalgebra over a presented algebra.
 
     structure[(i, j)] for i < j holds the coefficients of [e_i, e_j] on the
-    basis; the i = j and i > j entries are derived from antisymmetry and
-    never stored.
+    basis.  The i = j and i > j entries follow from antisymmetry; they are
+    built once, with the stored ones, for ``struct_coeffs``.
     """
 
-    __slots__ = ("algebra", "rank", "anchors", "structure")
+    __slots__ = ("algebra", "rank", "anchors", "structure", "_coeffs")
 
     def __init__(self, algebra, rank, anchors, structure=None):
         anchors = list(anchors)
@@ -65,14 +65,15 @@ class PAlg:
         self.rank = rank
         self.anchors = tuple(anchors)
         self.structure = table
+        coeffs = dict.fromkeys(((i, i) for i in range(rank)), (algebra.zero(),) * rank)
+        for (i, j), row in table.items():
+            coeffs[(i, j)] = row
+            coeffs[(j, i)] = tuple(-c for c in row)
+        self._coeffs = coeffs
 
     def struct_coeffs(self, i, j):
         """Coefficients of [e_i, e_j], valid for any i, j."""
-        if i == j:
-            return tuple([self.algebra.zero()] * self.rank)
-        if i < j:
-            return self.structure[(i, j)]
-        return tuple(-c for c in self.structure[(j, i)])
+        return self._coeffs[(i, j)]
 
     def basis(self, i):
         coords = [self.algebra.zero()] * self.rank

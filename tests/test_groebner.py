@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lra.groebner import (
     IdealPres,
@@ -224,30 +225,90 @@ ORACLE_SYSTEMS = {
     **{"random-%d" % seed: _random_system(seed) for seed in range(6)},
 }
 
+# grevlex only: these take seconds in sympy's grevlex engine, and far longer under lex
+LARGE_SYSTEMS = {"katsura-5": _katsura(5), "cyclic-5": _cyclic(5)}
 
-@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
-def test_reduced_basis_matches_sympy(name):
-    """The reduced basis and the normal forms agree with sympy's grevlex engine."""
-    sympy = pytest.importorskip("sympy")
-    arity, gens = ORACLE_SYSTEMS[name]
+ORACLE_CASES = [
+    pytest.param(name, "grevlex", id=name) for name in sorted({**ORACLE_SYSTEMS, **LARGE_SYSTEMS})
+] + [
+    pytest.param(name, order, id="%s-%s" % (name, order))
+    for order in ("grlex", "lex")
+    for name in sorted(ORACLE_SYSTEMS)
+    if (name, order) != ("katsura-4", "lex")  # sympy's own lex completion takes about a minute
+]
+
+
+def _to_sympy(sympy, symbols, terms):
+    return sympy.Poly.from_dict(
+        {exp: sympy.Rational(c.numerator, c.denominator) for exp, c in terms.items()}, *symbols
+    )
+
+
+def _sympy_terms(poly):
+    return frozenset((exp, Fraction(int(c.p), int(c.q))) for exp, c in poly.terms() if c)
+
+
+def _sympy_basis(sympy, arity, gens, order):
+    """sympy's reduced Groebner basis of the term dicts ``gens``, and its symbols."""
     symbols = sympy.symbols("v0:%d" % arity)
+    reference = sympy.groebner([_to_sympy(sympy, symbols, g) for g in gens], *symbols, order=order, domain=sympy.QQ)
+    return reference, symbols
 
-    def to_sympy(terms):
-        return sympy.Poly.from_dict(
-            {exp: sympy.Rational(c.numerator, c.denominator) for exp, c in terms.items()}, *symbols
-        )
 
-    def as_terms(poly):
-        return frozenset((exp, Fraction(int(c.p), int(c.q))) for exp, c in poly.terms() if c)
-
-    reference = sympy.groebner([to_sympy(g) for g in gens], *symbols, order="grevlex", domain=sympy.QQ)
-    ideal = IdealPres(arity, [MPoly(arity, g) for g in gens])
-    assert {frozenset(g.terms.items()) for g in ideal.groebner} == set(map(as_terms, reference.polys))
+@pytest.mark.parametrize("name, order", ORACLE_CASES)
+def test_reduced_basis_matches_sympy(name, order):
+    """The reduced basis and the normal forms agree with sympy's engine."""
+    sympy = pytest.importorskip("sympy")
+    arity, gens = {**ORACLE_SYSTEMS, **LARGE_SYSTEMS}[name]
+    reference, symbols = _sympy_basis(sympy, arity, gens, order)
+    ideal = IdealPres(arity, [MPoly(arity, g) for g in gens], order)
+    assert {frozenset(g.terms.items()) for g in ideal.groebner} == set(map(_sympy_terms, reference.polys))
     rng = random.Random(name)
+    top = 2 if arity < 6 else 1  # sympy's division takes seconds on katsura-5 at higher degrees
     for _ in range(5):
         p = {
-            tuple(rng.randint(0, 2) for _ in range(arity)): Fraction(rng.randint(-5, 5) or 1)
+            tuple(rng.randint(0, top) for _ in range(arity)): Fraction(rng.randint(-5, 5) or 1)
             for _ in range(4)
         }
-        _, remainder = reference.reduce(to_sympy(p))
-        assert frozenset(ideal.normal_form(MPoly(arity, p)).terms.items()) == as_terms(remainder)
+        _, remainder = reference.reduce(_to_sympy(sympy, symbols, p))
+        assert frozenset(ideal.normal_form(MPoly(arity, p)).terms.items()) == _sympy_terms(remainder)
+
+
+_NONZERO = st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_completion_ignores_order_and_scale_of_generators(data):
+    """Permuted, rescaled generators give the same reduced basis, and it is sympy's."""
+    sympy = pytest.importorskip("sympy")
+    order = data.draw(st.sampled_from(["grevlex", "grlex", "lex"]))
+    nonzero_polys = small_polys(arity=3, max_terms=3, max_exp=2).filter(lambda p: not p.is_zero())
+    gens = data.draw(st.lists(nonzero_polys, min_size=1, max_size=3))
+    permuted = data.draw(st.permutations(gens))
+    scales = data.draw(st.lists(_NONZERO, min_size=len(gens), max_size=len(gens)))
+    basis = buchberger(gens, order)
+    assert buchberger([g.scale(c) for g, c in zip(permuted, scales)], order) == basis
+    reference, _ = _sympy_basis(sympy, 3, [g.terms for g in gens], order)
+    assert {frozenset(g.terms.items()) for g in basis} == set(map(_sympy_terms, reference.polys))
+
+
+def test_normal_form_divides_by_monic_multiples():
+    """Dividing by g or by g/lc(g) leaves one remainder, with Fraction coefficients."""
+    arity, gens = _katsura(3)
+    basis = buchberger([MPoly(arity, g) for g in gens])
+    scaled = [g.scale(Fraction(-3 * k - 2, k + 1)) for k, g in enumerate(basis)]
+    rng = random.Random(11)
+    for _ in range(30):
+        p = _random_poly(rng, arity=arity, terms=5, max_exp=3)
+        remainder = normal_form(p, scaled)
+        assert remainder == normal_form(p, basis)
+        assert all(type(c) is Fraction for c in remainder.terms.values())
+    # the same holds off a Groebner basis: division only ever sees g / lc(g)
+    non_monic = [3 * X ** 2 + Y, Fraction(2, 3) * X * Y - 5]
+    monic = [X ** 2 + Fraction(1, 3) * Y, X * Y - Fraction(15, 2)]
+    for _ in range(30):
+        p = _random_poly(rng)
+        remainder = normal_form(p, non_monic)
+        assert remainder == normal_form(p, monic)
+        assert all(type(c) is Fraction for c in remainder.terms.values())

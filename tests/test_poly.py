@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lra.algebra import AlgebraPres, Derivation
-from lra.groebner import IdealPres
+from lra.groebner import IdealPres, buchberger, normal_form
 from lra.poly import (
     MPoly,
     PolyParseError,
@@ -270,6 +270,12 @@ def test_trusted_results_are_valid_and_fresh(p, q, f, g, scalar, power):
     x, y = MPoly.variable(2, 0), MPoly.variable(2, 1)
     ideal = IdealPres(2, [x ** 2 + y ** 2 - 1])
     checks.append((ideal.normal_form(p), p) + ideal.groebner)
+    non_monic = [3 * x ** 2 + y, Fraction(2, 3) * x * y - 5]
+    checks.append((normal_form(p, ideal.groebner), p) + ideal.groebner)
+    checks.append((normal_form(p, non_monic), p, *non_monic))
+    # the integer completion kernel must not leak int coefficients
+    completed = buchberger([p, q, x * q - 1]) + buchberger([x ** 2 + y ** 2 - 1, x * y - p])
+    checks += [(element, p, q) for element in completed]
     names = ("x", "y")
     checks.append((parse_poly(poly_to_string(p, names), names), p))
     for algebra in (AlgebraPres(("x", "y")), AlgebraPres(("x", "y"), ideal)):
