@@ -227,10 +227,9 @@ ORACLE_SYSTEMS = {
 
 # grevlex only: these take seconds in sympy's grevlex engine, and far longer under lex
 LARGE_SYSTEMS = {"katsura-5": _katsura(5), "cyclic-5": _cyclic(5)}
+ALL_SYSTEMS = {**ORACLE_SYSTEMS, **LARGE_SYSTEMS}
 
-ORACLE_CASES = [
-    pytest.param(name, "grevlex", id=name) for name in sorted({**ORACLE_SYSTEMS, **LARGE_SYSTEMS})
-] + [
+ORACLE_CASES = [pytest.param(name, "grevlex", id=name) for name in sorted(ALL_SYSTEMS)] + [
     pytest.param(name, order, id="%s-%s" % (name, order))
     for order in ("grlex", "lex")
     for name in sorted(ORACLE_SYSTEMS)
@@ -259,7 +258,7 @@ def _sympy_basis(sympy, arity, gens, order):
 def test_reduced_basis_matches_sympy(name, order):
     """The reduced basis and the normal forms agree with sympy's engine."""
     sympy = pytest.importorskip("sympy")
-    arity, gens = {**ORACLE_SYSTEMS, **LARGE_SYSTEMS}[name]
+    arity, gens = ALL_SYSTEMS[name]
     reference, symbols = _sympy_basis(sympy, arity, gens, order)
     ideal = IdealPres(arity, [MPoly(arity, g) for g in gens], order)
     assert {frozenset(g.terms.items()) for g in ideal.groebner} == set(map(_sympy_terms, reference.polys))
