@@ -1,7 +1,8 @@
 """The golden corpus: command lines whose exact output is committed.
 
 Each record holds one ``lra`` command line (its argv and step cap), its
-exit code, stdout and stderr, with report times stripped.  The command
+exit code, stdout and stderr, with report times stripped; a command line
+with ``-o`` also records the file it wrote.  The command
 lines are:
 
 - every job of the three benchmark workloads at smoke size (seed 7), in
@@ -9,6 +10,9 @@ lines are:
 - ``check-algebra`` on katsura-3 and cyclic-4 under grevlex, katsura-3
   under grlex and cyclic-4 under lex;
 - every ``tests/data`` document through each command that reads it;
+- ``grpd build`` of every kind (empty object sets and failing actions
+  included), ``compose`` of morphisms and comorphisms, and ``-o`` runs,
+  whose record also holds the text written to the file;
 - pseudoalgebras with seeded random structure tables over Q[x,y,z] and
   over the circle Q[x,y]/(x^2 + y^2 - 1), most of them failing, so
   their reports carry Jacobi and anchor witnesses;
@@ -218,6 +222,52 @@ def cases(workdir):
     for argv in data_lines:
         out += _both_formats("data: " + " ".join(argv), argv)
 
+    maps = workdir / "maps"
+    maps.mkdir()
+    for name, variables, psi, images in (
+        ("line-identity", ["x"], ["x"], [["1"]]),
+        ("line-scale", ["x"], ["2*x"], [["1/2"]]),
+        ("plane-identity", ["u", "v"], ["u", "v"], [["1", "0"], ["0", "1"]]),
+    ):
+        algebra = {"variables": variables, "ideal": [], "order": "grevlex"}
+        _doc(maps, name, "pacomorphism", {"images": images, "psi": {"images": psi, "source": algebra, "target": algebra}})
+    co = "{work}/maps/%s.json"
+    output = "{work}/out/%s.json"
+    (workdir / "out").mkdir()
+    written_lines = [
+        ["compose", "morphism", line, line, line, _data("pamorphism_line_identity"), _data("pamorphism_line_identity")],
+        ["compose", "comorphism", plane, line, line, _data("pacomorphism_curve"), co % "line-identity"],
+        ["compose", "comorphism", plane, line, line, _data("pacomorphism_curve"), co % "line-scale"],
+        ["compose", "comorphism", plane, plane, line, co % "plane-identity", _data("pacomorphism_curve")],
+        ["compose", "comorphism", line, plane, line, co % "line-identity", _data("pacomorphism_curve")],
+        ["compose", "comorphism", plane, line, line, _data("pacomorphism_curve"), co % "line-scale",
+         "-o", output % "compose"],
+        ["psisum", "bracket", plane, line, curve, _data("element_curve"), _data("element_curve"),
+         "-o", output % "bracket"],
+        ["grpd", "build", "pair", "--objects", "a,b,c"],
+        ["grpd", "build", "pair", "--objects", ""],
+        ["grpd", "build", "pair", "--objects", "x,y", "-o", output % "pair"],
+        ["grpd", "build", "action", "--cyclic", "2", "--objects", "1,2", "--perm", "1->2,2->1"],
+        ["grpd", "build", "action", "--cyclic", "4", "--objects", "a,b,c", "--perm", "a->b,b->a,c->c"],
+        ["grpd", "build", "action", "--cyclic", "3", "--objects", "o", "--perm", "o->o"],
+        ["grpd", "build", "action", "--cyclic", "2", "--objects", "", "--perm", ""],
+        ["grpd", "build", "action", "--cyclic", "3", "--objects", "a,b", "--perm", "a->b,b->a"],
+        ["grpd", "build", "gauge", "--cyclic", "2", "--total", "p,q,r,s",
+         "--proj", "p->m,q->m,r->n,s->n", "--perm", "p->q,q->p,r->s,s->r"],
+        ["grpd", "build", "gauge", "--cyclic", "1", "--total", "p,q", "--proj", "p->m,q->n", "--perm", "p->p,q->q"],
+        ["grpd", "build", "gauge", "--cyclic", "2", "--total", "", "--proj", "", "--perm", ""],
+        ["grpd", "build", "gauge", "--cyclic", "2", "--total", "p,q", "--proj", "p->m,q->m", "--perm", "p->p,q->q"],
+        ["grpd", "build", "gauge", "--cyclic", "1", "--total", "p,q", "--proj", "p->m,q->m", "--perm", "p->p,q->q"],
+        ["grpd", "build", "gauge", "--cyclic", "2", "--total", "p,q", "--proj", "p->m,q->n", "--perm", "p->q,q->p"],
+        ["grpd", "build", "product", swap, pair],
+        ["grpd", "build", "phi-product", swap, pair, "--phi", "1->a,2->b"],
+        ["grpd", "build", "phi-product", pair, swap, "--phi", "a->1,b->1"],
+        ["grpd", "build", "restrict", pair, "--objects", "a"],
+        ["grpd", "build", "restrict", swap, "--objects", ""],
+    ]
+    for argv in written_lines:  # the format does not change a written document
+        out.append(("written: " + " ".join(argv), argv, None))
+
     palgs = workdir / "palgs"
     palgs.mkdir()
     for name, body in _random_palgs(random.Random("golden/%d" % SEED)):
@@ -269,7 +319,11 @@ def run(argv, cap, workdir):
             text = pattern.sub(repl, text)
         return text.splitlines()
 
-    return {"argv": argv, "cap": cap, "exit": code, "stdout": clean(out.getvalue()), "stderr": clean(err.getvalue())}
+    record = {"argv": argv, "cap": cap, "exit": code, "stdout": clean(out.getvalue()), "stderr": clean(err.getvalue())}
+    if "-o" in argv:
+        written = pathlib.Path(real[argv.index("-o") + 1])
+        record["file"] = clean(written.read_text(encoding="utf-8") if written.exists() else "")
+    return record
 
 
 def generate(workdir):
@@ -294,6 +348,7 @@ def _lines(records):
         lines.append("cap: %s, exit: %s" % (r["cap"], r["exit"]))
         lines += ["out| " + line for line in r["stdout"]]
         lines += ["err| " + line for line in r["stderr"]]
+        lines += ["file| " + line for line in r.get("file", ())]
     return lines
 
 
