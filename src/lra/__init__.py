@@ -10,7 +10,6 @@ map notions, actions, and the matching graph theorems.
 from .algebra import AlgebraPres, AlgMorphism, Derivation
 from .groebner import IdealPres, ResourceCapExceeded, buchberger, normal_form
 from .groupoid import (
-    FiniteGroup,
     FinGroupoid,
     GroupoidAction,
     GrpdComorphism,
@@ -20,6 +19,7 @@ from .groupoid import (
     check_groupoid_action,
     check_grpd_comorphism,
     check_grpd_morphism,
+    cyclic_group,
     enumerate_maps,
     find_isomorphism,
     graph_of_map,

@@ -27,11 +27,11 @@ from typing import Callable, NamedTuple
 from . import documents as docs
 from . import groebner
 from .groupoid import (
-    FiniteGroup,
     GrpdMorphism,
     check_groupoid,
     check_grpd_comorphism,
     check_grpd_morphism,
+    cyclic_group,
     enumerate_maps,
     graph_of_map,
     graph_subgroupoid_check,
@@ -116,8 +116,14 @@ def _parse_mapping(text, what):
     return mapping
 
 
-def _parse_items(text):
-    return [item.strip() for item in text.split(",") if item.strip()]
+def _parse_items(text, option):
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise docs.DocumentError("repeated label %r in %s" % (item, option))
+        seen.add(item)
+    return items
 
 
 def _agreement(direct, via_graph):
@@ -268,7 +274,7 @@ def cmd_psisum(args):
 def _cyclic_action(args, objects):
     """The cyclic group of order ``--cyclic`` acting on ``objects`` through ``--perm``."""
     step = _parse_mapping(args.perm, "permutation")
-    group = FiniteGroup.cyclic(args.cyclic)
+    group = cyclic_group(args.cyclic)
     for x in objects:
         if x not in step:
             raise docs.DocumentError("permutation misses %r" % x)
@@ -279,7 +285,7 @@ def _cyclic_action(args, objects):
             raise docs.DocumentError("permutation moves %r, which is not an object" % x)
     current = {x: x for x in objects}
     act = {}
-    for g in range(args.cyclic):
+    for g in group.arrows:
         for x in objects:
             act[(x, g)] = current[x]
         current = {x: step[current[x]] for x in objects}
@@ -292,19 +298,19 @@ def _cyclic_action(args, objects):
 def cmd_grpd_build(args):
     inputs = [_load_groupoid(path) for path in args.inputs]
     if args.what == "pair":
-        g = make_pair(_parse_items(args.objects))
+        g = make_pair(_parse_items(args.objects, "--objects"))
     elif args.what == "product":
         g = make_direct_product(*inputs)
     elif args.what == "phi-product":
         g = make_phi_product(*inputs, _parse_mapping(args.phi, "base map"))
     elif args.what == "restrict":
-        g = restrict_groupoid(*inputs, _parse_items(args.objects))
+        g = restrict_groupoid(*inputs, _parse_items(args.objects, "--objects"))
     elif args.what == "action":
-        objects = _parse_items(args.objects)
+        objects = _parse_items(args.objects, "--objects")
         group, act = _cyclic_action(args, objects)
         g = make_action_groupoid(group, objects, act)
     else:
-        total = _parse_items(args.total)
+        total = _parse_items(args.total, "--total")
         group, act = _cyclic_action(args, total)
         g = make_gauge(total, _parse_mapping(args.proj, "projection"), group, act)
     return _emit_document(args, docs.groupoid_document(g))

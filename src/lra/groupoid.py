@@ -8,6 +8,10 @@ set as their identity arrows.
 All constructions here are finite and checked exhaustively: pair, action,
 direct product, base-map product, restriction, gauge, plus both map
 notions with their verifiers, graphs, orbit tests and groupoid actions.
+A group is a groupoid with one object (``cyclic_group``), and a group
+action is a ``GroupoidAction`` of it, so ``check_groupoid`` is the only
+associativity check and ``check_groupoid_action`` the only check of the
+action law.
 Both map notions are searched as one thing, graphs in the phi-product
 closed under its product (``enumerate_maps``); ``iter_candidate_maps``, the
 brute-force candidate generator, is the tests' oracle for that search.
@@ -21,51 +25,6 @@ from dataclasses import dataclass
 
 from .groebner import budget
 from .verdict import VerdictReport, VerificationError
-
-
-class FiniteGroup:
-    """A finite group given by a multiplication table."""
-
-    __slots__ = ("elements", "unit", "mul", "inverse")
-
-    def __init__(self, elements, unit, mul):
-        elements = tuple(elements)
-        inverse = {}
-        for g in elements:
-            for h in elements:
-                if (g, h) not in mul:
-                    raise ValueError("multiplication table is not total")
-                if mul[(g, h)] == unit:
-                    inverse.setdefault(g, h)
-        for g in elements:
-            if g not in inverse:
-                raise ValueError("element %r has no inverse" % (g,))
-            if mul[(unit, g)] != g or mul[(g, unit)] != g:
-                raise ValueError("unit law fails at %r" % (g,))
-        for g in elements:
-            for h in elements:
-                for k in elements:
-                    if mul[(mul[(g, h)], k)] != mul[(g, mul[(h, k)])]:
-                        raise ValueError("associativity fails at %r" % ((g, h, k),))
-        self.elements = elements
-        self.unit = unit
-        self.mul = dict(mul)
-        self.inverse = inverse
-
-    @classmethod
-    def cyclic(cls, n):
-        if n < 1:
-            raise ValueError("a cyclic group needs a positive order, got %d" % n)
-        elements = tuple(range(n))
-        mul = {(a, b): (a + b) % n for a in elements for b in elements}
-        return cls(elements, 0, mul)
-
-    @classmethod
-    def trivial(cls):
-        return cls.cyclic(1)
-
-    def __repr__(self):
-        return "FiniteGroup(%r)" % (list(self.elements),)
 
 
 def _composable(arrows, src, tgt):
@@ -215,35 +174,36 @@ def make_pair(objects):
     return _from_product(objects, arrows, src, tgt, ident, inv, lambda a, b: (a[0], b[1]))
 
 
-def _check_group_action(group, objects, act):
-    for x in objects:
-        for g in group.elements:
-            if (x, g) not in act or act[(x, g)] not in objects:
-                raise VerificationError("action table is not total at %r" % ((x, g),))
-    for x in objects:
-        if act[(x, group.unit)] != x:
-            raise VerificationError("action fails the unit axiom at %r" % (x,))
-        for g1 in group.elements:
-            for g2 in group.elements:
-                if act[(x, group.mul[(g1, g2)])] != act[(act[(x, g1)], g2)]:
-                    raise VerificationError(
-                        "action fails compatibility at %r" % ((x, g1, g2),)
-                    )
+def cyclic_group(n):
+    """Z/n as a groupoid with one object, 0, and arrows 0, ..., n - 1 under addition mod n."""
+    if n < 1:
+        raise ValueError("a cyclic group needs a positive order, got %d" % n)
+    arrows = range(n)
+    loops = dict.fromkeys(arrows, 0)
+    return _from_product(
+        (0,), arrows, loops, loops, {0: 0}, {a: -a % n for a in arrows}, lambda a, b: (a + b) % n
+    )
+
+
+def _group_action(group, space, act):
+    """The right action ``act[(x, g)]`` of a one-object groupoid on ``space``, unchecked.
+
+    Every point lies over the one object.  An empty space is acted on by the
+    group's restriction to no objects, so the projection is still onto.
+    """
+    if len(group.objects) != 1:
+        raise ValueError("a group is a groupoid with one object, got %d" % len(group.objects))
+    space = tuple(space)
+    point = group.objects[0]
+    if not space:
+        group = restrict_groupoid(group, ())
+    maps = {g: {x: act[(x, g)] for x in space if (x, g) in act} for g in group.arrows}
+    return GroupoidAction(group, space, dict.fromkeys(space, point), maps)
 
 
 def make_action_groupoid(group, objects, act):
-    """The action groupoid of a right group action: arrows (x, g): x -> x.g."""
-    objects = tuple(objects)
-    act = dict(act)
-    _check_group_action(group, objects, act)
-    arrows = [(x, g) for x in objects for g in group.elements]
-    src = {(x, g): x for (x, g) in arrows}
-    tgt = {(x, g): act[(x, g)] for (x, g) in arrows}
-    ident = {x: (x, group.unit) for x in objects}
-    inv = {(x, g): (act[(x, g)], group.inverse[g]) for (x, g) in arrows}
-    return _from_product(
-        objects, arrows, src, tgt, ident, inv, lambda a, b: (a[0], group.mul[(a[1], b[1])])
-    )
+    """The action groupoid of a right action of a one-object groupoid: arrows (x, g): x -> x.g."""
+    return make_action_groupoid_of_action(_group_action(group, objects, act))[0]
 
 
 def _componentwise(gamma, pi):
@@ -343,31 +303,33 @@ def make_phi_product(gamma, pi, phi):
 def make_gauge(total, projection, group, act):
     """The gauge groupoid of a finite principal bundle.
 
-    ``total`` carries a free right ``group`` action whose orbits are
-    exactly the fibers of ``projection``.  Arrows are diagonal orbits of
-    pairs, labeled by a canonical orbit representative; the product
-    translates the middle terms by the unique matching group element.
+    ``total`` carries a free right action of the one-object groupoid
+    ``group`` whose orbits are exactly the fibers of ``projection``.
+    Arrows are diagonal orbits of pairs, labeled by a canonical orbit
+    representative; the product translates the middle terms by the unique
+    matching group element.
     """
     total = tuple(total)
     for x in total:
         if x not in projection:
             raise ValueError("projection is not defined at %r" % (x,))
-    act = dict(act)
-    _check_group_action(group, total, act)
+    action = _group_action(group, total, act)
+    check_groupoid_action(action).require("the action tables do not verify")
+    unit = group.ident[group.objects[0]]
     base = []
     for x in total:
         if projection[x] not in base:
             base.append(projection[x])
     for x in total:
-        for g in group.elements:
+        for g in group.arrows:
             if projection[act[(x, g)]] != projection[x]:
                 raise VerificationError("the action does not preserve fibers")
-            if g != group.unit and act[(x, g)] == x:
+            if g != unit and act[(x, g)] == x:
                 raise VerificationError("the action is not free at %r" % (x,))
     for x in total:
         for y in total:
             if projection[x] == projection[y]:
-                if not any(act[(x, g)] == y for g in group.elements):
+                if not any(act[(x, g)] == y for g in group.arrows):
                     raise VerificationError(
                         "the action is not transitive on the fiber over %r"
                         % (projection[x],)
@@ -375,14 +337,11 @@ def make_gauge(total, projection, group, act):
 
     def canonical(pair):
         x1, x2 = pair
-        orbit = [(act[(x1, g)], act[(x2, g)]) for g in group.elements]
+        orbit = [(act[(x1, g)], act[(x2, g)]) for g in group.arrows]
         return min(orbit, key=repr)
 
-    def translate(frm, to):
-        for g in group.elements:
-            if act[(frm, g)] == to:
-                return g
-        raise VerificationError("no group element translates %r to %r" % (frm, to))
+    def translate(frm, to):  # exists: the action is transitive on each fiber
+        return next(g for g in group.arrows if act[(frm, g)] == to)
 
     arrows = sorted({canonical((x1, x2)) for x1 in total for x2 in total}, key=repr)
     src = {a: projection[a[0]] for a in arrows}
@@ -546,20 +505,18 @@ def graph_of_map(m):
     raise TypeError("expected a groupoid morphism or comorphism")
 
 
-def graph_subgroupoid_check(gamma, pi, phi, graph, product=None):
+def graph_subgroupoid_check(gamma, pi, phi, graph):
     """Is the given set of pairs a wide subgroupoid of the phi-product?
 
-    ``product`` may carry a prebuilt phi-product for repeated checks over
-    one base map.  A base map that is not a map from gamma's objects to
-    pi's fails as in the direct verifiers.
+    A base map that is not a map from gamma's objects to pi's fails as in
+    the direct verifiers.
     """
     report = VerdictReport()
     fault = _base_map_fault(gamma, pi, phi)
     if fault:
         report.add(fault[0], False, fault[1])
         return report
-    if product is None:
-        product = make_phi_product(gamma, pi, phi)
+    product = make_phi_product(gamma, pi, phi)
     arrow_set = set(product.arrows)
     outside = [p for p in graph if p not in arrow_set]
     report.add(
@@ -686,7 +643,8 @@ def check_groupoid_action(action):
         report.add(
             "arrow %r acts as a bijection between its fibers" % (a,),
             bijective,
-            "table %r is not a bijection %r -> %r" % (table, source_fiber, sorted(target_fiber, key=repr)),
+            "arrow %r: table %r is not a bijection %r -> %r"
+            % (a, table, source_fiber, sorted(target_fiber, key=repr)),
         )
     if not report.verdict:
         return report

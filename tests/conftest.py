@@ -12,12 +12,12 @@ from lra import (
     AlgebraPres,
     AlgMorphism,
     Derivation,
-    FiniteGroup,
     GroupoidAction,
     PAComorphism,
     PAElement,
     PAMorphism,
     bracket,
+    cyclic_group,
     make_action_groupoid,
     make_der,
     make_klie,
@@ -311,8 +311,8 @@ def comorphism_suite():
 
 def groupoid_corpus():
     """Named groupoids with at most 6 arrows each."""
-    z2 = FiniteGroup.cyclic(2)
-    z3 = FiniteGroup.cyclic(3)
+    z2 = cyclic_group(2)
+    z3 = cyclic_group(3)
     swap = make_action_groupoid(
         z2, ["1", "2"], {("1", 0): "1", ("2", 0): "2", ("1", 1): "2", ("2", 1): "1"}
     )

@@ -575,9 +575,9 @@ def test_grpd_witnesses_do_not_depend_on_hash_seed(tmp_path):
     import subprocess
     import sys
 
-    from lra.groupoid import FiniteGroup, GrpdMorphism, make_action_groupoid
+    from lra.groupoid import GrpdMorphism, cyclic_group, make_action_groupoid
 
-    z3 = FiniteGroup.cyclic(3)
+    z3 = cyclic_group(3)
     objects = ["o1", "o2", "o3"]
     bundle = make_action_groupoid(z3, objects, {(x, g): x for x in objects for g in range(3)})
     point = make_action_groupoid(z3, ["t"], {("t", g): "t" for g in range(3)})
@@ -708,6 +708,19 @@ def test_grpd_witnesses_do_not_depend_on_hash_seed(tmp_path):
                 "--proj", "p->1,q->1,p->2", "--perm", "p->q,q->p",
             ],
             "repeated key 'p' in the projection",
+        ),
+        (["grpd", "build", "pair", "--objects", "a,b,a"], "repeated label 'a' in --objects"),
+        (
+            ["grpd", "build", "action", "--cyclic", "2", "--objects", "a, a", "--perm", "a->a"],
+            "repeated label 'a' in --objects",
+        ),
+        (
+            ["grpd", "build", "restrict", "{groupoid_pair2}", "--objects", "b,a,b"],
+            "repeated label 'b' in --objects",
+        ),
+        (
+            ["grpd", "build", "gauge", "--cyclic", "1", "--total", "p,p", "--proj", "p->1", "--perm", "p->p"],
+            "repeated label 'p' in --total",
         ),
     ],
 )

@@ -6,7 +6,6 @@ import pytest
 from conftest import action_tables, all_base_maps, composable_oracle, groupoid_corpus
 from lra.groebner import ResourceCapExceeded, step_budget
 from lra.groupoid import (
-    FiniteGroup,
     FinGroupoid,
     GrpdComorphism,
     GrpdMorphism,
@@ -17,6 +16,7 @@ from lra.groupoid import (
     check_grpd_morphism,
     compose_grpd_comorphisms,
     compose_grpd_morphisms,
+    cyclic_group,
     enumerate_maps,
     find_isomorphism,
     graph_of_map,
@@ -36,7 +36,7 @@ from lra.groupoid import (
 from lra.groupoid import _graph_search
 from lra.verdict import VerificationError
 
-Z2 = FiniteGroup.cyclic(2)
+Z2 = cyclic_group(2)
 SWAP = {("1", 0): "1", ("2", 0): "2", ("1", 1): "2", ("2", 1): "1"}
 
 
@@ -66,15 +66,35 @@ def test_make_action_groupoid_examples():
     az2 = make_action_groupoid(Z2, ["1", "2"], SWAP)
     assert len(az2.arrows) == 4
     assert az2.tgt[("1", 1)] == "2"
-    triv = make_action_groupoid(FiniteGroup.trivial(), ["1", "2"], {("1", 0): "1", ("2", 0): "2"})
+    triv = make_action_groupoid(cyclic_group(1), ["1", "2"], {("1", 0): "1", ("2", 0): "2"})
     assert len(triv.arrows) == 2
     assert all(triv.src[a] == triv.tgt[a] for a in triv.arrows)
     one_object = make_action_groupoid(Z2, ["o"], {("o", 0): "o", ("o", 1): "o"})
     assert len(one_object.objects) == 1 and len(one_object.arrows) == 2
     with pytest.raises(VerificationError):
         make_action_groupoid(Z2, ["1", "2"], {**SWAP, ("1", 0): "2"})
-    with pytest.raises(VerificationError, match=r"action table is not total at \('a', 0\)"):
+    bijection = r"arrow 0: table \{\} is not a bijection \['a'\] -> \['a'\]"
+    with pytest.raises(VerificationError, match=bijection):
         make_action_groupoid(Z2, ["a"], {("a", 1): "a"})
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cyclic_group_is_a_one_object_groupoid(n):
+    zn = cyclic_group(n)
+    assert check_groupoid(zn).verdict
+    assert zn.objects == (0,) and zn.arrows == tuple(range(n))
+    assert zn.comp == {(a, b): (a + b) % n for a in range(n) for b in range(n)}
+
+
+def test_group_actions_need_a_one_object_groupoid():
+    with pytest.raises(ValueError, match="a group is a groupoid with one object, got 2"):
+        make_action_groupoid(make_pair(["a", "b"]), ["1"], {})
+
+
+def test_actions_on_no_points_give_the_empty_groupoid():
+    empty = FinGroupoid((), (), {}, {}, {}, {}, {})
+    assert make_action_groupoid(Z2, [], {}) == empty
+    assert make_gauge([], {}, Z2, {}) == empty
 
 
 def test_make_direct_product_examples():
@@ -90,7 +110,7 @@ def test_make_direct_product_examples():
 
 
 def test_find_isomorphism_tells_vertex_groups_apart():
-    z4 = make_action_groupoid(FiniteGroup.cyclic(4), ["o"], {("o", g): "o" for g in range(4)})
+    z4 = make_action_groupoid(cyclic_group(4), ["o"], {("o", g): "o" for g in range(4)})
     one_object_z2 = make_action_groupoid(Z2, ["o"], {("o", 0): "o", ("o", 1): "o"})
     klein = make_direct_product(one_object_z2, one_object_z2)
     assert sorted(len(klein.hom(x, y)) for x in klein.objects for y in klein.objects) == [4]
@@ -129,7 +149,7 @@ def test_restrict_groupoid_examples():
 def gauge_bundle():
     total = [("1", 0), ("1", 1), ("2", 0), ("2", 1)]
     projection = {p: p[0] for p in total}
-    act = {((m, a), g): (m, (a + g) % 2) for (m, a) in total for g in Z2.elements}
+    act = {((m, a), g): (m, (a + g) % 2) for (m, a) in total for g in Z2.arrows}
     return total, projection, act
 
 
@@ -142,11 +162,11 @@ def test_make_gauge_examples():
     model = make_direct_product(make_pair(["1", "2"]), one_object_z2)
     assert find_isomorphism(gauge, model) is not None
 
-    trivial = FiniteGroup.trivial()
+    trivial = cyclic_group(1)
     pair_like = make_gauge(total, {p: p for p in total}, trivial, {(p, 0): p for p in total})
     assert pair_like == make_pair(total)
 
-    not_free = {((m, a), g): (m, a) for (m, a) in total for g in Z2.elements}
+    not_free = {((m, a), g): (m, a) for (m, a) in total for g in Z2.arrows}
     with pytest.raises(VerificationError, match="free"):
         make_gauge(total, projection, Z2, not_free)
 
@@ -222,16 +242,13 @@ def test_graph_theorem_exhaustive_on_corpus():
     for gname, gamma in corpus.items():
         for pname, pi in corpus.items():
             for phi in all_base_maps(gamma, pi):
-                product = make_phi_product(gamma, pi, phi)
                 for kind in ("morphism", "comorphism"):
                     for m in iter_candidate_maps(gamma, pi, phi, kind):
                         if kind == "morphism":
                             direct = check_grpd_morphism(gamma, pi, m).verdict
                         else:
                             direct = check_grpd_comorphism(gamma, pi, m).verdict
-                        via_graph = graph_subgroupoid_check(
-                            gamma, pi, phi, graph_of_map(m), product=product
-                        ).verdict
+                        via_graph = graph_subgroupoid_check(gamma, pi, phi, graph_of_map(m)).verdict
                         assert direct == via_graph, (gname, pname, phi, kind, m)
                         checked += 1
     assert checked > 500
@@ -254,7 +271,7 @@ def test_enumerate_maps_examples():
 
 
 def test_enumerate_respects_cap():
-    z3 = FiniteGroup.cyclic(3)
+    z3 = cyclic_group(3)
     g = make_action_groupoid(z3, ["o"], {("o", k): "o" for k in range(3)})
     with step_budget(10), pytest.raises(ResourceCapExceeded, match="in the candidate map space"):
         list(iter_candidate_maps(g, g, {"o": "o"}, "morphism"))
@@ -262,7 +279,7 @@ def test_enumerate_respects_cap():
 
 def trivial_bundle(k, m):
     """The trivial Z_k-bundle over m objects, Z_k on one object, and the constant base map."""
-    zk = FiniteGroup.cyclic(k)
+    zk = cyclic_group(k)
     objects = ["o%d" % n for n in range(m)]
     gamma = make_action_groupoid(zk, objects, {(x, g): x for x in objects for g in range(k)})
     pi = make_action_groupoid(zk, ["t"], {("t", g): "t" for g in range(k)})
