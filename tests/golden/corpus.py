@@ -13,6 +13,11 @@ lines are:
 - ``grpd build`` of every kind (empty object sets and failing actions
   included), ``compose`` of morphisms and comorphisms, and ``-o`` runs,
   whose record also holds the text written to the file;
+- product laws: ``grpd check`` on Z/n and pair(abc) x Z/3 tables, some
+  with one product changed, and ``check-map`` and ``graph-theorem`` on a
+  morphism and a comorphism, each whole and with one entry changed; the
+  first bad triple or pair of most broken inputs has its middle arrow
+  outside the generating set picked greedily in arrow order;
 - pseudoalgebras with seeded random structure tables over Q[x,y,z] and
   over the circle Q[x,y]/(x^2 + y^2 - 1), most of them failing, so
   their reports carry Jacobi and anchor witnesses;
@@ -147,6 +152,47 @@ def _random_palgs(rng):
     return out
 
 
+def _groupoid_body(objects, arrows, src, ident, inv, product):
+    """A groupoid document: ``product(a, b)`` on every pair with src(b) == tgt-object of a.
+
+    ``src`` maps each arrow to its (source, target) objects.
+    """
+    comp = [[a, b, product(a, b)] for a in arrows for b in arrows if src[a][1] == src[b][0]]
+    return {
+        "objects": list(objects),
+        "arrows": list(arrows),
+        "src": {a: src[a][0] for a in arrows},
+        "tgt": {a: src[a][1] for a in arrows},
+        "id": dict(ident),
+        "inv": dict(inv),
+        "comp": comp,
+    }
+
+
+def _cyclic_body(n):
+    """Z/n on the one object "o": arrows "0", ..., "n-1" under addition."""
+    arrows = [str(k) for k in range(n)]
+    return _groupoid_body(
+        ["o"], arrows, dict.fromkeys(arrows, ("o", "o")), {"o": "0"},
+        {a: str(-int(a) % n) for a in arrows}, lambda a, b: str((int(a) + int(b)) % n),
+    )
+
+
+def _pair_cyclic_body(objects, k):
+    """The pair groupoid on one-letter ``objects`` times Z/k: arrows "xyc" from x to y."""
+    arrows = ["%s%s%d" % (x, y, c) for x in objects for y in objects for c in range(k)]
+    return _groupoid_body(
+        objects, arrows, {a: (a[0], a[1]) for a in arrows}, {x: x + x + "0" for x in objects},
+        {a: "%s%s%d" % (a[1], a[0], -int(a[2:]) % k) for a in arrows},
+        lambda a, b: "%s%s%d" % (a[0], b[1], (int(a[2:]) + int(b[2:])) % k),
+    )
+
+
+def _with_product(body, a, b, c):
+    """``body`` with the product of (a, b) changed to c."""
+    return dict(body, comp=[[x, y, c if (x, y) == (a, b) else z] for x, y, z in body["comp"]])
+
+
 BAD_POLYNOMIALS = (
     "2*x^", "1/0", "q + 1", "x 2", "x + ", "", "x $ y", "x\n+ y^", "x +\n\n  3/0*y", "*x", "x^y",
 )
@@ -267,6 +313,44 @@ def cases(workdir):
     ]
     for argv in written_lines:  # the format does not change a written document
         out.append(("written: " + " ".join(argv), argv, None))
+
+    # Product laws.  Picked greedily in arrow order, {0, 1} generates Z/4 and
+    # Z/6, and aa0, aa1, ab0, ac0, ba0, ca0 generate pair(abc) x Z/3.  The
+    # first bad triple of each broken table, and the first bad pair or triple
+    # of each broken map, has its middle arrow outside that set, except for
+    # the tables broken "at generators".
+    laws = workdir / "laws"
+    laws.mkdir()
+    z4, z6, p3z3 = _cyclic_body(4), _cyclic_body(6), _pair_cyclic_body("abc", 3)
+    tables = {
+        "z3": _cyclic_body(3),
+        "z4": z4,
+        "z6": z6,
+        "pair3-z3": p3z3,
+        "z4-broken-off-generators": _with_product(z4, "3", "2", "0"),
+        "z4-broken-at-generators": _with_product(z4, "1", "1", "0"),
+        "z4-broken-units": _with_product(z4, "0", "1", "2"),
+        "pair3-z3-broken-off-generators": _with_product(p3z3, "ab2", "ba0", "aa0"),
+        "pair3-z3-broken-at-generators": _with_product(p3z3, "aa1", "aa1", "aa0"),
+    }
+    for name, body in tables.items():
+        _doc(laws, name, "groupoid", body)
+        out += _both_formats("laws: grpd check " + name, ["grpd", "check", "{work}/laws/%s.json" % name])
+    constant = dict.fromkeys("abc", "o")
+    projection = {a: a[2:] for a in p3z3["arrows"]}
+    pullback = sorted([x, w, x + x + str(int(w) % 3)] for x in "abc" for w in z6["arrows"])
+    grpdmaps = {
+        "morphism": ("z3", {"maptype": "morphism", "base": constant, "arrows": projection}),
+        "morphism-broken": ("z3", {"maptype": "morphism", "base": constant, "arrows": dict(projection, ab2="0")}),
+        "comorphism": ("z6", {"maptype": "comorphism", "base": constant, "table": pullback}),
+        "comorphism-broken": ("z6", {"maptype": "comorphism", "base": constant,
+                                     "table": [[x, w, "aa1" if (x, w) == ("a", "3") else g] for x, w, g in pullback]}),
+    }
+    for name, (pi, body) in grpdmaps.items():
+        _doc(laws, name, "grpdmap", body)
+        for command in ("check-map", "graph-theorem"):
+            argv = ["grpd", command, "{work}/laws/pair3-z3.json", "{work}/laws/%s.json" % pi, "{work}/laws/%s.json" % name]
+            out += _both_formats("laws: grpd %s %s" % (command, name), argv)
 
     palgs = workdir / "palgs"
     palgs.mkdir()
