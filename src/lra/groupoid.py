@@ -5,9 +5,12 @@ tgt(g) == src(h), and then src(g*h) == src(g), tgt(g*h) == tgt(h).
 (Other texts use the opposite convention.)  Objects sit inside the arrow
 set as their identity arrows.
 
-All constructions here are finite and checked exhaustively: pair, action,
+All constructions here are finite and checked exactly: pair, action,
 direct product, base-map product, restriction, gauge, plus both map
 notions with their verifiers, graphs, orbit tests and groupoid actions.
+Each product law (associativity, products of a morphism, the comorphism
+cocycle identity, the action law) is decided on a generating set of the
+table and scanned on every arrow only to name the faults when it fails.
 A group is a groupoid with one object (``cyclic_group``), and a group
 action is a ``GroupoidAction`` of it, so ``check_groupoid`` is the only
 associativity check and ``check_groupoid_action`` the only check of the
@@ -83,7 +86,7 @@ class FinGroupoid:
 
 
 def check_groupoid(g):
-    """Exhaustive verification of all groupoid table invariants."""
+    """Verification of all groupoid table invariants; associativity on a generating set."""
     report = VerdictReport()
     objects, arrows = set(g.objects), set(g.arrows)
     ok = True
@@ -109,49 +112,92 @@ def check_groupoid(g):
         "objects with displaced identities: %r" % bad,
     ):
         return report
-    after = dict(_composable(g.arrows, g.src, g.tgt))
+    comp, src, tgt, ident = g.comp, g.src, g.tgt, g.ident
+    after = dict(_composable(g.arrows, src, tgt))
     domain = [(a, b) for a, bs in after.items() for b in bs]
     pairs = set(domain)
-    missing = sorted((p for p in domain if p not in g.comp), key=repr)
-    extra = sorted((p for p in g.comp if p not in pairs), key=repr)
-    report.add(
-        "product defined exactly on composable pairs",
-        not missing and not extra,
-        "missing: %r, extra: %r" % (missing[:3], extra[:3]),
-    )
-    if missing or extra:
+    missing = [p for p in domain if p not in comp]
+    if missing or len(comp) != len(pairs):  # else comp holds exactly these pairs
+        extra = [p for p in comp if p not in pairs]
+        report.add(
+            "product defined exactly on composable pairs",
+            False,
+            "missing: %r, extra: %r" % (sorted(missing, key=repr)[:3], sorted(extra, key=repr)[:3]),
+        )
         return report
+    report.add("product defined exactly on composable pairs", True)
     bad = [
         (a, b)
         for (a, b) in domain
-        if g.comp[(a, b)] not in arrows
-        or g.src[g.comp[(a, b)]] != g.src[a]
-        or g.tgt[g.comp[(a, b)]] != g.tgt[b]
+        if (c := comp[a, b]) not in arrows or src[c] != src[a] or tgt[c] != tgt[b]
     ]
     if not report.add("products have the right endpoints", not bad, "bad pairs: %r" % bad[:3]):
         return report
-    bad = [
-        a
-        for a in g.arrows
-        if g.comp[(g.ident[g.src[a]], a)] != a or g.comp[(a, g.ident[g.tgt[a]])] != a
-    ]
+    bad = [a for a in g.arrows if comp[ident[src[a]], a] != a or comp[a, ident[tgt[a]]] != a]
     report.add("identities are neutral", not bad, "arrows violating unit laws: %r" % bad[:3])
     bad = []
     for a in g.arrows:
         b = g.inv[a]
-        if g.src[b] != g.tgt[a] or g.tgt[b] != g.src[a]:
+        if src[b] != tgt[a] or tgt[b] != src[a]:
             bad.append(a)
-        elif g.comp[(a, b)] != g.ident[g.src[a]] or g.comp[(b, a)] != g.ident[g.tgt[a]]:
+        elif comp[a, b] != ident[src[a]] or comp[b, a] != ident[tgt[a]]:
             bad.append(a)
     report.add("inverses cancel on both sides", not bad, "arrows with broken inverses: %r" % bad[:3])
-    bad = [
-        (a, b, c)
-        for (a, b) in domain
-        for c in after[b]
-        if g.comp[(g.comp[(a, b)], c)] != g.comp[(a, g.comp[(b, c)])]
-    ]
+
+    def triples(middles):
+        right = {b: [(c, comp[b, c]) for c in after[b]] for b in middles}  # b -> (c, b c)
+        bad = []
+        for a, b in domain:
+            if b in right:
+                ab = comp[a, b]
+                for c, bc in right[b]:
+                    if comp[ab, c] != comp[a, bc]:
+                        bad.append((a, b, c))
+        return bad
+
+    bad = _law_faults(triples, g)
     report.add("associativity on all composable triples", not bad, "triples: %r" % bad[:3])
     return report
+
+
+def _generators(g):
+    """Each arrow of g, in arrow order, that table products of those picked before it miss.
+
+    The closure starts empty and assumes neither associativity nor the unit
+    laws; it needs a product on every composable pair, with the right endpoints.
+    """
+    comp, src, tgt = g.comp, g.src, g.tgt
+    leaving, arriving = {}, {}  # object -> closure arrows from / to it
+    closure, gens = set(), set()
+    for a in g.arrows:
+        if a in closure:
+            continue
+        gens.add(a)
+        new = [a]
+        for u in new:  # u meets each closure arrow indexed before it, and itself
+            if u in closure:
+                continue
+            closure.add(u)
+            s, t = src[u], tgt[u]
+            leaving.setdefault(s, []).append(u)
+            arriving.setdefault(t, []).append(u)
+            for v in leaving.get(t, ()):
+                new.append(comp[u, v])
+            for v in arriving.get(s, ()):
+                new.append(comp[v, u])
+    return gens
+
+
+def _law_faults(scan, g, gens=None):
+    """``scan(middles)`` lists the faults of a law with middle arrow in ``middles``.
+
+    The middle arrows where the law holds are closed under products (Light's
+    associativity test, Clifford & Preston I, ch. 1; the map and action laws
+    need associative groupoids), so it holds everywhere if it holds on
+    ``gens``, by default ``_generators(g)``; a fault there is reported from
+    the scan over every arrow of g.
+    """
+    return scan(_generators(g) if gens is None else gens) and scan(set(g.arrows))
 
 
 # -- constructors -----------------------------------------------------------
@@ -283,12 +329,7 @@ def make_phi_product(gamma, pi, phi):
     object (x, phi(x)) named x, so it lives on gamma's base.
     """
     _check_base_map(gamma, pi, phi)
-    arrows = [
-        (g, w)
-        for g in gamma.arrows
-        for w in pi.arrows
-        if pi.src[w] == phi[gamma.src[g]] and pi.tgt[w] == phi[gamma.tgt[g]]
-    ]
+    arrows = _phi_arrows(gamma, pi, phi)
     return _from_product(
         gamma.objects,
         arrows,
@@ -298,6 +339,14 @@ def make_phi_product(gamma, pi, phi):
         {(g, w): (gamma.inv[g], pi.inv[w]) for (g, w) in arrows},
         _componentwise(gamma, pi),
     )
+
+
+def _phi_arrows(gamma, pi, phi):
+    """The arrows (g, w) of the phi-product, in gamma's arrow order, then pi's."""
+    hom = {}
+    for w in pi.arrows:
+        hom.setdefault((pi.src[w], pi.tgt[w]), []).append(w)
+    return [(g, w) for g in gamma.arrows for w in hom.get((phi[gamma.src[g]], phi[gamma.tgt[g]]), ())]
 
 
 def make_gauge(total, projection, group, act):
@@ -391,8 +440,12 @@ def pullback_domain(gamma, pi, phi):
     ]
 
 
-def check_grpd_morphism(gamma, pi, m):
-    """Verify a morphism of groupoids from gamma to pi over its base map."""
+def check_grpd_morphism(gamma, pi, m, generators=None):
+    """Verify a morphism of groupoids from gamma to pi over its base map.
+
+    Both gamma and pi must pass ``check_groupoid``.  F(g h) == F(g) F(h) is
+    checked for h in ``generators``, ``_generators(gamma)`` when not given.
+    """
     report = VerdictReport()
     fault = _base_map_fault(gamma, pi, m.base)
     if fault:
@@ -422,11 +475,16 @@ def check_grpd_morphism(gamma, pi, m):
     report.add("endpoints are respected", not bad, "arrows: %r" % bad[:3])
     if bad:
         return report
-    bad = [
-        (g, h)
-        for g, h in gamma.composable_pairs()
-        if m.arrows[gamma.comp[(g, h)]] != pi.comp[(m.arrows[g], m.arrows[h])]
-    ]
+    image = m.arrows
+
+    def pairs(middles):
+        return [
+            (g, h)
+            for g, h in gamma.composable_pairs()
+            if h in middles and image[gamma.comp[(g, h)]] != pi.comp[(image[g], image[h])]
+        ]
+
+    bad = _law_faults(pairs, gamma, generators)
     report.add(
         "products are preserved",
         not bad,
@@ -435,8 +493,12 @@ def check_grpd_morphism(gamma, pi, m):
     return report
 
 
-def check_grpd_comorphism(gamma, pi, m):
-    """Verify a comorphism from pi to gamma over phi: base(gamma) -> base(pi)."""
+def check_grpd_comorphism(gamma, pi, m, generators=None):
+    """Verify a comorphism from pi to gamma over phi: base(gamma) -> base(pi).
+
+    Both gamma and pi must pass ``check_groupoid``.  The cocycle identity is
+    checked for z in ``generators``, ``_generators(pi)`` when not given.
+    """
     report = VerdictReport()
     phi = m.base
     fault = _base_map_fault(gamma, pi, phi)
@@ -482,12 +544,18 @@ def check_grpd_comorphism(gamma, pi, m):
     if bad:
         return report
     after = dict(_composable(pi.arrows, pi.src, pi.tgt))
-    bad = []
-    for (x, w) in domain:
-        g = m.table[(x, w)]
-        for z in after[w]:
-            if m.table[(x, pi.comp[(w, z)])] != gamma.comp[(g, m.table[(gamma.tgt[g], z)])]:
-                bad.append((x, w, z))
+    table = m.table
+
+    def triples(middles):
+        bad = []
+        for (x, w) in domain:
+            g = table[(x, w)]
+            for z in after[w]:
+                if z in middles and table[(x, pi.comp[(w, z)])] != gamma.comp[(g, table[(gamma.tgt[g], z)])]:
+                    bad.append((x, w, z))
+        return bad
+
+    bad = _law_faults(triples, pi, generators)
     report.add(
         "products pull back through the cocycle identity",
         not bad,
@@ -516,8 +584,8 @@ def graph_subgroupoid_check(gamma, pi, phi, graph):
     if fault:
         report.add(fault[0], False, fault[1])
         return report
-    product = make_phi_product(gamma, pi, phi)
-    arrow_set = set(product.arrows)
+    arrows = _phi_arrows(gamma, pi, phi)
+    arrow_set = set(arrows)
     outside = [p for p in graph if p not in arrow_set]
     report.add(
         "graph lies inside the phi-product",
@@ -526,21 +594,19 @@ def graph_subgroupoid_check(gamma, pi, phi, graph):
     )
     if outside:
         return report
-    missing = [x for x in gamma.objects if product.ident[x] not in graph]
+    missing = [x for x in gamma.objects if (gamma.ident[x], pi.ident[phi[x]]) not in graph]
     report.add(
         "graph contains every identity of the base",
         not missing,
         "objects without identities: %r" % missing[:3],
     )
-    members = [p for p in product.arrows if p in graph]
-    bad = [p for p in members if product.inv[p] not in graph]
+    members = [p for p in arrows if p in graph]
+    bad = [p for p in members if (gamma.inv[p[0]], pi.inv[p[1]]) not in graph]
     report.add("graph is closed under inversion", not bad, "arrows: %r" % bad[:3])
-    bad = [
-        (p, q)
-        for p, after in _composable(members, product.src, product.tgt)
-        for q in after
-        if product.comp[(p, q)] not in graph
-    ]
+    mul = _componentwise(gamma, pi)  # products of member pairs only
+    src = {p: gamma.src[p[0]] for p in members}
+    tgt = {p: gamma.tgt[p[0]] for p in members}
+    bad = [(p, q) for p, after in _composable(members, src, tgt) for q in after if mul(p, q) not in graph]
     report.add("graph is closed under the product", not bad, "pairs: %r" % bad[:3])
     return report
 
@@ -621,6 +687,7 @@ class GroupoidAction:
 
 
 def check_groupoid_action(action):
+    """Verify the action tables; the groupoid must pass ``check_groupoid``."""
     report = VerdictReport()
     g = action.groupoid
     covered = {action.projection[z] for z in action.space}
@@ -654,12 +721,19 @@ def check_groupoid_action(action):
         if any(action.maps[g.ident[x]][z] != z for z in action.fiber(x))
     ]
     report.add("identities act as the identity", not bad, "objects: %r" % bad[:3])
-    bad = []
-    for a, b in g.composable_pairs():
-        ab = g.comp[(a, b)]
-        for z in action.fiber(g.src[a]):
-            if action.maps[ab][z] != action.maps[b][action.maps[a][z]]:
-                bad.append((a, b, z))
+    maps = action.maps
+    fibers = {x: action.fiber(x) for x in g.objects}
+
+    def violations(middles):
+        return [
+            (a, b, z)
+            for a, b in g.composable_pairs()
+            if b in middles
+            for z in fibers[g.src[a]]
+            if maps[g.comp[(a, b)]][z] != maps[b][maps[a][z]]
+        ]
+
+    bad = _law_faults(violations, g)
     report.add(
         "products act in reverse order",
         not bad,
@@ -795,22 +869,27 @@ def _depth_first(options, fits, leave):
             leave(i, values)
 
 
-def _graph_search(product, slots, slot_of):
-    """Graphs in ``product`` with one arrow per slot that are closed under its product.
+def _graph_search(gamma, pi, phi, slots, slot_of):
+    """Graphs in the phi-product with one arrow per slot that are closed under its product.
 
     Slot s takes the arrows p with ``slot_of(p) == s`` in arrow order, and the
     slot of an identity only that identity.  Each chosen pair (p, q) with
     tgt(p) == src(q) needs p*q at ``slot_of(p*q)``: chosen there already, or
-    forced there until that slot is filled.  Yields the chosen arrows in slot
-    order; the list is reused.
+    forced there until that slot is filled.  Products are taken componentwise
+    for chosen pairs only; no product table is built.  Yields the chosen
+    arrows in slot order; the list is reused.
     """
+    arrows = _phi_arrows(gamma, pi, phi)
+    mul = _componentwise(gamma, pi)
+    src, tgt = gamma.src, gamma.tgt
     pos = {s: i for i, s in enumerate(slots)}
-    at = {p: pos[slot_of(p)] for p in product.arrows}  # arrow -> position of its slot
+    at = {p: pos[slot_of(p)] for p in arrows}  # arrow -> position of its slot
     options = [[] for _ in slots]
-    for p in product.arrows:
+    for p in arrows:
         options[at[p]].append(p)
-    for x in product.objects:
-        options[at[product.ident[x]]] = [product.ident[x]]
+    for x in gamma.objects:
+        ident = (gamma.ident[x], pi.ident[phi[x]])
+        options[at[ident]] = [ident]
     leaving, arriving = {}, {}  # object -> chosen arrows from / to it
     forced = {}  # slot position -> the product a chosen pair puts there
     undo = []  # per chosen arrow, the positions it forced
@@ -819,7 +898,7 @@ def _graph_search(product, slots, slot_of):
         p = values[i]
         if forced.get(i, p) != p:
             return False
-        s, t = product.src[p], product.tgt[p]
+        s, t = src[p[0]], tgt[p[0]]
         # p joins ``leaving`` before and ``arriving`` after the pairs are read,
         # so a loop p meets itself once
         leaving.setdefault(s, []).append(p)
@@ -827,7 +906,7 @@ def _graph_search(product, slots, slot_of):
         arriving.setdefault(t, []).append(p)
         undo.append([])
         for pq in pairs:
-            r = product.comp[pq]
+            r = mul(*pq)
             j = at[r]
             if j > i and j not in forced:
                 forced[j] = r
@@ -839,8 +918,8 @@ def _graph_search(product, slots, slot_of):
 
     def leave(i, values):
         p = values[i]
-        leaving[product.src[p]].pop()
-        arriving[product.tgt[p]].pop()
+        leaving[src[p[0]]].pop()
+        arriving[tgt[p[0]]].pop()
         for j in undo.pop():
             del forced[j]
 
@@ -849,18 +928,18 @@ def _graph_search(product, slots, slot_of):
 
 def _verified_maps(gamma, pi, phi, kind):
     """Maps of one kind over phi that the direct verifier passes, in candidate order."""
-    product = make_phi_product(gamma, pi, phi)
+    _check_base_map(gamma, pi, phi)
     if kind == "morphism":
         slots, make, check = list(gamma.arrows), GrpdMorphism, check_grpd_morphism
-        slot_of, value = (lambda p: p[0]), 1
+        slot_of, value, gens = (lambda p: p[0]), 1, _generators(gamma)
     elif kind == "comorphism":
         slots, make, check = pullback_domain(gamma, pi, phi), GrpdComorphism, check_grpd_comorphism
-        slot_of, value = (lambda p: (gamma.src[p[0]], p[1])), 0
+        slot_of, value, gens = (lambda p: (gamma.src[p[0]], p[1])), 0, _generators(pi)
     else:
         raise ValueError("kind must be 'morphism' or 'comorphism'")
-    for graph in _graph_search(product, slots, slot_of):
+    for graph in _graph_search(gamma, pi, phi, slots, slot_of):
         m = make(dict(phi), {slot_of(p): p[value] for p in graph})
-        if check(gamma, pi, m).verdict:
+        if check(gamma, pi, m, gens).verdict:
             yield m
 
 
@@ -871,8 +950,9 @@ def enumerate_maps(gamma, pi, phi, kind):
     one for each pullback pair (src g, w).  Slots and options come in
     ``iter_candidate_maps`` order, and so do the maps.  A branch is cut as
     soon as two chosen arrows have a product the graph cannot hold; each
-    complete map still passes the direct verifier.  Each partial map tried
-    spends one step of the step budget (see ``groebner.step_budget``).
+    complete map still passes the direct verifier, so both groupoids must
+    pass ``check_groupoid``.  Each partial map tried spends one step of the
+    step budget (see ``groebner.step_budget``).
     """
     return list(_verified_maps(gamma, pi, phi, kind))
 

@@ -12,6 +12,7 @@ from lra import (
     AlgebraPres,
     AlgMorphism,
     Derivation,
+    FinGroupoid,
     GroupoidAction,
     PAComorphism,
     PAElement,
@@ -331,6 +332,21 @@ def composable_oracle(g):
     return [(a, b) for a in g.arrows for b in g.arrows if g.tgt[a] == g.src[b]]
 
 
+def shuffled_copy(g, rng):
+    """g with its objects and arrows relabelled and listed in a random order."""
+    objects = {x: "x%d" % n for n, x in enumerate(rng.sample(g.objects, len(g.objects)))}
+    arrows = {a: "a%d" % n for n, a in enumerate(rng.sample(g.arrows, len(g.arrows)))}
+    return FinGroupoid(
+        rng.sample(list(objects.values()), len(objects)),
+        rng.sample(list(arrows.values()), len(arrows)),
+        {arrows[a]: objects[x] for a, x in g.src.items()},
+        {arrows[a]: objects[x] for a, x in g.tgt.items()},
+        {objects[x]: arrows[a] for x, a in g.ident.items()},
+        {arrows[a]: arrows[b] for a, b in g.inv.items()},
+        {(arrows[a], arrows[b]): arrows[c] for (a, b), c in g.comp.items()},
+    )
+
+
 def all_base_maps(gamma, pi):
     """Every map from gamma's objects to pi's objects."""
     import itertools
@@ -393,3 +409,62 @@ def action_tables():
         {("p", "p"): {"1": "1", "2": "2"}},
     )
     return [tautological, z2_swap, z2_mixed, z3_cycle, pair_action, trivial]
+
+
+# -- product laws, scanned in full --------------------------------------------
+#
+# Straight from the definitions, over every arrow, with no generating set;
+# each lists its faults in arrow order, first factor first.
+
+
+def ref_closure(g, arrows):
+    """The arrows reached from ``arrows`` by table products, the arrows included."""
+    closure = set(arrows)
+    while True:
+        new = {g.comp[(a, b)] for a in closure for b in closure if g.tgt[a] == g.src[b]} - closure
+        if not new:
+            return closure
+        closure |= new
+
+
+def ref_associativity_faults(g):
+    """Composable triples (a, b, c) with (a b) c != a (b c)."""
+    return [
+        (a, b, c)
+        for a in g.arrows
+        for b in g.arrows
+        if g.tgt[a] == g.src[b]
+        for c in g.arrows
+        if g.tgt[b] == g.src[c] and g.comp[(g.comp[(a, b)], c)] != g.comp[(a, g.comp[(b, c)])]
+    ]
+
+
+def ref_morphism_faults(gamma, pi, m):
+    """Composable pairs (g, h) of gamma with F(g h) != F(g) F(h)."""
+    f = m.arrows
+    return [(g, h) for g, h in composable_oracle(gamma) if f[gamma.comp[(g, h)]] != pi.comp[(f[g], f[h])]]
+
+
+def ref_cocycle_faults(gamma, pi, m):
+    """(x, w, z), phi(x) = src w and tgt w = src z, with T(x, w z) != T(x, w) T(y, z), y = tgt T(x, w)."""
+    t = m.table
+    return [
+        (x, w, z)
+        for x in gamma.objects
+        for w in pi.arrows
+        if pi.src[w] == m.base[x]
+        for z in pi.arrows
+        if pi.tgt[w] == pi.src[z]
+        and t[(x, pi.comp[(w, z)])] != gamma.comp[(t[(x, w)], t[(gamma.tgt[t[(x, w)]], z)])]
+    ]
+
+
+def ref_action_faults(action):
+    """(a, b, z), a b composable and z over src a, where z.(a b) != (z.a).b."""
+    g, maps = action.groupoid, action.maps
+    return [
+        (a, b, z)
+        for a, b in composable_oracle(g)
+        for z in action.space
+        if action.projection[z] == g.src[a] and maps[g.comp[(a, b)]][z] != maps[b][maps[a][z]]
+    ]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import action_tables, all_base_maps, composable_oracle, groupoid_corpus
+from conftest import action_tables, all_base_maps, composable_oracle, groupoid_corpus, shuffled_copy
 from lra.groebner import ResourceCapExceeded, step_budget
 from lra.groupoid import (
     FinGroupoid,
@@ -338,30 +338,14 @@ def test_search_respects_cap():
                 enumerate_maps(gamma, pi, phi, kind)
 
 
-def shuffled_copy(g, rng):
-    """g with its objects and arrows relabelled and listed in a random order."""
-    objects = {x: "x%d" % n for n, x in enumerate(rng.sample(g.objects, len(g.objects)))}
-    arrows = {a: "a%d" % n for n, a in enumerate(rng.sample(g.arrows, len(g.arrows)))}
-    return FinGroupoid(
-        rng.sample(list(objects.values()), len(objects)),
-        rng.sample(list(arrows.values()), len(arrows)),
-        {arrows[a]: objects[x] for a, x in g.src.items()},
-        {arrows[a]: objects[x] for a, x in g.tgt.items()},
-        {objects[x]: arrows[a] for x, a in g.ident.items()},
-        {arrows[a]: arrows[b] for a, b in g.inv.items()},
-        {(arrows[a], arrows[b]): arrows[c] for (a, b), c in g.comp.items()},
-    )
-
-
 def graph_search_maps(gamma, pi, phi, kind):
     """The raw output of the graph search, before any verifier, read back as maps."""
-    product = make_phi_product(gamma, pi, phi)
     with step_budget(10**6):
         if kind == "morphism":
-            graphs = _graph_search(product, list(gamma.arrows), lambda p: p[0])
+            graphs = _graph_search(gamma, pi, phi, list(gamma.arrows), lambda p: p[0])
             return [GrpdMorphism(phi, {g: w for g, w in graph}) for graph in graphs]
         slots = pullback_domain(gamma, pi, phi)
-        graphs = _graph_search(product, slots, lambda p: (gamma.src[p[0]], p[1]))
+        graphs = _graph_search(gamma, pi, phi, slots, lambda p: (gamma.src[p[0]], p[1]))
         return [GrpdComorphism(phi, {(gamma.src[g], w): g for g, w in graph}) for graph in graphs]
 
 
