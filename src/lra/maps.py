@@ -373,8 +373,8 @@ def chain_map_check(m):
         report.add(
             "degree 0 at %s" % a_alg.variables[v],
             lhs == rhs,
-            "d(psi(%s)) = %r but the pulled-back differential is %r"
-            % (a_alg.variables[v], lhs.data, rhs.data),
+            lambda: "d(psi(%s)) = %s but the pulled-back differential is %s"
+            % (a_alg.variables[v], lhs.render(), rhs.render()),
         )
     for k in range(e.rank):
         covector = [e.algebra.one() if i == k else e.algebra.zero() for i in range(e.rank)]
@@ -384,7 +384,7 @@ def chain_map_check(m):
         report.add(
             "degree 1 at the dual covector of e_%d" % k,
             lhs == rhs,
-            "d of the pullback is %r but the pullback of d is %r" % (lhs.data, rhs.data),
+            lambda: "d of the pullback is %s but the pullback of d is %s" % (lhs.render(), rhs.render()),
         )
     if not report.checks:
         report.add("no conditions to check (scalars and rank zero)", True)

@@ -373,6 +373,15 @@ class KForm:
             and self.data == other.data
         )
 
+    def render(self):
+        """Canonical text: a polynomial, a coefficient tuple, or each entry by pair (i, j)."""
+        render = self.parent.algebra.render
+        if self.degree == 0:
+            return render(self.data)
+        if self.degree == 1:
+            return self.parent.render_element(self.data)
+        return "{%s}" % ", ".join("(%d, %d): %s" % (i, j, render(c)) for (i, j), c in sorted(self.data.items()))
+
     def __repr__(self):
         return "KForm(degree=%d, %r)" % (self.degree, self.data)
 

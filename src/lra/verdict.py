@@ -34,9 +34,14 @@ class VerdictReport:
     timing_ms: float = 0.0
 
     def add(self, name, passed, witness=""):
-        if not passed and not witness:
-            witness = "condition violated"
-        self.checks.append(Check(name, bool(passed), witness if not passed else ""))
+        """Append one check.  ``witness`` is its text, or a zero-argument
+        callable that returns it; the callable runs only when the check
+        fails, so passing checks render nothing, and it is never stored."""
+        if passed:
+            witness = ""
+        else:
+            witness = (witness() if callable(witness) else witness) or "condition violated"
+        self.checks.append(Check(name, bool(passed), witness))
         self.timing_ms = (time.monotonic() - self.started) * 1000.0
         return passed
 

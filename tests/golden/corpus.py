@@ -13,6 +13,8 @@ lines are:
 - ``grpd build`` of every kind (empty object sets and failing actions
   included), ``compose`` of morphisms and comorphisms, and ``-o`` runs,
   whose record also holds the text written to the file;
+- ``check chainmap`` on one-entry mutants of a passing comorphism, so
+  the records carry degree-0 and degree-1 witnesses;
 - product laws: ``grpd check`` on Z/n and pair(abc) x Z/3 tables, some
   with one product changed, and ``check-map`` and ``graph-theorem`` on a
   morphism and a comorphism, each whole and with one entry changed; the
@@ -351,6 +353,25 @@ def cases(workdir):
         for command in ("check-map", "graph-theorem"):
             argv = ["grpd", command, "{work}/laws/pair3-z3.json", "{work}/laws/%s.json" % pi, "{work}/laws/%s.json" % name]
             out += _both_formats("laws: grpd %s %s" % (command, name), argv)
+
+    # Chain maps: one-entry mutants of a passing comorphism, so each record
+    # fails on some degree-0 and degree-1 checks and prints their witnesses.
+    chainmaps = workdir / "chainmaps"
+    chainmaps.mkdir()
+    poisson = "{work}/palg-verdicts/poisson3-%s.json"
+    comorph = json.loads((workdir / "palg-verdicts" / "poisson3-comorph.json").read_text())["body"]
+    mutants = {"workload-mutant": poisson % "comorphism-mutant"}
+    for i, k, text in ((0, 0, "0"), (1, 2, "y0"), (2, 1, "1/2*y0^2 - y2"), (1, 1, "-1 + y1*y2")):
+        name = "poisson3-entry-%d-%d" % (i, k)
+        rows = [[text if (r, c) == (i, k) else v for c, v in enumerate(row)] for r, row in enumerate(comorph["images"])]
+        _doc(chainmaps, name, "pacomorphism", dict(comorph, images=rows))
+        mutants[name] = "{work}/chainmaps/%s.json" % name
+    curve = dict(json.loads((DATA / "pacomorphism_curve.json").read_text())["body"], images=[["1", "3*x"]])
+    _doc(chainmaps, "curve-entry-0-1", "pacomorphism", curve)
+    for name, path in mutants.items():
+        argv = ["check", "chainmap", poisson % "x", poisson % "y", path]
+        out += _both_formats("chainmap: " + name, argv)
+    out += _both_formats("chainmap: curve-entry-0-1", ["check", "chainmap", plane, line, "{work}/chainmaps/curve-entry-0-1.json"])
 
     palgs = workdir / "palgs"
     palgs.mkdir()
