@@ -117,10 +117,19 @@ class AlgebraPres:
         )
 
 
+def _variable_index(p):
+    """v when ``p`` is exactly the variable x_v (coefficient 1), else None."""
+    if len(p.terms) == 1:
+        ((exp, c),) = p.terms.items()
+        if c == 1 and sum(exp) == 1:
+            return exp.index(1)
+    return None
+
+
 class AlgMorphism:
     """An algebra map, stored as one target element per source variable."""
 
-    __slots__ = ("source", "target", "images", "_report")
+    __slots__ = ("source", "target", "images", "_report", "_sound")
 
     def __init__(self, source, target, images):
         images = [target.nf(q) for q in images]
@@ -135,6 +144,7 @@ class AlgMorphism:
         self.target = target
         self.images = tuple(images)
         self._report = None
+        self._sound = False
 
     @classmethod
     def identity(cls, algebra):
@@ -150,20 +160,30 @@ class AlgMorphism:
             report.add(
                 "generator %s maps into the target ideal" % self.source.render(g),
                 image.is_zero(),
-                "normal form of the image is %s" % self.target.render(image),
+                lambda: "normal form of the image is %s" % self.target.render(image),
             )
         if not self.source.ideal.generators:
             report.add("source ideal is empty", True)
         self._report = report
+        self._sound = report.verdict
         return report
 
+    def require(self):
+        """Raise ``VerificationError`` unless the ideal maps into the ideal."""
+        if not self._sound:
+            self.check().require("morphism does not map the ideal into the ideal")
+
     def apply(self, p):
-        """Substitute variable images, then reduce in the target."""
-        self.check().require("morphism does not map the ideal into the ideal")
+        """Substitute variable images, then reduce in the target; the
+        variable x_v goes straight to ``images[v]``, stored in normal form."""
+        self.require()
         if p.arity != self.source.arity:
             raise ValueError("element arity does not match the source algebra")
         if self.source.arity == 0:
             return self.target.const(p.constant_value())
+        v = _variable_index(p)
+        if v is not None:
+            return MPoly._raw(self.target.arity, dict(self.images[v].terms))
         return self.target.nf(p.subs(list(self.images)))
 
     def compose(self, then):
@@ -197,7 +217,7 @@ class Derivation:
     every ideal element is an algebra combination of them.
     """
 
-    __slots__ = ("algebra", "images", "_report")
+    __slots__ = ("algebra", "images", "_report", "_sound")
 
     def __init__(self, algebra, images):
         images = [algebra.nf(q) for q in images]
@@ -208,6 +228,7 @@ class Derivation:
         self.algebra = algebra
         self.images = tuple(images)
         self._report = None
+        self._sound = False
 
     @classmethod
     def zero(cls, algebra):
@@ -260,18 +281,32 @@ class Derivation:
             report.add(
                 "ideal generator %s stays in the ideal" % self.algebra.render(g),
                 value.is_zero(),
-                "derivative has normal form %s" % self.algebra.render(value),
+                lambda: "derivative has normal form %s" % self.algebra.render(value),
             )
         if not self.algebra.ideal.groebner:
             report.add("free algebra: every derivation preserves the zero ideal", True)
         self._report = report
+        self._sound = report.verdict
         return report
 
+    def require(self):
+        """Raise ``VerificationError`` unless the derivation preserves the ideal."""
+        if not self._sound:
+            self.check().require("derivation does not preserve the ideal")
+
     def apply(self, p):
-        """Leibniz extension from the variable images, in normal form."""
-        self.check().require("derivation does not preserve the ideal")
+        """Leibniz extension from the variable images, in normal form.
+
+        Constants go to zero and the variable x_v to ``images[v]``, which
+        is stored in normal form, with no extension."""
+        self.require()
         if p.arity != self.algebra.arity:
             raise ValueError("element arity does not match the algebra")
+        if p.is_constant():
+            return MPoly._raw(p.arity, {})
+        v = _variable_index(p)
+        if v is not None:
+            return MPoly._raw(p.arity, dict(self.images[v].terms))
         return self.algebra.nf(self._extend(p))
 
     def commutator(self, other):

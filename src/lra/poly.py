@@ -375,6 +375,8 @@ def parse_poly(text, names):
     exponent list and one coefficient, and the terms are summed in a dict
     of exponent tuples, with no polynomial arithmetic.
     """
+    if text == "0":  # most structure-table entries: no tokens needed
+        return MPoly._raw(len(names), {})
     index = {name: i for i, name in enumerate(names)}
     arity = len(names)
     toks = _Tokens(text)

@@ -393,7 +393,7 @@ def triple_inclusion_check(e, f, g, psi, theta, elements):
             report.add(
                 "brackets of elements %d and %d agree under re-association" % (n1, n2),
                 left == right,
-                "left association gives %r / %r / %r, right gives %r / %r / %r"
+                lambda: "left association gives %r / %r / %r, right gives %r / %r / %r"
                 % (left + right),
             )
     return report

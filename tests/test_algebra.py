@@ -156,6 +156,58 @@ def test_derivation_apply_is_the_leibniz_sum(case, data):
     assert d.apply(p) == algebra.nf(expected)
 
 
+CIRCLE_ENDOMORPHISMS = (("x", "y"), ("y", "x"), ("-x", "y"), ("3/5*x - 4/5*y", "4/5*x + 3/5*y"), ("x", "y*x^2 + y^3"))
+
+
+@pytest.mark.parametrize("case", ["zero", "constant", "variable", "rescaled variable", "monomial", "polynomial"])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_apply_shortcuts_match_the_general_path(case, data):
+    """``Derivation.apply`` is nf(_extend(p)) and ``AlgMorphism.apply`` is
+    nf(p.subs(images)), also on the arguments answered from the stored
+    images; every result owns its term dict."""
+    algebra = data.draw(st.sampled_from([AlgebraPres.free("x", "y", "z"), CIRCLE]))
+    n = algebra.arity
+    v = data.draw(st.integers(0, n - 1))
+    coeff = data.draw(st.fractions(-6, 6, max_denominator=4).filter(bool))
+    p = {
+        "zero": MPoly.zero(n),
+        "constant": MPoly.const(n, coeff),
+        "variable": MPoly.variable(n, v),
+        "rescaled variable": MPoly.variable(n, v).scale(Fraction(2, 3)),
+        "monomial": MPoly.monomial(n, data.draw(st.tuples(*[st.integers(0, 3)] * n)), coeff),
+        "polynomial": data.draw(small_polys(arity=n, max_terms=5, max_exp=3)),
+    }[case]
+    if algebra is CIRCLE:
+        h = data.draw(small_polys(arity=2, max_terms=3, max_exp=2))
+        x, y = algebra.variable(0), algebra.variable(1)
+        d = Derivation(algebra, [-y * h, x * h])
+        m = AlgMorphism(algebra, algebra, [algebra.parse(t) for t in data.draw(st.sampled_from(CIRCLE_ENDOMORPHISMS))])
+    else:
+        d = Derivation(algebra, [data.draw(small_polys(arity=n, max_terms=3, max_exp=2)) for _ in range(n)])
+        m = AlgMorphism(algebra, CIRCLE, [data.draw(small_polys(arity=2, max_terms=3, max_exp=2)) for _ in range(n)])
+    assert d.check().verdict and m.check().verdict
+    for result, expected, images in (
+        (d.apply(p), algebra.nf(d._extend(p)), d.images),
+        (m.apply(p), m.target.nf(p.subs(list(m.images))), m.images),
+    ):
+        assert result == expected
+        assert all(result.terms is not q.terms for q in images)
+
+
+def test_apply_checks_the_ideal_before_any_shortcut():
+    x, y = CIRCLE.variable(0), CIRCLE.variable(1)
+    for d in (Derivation(CIRCLE, [CIRCLE.one(), CIRCLE.zero()]), Derivation(CIRCLE, [y, x])):
+        assert not d.check().verdict
+        for p in (CIRCLE.zero(), CIRCLE.const(3), x, x * y):
+            with pytest.raises(VerificationError, match="derivation does not preserve the ideal"):
+                d.apply(p)
+    stretch = AlgMorphism(CIRCLE, CIRCLE, [x, 2 * y])
+    for p in (CIRCLE.zero(), CIRCLE.const(3), y, x * y):
+        with pytest.raises(VerificationError, match="morphism does not map the ideal into the ideal"):
+            stretch.apply(p)
+
+
 def test_commutator_is_a_derivation():
     free = AlgebraPres.free("x", "y")
     d1 = Derivation(free, [free.parse("x"), free.parse("y")])

@@ -1,8 +1,13 @@
 import pytest
 
+from fractions import Fraction
+
 from conftest import (
+    _comorphism_with_entry,
+    _morphism_with_entry,
     algebras,
     comorphism_suite,
+    morphism_mutants,
     morphism_suite,
     ref_membership,
     ref_psisum_bracket,
@@ -21,7 +26,7 @@ from lra.maps import (
     graph_subalgebra_check,
     induced_infinitesimal_action,
 )
-from lra.pseudoalgebra import make_der, make_klie
+from lra.pseudoalgebra import PAlg, axioms_check, make_cotangent_poisson, make_der, make_klie
 from lra.psisum import membership, membership_report, psisum_bracket
 from lra.verdict import VerificationError
 
@@ -277,3 +282,97 @@ def test_induced_action_examples():
     )
     with pytest.raises(VerificationError):
         induced_infinitesimal_action(broken)
+
+
+# -- witnesses are rendered only for failing checks ----------------------------
+
+
+def _quadratic_poisson(names):
+    """{x_i, x_j} = c_ij x_i x_j, a Poisson structure for any constants c_ij."""
+    c = {(0, 1): Fraction(2), (0, 2): Fraction(3, 2), (1, 2): Fraction(-1)}
+    alg = AlgebraPres.free(*names)
+    x = [alg.variable(i) for i in range(3)]
+    pi = [[x[i] * x[j] * (c[(i, j)] if i < j else -c[(j, i)]) if i != j else alg.zero()
+           for j in range(3)] for i in range(3)]
+    return make_cotangent_poisson(alg, pi)
+
+
+def _poisson_maps():
+    """psi: x_i -> lam_i y_i with its morphism e_i -> lam_i f_i and comorphism f_j -> e_j / lam_j."""
+    lam = (Fraction(3), Fraction(-1), Fraction(1, 2))
+    e, f = _quadratic_poisson(("x0", "x1", "x2")), _quadratic_poisson(("y0", "y1", "y2"))
+    b = f.algebra
+    psi = AlgMorphism(e.algebra, b, [b.variable(i) * lam[i] for i in range(3)])
+    m = PAMorphism(e, f, psi, [f.basis(i).scale(lam[i]) for i in range(3)])
+    rows = [[b.const(1 / lam[j] if k == j else 0) for k in range(3)] for j in range(3)]
+    return e, m, PAComorphism(f, e, psi, rows)
+
+
+def _verdicts(e, m, cm):
+    return [
+        axioms_check(e),
+        check_pamorphism(m),
+        check_pacomorphism(cm),
+        chain_map_check(cm),
+        graph_subalgebra_check(*graph(m), "morphism"),
+        graph_subalgebra_check(*graph(cm), "comorphism"),
+    ]
+
+
+def _count_renders(monkeypatch):
+    calls = []
+    render = AlgebraPres.render
+
+    def counting(self, p):
+        calls.append(p)
+        return render(self, p)
+
+    monkeypatch.setattr(AlgebraPres, "render", counting)
+    return calls
+
+
+def test_passing_verdicts_render_no_witness(monkeypatch):
+    e, m, cm = _poisson_maps()
+    calls = _count_renders(monkeypatch)
+    assert all(report.verdict for report in _verdicts(e, m, cm))
+    assert calls == []
+
+
+def test_failing_witnesses_keep_their_text(monkeypatch):
+    """One-entry mutants: each verifier's first witness, as formatted before
+    witnesses were rendered lazily (chain maps: rendered canonically)."""
+    e, m, cm = _poisson_maps()
+    y0 = m.target.algebra.variable(0)
+    table = dict(e.structure)
+    table[(0, 1)] = [c + e.algebra.variable(2) for c in table[(0, 1)]]
+    broken = PAlg(e.algebra, 3, e.anchors, table)
+    mutant, comutant = _morphism_with_entry(m, 1, 2, y0), _comorphism_with_entry(cm, 2, 0, y0)
+    calls = _count_renders(monkeypatch)
+    reports = _verdicts(broken, mutant, comutant)
+    reports.append(graph_subalgebra_check(*graph(morphism_mutants(PAMorphism.identity(sl2()), 1)[0]), "morphism"))
+    assert calls
+    first = [(r.failures()[0].name, r.failures()[0].witness) for r in reports]
+    assert first == [
+        ("anchor respects [e_0, e_1] on x0",
+         "anchor of bracket gives -4*x0^2*x1 - 2*x0*x1*x2 - 3/2*x0*x2^2, commutator gives -4*x0^2*x1"),
+        ("anchor condition on e_1 at x0", "psi([e_1, x0]) = 6*y0*y1 but [image, psi(x0)] = -9/2*y0^2*y2 + 6*y0*y1"),
+        ("anchor condition on f_2 at x1", "[f_2, psi(x1)] = -y1*y2 but sum_k b_k psi([e_k, x1]) = -6*y0^2*y1 - y1*y2"),
+        ("degree 0 at x1",
+         "d(psi(x1)) = (-2*y0*y1, 0, -y1*y2) but the pulled-back differential is (-2*y0*y1, 0, -6*y0^2*y1 - y1*y2)"),
+        ("generator 1 is a member of the twisted sum",
+         "sum_i psi([X_i, x0]) b_i differs from [Y, psi(x0)]; sum_i psi([X_i, x1]) b_i differs from [Y, psi(x1)]"),
+        ("generator 2 is a member of the twisted sum",
+         "sum_i psi([X_i, x1]) b_i differs from [Y, psi(x1)]; sum_i psi([X_i, x2]) b_i differs from [Y, psi(x2)]"),
+        ("bracket of generators 0 and 1 stays in the span",
+         "residual after subtracting the span combination: MixedElement(tensor=['0', '0', '0'], f=['0', '2', '0'])"),
+    ]
+    witnesses = {c.name: c.witness for r in reports[:4] for c in r.failures()}
+    assert witnesses["Jacobi identity on (e_0, e_1, e_2)"] == (
+        "jacobiator is (x2^2, -3/2*x2^2, 3/2*x0*x2 - x1*x2 - 1/2*x2^2)")
+    assert witnesses["bracket condition on (e_0, e_1)"] == (
+        "image of the bracket is (-6*y1, -6*y0, 6*y0^2) but bracket of the images is (9/2*y0*y2 - 6*y1, -6*y0, 9/2*y0^2)")
+    assert witnesses["bracket condition on (f_0, f_2)"] == (
+        "image of the bracket is (3/2*y0^2 + 1/2*y2, 0, 3*y0) but the bracket formula gives (1/2*y2, 0, 3*y0)")
+    assert witnesses["degree 1 at the dual covector of e_0"] == (
+        "d of the pullback is {(0, 1): -2/3*y1, (0, 2): -3/2*y0^2 - 1/2*y2, (1, 2): -y0*y1}"
+        " but the pullback of d is {(0, 1): -2/3*y1, (0, 2): -1/2*y2, (1, 2): 2*y0*y1}")
