@@ -374,12 +374,10 @@ class KForm:
         )
 
     def render(self):
-        """Canonical text: a polynomial, a coefficient tuple, or each entry by pair (i, j)."""
-        render = self.parent.algebra.render
-        if self.degree == 0:
-            return render(self.data)
+        """Canonical text of a 1-form (its coefficients) or a 2-form (each entry by pair (i, j))."""
         if self.degree == 1:
             return self.parent.render_element(self.data)
+        render = self.parent.algebra.render
         return "{%s}" % ", ".join("(%d, %d): %s" % (i, j, render(c)) for (i, j), c in sorted(self.data.items()))
 
     def __repr__(self):
