@@ -166,7 +166,8 @@ def _load_map(kind, path, e, f):
     return docs.to_pacomorphism(_load(path, "pacomorphism").body, e, f)
 
 
-_DIRECT = {"morphism": check_pamorphism, "comorphism": check_pacomorphism}
+def _direct(kind, m):
+    return check_pamorphism(m) if kind == "morphism" else check_pacomorphism(m)
 
 
 def cmd_check(args):
@@ -180,14 +181,14 @@ def cmd_check(args):
     f = _load_palg(args.paths[1])
     if args.what == "chainmap":
         return _emit_report(args, chain_map_check(_load_map("comorphism", args.paths[2], e, f)))
-    return _emit_report(args, _DIRECT[args.what](_load_map(args.what, args.paths[2], e, f)))
+    return _emit_report(args, _direct(args.what, _load_map(args.what, args.paths[2], e, f)))
 
 
 def cmd_graph_theorem(args):
     e = _load_palg(args.e)
     f = _load_palg(args.f)
     m = _load_map(args.kind, args.map, e, f)
-    direct = _DIRECT[args.kind](m)
+    direct = _direct(args.kind, m)
     ctx, gens = graph(m)
     return _emit_report(args, _agreement(direct, graph_subalgebra_check(ctx, gens, args.kind)))
 

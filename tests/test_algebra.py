@@ -156,10 +156,14 @@ def test_derivation_apply_is_the_leibniz_sum(case, data):
     assert d.apply(p) == algebra.nf(expected)
 
 
-CIRCLE_ENDOMORPHISMS = (("x", "y"), ("y", "x"), ("-x", "y"), ("3/5*x - 4/5*y", "4/5*x + 3/5*y"), ("x", "y*x^2 + y^3"))
+CIRCLE_ENDOMORPHISMS = (
+    ("x", "y"), ("y", "x"), ("-x", "y"), ("3/5*x - 4/5*y", "4/5*x + 3/5*y"), ("x", "y*x^2 + y^3"),
+)
 
 
-@pytest.mark.parametrize("case", ["zero", "constant", "variable", "rescaled variable", "monomial", "polynomial"])
+@pytest.mark.parametrize(
+    "case", ["zero", "constant", "variable", "rescaled variable", "monomial", "polynomial"]
+)
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(data=st.data())
 def test_apply_shortcuts_match_the_general_path(case, data):
@@ -182,17 +186,19 @@ def test_apply_shortcuts_match_the_general_path(case, data):
         h = data.draw(small_polys(arity=2, max_terms=3, max_exp=2))
         x, y = algebra.variable(0), algebra.variable(1)
         d = Derivation(algebra, [-y * h, x * h])
-        m = AlgMorphism(algebra, algebra, [algebra.parse(t) for t in data.draw(st.sampled_from(CIRCLE_ENDOMORPHISMS))])
+        images = data.draw(st.sampled_from(CIRCLE_ENDOMORPHISMS))
+        m = AlgMorphism(algebra, algebra, [algebra.parse(text) for text in images])
     else:
         d = Derivation(algebra, [data.draw(small_polys(arity=n, max_terms=3, max_exp=2)) for _ in range(n)])
-        m = AlgMorphism(algebra, CIRCLE, [data.draw(small_polys(arity=2, max_terms=3, max_exp=2)) for _ in range(n)])
+        images = [data.draw(small_polys(arity=2, max_terms=3, max_exp=2)) for _ in range(n)]
+        m = AlgMorphism(algebra, CIRCLE, images)
     assert d.check().verdict and m.check().verdict
-    for result, expected, images in (
+    for result, expected, stored in (
         (d.apply(p), algebra.nf(d._extend(p)), d.images),
         (m.apply(p), m.target.nf(p.subs(list(m.images))), m.images),
     ):
         assert result == expected
-        assert all(result.terms is not q.terms for q in images)
+        assert all(result.terms is not q.terms for q in stored)
 
 
 def test_apply_checks_the_ideal_before_any_shortcut():

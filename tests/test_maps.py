@@ -339,40 +339,44 @@ def test_passing_verdicts_render_no_witness(monkeypatch):
 
 
 def test_failing_witnesses_keep_their_text(monkeypatch):
-    """One-entry mutants: each verifier's first witness, as formatted before
-    witnesses were rendered lazily (chain maps: rendered canonically)."""
+    """One-entry mutants: witnesses read as they did when they were formatted
+    eagerly (chain-map witnesses: as rendered canonically)."""
     e, m, cm = _poisson_maps()
     y0 = m.target.algebra.variable(0)
     table = dict(e.structure)
     table[(0, 1)] = [c + e.algebra.variable(2) for c in table[(0, 1)]]
     broken = PAlg(e.algebra, 3, e.anchors, table)
     mutant, comutant = _morphism_with_entry(m, 1, 2, y0), _comorphism_with_entry(cm, 2, 0, y0)
+    lie_mutant = morphism_mutants(PAMorphism.identity(sl2()), 1)[0]
     calls = _count_renders(monkeypatch)
     reports = _verdicts(broken, mutant, comutant)
-    reports.append(graph_subalgebra_check(*graph(morphism_mutants(PAMorphism.identity(sl2()), 1)[0]), "morphism"))
-    assert calls
-    first = [(r.failures()[0].name, r.failures()[0].witness) for r in reports]
-    assert first == [
-        ("anchor respects [e_0, e_1] on x0",
-         "anchor of bracket gives -4*x0^2*x1 - 2*x0*x1*x2 - 3/2*x0*x2^2, commutator gives -4*x0^2*x1"),
-        ("anchor condition on e_1 at x0", "psi([e_1, x0]) = 6*y0*y1 but [image, psi(x0)] = -9/2*y0^2*y2 + 6*y0*y1"),
-        ("anchor condition on f_2 at x1", "[f_2, psi(x1)] = -y1*y2 but sum_k b_k psi([e_k, x1]) = -6*y0^2*y1 - y1*y2"),
-        ("degree 0 at x1",
-         "d(psi(x1)) = (-2*y0*y1, 0, -y1*y2) but the pulled-back differential is (-2*y0*y1, 0, -6*y0^2*y1 - y1*y2)"),
-        ("generator 1 is a member of the twisted sum",
-         "sum_i psi([X_i, x0]) b_i differs from [Y, psi(x0)]; sum_i psi([X_i, x1]) b_i differs from [Y, psi(x1)]"),
-        ("generator 2 is a member of the twisted sum",
-         "sum_i psi([X_i, x1]) b_i differs from [Y, psi(x1)]; sum_i psi([X_i, x2]) b_i differs from [Y, psi(x2)]"),
-        ("bracket of generators 0 and 1 stays in the span",
-         "residual after subtracting the span combination: MixedElement(tensor=['0', '0', '0'], f=['0', '2', '0'])"),
-    ]
-    witnesses = {c.name: c.witness for r in reports[:4] for c in r.failures()}
-    assert witnesses["Jacobi identity on (e_0, e_1, e_2)"] == (
-        "jacobiator is (x2^2, -3/2*x2^2, 3/2*x0*x2 - x1*x2 - 1/2*x2^2)")
-    assert witnesses["bracket condition on (e_0, e_1)"] == (
-        "image of the bracket is (-6*y1, -6*y0, 6*y0^2) but bracket of the images is (9/2*y0*y2 - 6*y1, -6*y0, 9/2*y0^2)")
-    assert witnesses["bracket condition on (f_0, f_2)"] == (
-        "image of the bracket is (3/2*y0^2 + 1/2*y2, 0, 3*y0) but the bracket formula gives (1/2*y2, 0, 3*y0)")
-    assert witnesses["degree 1 at the dual covector of e_0"] == (
-        "d of the pullback is {(0, 1): -2/3*y1, (0, 2): -3/2*y0^2 - 1/2*y2, (1, 2): -y0*y1}"
-        " but the pullback of d is {(0, 1): -2/3*y1, (0, 2): -1/2*y2, (1, 2): 2*y0*y1}")
+    reports.append(graph_subalgebra_check(*graph(lie_mutant), "morphism"))
+    assert calls and not any(report.verdict for report in reports)
+    witnesses = {c.name: c.witness for report in reports for c in report.failures()}
+    expected = {
+        "anchor respects [e_0, e_1] on x0":
+            "anchor of bracket gives -4*x0^2*x1 - 2*x0*x1*x2 - 3/2*x0*x2^2, commutator gives -4*x0^2*x1",
+        "Jacobi identity on (e_0, e_1, e_2)": "jacobiator is (x2^2, -3/2*x2^2, 3/2*x0*x2 - x1*x2 - 1/2*x2^2)",
+        "anchor condition on e_1 at x0": "psi([e_1, x0]) = 6*y0*y1 but [image, psi(x0)] = -9/2*y0^2*y2 + 6*y0*y1",
+        "bracket condition on (e_0, e_1)":
+            "image of the bracket is (-6*y1, -6*y0, 6*y0^2)"
+            " but bracket of the images is (9/2*y0*y2 - 6*y1, -6*y0, 9/2*y0^2)",
+        "anchor condition on f_2 at x1":
+            "[f_2, psi(x1)] = -y1*y2 but sum_k b_k psi([e_k, x1]) = -6*y0^2*y1 - y1*y2",
+        "bracket condition on (f_0, f_2)":
+            "image of the bracket is (3/2*y0^2 + 1/2*y2, 0, 3*y0)"
+            " but the bracket formula gives (1/2*y2, 0, 3*y0)",
+        "degree 0 at x1":
+            "d(psi(x1)) = (-2*y0*y1, 0, -y1*y2)"
+            " but the pulled-back differential is (-2*y0*y1, 0, -6*y0^2*y1 - y1*y2)",
+        "degree 1 at the dual covector of e_0":
+            "d of the pullback is {(0, 1): -2/3*y1, (0, 2): -3/2*y0^2 - 1/2*y2, (1, 2): -y0*y1}"
+            " but the pullback of d is {(0, 1): -2/3*y1, (0, 2): -1/2*y2, (1, 2): 2*y0*y1}",
+        "generator 1 is a member of the twisted sum":
+            "sum_i psi([X_i, x0]) b_i differs from [Y, psi(x0)];"
+            " sum_i psi([X_i, x1]) b_i differs from [Y, psi(x1)]",
+        "bracket of generators 0 and 1 stays in the span":
+            "residual after subtracting the span combination:"
+            " MixedElement(tensor=['0', '0', '0'], f=['0', '2', '0'])",
+    }
+    assert {name: witnesses.get(name) for name in expected} == expected
