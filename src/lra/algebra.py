@@ -168,15 +168,11 @@ class AlgMorphism:
         self._sound = report.verdict
         return report
 
-    def require(self):
-        """Raise ``VerificationError`` unless the ideal maps into the ideal."""
-        if not self._sound:
-            self.check().require("morphism does not map the ideal into the ideal")
-
     def apply(self, p):
         """Substitute variable images, then reduce in the target; the
         variable x_v goes straight to ``images[v]``, stored in normal form."""
-        self.require()
+        if not self._sound:
+            self.check().require("morphism does not map the ideal into the ideal")
         if p.arity != self.source.arity:
             raise ValueError("element arity does not match the source algebra")
         if self.source.arity == 0:
