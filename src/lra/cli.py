@@ -145,7 +145,8 @@ def _agreement(direct, via_graph):
 def cmd_check_algebra(args):
     algebra = docs.to_algebra(_load(args.document, "algebra").body)
     report = VerdictReport()
-    report.add("presentation is a nonzero algebra", True)
+    basis = ", ".join(algebra.render(g) for g in algebra.ideal.groebner)
+    report.add("reduced %s basis: [%s]" % (algebra.ideal.order, basis), True)
     for g in algebra.ideal.generators:
         report.add(
             "generator %s reduces to zero against the stored basis" % algebra.render(g),

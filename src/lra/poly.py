@@ -78,8 +78,12 @@ class MPoly:
                     raise ValueError(
                         "exponent %r does not match arity %d" % (exp, arity)
                     )
-                if any(e < 0 for e in exp):
-                    raise ValueError("negative exponent in %r" % (exp,))
+                if any(type(e) is not int or e < 0 for e in exp):
+                    if not all(isinstance(e, int) for e in exp):
+                        raise ValueError("non-integer exponent in %r" % (exp,))
+                    if any(e < 0 for e in exp):
+                        raise ValueError("negative exponent in %r" % (exp,))
+                    exp = tuple(map(int, exp))  # bools
                 coeff = _as_fraction(coeff)
                 if coeff != 0:
                     clean[exp] = coeff

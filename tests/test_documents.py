@@ -239,3 +239,27 @@ def test_committed_corpus_objects_verify():
             assert axioms_check(docs.to_palg(doc.body)).verdict
         elif doc.kind == "groupoid":
             assert check_groupoid(docs.to_groupoid(doc.body)).verdict
+
+
+@pytest.mark.parametrize("order", ["grevlex", "grlex", "lex"])
+def test_algebra_with_huge_exponents(tmp_path, capsys, order):
+    """An exponent of 2^16 + 1 loads and completes; the basis is worked out by hand.
+
+    The leads x^65537 and y^2 are coprime, so the generators already form the
+    reduced basis, smallest lead first; x^131074 = (x^65537)^2 reduces to y^2.
+    """
+    from lra.cli import main
+
+    body = {"variables": ["x", "y"], "ideal": ["y^2", "x^65537 - y"], "order": order}
+    path = tmp_path / "huge.json"
+    docs.save_document(docs.Document("algebra", "1", body), path)
+    algebra = docs.to_algebra(docs.load_document(path).body)
+    x, y = algebra.variable(0), algebra.variable(1)
+    assert algebra.ideal.groebner == (y ** 2, x ** 65537 - y)
+    assert algebra.nf(x ** 131074).is_zero()
+    assert algebra.nf(x ** 65538) == x * y
+    assert algebra.nf(x ** 65536 * y + 1) == x ** 65536 * y + 1
+    assert main(["--format", "json", "check-algebra", str(path)]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks[0] == {"name": "reduced %s basis: [y^2, x^65537 - y]" % order, "status": "pass", "witness": ""}
+    assert [c["status"] for c in checks] == ["pass"] * 3

@@ -236,6 +236,23 @@ ORACLE_CASES = [pytest.param(name, "grevlex", id=name) for name in sorted(ALL_SY
     if (name, order) != ("katsura-4", "lex")  # sympy's own lex completion takes about a minute
 ]
 
+# steps each completion spends (reduction steps plus S-pairs taken); a change of
+# monomial representation must not move them
+ORACLE_STEPS = {
+    "grevlex": {
+        "cyclic-4": 37, "cyclic-5": 1403, "katsura-3": 102, "katsura-4": 643, "katsura-5": 3317,
+        "random-0": 220, "random-1": 8, "random-2": 25, "random-3": 10, "random-4": 8, "random-5": 108,
+    },
+    "grlex": {
+        "cyclic-4": 37, "katsura-3": 129, "katsura-4": 873,
+        "random-0": 220, "random-1": 8, "random-2": 46, "random-3": 27, "random-4": 8, "random-5": 155,
+    },
+    "lex": {
+        "cyclic-4": 97, "katsura-3": 341,
+        "random-0": 194, "random-1": 54, "random-2": 52, "random-3": 58, "random-4": 2, "random-5": 232,
+    },
+}
+
 
 def _to_sympy(sympy, symbols, terms):
     return sympy.Poly.from_dict(
@@ -260,7 +277,9 @@ def test_reduced_basis_matches_sympy(name, order):
     sympy = pytest.importorskip("sympy")
     arity, gens = ALL_SYSTEMS[name]
     reference, symbols = _sympy_basis(sympy, arity, gens, order)
-    ideal = IdealPres(arity, [MPoly(arity, g) for g in gens], order)
+    with step_budget(10 ** 6) as steps:
+        ideal = IdealPres(arity, [MPoly(arity, g) for g in gens], order)
+    assert steps.cap - steps.left == ORACLE_STEPS[order][name]
     assert {frozenset(g.terms.items()) for g in ideal.groebner} == set(map(_sympy_terms, reference.polys))
     rng = random.Random(name)
     top = 2 if arity < 6 else 1  # sympy's division takes seconds on katsura-5 at higher degrees

@@ -34,6 +34,21 @@ def test_zero_terms_dropped():
     assert p == MPoly(2, {(0, 1): 2})
 
 
+@pytest.mark.parametrize(
+    "exp", [(1.5, 0), (2.0, 1), (Fraction(1), 0), ("1", 0), (None, 0), (1, -1)], ids=repr
+)
+def test_exponents_must_be_nonnegative_ints(exp):
+    with pytest.raises(ValueError, match="exponent"):
+        MPoly(2, {exp: 1})
+
+
+def test_bool_exponents_are_stored_as_ints():
+    p = MPoly(2, {(True, False): 3})
+    ((exp, _),) = p.terms.items()
+    assert exp == (1, 0) and [type(e) for e in exp] == [int, int]
+    assert p == MPoly(2, {(1, 0): 3})
+
+
 def test_arithmetic_basics():
     x = MPoly.variable(2, 0)
     y = MPoly.variable(2, 1)
