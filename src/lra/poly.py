@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add as _add
+from operator import add as _add, neg
 
 _new = object.__new__
 
 
 def grevlex_key(exp):
     """Graded reverse lexicographic key; larger key means larger monomial."""
-    return (sum(exp), tuple(-e for e in reversed(exp)))
+    return (sum(exp), tuple(map(neg, reversed(exp))))
 
 
 def grlex_key(exp):
@@ -455,28 +455,22 @@ def poly_to_string(p, names, order="grevlex"):
         raise ValueError("name list does not match arity")
     if p.is_zero():
         return "0"
-    key = order_key(order)
+    terms = p.terms
     pieces = []
-    for exp in sorted(p.terms, key=key, reverse=True):
-        coeff = p.terms[exp]
-        mono = "*".join(
-            name if e == 1 else "%s^%d" % (name, e)
-            for name, e in zip(names, exp)
-            if e
-        )
-        mag = abs(coeff)
+    for exp in sorted(terms, key=order_key(order), reverse=True):
+        coeff = terms[exp]
+        num, den = coeff.numerator, coeff.denominator
+        mag = str(abs(num)) if den == 1 else "%d/%d" % (abs(num), den)
+        mono = "*".join([name if e == 1 else "%s^%d" % (name, e) for name, e in zip(names, exp) if e])
         if not mono:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = mono
         else:
-            body = "%s*%s" % (mag, mono)
-        pieces.append(("-" if coeff < 0 else "+", body))
-    sign, body = pieces[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        out += " %s %s" % (sign, body)
-    return out
+            body = mag + "*" + mono
+        pieces.append((" - " if num < 0 else " + ") + body)
+    first = pieces[0]
+    return ("-" if first[1] == "-" else "") + first[3:] + "".join(pieces[1:])
 
 
 def monomials_up_to(arity, degree):

@@ -8,6 +8,9 @@ entry lives in.  Mutants are enumerated deterministically.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import sub
+
 from lra import (
     AlgebraPres,
     AlgMorphism,
@@ -25,6 +28,36 @@ from lra import (
     make_pair,
     restrict_groupoid,
 )
+from lra.poly import MPoly, order_key
+
+
+# -- Groebner reference ------------------------------------------------------
+
+
+def s_polynomial(f, g, order="grevlex"):
+    """x^a f / lc(f) - x^b g / lc(g), the leading terms cancelling at lcm(lm f, lm g)."""
+    key = order_key(order)
+    (ef, cf) = f.leading(key)
+    (eg, cg) = g.leading(key)
+    m = tuple(map(max, ef, eg))
+    mf = MPoly.monomial(f.arity, tuple(map(sub, m, ef)), Fraction(1, 1) / cf)
+    mg = MPoly.monomial(g.arity, tuple(map(sub, m, eg)), Fraction(1, 1) / cg)
+    return mf * f - mg * g
+
+
+def ref_poly_to_string(p, names, order="grevlex"):
+    """Canonical rendering written term by term on Fractions, the reference for ``poly_to_string``."""
+    if p.is_zero():
+        return "0"
+    pieces = []
+    for exp in sorted(p.terms, key=order_key(order), reverse=True):
+        coeff = p.terms[exp]
+        mono = "*".join(name if e == 1 else "%s^%d" % (name, e) for name, e in zip(names, exp) if e)
+        mag = abs(coeff)
+        body = str(mag) if not mono else mono if mag == 1 else "%s*%s" % (mag, mono)
+        pieces.append(("-" if coeff < 0 else "+", body))
+    sign, body = pieces[0]
+    return ("-" if sign == "-" else "") + body + "".join(" %s %s" % piece for piece in pieces[1:])
 
 
 # -- pseudoalgebra test objects ------------------------------------------

@@ -18,11 +18,12 @@ from conftest import (
     comorphism_suite,
     groupoid_corpus,
     morphism_suite,
+    s_polynomial,
     sl2,
     sl2_action_images,
 )
 from lra.algebra import AlgebraPres, AlgMorphism
-from lra.groebner import IdealPres, buchberger, normal_form, s_polynomial
+from lra.groebner import IdealPres, buchberger, normal_form
 from lra.groupoid import (
     action_as_comorphism,
     check_groupoid_action,

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lra import groebner
 from lra.groebner import (
     IdealPres,
     ResourceCapExceeded,
     buchberger,
     normal_form,
-    s_polynomial,
     step_budget,
 )
-from lra.poly import MPoly
+from lra.poly import MPoly, order_key
+
+from conftest import s_polynomial
 
 from test_poly import small_polys
 
@@ -330,3 +332,76 @@ def test_normal_form_divides_by_monic_multiples():
         remainder = normal_form(p, non_monic)
         assert remainder == normal_form(p, monic)
         assert all(type(c) is Fraction for c in remainder.terms.values())
+
+
+# -- packed keys -------------------------------------------------------------------
+
+ORDERS = ["grevlex", "grlex", "lex"]
+
+
+@st.composite
+def _packed_pairs(draw):
+    """A packing of random order, arity and width, and two exponents whose sum fits it."""
+    order = draw(st.sampled_from(ORDERS))
+    arity = draw(st.integers(0, 5))
+    pack = groebner._Packing(order, arity, draw(st.sampled_from([2, 3, 5, 8, 16])))
+    exps = st.tuples(*[st.integers(0, pack.mask // 2)] * arity)
+    return pack, draw(exps), draw(exps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packed_pairs())
+def test_packed_keys_order_round_trip_add_and_divide(case):
+    """Keys rank exponents as the order does (smaller key, larger monomial), decode back,
+    add like exponents, and the cover word decides divisibility."""
+    pack, a, b = case
+    key = order_key(pack.order)
+    ka, kb = (pack.key(e) for e in (a, b))
+    assert (ka < kb) == (key(a) > key(b)) and (ka == kb) == (a == b)
+    assert pack.exponent(ka) == a and pack.exponent(kb) == b
+    assert pack.key(tuple(x + y for x, y in zip(a, b))) == ka + kb - pack.key((0,) * len(a))
+    assert ((pack.cover - ka + kb) & pack.guards == pack.guards) == all(x <= y for x, y in zip(a, b))
+    assert ka & pack.guards == pack.guards
+    assert pack.keyed({a: 1}) == {ka: 1}
+
+
+def test_exponents_outside_a_field_overflow():
+    pack = groebner._Packing("grevlex", 2, 4)  # exponents up to 7
+    assert pack.keyed({(7, 0): 1}) == {pack.key((7, 0)): 1}
+    for exp in [(8, 0), (0, 16), (0, 17)]:
+        with pytest.raises(groebner._Overflow):
+            pack.keyed({exp: 1})
+    assert pack.key((8, 0)) & pack.guards != pack.guards
+
+
+NARROW_CASES = [param for param in ORACLE_CASES if param.values[0] not in LARGE_SYSTEMS]
+
+
+@pytest.mark.parametrize("bits", [1, 3])
+@pytest.mark.parametrize("name, order", NARROW_CASES)
+def test_narrow_fields_change_no_basis_and_no_step(monkeypatch, bits, name, order):
+    """Fields too narrow for the input or for the completion overflow and are widened:
+    the basis, the steps spent and the normal forms stay those of the default width."""
+    arity, gens = ALL_SYSTEMS[name]
+    polys = [MPoly(arity, g) for g in gens]
+    wide = IdealPres(arity, polys, order)
+    rng = random.Random(name)
+    probes = [_random_poly(rng, arity=arity, terms=3, max_exp=3) for _ in range(4)]
+    widened = []
+    monkeypatch.setattr(groebner, "_FIELD_BITS", bits)
+    wider = groebner._Packing.wider
+    monkeypatch.setattr(groebner._Packing, "wider", lambda pack: widened.append(pack.bits) or wider(pack))
+    with step_budget(10 ** 6) as steps:
+        narrow = IdealPres(arity, polys, order)
+    if bits == 1:  # a one-bit field holds only the exponent 0
+        assert widened
+    assert narrow.groebner == wide.groebner
+    assert [list(g.terms) for g in narrow.groebner] == [list(g.terms) for g in wide.groebner]
+    assert steps.cap - steps.left == ORACLE_STEPS[order][name]
+    for p in probes:
+        expected, spent = wide.normal_form(p), set()
+        for divide in (wide.normal_form, narrow.normal_form, lambda p: normal_form(p, wide.groebner, order)):
+            with step_budget(10 ** 6) as steps:
+                assert divide(p) == expected
+            spent.add(steps.cap - steps.left)
+        assert len(spent) == 1

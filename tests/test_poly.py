@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ref_poly_to_string
 from lra.algebra import AlgebraPres, Derivation
 from lra.groebner import IdealPres, buchberger, normal_form
 from lra.poly import (
@@ -215,6 +216,12 @@ def test_render_is_canonical():
     assert poly_to_string(p, NAMES[:2]) == "x^2 + y - 1/2"
     assert poly_to_string(MPoly.zero(2), NAMES[:2]) == "0"
     assert poly_to_string(-MPoly.one(2), NAMES[:2]) == "-1"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_polys(arity=3, max_exp=12), st.sampled_from(["grevlex", "grlex", "lex"]))
+def test_render_matches_the_reference(p, order):
+    assert poly_to_string(p, NAMES, order) == ref_poly_to_string(p, NAMES, order)
 
 
 @given(small_polys())
