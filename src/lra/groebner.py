@@ -211,7 +211,7 @@ def normal_form(p, basis, order="grevlex"):
     if any(g.arity != p.arity for g in basis):
         raise ValueError("arity mismatch between polynomial and basis")
     if not any(basis):
-        return p
+        return MPoly._raw(p.arity, dict(p.terms))
     return _divide(p, basis, *_prepare(basis, _Packing(order, p.arity, _FIELD_BITS)))
 
 

@@ -295,6 +295,7 @@ def test_trusted_results_are_valid_and_fresh(p, q, f, g, scalar, power):
     non_monic = [3 * x ** 2 + y, Fraction(2, 3) * x * y - 5]
     checks.append((normal_form(p, ideal.groebner), p) + ideal.groebner)
     checks.append((normal_form(p, non_monic), p, *non_monic))
+    checks.append((normal_form(p, [MPoly.zero(2)]), p))
     # the integer completion kernel must not leak int coefficients
     completed = buchberger([p, q, x * q - 1]) + buchberger([x ** 2 + y ** 2 - 1, x * y - p])
     checks += [(element, p, q) for element in completed]
