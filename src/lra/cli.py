@@ -228,11 +228,7 @@ def cmd_restrict(args):
         return _emit_report(args, report)
     value = quotient_bracket(ctx, *elements)
     report = VerdictReport()
-    report.add(
-        "quotient bracket = (%s)"
-        % ", ".join(ctx.quotient_algebra.render(c) for c in value.coords),
-        True,
-    )
+    report.add("quotient bracket = %s" % value.render(), True)
     return _emit_report(args, report)
 
 
@@ -248,15 +244,7 @@ def cmd_psisum(args):
         if args.output:
             return _emit_document(args, docs.mixed_element_document(value))
         report = VerdictReport()
-        b_alg = ctx.f.algebra
-        report.add(
-            "bracket = tensor(%s) + f(%s)"
-            % (
-                ", ".join(b_alg.render(c) for c in value.tensor),
-                ", ".join(b_alg.render(c) for c in value.f_part),
-            ),
-            True,
-        )
+        report.add("bracket = %s" % value.render(), True)
         report.merge(membership_report(ctx, value), prefix="closure: ")
         return _emit_report(args, report)
     report = VerdictReport()

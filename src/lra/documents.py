@@ -385,7 +385,7 @@ def to_element(body, palg, path="body"):
         raise DocumentError("expected a plain element with 'coords'", path)
     if len(coords) != palg.rank:
         raise DocumentError("need one coordinate per basis vector", "%s.coords" % path)
-    return PAElement(palg, [_parse_payload(palg.algebra, s, "%s.coords" % path) for s in coords])
+    return PAElement._raw(palg, [_parse_payload(palg.algebra, s, "%s.coords" % path) for s in coords])
 
 
 def from_element(x):
@@ -406,10 +406,10 @@ def to_mixed_element(body, ctx, path="body"):
         raise DocumentError("need one tensor coefficient per E-basis vector", "%s.tensor" % path)
     if len(f_part) != ctx.f.rank:
         raise DocumentError("need one coordinate per F-basis vector", "%s.f_part" % path)
-    return MixedElement(
+    return MixedElement._raw(
         ctx,
-        [_parse_payload(b_alg, s, "%s.tensor" % path) for s in tensor],
-        [_parse_payload(b_alg, s, "%s.f_part" % path) for s in f_part],
+        [_parse_payload(b_alg, s, "%s.tensor" % path) for s in tensor]
+        + [_parse_payload(b_alg, s, "%s.f_part" % path) for s in f_part],
     )
 
 
@@ -440,7 +440,7 @@ def to_pamorphism(body, e, f, path="body"):
                 "need one coordinate per target basis vector", "%s.images[%d]" % (path, i)
             )
         images.append(
-            PAElement(f, [_parse_payload(f.algebra, s, "%s.images[%d]" % (path, i)) for s in row])
+            PAElement._raw(f, [_parse_payload(f.algebra, s, "%s.images[%d]" % (path, i)) for s in row])
         )
     return PAMorphism(e, f, psi, images)
 

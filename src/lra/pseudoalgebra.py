@@ -78,16 +78,13 @@ class PAlg:
     def basis(self, i):
         coords = [self.algebra.zero()] * self.rank
         coords[i] = self.algebra.one()
-        return PAElement(self, coords)
-
-    def element(self, coords):
-        return PAElement(self, coords)
+        return PAElement._raw(self, coords)
 
     def zero_element(self):
-        return PAElement(self, [self.algebra.zero()] * self.rank)
+        return PAElement._raw(self, [self.algebra.zero()] * self.rank)
 
     def bracket_basis(self, i, j):
-        return PAElement(self, list(self.struct_coeffs(i, j)))
+        return PAElement._raw(self, self.struct_coeffs(i, j))
 
     def render_element(self, coords):
         return "(%s)" % ", ".join(self.algebra.render(c) for c in coords)
@@ -106,61 +103,103 @@ class PAlg:
         return "PAlg(rank=%d over %r)" % (self.rank, self.algebra)
 
 
-class PAElement:
-    """An element of a PAlg: a coordinate vector in normal form."""
+class CoordVector:
+    """A vector of coordinates over an owner's algebra, stored in normal form.
 
-    __slots__ = ("parent", "coords")
+    The owner provides ``algebra``, where the coordinates live, and
+    ``rank``, their number: a pseudoalgebra for its elements, a twisted
+    sum for mixed elements, a restriction for residues.  Every stored
+    coordinate equals its normal form over ``owner.algebra``.
 
-    def __init__(self, parent, coords):
-        coords = [parent.algebra.nf(c) for c in coords]
-        if len(coords) != parent.rank:
-            raise ValueError("expected %d coordinates, got %d" % (parent.rank, len(coords)))
-        self.parent = parent
-        self.coords = tuple(coords)
+    The public constructor validates the length and reduces each
+    coordinate, so loaders and callers may pass any polynomials.  The
+    trusted ``_raw`` does neither; internal results build through it.  The
+    normal form by a Groebner basis is Q-linear, so sums, differences,
+    negations and rational multiples of reduced coordinates are reduced:
+    those operations skip ``nf``.  Only a product, a substitution or a
+    derivation image needs it, such as scaling by a polynomial.
+    """
+
+    __slots__ = ("owner", "coords")
+    _owners = "owners"  # what a subclass calls its owners, for errors
+
+    def __init__(self, owner, coords):
+        coords = tuple(map(owner.algebra.nf, coords))
+        if len(coords) != owner.rank:
+            raise ValueError("expected %d coordinates, got %d" % (owner.rank, len(coords)))
+        self.owner = owner
+        self.coords = coords
+
+    @classmethod
+    def _raw(cls, owner, coords):
+        """Trusted constructor: ``coords`` are ``owner.rank`` reduced polynomials."""
+        v = object.__new__(cls)
+        v.owner = owner
+        v.coords = tuple(coords)
+        return v
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coords)
 
-    def _same_parent(self, other):
-        if self.parent is not other.parent and self.parent != other.parent:
-            raise ValueError("elements belong to different pseudoalgebras")
+    def _same_owner(self, other):
+        if self.owner is not other.owner and self.owner != other.owner:
+            raise ValueError("elements belong to different %s" % self._owners)
 
     def __add__(self, other):
-        self._same_parent(other)
-        return PAElement(self.parent, [a + b for a, b in zip(self.coords, other.coords)])
+        self._same_owner(other)
+        return self._raw(self.owner, [a + b for a, b in zip(self.coords, other.coords)])
 
     def __sub__(self, other):
-        self._same_parent(other)
-        return PAElement(self.parent, [a - b for a, b in zip(self.coords, other.coords)])
+        self._same_owner(other)
+        return self._raw(self.owner, [a - b for a, b in zip(self.coords, other.coords)])
 
     def __neg__(self):
-        return PAElement(self.parent, [-a for a in self.coords])
+        return self._raw(self.owner, [-a for a in self.coords])
 
     def scale(self, a):
-        """Multiply by an algebra element (or rational constant)."""
+        """Multiply by a rational constant or by an element of the owner's algebra."""
         if isinstance(a, (int, Fraction)):
-            a = self.parent.algebra.const(a)
-        return PAElement(self.parent, [a * c for c in self.coords])
+            return self._raw(self.owner, [c.scale(a) for c in self.coords])
+        nf = self.owner.algebra.nf
+        return self._raw(self.owner, [nf(a * c) for c in self.coords])
 
     def __eq__(self, other):
-        if not isinstance(other, PAElement):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.parent == other.parent and self.coords == other.coords
+        return (self.owner is other.owner or self.owner == other.owner) and self.coords == other.coords
+
+    def _render(self, coords):
+        return "(%s)" % ", ".join(map(self.owner.algebra.render, coords))
+
+    def render(self):
+        """Canonical text: each coordinate rendered by the owner's algebra."""
+        return self._render(self.coords)
 
     def __repr__(self):
-        return "PAElement%s" % self.parent.render_element(self.coords)
+        return type(self).__name__ + self._render(self.coords)
+
+
+class PAElement(CoordVector):
+    """An element of a PAlg: one coordinate per basis vector."""
+
+    __slots__ = ()
+    _owners = "pseudoalgebras"
+
+    @property
+    def parent(self):
+        return self.owner
 
 
 def bracket(x, y):
     """The bracket of two elements of one pseudoalgebra."""
-    x._same_parent(y)
-    return PAElement(x.parent, _leibniz_bracket(x.parent, None, x.coords, y.coords, x, y))
+    x._same_owner(y)
+    return PAElement._raw(x.parent, _leibniz_bracket(x.parent, None, x.coords, y.coords, x, y))
 
 
 def _leibniz_bracket(e, push, u, w, x, y):
     """The Leibniz-extended bracket, shared by every bracket formula.
 
-    Returns the unreduced coefficient list
+    Returns the coefficients, each in normal form,
 
         out[k] = sum_{i != j} u_i w_j push([e_i, e_j]_k) + theta(x)(w_k) - theta(y)(u_k)
 
@@ -182,9 +221,7 @@ def _leibniz_bracket(e, push, u, w, x, y):
             for k, c in enumerate(e.struct_coeffs(i, j)):
                 if not c.is_zero():
                     out[k] = out[k] + coeff * (c if push is None else push.apply(c))
-    for k in range(e.rank):
-        out[k] = out[k] + anchor_apply(x, w[k]) - anchor_apply(y, u[k])
-    return out
+    return [alg.nf(out[k]) + anchor_apply(x, w[k]) - anchor_apply(y, u[k]) for k in range(e.rank)]
 
 
 def anchor_apply(x, a):
@@ -354,16 +391,6 @@ class KForm:
     def two_form(cls, parent, table):
         return cls(parent, 2, table)
 
-    def pair_with(self, x):
-        """Pair a degree-1 form with an element."""
-        if self.degree != 1:
-            raise ValueError("pairing needs a degree-1 form")
-        alg = self.parent.algebra
-        out = MPoly.zero(alg.arity)
-        for c, xi in zip(self.data, x.coords):
-            out = out + c * xi
-        return alg.nf(out)
-
     def __eq__(self, other):
         if not isinstance(other, KForm):
             return NotImplemented
@@ -429,6 +456,8 @@ def _structure_from_commutators(algebra, basis):
 def _solve_span(algebra, columns, target):
     """Find algebra coefficients c_k with sum_k c_k * columns[k][v] = target[v] mod I.
 
+    ``target`` holds derivation images, so it is in normal form already.
+
     Exact bounded-degree linear solve over Q; the coefficient degree bound
     grows up to the data degree plus 2, so genuinely low-degree witnesses
     are always found.
@@ -466,7 +495,7 @@ def _solve_span_at(algebra, columns, target, degree):
             for gamma, c in prod.terms.items():
                 row_for(v, gamma)[col_index] += c
     for v in range(arity):
-        for gamma, c in algebra.nf(target[v]).terms.items():
+        for gamma, c in target[v].terms.items():
             row_for(v, gamma)[-1] += c
 
     matrix = [rows[key] for key in sorted(rows)]

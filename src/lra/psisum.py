@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from .algebra import Derivation
 from .pseudoalgebra import (
+    CoordVector,
     PAlg,
     PAElement,
     _anchor_identity,
@@ -40,7 +41,11 @@ from .verdict import VerdictReport
 
 
 class PsiSumCtx:
-    """Two pseudoalgebras joined along a verified algebra map psi: A -> B."""
+    """Two pseudoalgebras joined along a verified algebra map psi: A -> B.
+
+    It owns the mixed elements: their coordinates live in B, one per
+    E-basis vector and then one per F-basis vector.
+    """
 
     __slots__ = ("e", "f", "psi")
 
@@ -54,88 +59,56 @@ class PsiSumCtx:
         self.f = f
         self.psi = psi
 
-    def zero(self):
-        b = self.f.algebra
-        return MixedElement(self, [b.zero()] * self.e.rank, [b.zero()] * self.f.rank)
+    @property
+    def algebra(self):
+        return self.f.algebra
+
+    @property
+    def rank(self):
+        return self.e.rank + self.f.rank
+
+    def __eq__(self, other):
+        if not isinstance(other, PsiSumCtx):
+            return NotImplemented
+        return self.e == other.e and self.f == other.f and self.psi == other.psi
 
 
-class MixedElement:
+class MixedElement(CoordVector):
     """An element of (E tensor_A B) + F in free-module normal form.
 
     ``tensor`` holds one B-coefficient per E-basis vector (coefficients on
     one basis vector are always merged); ``f_part`` holds B-coordinates on
-    F's basis.  All entries are reduced modulo B's ideal.
+    F's basis.  ``coords`` is ``tensor`` followed by ``f_part``.
     """
 
-    __slots__ = ("ctx", "tensor", "f_part")
+    __slots__ = ()
+    _owners = "twisted sums"
 
     def __init__(self, ctx, tensor, f_part):
-        b = ctx.f.algebra
-        tensor = [b.nf(c) for c in tensor]
-        f_part = [b.nf(c) for c in f_part]
+        tensor, f_part = tuple(tensor), tuple(f_part)
         if len(tensor) != ctx.e.rank:
             raise ValueError("tensor part needs one coefficient per E-basis vector")
         if len(f_part) != ctx.f.rank:
             raise ValueError("F-part needs one coordinate per F-basis vector")
-        self.ctx = ctx
-        self.tensor = tuple(tensor)
-        self.f_part = tuple(f_part)
+        super().__init__(ctx, tensor + f_part)
+
+    @property
+    def ctx(self):
+        return self.owner
+
+    @property
+    def tensor(self):
+        return self.coords[: self.owner.e.rank]
+
+    @property
+    def f_part(self):
+        return self.coords[self.owner.e.rank :]
 
     def f_element(self):
-        return PAElement(self.ctx.f, list(self.f_part))
+        return PAElement._raw(self.owner.f, self.f_part)
 
-    def is_zero(self):
-        return all(c.is_zero() for c in self.tensor) and all(
-            c.is_zero() for c in self.f_part
-        )
-
-    def _same_ctx(self, other):
-        if self.ctx is not other.ctx and (
-            self.ctx.e != other.ctx.e
-            or self.ctx.f != other.ctx.f
-            or self.ctx.psi != other.ctx.psi
-        ):
-            raise ValueError("mixed elements belong to different twisted sums")
-
-    def __add__(self, other):
-        self._same_ctx(other)
-        return MixedElement(
-            self.ctx,
-            [a + b for a, b in zip(self.tensor, other.tensor)],
-            [a + b for a, b in zip(self.f_part, other.f_part)],
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MixedElement(self.ctx, [-c for c in self.tensor], [-c for c in self.f_part])
-
-    def scale(self, b_elem):
-        """Multiply by an element of B (the sum is a B-module)."""
-        return MixedElement(
-            self.ctx,
-            [b_elem * c for c in self.tensor],
-            [b_elem * c for c in self.f_part],
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, MixedElement):
-            return NotImplemented
-        return (
-            self.ctx.e == other.ctx.e
-            and self.ctx.f == other.ctx.f
-            and self.ctx.psi == other.ctx.psi
-            and self.tensor == other.tensor
-            and self.f_part == other.f_part
-        )
-
-    def __repr__(self):
-        b = self.ctx.f.algebra
-        return "MixedElement(tensor=%s, f=%s)" % (
-            [b.render(c) for c in self.tensor],
-            [b.render(c) for c in self.f_part],
-        )
+    def render(self):
+        return "tensor%s + f%s" % (self._render(self.tensor), self._render(self.f_part))
 
 
 # -- the direct sum ------------------------------------------------------
@@ -245,7 +218,7 @@ def psisum_bracket(ctx, z1, z2, check=True):
         - sum_i e_i@[Y', b_i] + [Y, Y'],
     with A-coefficients of [e_i, e_j] pushed through psi into B.
     """
-    z1._same_ctx(z2)
+    z1._same_owner(z2)
     if check:
         for label, z in (("first", z1), ("second", z2)):
             membership_report(ctx, z).require(
@@ -254,7 +227,7 @@ def psisum_bracket(ctx, z1, z2, check=True):
     y1 = z1.f_element()
     y2 = z2.f_element()
     tensor = _leibniz_bracket(ctx.e, ctx.psi, z1.tensor, z2.tensor, y1, y2)
-    return MixedElement(ctx, tensor, list(bracket(y1, y2).coords))
+    return MixedElement._raw(ctx, tensor + list(bracket(y1, y2).coords))
 
 
 # -- the triple sum ------------------------------------------------------
@@ -287,28 +260,30 @@ class TripleElement:
     __slots__ = ("ctx", "parts", "g_part")
 
     def __init__(self, ctx, parts, g_part):
+        if g_part.parent is not ctx.g and g_part.parent != ctx.g:
+            raise ValueError("the G-part is not an element of G")
         c_alg = ctx.g.algebra
         self.ctx = ctx
         self.parts = [(z, c_alg.nf(c)) for z, c in parts]
-        self.g_part = PAElement(ctx.g, list(g_part.coords))
+        self.g_part = g_part
 
     def flatten(self):
-        """Coordinates in the ambient (E tensor C) + (F tensor C) + G."""
+        """The member in the ambient (E tensor C) + (F tensor C) + G, as a pair
+        of mixed elements: (E-part, G-part) in E + G along theta.psi and
+        (F-part, G-part) in F + G along theta."""
         ctx = self.ctx
         c_alg = ctx.g.algebra
-        e_coeffs = [c_alg.zero()] * ctx.inner.e.rank
-        f_coeffs = [c_alg.zero()] * ctx.inner.f.rank
+        flat = [c_alg.zero()] * ctx.inner.rank
         for z, c in self.parts:
-            for i, coeff in enumerate(z.tensor):
+            for i, coeff in enumerate(z.coords):
                 if not coeff.is_zero():
-                    e_coeffs[i] = e_coeffs[i] + ctx.theta.apply(coeff) * c
-            for j, coeff in enumerate(z.f_part):
-                if not coeff.is_zero():
-                    f_coeffs[j] = f_coeffs[j] + ctx.theta.apply(coeff) * c
+                    flat[i] = flat[i] + ctx.theta.apply(coeff) * c
+        flat = [c_alg.nf(q) for q in flat]
+        w = list(self.g_part.coords)
+        n = ctx.inner.e.rank
         return (
-            [c_alg.nf(q) for q in e_coeffs],
-            [c_alg.nf(q) for q in f_coeffs],
-            self.g_part,
+            MixedElement._raw(ctx.composed, flat[:n] + w),
+            MixedElement._raw(ctx.right, flat[n:] + w),
         )
 
 
@@ -333,22 +308,13 @@ def _left_bracket(ctx, t1, t2):
 
 
 def _right_bracket(ctx, flat1, flat2):
-    """Bracket in the right association, on flattened coordinates: the E-part
+    """Bracket in the right association, on flattened members: the E-part
     in E + G along the composed map, the F- and G-parts in F + G along theta."""
-    (e1, f1, w1), (e2, f2, w2) = flat1, flat2
-    u = psisum_bracket(
-        ctx.composed,
-        MixedElement(ctx.composed, e1, w1.coords),
-        MixedElement(ctx.composed, e2, w2.coords),
-        check=False,
+    (u1, v1), (u2, v2) = flat1, flat2
+    return (
+        psisum_bracket(ctx.composed, u1, u2, check=False),
+        psisum_bracket(ctx.right, v1, v2, check=False),
     )
-    v = psisum_bracket(
-        ctx.right,
-        MixedElement(ctx.right, f1, w1.coords),
-        MixedElement(ctx.right, f2, w2.coords),
-        check=False,
-    )
-    return (list(u.tensor), list(v.tensor), v.f_element())
 
 
 def triple_inclusion_check(e, f, g, psi, theta, elements):
@@ -373,17 +339,17 @@ def triple_inclusion_check(e, f, g, psi, theta, elements):
             )
         t = TripleElement(ctx, parts, g_part)
         flat = t.flatten()
-        membership_report(ctx.right, MixedElement(ctx.right, flat[1], flat[2].coords)).require(
+        membership_report(ctx.right, flat[1]).require(
             "element %d is not a member of the left association" % n
         )
         checked.append(t)
         flats.append(flat)
 
     report = VerdictReport()
-    for n, (e_coeffs, _, g_part) in enumerate(flats):
+    for n, (u, _) in enumerate(flats):
         report.fold(
             "element %d re-associates into the right sum" % n,
-            membership_report(ctx.composed, MixedElement(ctx.composed, e_coeffs, g_part.coords)),
+            membership_report(ctx.composed, u),
         )
 
     for n1 in range(len(checked)):
@@ -393,7 +359,7 @@ def triple_inclusion_check(e, f, g, psi, theta, elements):
             report.add(
                 "brackets of elements %d and %d agree under re-association" % (n1, n2),
                 left == right,
-                lambda: "left association gives %r / %r / %r, right gives %r / %r / %r"
-                % (left + right),
+                lambda: "left association gives %s / %s, right gives %s / %s"
+                % tuple(z.render() for z in left + right),
             )
     return report

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .algebra import AlgebraPres
 from .groebner import IdealPres
-from .pseudoalgebra import bracket, anchor_apply
+from .pseudoalgebra import CoordVector, bracket, anchor_apply
 from .verdict import VerificationError
 
 
@@ -20,7 +20,8 @@ class RestrictionCtx:
     """A pseudoalgebra with a chosen proper ideal of its algebra.
 
     ``quotient_algebra`` presents A/J on the same variables: its ideal is
-    the parent ideal joined with J, with the basis recomputed.
+    the parent ideal joined with J, with the basis recomputed.  It owns the
+    residues, one coordinate in A/J per basis vector of the parent.
     """
 
     __slots__ = ("parent", "ideal_gens", "quotient_algebra")
@@ -42,6 +43,19 @@ class RestrictionCtx:
         self.ideal_gens = tuple(gens)
         self.quotient_algebra = AlgebraPres(algebra.variables, combined)
 
+    @property
+    def algebra(self):
+        return self.quotient_algebra
+
+    @property
+    def rank(self):
+        return self.parent.rank
+
+    def __eq__(self, other):
+        if not isinstance(other, RestrictionCtx):
+            return NotImplemented
+        return self.parent == other.parent and self.quotient_algebra == other.quotient_algebra
+
     def reduces_to_zero(self, a):
         """Membership of an algebra element in the ideal (mod the parent ideal)."""
         return self.quotient_algebra.nf(a).is_zero()
@@ -61,30 +75,15 @@ def in_lower(ctx, x):
     return all(ctx.reduces_to_zero(c) for c in x.coords)
 
 
-class ResidueElement:
+class ResidueElement(CoordVector):
     """Coordinates of a restricted element, reduced modulo the ideal."""
 
-    __slots__ = ("ctx", "coords")
+    __slots__ = ()
+    _owners = "restrictions"
 
-    def __init__(self, ctx, coords):
-        coords = [ctx.quotient_algebra.nf(c) for c in coords]
-        if len(coords) != ctx.parent.rank:
-            raise ValueError("wrong number of coordinates")
-        self.ctx = ctx
-        self.coords = tuple(coords)
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, ResidueElement):
-            return NotImplemented
-        return self.ctx.quotient_algebra == other.ctx.quotient_algebra and self.coords == other.coords
-
-    def __repr__(self):
-        return "ResidueElement(%s)" % ", ".join(
-            self.ctx.quotient_algebra.render(c) for c in self.coords
-        )
+    @property
+    def ctx(self):
+        return self.owner
 
 
 def quotient_bracket(ctx, x, y):

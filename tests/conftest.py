@@ -91,6 +91,20 @@ def sl2_action_images(algebra):
     ]
 
 
+# -- the normal-form invariant of coordinate vectors --------------------------
+
+
+def reduced(algebra, coords):
+    """Every polynomial in ``coords`` equals its normal form over ``algebra``."""
+    return all(algebra.nf(c) == c for c in coords)
+
+
+def stored_reduced(v):
+    """The invariant of ``PAElement``, ``MixedElement`` and ``ResidueElement``:
+    every stored coordinate is in normal form over the owner's algebra."""
+    return reduced(v.owner.algebra, v.coords)
+
+
 # -- the Jacobi identity through the general bracket ---------------------------
 
 

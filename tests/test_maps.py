@@ -61,6 +61,18 @@ def test_check_pamorphism_examples():
     assert any("bracket condition" in c.name for c in report.failures())
 
 
+def test_pamorphism_rejects_images_of_another_pseudoalgebra():
+    a = AlgebraPres.free("x", "y")
+    target = make_der(a)
+    other = PAlg(a, 2, [Derivation.zero(a)] * 2)
+    ident = AlgMorphism.identity(a)
+    with pytest.raises(ValueError, match="element of the target"):
+        PAMorphism(target, target, ident, [other.basis(0), target.basis(1)])
+    images = [target.basis(1), target.basis(0)]
+    m = PAMorphism(target, target, ident, images)
+    assert all(stored is given for stored, given in zip(m.images, images))
+
+
 def test_check_pacomorphism_examples():
     co = curve_comorphism()
     assert check_pacomorphism(co).verdict
@@ -340,7 +352,7 @@ def test_passing_verdicts_render_no_witness(monkeypatch):
 
 def test_failing_witnesses_keep_their_text(monkeypatch):
     """One-entry mutants: witnesses read as they did when they were formatted
-    eagerly (chain-map witnesses: as rendered canonically)."""
+    eagerly (chain-map and span-residual witnesses: as rendered canonically)."""
     e, m, cm = _poisson_maps()
     y0 = m.target.algebra.variable(0)
     table = dict(e.structure)
@@ -377,6 +389,6 @@ def test_failing_witnesses_keep_their_text(monkeypatch):
             " sum_i psi([X_i, x1]) b_i differs from [Y, psi(x1)]",
         "bracket of generators 0 and 1 stays in the span":
             "residual after subtracting the span combination:"
-            " MixedElement(tensor=['0', '0', '0'], f=['0', '2', '0'])",
+            " tensor(0, 0, 0) + f(0, 2, 0)",
     }
     assert {name: witnesses.get(name) for name in expected} == expected

@@ -1,8 +1,9 @@
 """The benchmark's tracer must find every function it names in ``lra``.
 
-``perfbench/tracing.py`` patches functions by module and name; a renamed or
+``perfbench/tracing.py`` patches functions by module and name: the timed
+spans in ``SPANS`` and the counted generator ``CANDIDATES``.  A renamed or
 moved function would crash the traced benchmark run, so this guard loads the
-tracer by path and checks that every span target is patched and restored.
+tracer by path and checks that every one of them is patched and restored.
 """
 
 import importlib
@@ -33,7 +34,8 @@ def test_every_traced_name_is_patched():
         if info.name != "__main__":
             importlib.import_module("lra." + info.name)
     tracing = _load_tracing()
-    targets = [(_holder(module, owner), attr) for _, module, owner, attr in tracing.SPANS]
+    names = tracing.SPANS + [tracing.CANDIDATES]
+    targets = [(_holder(module, owner), attr) for _, module, owner, attr in names]
     originals = [vars(holder)[attr] for holder, attr in targets]
     tracer = tracing.Tracer()
     tracer.install()
@@ -41,6 +43,6 @@ def test_every_traced_name_is_patched():
         patched = [vars(holder)[attr] is not original for (holder, attr), original in zip(targets, originals)]
     finally:
         tracer.uninstall()
-    missing = [span[0] for span, ok in zip(tracing.SPANS, patched) if not ok]
+    missing = [name[0] for name, ok in zip(names, patched) if not ok]
     assert not missing
     assert [vars(holder)[attr] for holder, attr in targets] == originals

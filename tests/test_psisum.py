@@ -5,6 +5,7 @@ import pytest
 from conftest import ref_anchor, ref_identity_holds, ref_psisum_bracket, sl2
 from lra.algebra import AlgebraPres, AlgMorphism
 from lra.pseudoalgebra import axioms_check, bracket, make_der, make_klie
+from lra import psisum
 from lra.psisum import (
     MixedElement,
     PsiSumCtx,
@@ -249,6 +250,48 @@ def test_triple_inclusion_passes_for_constructed_members():
     assert report.verdict, report.render_text()
 
 
+def test_triple_element_rejects_a_g_part_of_another_pseudoalgebra():
+    e, f, g, psi, theta = triple_data()
+    ctx = TripleSumCtx(e, f, g, psi, theta)
+    with pytest.raises(ValueError, match="not an element of G"):
+        TripleElement(ctx, [], f.basis(0))
+    w = g.basis(0)
+    assert TripleElement(ctx, [], w).g_part is w
+
+
+def test_triple_witness_does_not_follow_term_order(monkeypatch):
+    """The bracket witness renders every part canonically: the same members,
+    built with their terms inserted in the other order, give the same text."""
+    e, f, g, psi, theta = triple_data()
+    ctx = PsiSumCtx(e, f, psi)
+    qy, qz = f.algebra, g.algebra
+    z3 = qz.variable(0)
+    right_bracket = psisum._right_bracket
+    # a right association off by a sign, so that every pair fails with a witness
+    monkeypatch.setattr(psisum, "_right_bracket", lambda *args: tuple(-z for z in right_bracket(*args)))
+
+    def witnesses(w_coeffs):
+        elements = []
+        for w_coeff in w_coeffs:
+            inner = member_of_ctx(ctx, qy.one())
+            elements.append(([(inner, 3 * z3 ** 2 * w_coeff)], g.basis(0).scale(w_coeff)))
+        report = triple_inclusion_check(e, f, g, psi, theta, elements)
+        return [c.witness for c in report.failures()]
+
+    forward = [qz.one() + z3, z3 ** 2 - 2 * z3]
+    backward = [z3 + qz.one(), (-2 * z3) + z3 ** 2]
+    assert [list(p.terms) for p in forward] != [list(p.terms) for p in backward]
+    assert forward == backward
+    text = witnesses(forward)
+    assert text == witnesses(backward)
+    assert text == [
+        "left association gives tensor(6*z^7 + 12*z^6 - 12*z^5) + f(z^2 + 2*z - 2)"
+        " / tensor(3*z^4 + 6*z^3 - 6*z^2) + f(z^2 + 2*z - 2),"
+        " right gives tensor(-6*z^7 - 12*z^6 + 12*z^5) + f(-z^2 - 2*z + 2)"
+        " / tensor(-3*z^4 - 6*z^3 + 6*z^2) + f(-z^2 - 2*z + 2)"
+    ]
+
+
 def member_of_ctx(ctx, gamma):
     y = ctx.f.algebra.variable(0)
     return MixedElement(ctx, [2 * y * gamma], [gamma])
@@ -318,21 +361,13 @@ def test_triple_sum_matches_the_paper_reference():
     members = [TripleElement(ctx, parts, g_part) for parts, g_part in elements]
     for n1 in range(len(members)):
         for n2 in range(n1 + 1, len(members)):
-            (e1, f1, w1), (e2, f2, w2) = members[n1].flatten(), members[n2].flatten()
-            e_part, f_part, w = _left_bracket(ctx, members[n1], members[n2]).flatten()
-            ref_e, ref_w = ref_psisum_bracket(
-                ctx.composed,
-                MixedElement(ctx.composed, e1, w1.coords),
-                MixedElement(ctx.composed, e2, w2.coords),
-            )
-            ref_f, ref_w_again = ref_psisum_bracket(
-                ctx.right,
-                MixedElement(ctx.right, f1, w1.coords),
-                MixedElement(ctx.right, f2, w2.coords),
-            )
-            assert (e_part, f_part, list(w.coords)) == (ref_e, ref_f, ref_w)
-            assert ref_w == ref_w_again
-            assert any(not c.is_zero() for c in e_part + f_part)
+            (u1, v1), (u2, v2) = members[n1].flatten(), members[n2].flatten()
+            u, v = _left_bracket(ctx, members[n1], members[n2]).flatten()
+            ref_e, ref_w = ref_psisum_bracket(ctx.composed, u1, u2)
+            ref_f, ref_w_again = ref_psisum_bracket(ctx.right, v1, v2)
+            assert (list(u.tensor), list(v.tensor), list(v.f_part)) == (ref_e, ref_f, ref_w)
+            assert list(u.f_part) == ref_w == ref_w_again
+            assert any(not c.is_zero() for c in u.tensor + v.tensor)
 
 
 def quotient_ctx():
