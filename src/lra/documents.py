@@ -19,7 +19,7 @@ from .algebra import AlgebraPres, AlgMorphism, Derivation
 from .groebner import IdealPres
 from .groupoid import FinGroupoid, GrpdComorphism, GrpdMorphism
 from .maps import PAComorphism, PAMorphism
-from .poly import PolyParseError
+from .poly import PolyParseError, parse_poly
 from .pseudoalgebra import PAlg, PAElement
 from .psisum import MixedElement
 
@@ -262,8 +262,11 @@ def _validate_body(kind, body):
 
 
 def _parse_payload(algebra, text, path):
+    """Parse a polynomial over the variables of ``algebra``, unreduced: every
+    converter hands it to a constructor that reduces (``IdealPres`` takes
+    generators as given)."""
     try:
-        return algebra.parse(text)
+        return parse_poly(text, algebra.variables)
     except PolyParseError as err:
         raise DocumentError("bad polynomial %r: %s" % (text, err), path) from None
 
@@ -385,7 +388,7 @@ def to_element(body, palg, path="body"):
         raise DocumentError("expected a plain element with 'coords'", path)
     if len(coords) != palg.rank:
         raise DocumentError("need one coordinate per basis vector", "%s.coords" % path)
-    return PAElement._raw(palg, [_parse_payload(palg.algebra, s, "%s.coords" % path) for s in coords])
+    return PAElement(palg, [_parse_payload(palg.algebra, s, "%s.coords" % path) for s in coords])
 
 
 def from_element(x):
@@ -406,15 +409,15 @@ def to_mixed_element(body, ctx, path="body"):
         raise DocumentError("need one tensor coefficient per E-basis vector", "%s.tensor" % path)
     if len(f_part) != ctx.f.rank:
         raise DocumentError("need one coordinate per F-basis vector", "%s.f_part" % path)
-    return MixedElement._raw(
+    return MixedElement(
         ctx,
-        [_parse_payload(b_alg, s, "%s.tensor" % path) for s in tensor]
-        + [_parse_payload(b_alg, s, "%s.f_part" % path) for s in f_part],
+        [_parse_payload(b_alg, s, "%s.tensor" % path) for s in tensor],
+        [_parse_payload(b_alg, s, "%s.f_part" % path) for s in f_part],
     )
 
 
 def from_mixed_element(z):
-    b_alg = z.ctx.f.algebra
+    b_alg = z.owner.f.algebra
     return {
         "tensor": [b_alg.render(c) for c in z.tensor],
         "f_part": [b_alg.render(c) for c in z.f_part],
@@ -440,7 +443,7 @@ def to_pamorphism(body, e, f, path="body"):
                 "need one coordinate per target basis vector", "%s.images[%d]" % (path, i)
             )
         images.append(
-            PAElement._raw(f, [_parse_payload(f.algebra, s, "%s.images[%d]" % (path, i)) for s in row])
+            PAElement(f, [_parse_payload(f.algebra, s, "%s.images[%d]" % (path, i)) for s in row])
         )
     return PAMorphism(e, f, psi, images)
 

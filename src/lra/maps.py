@@ -23,6 +23,7 @@ from .pseudoalgebra import (
     PAElement,
     _anchor_axiom,
     _anchor_identity,
+    _combine,
     _leibniz_bracket,
     anchor_derivation,
     bracket,
@@ -56,13 +57,12 @@ class PAMorphism:
         return cls(e, e, AlgMorphism.identity(e.algebra), [e.basis(i) for i in range(e.rank)])
 
     def apply(self, x):
-        """psi-semilinear extension from basis images, reduced once at the end."""
-        out = [self.target.algebra.zero()] * self.target.rank
-        for coord, image in zip(x.coords, self.images):
-            if not coord.is_zero():
-                b = self.psi.apply(coord)
-                out = [o + b * c for o, c in zip(out, image.coords)]
-        return PAElement(self.target, out)
+        """psi-semilinear extension from basis images: sum_i psi(x_i) Psi(e_i)."""
+        f = self.target
+        terms = (
+            (self.psi.apply(c), img.coords) for c, img in zip(x.coords, self.images) if not c.is_zero()
+        )
+        return PAElement._raw(f, _combine(f.algebra, f.rank, terms))
 
     def __eq__(self, other):
         if not isinstance(other, PAMorphism):
@@ -114,15 +114,7 @@ class PAComorphism:
 
     def apply(self, y):
         """B-linear extension: the tensor coefficients of the image of y."""
-        b_alg = self.source.algebra
-        out = [b_alg.zero()] * self.target.rank
-        for coord, row in zip(y.coords, self.images):
-            if coord.is_zero():
-                continue
-            for k, c in enumerate(row):
-                if not c.is_zero():
-                    out[k] = out[k] + coord * c
-        return [b_alg.nf(c) for c in out]
+        return _combine(self.source.algebra, self.target.rank, zip(y.coords, self.images))
 
     def __eq__(self, other):
         if not isinstance(other, PAComorphism):
@@ -276,11 +268,8 @@ def graph_subalgebra_check(ctx, generators, kind):
 
 def _span_residual(ctx, generators, w, kind):
     coeffs = w.tensor if kind == "morphism" else w.f_part
-    out = list(w.coords)
-    for coeff, gen in zip(coeffs, generators):
-        if not coeff.is_zero():
-            out = [a - coeff * c for a, c in zip(out, gen.coords)]
-    return MixedElement._raw(ctx, map(ctx.algebra.nf, out))
+    span = _combine(ctx.algebra, ctx.rank, zip(coeffs, (gen.coords for gen in generators)))
+    return w - MixedElement._raw(ctx, span)
 
 
 # -- composition -----------------------------------------------------------
@@ -302,18 +291,8 @@ def compose_comorphisms(m1, m2):
     """
     if m2.target != m1.source:
         raise ValueError("comorphisms are not composable")
-    theta = m2.psi
-    c_alg = m2.source.algebra
-    rows = []
-    for u in range(m2.source.rank):
-        row = [c_alg.zero()] * m1.target.rank
-        for j, q in enumerate(m2.images[u]):
-            if q.is_zero():
-                continue
-            for k, b in enumerate(m1.images[j]):
-                if not b.is_zero():
-                    row[k] = row[k] + theta.apply(b) * q
-        rows.append(row)
+    theta, c_alg = m2.psi, m2.source.algebra
+    rows = [_combine(c_alg, m1.target.rank, zip(row, m1.images), theta) for row in m2.images]
     return PAComorphism(m2.source, m1.target, m1.psi.compose(theta), rows)
 
 
@@ -321,16 +300,11 @@ def compose_comorphisms(m1, m2):
 
 
 def _dual_one_form(m, xi_coeffs):
-    """Pull a one-form on E back to a one-form on F through the tensor rows."""
-    b_alg = m.source.algebra
-    pushed = [(k, m.psi.apply(c)) for k, c in enumerate(xi_coeffs) if not c.is_zero()]
-    out = []
-    for row in m.images:
-        acc = b_alg.zero()
-        for k, c in pushed:
-            acc = acc + c * row[k]
-        out.append(acc)
-    return out
+    """Pull a one-form on E back to a one-form on F through the tensor rows:
+    the coefficient of e_k in every row, weighted by psi(xi_k)."""
+    columns = zip(*m.images)
+    terms = ((m.psi.apply(c), column) for c, column in zip(xi_coeffs, columns) if not c.is_zero())
+    return _combine(m.source.algebra, m.source.rank, terms)
 
 
 def _dual_two_form(m, omega_table):

@@ -190,6 +190,27 @@ class PAElement(CoordVector):
         return self.owner
 
 
+def _combine(alg, rank, terms, push=None):
+    """Coordinates of sum_n w_n push(v_n), each in normal form over ``alg``.
+
+    ``terms`` yields pairs of a weight w_n in ``alg`` and a vector v_n of
+    ``rank`` entries; ``push`` is an algebra map that carries the entries
+    into ``alg`` (``None`` is the identity).  Zero weights and zero entries
+    cost no product and no push, and each coordinate is reduced once, at
+    the end.  This is the one weighted sum of coefficient vectors: brackets,
+    the anchor axiom, map extensions, span residuals and flattening all
+    call it.
+    """
+    out = [alg.zero()] * rank
+    for weight, vector in terms:
+        if weight.is_zero():
+            continue
+        for k, c in enumerate(vector):
+            if not c.is_zero():
+                out[k] = out[k] + weight * (c if push is None else push.apply(c))
+    return [alg.nf(p) for p in out]
+
+
 def bracket(x, y):
     """The bracket of two elements of one pseudoalgebra."""
     x._same_owner(y)
@@ -208,20 +229,15 @@ def _leibniz_bracket(e, push, u, w, x, y):
     ``e`` into that algebra (``None`` is the identity).
     """
     alg = x.parent.algebra
-    out = [alg.zero() for _ in range(e.rank)]
-    for i, ui in enumerate(u):
-        if ui.is_zero():
-            continue
-        for j, wj in enumerate(w):
-            if wj.is_zero() or i == j:
-                continue
-            coeff = alg.nf(ui * wj)
-            if coeff.is_zero():
-                continue
-            for k, c in enumerate(e.struct_coeffs(i, j)):
-                if not c.is_zero():
-                    out[k] = out[k] + coeff * (c if push is None else push.apply(c))
-    return [alg.nf(out[k]) + anchor_apply(x, w[k]) - anchor_apply(y, u[k]) for k in range(e.rank)]
+    terms = (
+        (ui * wj, e.struct_coeffs(i, j))
+        for i, ui in enumerate(u)
+        if not ui.is_zero()
+        for j, wj in enumerate(w)
+        if i != j and not wj.is_zero()
+    )
+    out = _combine(alg, e.rank, terms, push)
+    return [out[k] + anchor_apply(x, w[k]) - anchor_apply(y, u[k]) for k in range(e.rank)]
 
 
 def anchor_apply(x, a):
@@ -333,12 +349,8 @@ def _anchor_axiom(report, derivations, structure):
     for (i, j), row in structure.items():
         comm = derivations[i].commutator(derivations[j])
         alg = comm.algebra
-        for v in range(alg.arity):
-            image = MPoly.zero(alg.arity)
-            for c, delta in zip(row, derivations):
-                if not c.is_zero():
-                    image = image + c * delta.images[v]
-            image = alg.nf(image)
+        images = _combine(alg, alg.arity, zip(row, (delta.images for delta in derivations)))
+        for v, image in enumerate(images):
             report.add(
                 "anchor respects [e_%d, e_%d] on %s" % (i, j, alg.variables[v]),
                 image == comm.images[v],

@@ -32,6 +32,7 @@ from .pseudoalgebra import (
     PAlg,
     PAElement,
     _anchor_identity,
+    _combine,
     _leibniz_bracket,
     anchor_apply,
     axioms_check,
@@ -91,10 +92,6 @@ class MixedElement(CoordVector):
         if len(f_part) != ctx.f.rank:
             raise ValueError("F-part needs one coordinate per F-basis vector")
         super().__init__(ctx, tensor + f_part)
-
-    @property
-    def ctx(self):
-        return self.owner
 
     @property
     def tensor(self):
@@ -272,13 +269,8 @@ class TripleElement:
         of mixed elements: (E-part, G-part) in E + G along theta.psi and
         (F-part, G-part) in F + G along theta."""
         ctx = self.ctx
-        c_alg = ctx.g.algebra
-        flat = [c_alg.zero()] * ctx.inner.rank
-        for z, c in self.parts:
-            for i, coeff in enumerate(z.coords):
-                if not coeff.is_zero():
-                    flat[i] = flat[i] + ctx.theta.apply(coeff) * c
-        flat = [c_alg.nf(q) for q in flat]
+        terms = ((c, z.coords) for z, c in self.parts)
+        flat = _combine(ctx.g.algebra, ctx.inner.rank, terms, ctx.theta)
         w = list(self.g_part.coords)
         n = ctx.inner.e.rank
         return (

@@ -81,10 +81,6 @@ class ResidueElement(CoordVector):
     __slots__ = ()
     _owners = "restrictions"
 
-    @property
-    def ctx(self):
-        return self.owner
-
 
 def quotient_bracket(ctx, x, y):
     """Bracket of certified elements, with coordinates reduced modulo the ideal.

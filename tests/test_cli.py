@@ -734,6 +734,70 @@ def test_malformed_command_lines_exit_two(workspace, capsys, argv, culprit):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "command, source, edit, message",
+    [
+        (
+            ["restrict", "member", "{dx}", "{bad}", "--ideal", "x"],
+            "member", None,
+            "expected a plain element with 'coords' (at body)",
+        ),
+        (
+            ["restrict", "member", "{dx}", "{bad}", "--ideal", "x"],
+            "elem_x", {"coords": ["x", "1"]},
+            "need one coordinate per basis vector (at body.coords)",
+        ),
+        (
+            ["psisum", "member", "{dx}", "{dy}", "{psi_square}", "{bad}"],
+            "elem_x", None,
+            "expected a mixed element with 'tensor' and 'f_part' (at body)",
+        ),
+        (
+            ["psisum", "member", "{dx}", "{dy}", "{psi_square}", "{bad}"],
+            "member", {"tensor": []},
+            "need one tensor coefficient per E-basis vector (at body.tensor)",
+        ),
+        (
+            ["psisum", "member", "{dx}", "{dy}", "{psi_square}", "{bad}"],
+            "member", {"f_part": ["1", "y"]},
+            "need one coordinate per F-basis vector (at body.f_part)",
+        ),
+        (
+            ["check", "morphism", "{dx}", "{dy}", "{bad}"],
+            "relabel", {"images": [["1", "y"]]},
+            "need one coordinate per target basis vector (at body.images[0])",
+        ),
+        (
+            ["check", "morphism", "{dy}", "{dx}", "{bad}"],
+            "relabel", None,
+            "psi does not connect the supplied pseudoalgebras (at body.psi)",
+        ),
+        (
+            ["check", "comorphism", "{duv}", "{dx}", "{bad}"],
+            "co", {"images": [["1", "2*x", "0"]]},
+            "need one coefficient per E-basis vector (at body.images[0])",
+        ),
+        (
+            ["check", "comorphism", "{duv}", "{dx}", "{bad}"],
+            "co", {"images": [["1", "2*x"], ["0", "1"]]},
+            "need one image row per F-basis vector (at body.images)",
+        ),
+    ],
+)
+def test_loaders_name_the_bad_field(workspace, capsys, command, source, edit, message):
+    """A document that does not fit the pseudoalgebras it is read against exits 2 at its field."""
+    tmp_path, p = workspace
+    doc = docs.load_document(p[source + ".json"])
+    doc.body.update(edit or {})
+    bad = tmp_path / "bad.json"
+    docs.save_document(doc, bad)
+    paths = {name[: -len(".json")]: path for name, path in p.items()}
+    assert main([arg.format(bad=bad, **paths) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "lra: input error: %s\n" % message
+    assert captured.out == ""
+
+
 def test_arrow_map_with_an_extra_arrow_fails_both_tests(tmp_path, capsys):
     """An arrow-map key outside gamma fails the direct verifier as it fails the graph test."""
     from lra.groupoid import GrpdMorphism, make_pair

@@ -1,0 +1,30 @@
+"""The library runs on the standard library alone; test tools stay in the tests."""
+
+import ast
+import pathlib
+import sys
+
+import pytest
+
+SOURCES = sorted((pathlib.Path(__file__).parents[1] / "src" / "lra").glob("*.py"))
+
+
+def imported_modules(tree):
+    """Top-level names of the modules a parsed file imports; relative imports are ``lra``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            yield "lra" if node.level else node.module.partition(".")[0]
+
+
+def test_the_check_sees_third_party_imports():
+    tree = ast.parse("import os.path\nfrom . import poly\nfrom sympy import groebner\nimport hypothesis")
+    assert list(imported_modules(tree)) == ["os", "lra", "sympy", "hypothesis"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_imports_only_the_standard_library(path):
+    names = set(imported_modules(ast.parse(path.read_text(encoding="utf-8"))))
+    assert names <= set(sys.stdlib_module_names) | {"lra"}

@@ -9,6 +9,7 @@ from lra.groupoid import (
     FinGroupoid,
     GrpdComorphism,
     GrpdMorphism,
+    GroupoidAction,
     action_as_comorphism,
     check_groupoid,
     check_groupoid_action,
@@ -205,6 +206,95 @@ def test_check_grpd_comorphism_examples():
     bad = dict(com.table)
     bad[("1", ("o", 0))] = ("1", "2")
     assert not check_grpd_comorphism(pair_z, action.groupoid, GrpdComorphism(com.base, bad)).verdict
+
+
+def _failures(report):
+    return [(c.name, c.witness) for c in report.failures()]
+
+
+@pytest.mark.parametrize("image", [None, ("x", "z")])
+def test_morphism_arrow_map_must_be_total(image):
+    """An arrow of gamma with no image, or with an image outside pi, is named."""
+    p2, pxy = make_pair([1, 2]), make_pair(["x", "y"])
+    phi = {1: "x", 2: "y"}
+    arrows = {(a, b): (phi[a], phi[b]) for (a, b) in p2.arrows}
+    del arrows[(1, 2)]
+    if image is not None:
+        arrows[(1, 2)] = image
+    report = check_grpd_morphism(p2, pxy, GrpdMorphism(phi, arrows))
+    assert _failures(report) == [("arrow map is total at (1, 2)", "missing or dangling")]
+
+
+@pytest.mark.parametrize(
+    "key, value, failure",
+    [
+        (
+            ("1", ("a", "b")), None,
+            ("table is defined exactly on the pullback", "missing: [('1', ('a', 'b'))], extra: []"),
+        ),
+        (
+            ("1", ("b", "a")), ("1", "2"),
+            ("table is defined exactly on the pullback", "missing: [], extra: [('1', ('b', 'a'))]"),
+        ),
+        (
+            ("2", ("b", "a")), ("2", "3"),
+            ("table lands in the groupoid", "entries: [('2', ('b', 'a'))]"),
+        ),
+        (
+            ("2", ("b", "a")), ("1", "1"),
+            ("sources project to the first component", "entries: [('2', ('b', 'a'))]"),
+        ),
+        (
+            ("1", ("a", "b")), ("1", "1"),
+            ("targets are compatible over the base map", "entries: [('1', ('a', 'b'))]"),
+        ),
+    ],
+)
+def test_comorphism_table_faults_are_named(key, value, failure):
+    """One bad entry of a transported identification fails exactly one check, at that entry."""
+    p2, pab = make_pair(["1", "2"]), make_pair(["a", "b"])
+    phi = {"1": "a", "2": "b"}
+    inverse = {"a": "1", "b": "2"}
+    table = {(x, w): (x, inverse[w[1]]) for x, w in pullback_domain(p2, pab, phi)}
+    assert check_grpd_comorphism(p2, pab, GrpdComorphism(phi, table)).verdict
+    if value is None:
+        del table[key]
+    else:
+        table[key] = value
+    assert _failures(check_grpd_comorphism(p2, pab, GrpdComorphism(phi, table))) == [failure]
+
+
+@pytest.mark.parametrize(
+    "table, entry, name",
+    [
+        ("ident", {2: None}, "identity arrow of 2 exists"),
+        ("ident", {2: (2, 9)}, "identity arrow of 2 exists"),
+        ("src", {(1, 2): 9}, "endpoints of (1, 2) are objects"),
+        ("tgt", {(3, 1): None}, "endpoints of (3, 1) are objects"),
+    ],
+)
+def test_check_groupoid_names_missing_or_dangling_entries(table, entry, name):
+    """A hand-built table with a missing or dangling entry stops the check at that entry."""
+    p3 = make_pair([1, 2, 3])
+    tables = {"src": dict(p3.src), "tgt": dict(p3.tgt), "ident": dict(p3.ident)}
+    for key, value in entry.items():
+        if value is None:
+            del tables[table][key]
+        else:
+            tables[table][key] = value
+    broken = FinGroupoid(
+        p3.objects, p3.arrows, tables["src"], tables["tgt"], tables["ident"], p3.inv, p3.comp
+    )
+    assert _failures(check_groupoid(broken)) == [(name, "missing or dangling")]
+
+
+def test_action_names_an_arrow_without_a_map():
+    """An action table with no map for one arrow fails that arrow's check alone."""
+    action = action_tables()[1]
+    maps = {a: table for a, table in action.maps.items() if a != ("o", 1)}
+    broken = GroupoidAction(action.groupoid, action.space, action.projection, maps)
+    report = check_groupoid_action(broken)
+    assert _failures(report) == [("arrow ('o', 1) acts", "no map assigned")]
 
 
 def test_graph_subgroupoid_examples():

@@ -9,6 +9,7 @@ the invariant is not vacuous there.
 from hypothesis import given, settings, strategies as st
 
 from conftest import reduced, stored_reduced
+from lra import documents as docs
 from lra.algebra import AlgebraPres, AlgMorphism, Derivation
 from lra.groebner import IdealPres
 from lra.maps import PAComorphism, PAMorphism
@@ -73,3 +74,24 @@ def test_twisted_sum_brackets(z1, z2, p):
 def test_quotient_brackets(u, w):
     value = quotient_bracket(QUOTIENT, PAElement(BUNDLE, u), PAElement(BUNDLE, w))
     assert stored_reduced(value)
+
+
+# x^2 + y^2 is 1 on the circle and x^3 is x - x*y^2: neither text is reduced
+UNREDUCED = ["x^2 + y^2", "x^3"]
+
+
+def test_loaded_documents_are_reduced():
+    """Loaders parse payloads as written; the constructors they build through reduce."""
+    body = docs.palg_document(E).body
+    body["anchor"][0] = ["-x^2*y - y^3", "x^3 + x*y^2"]
+    body["structure"][0]["coeffs"] = ["x^3 + x*y^2", "x^2 + y^2 - 1"]
+    assert docs.to_palg(body) == E
+
+    x = docs.to_element({"coords": UNREDUCED}, E)
+    assert stored_reduced(x) and x == PAElement(E, [CIRCLE.one(), X - X * Y * Y])
+    assert stored_reduced(docs.to_mixed_element({"tensor": UNREDUCED, "f_part": UNREDUCED[::-1]}, SUM))
+    psi = docs.from_algmorphism(ROTATE)
+    m = docs.to_pamorphism({"psi": psi, "images": [UNREDUCED, UNREDUCED[::-1]]}, E, E)
+    assert all(stored_reduced(img) for img in m.images)
+    co = docs.to_pacomorphism({"psi": psi, "images": [UNREDUCED, UNREDUCED[::-1]]}, E, E)
+    assert all(reduced(CIRCLE, row) for row in co.images)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import jacobiator, sl2, sl2_action_images
-from lra.algebra import AlgebraPres, Derivation
+from lra.algebra import AlgebraPres, AlgMorphism, Derivation
 from lra.groebner import IdealPres
 from lra.poly import MPoly
 from lra.pseudoalgebra import (
@@ -24,6 +24,8 @@ from lra.pseudoalgebra import (
     make_der,
     make_klie,
 )
+from lra.psisum import MixedElement, PsiSumCtx
+from lra.restriction import ResidueElement, RestrictionCtx
 from lra.verdict import VerificationError
 
 
@@ -533,3 +535,24 @@ def test_anchor_apply_on_constants_keeps_the_ideal_check():
         assert anchor_apply(e.basis(0), a).is_zero()
         with pytest.raises(VerificationError, match="derivation does not preserve the ideal"):
             anchor_apply(e.basis(1), a)
+
+
+@pytest.mark.parametrize("owners", ["pseudoalgebras", "twisted sums", "restrictions"])
+def test_coordinate_vectors_of_different_owners_do_not_mix(owners):
+    """Equal coordinates over unequal owners neither compare equal nor combine."""
+    qx, qy = AlgebraPres.free("x"), AlgebraPres.free("y")
+    dx, dy = make_der(qx), make_der(qy)
+    x, y = qx.variable(0), qy.variable(0)
+    if owners == "pseudoalgebras":
+        u = dx.basis(0)
+        v = PAElement(PAlg(qx, 1, [Derivation(qx, [x])]), [qx.one()])
+    elif owners == "twisted sums":
+        u = MixedElement(PsiSumCtx(dx, dy, AlgMorphism(qx, qy, [y])), [y], [qy.one()])
+        v = MixedElement(PsiSumCtx(dx, dy, AlgMorphism(qx, qy, [y ** 2])), [y], [qy.one()])
+    else:
+        u = ResidueElement(RestrictionCtx(dx, [x]), [qx.one()])
+        v = ResidueElement(RestrictionCtx(dx, [x - 1]), [qx.one()])
+    assert u.coords == v.coords and u != v
+    for combine in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ValueError, match="elements belong to different %s" % owners):
+            combine(u, v)
