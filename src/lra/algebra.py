@@ -3,14 +3,19 @@
 Every element is canonicalized by normal form against the ideal's reduced
 Groebner basis, so equality of residue classes is equality of stored
 polynomials.
+
+A derivation or an algebra map keeps a table from exponent tuples to the
+normal form of each monomial's image, filled on first use, and maps
+p = sum c_a x^a to sum c_a table[a], which is reduced because the normal
+form is Q-linear.  The table lives as long as its object.
 """
 
 from __future__ import annotations
 
-from operator import add
+from fractions import Fraction
 
 from .groebner import IdealPres
-from .poly import MPoly, parse_poly, poly_to_string
+from .poly import MPoly, _add_product, parse_poly, poly_to_string
 from .verdict import VerdictReport
 
 
@@ -117,19 +122,31 @@ class AlgebraPres:
         )
 
 
-def _variable_index(p):
-    """v when ``p`` is exactly the variable x_v (coefficient 1), else None."""
-    if len(p.terms) == 1:
-        ((exp, c),) = p.terms.items()
-        if c == 1 and sum(exp) == 1:
-            return exp.index(1)
-    return None
+def _variable_table(arity, images):
+    """The table that maps the exponent of each variable x_v to ``images[v]``."""
+    return {(0,) * v + (1,) + (0,) * (arity - v - 1): q for v, q in enumerate(images)}
+
+
+def _table_sum(p, table, build, arity):
+    """sum_a c_a table[a] over the terms c_a x^a of ``p``.  A missing entry
+    is ``build(a)``, stored only once it has returned."""
+    out = {}
+    one = (0,) * arity
+    for exp, c in p.terms.items():
+        image = table.get(exp)
+        if image is None:
+            image = table[exp] = build(exp)
+        _add_product(out, {one: c}, image.terms)
+    return MPoly._raw(arity, out)
 
 
 class AlgMorphism:
-    """An algebra map, stored as one target element per source variable."""
+    """An algebra map, stored as one target element per source variable.
 
-    __slots__ = ("source", "target", "images", "_report", "_sound")
+    ``_table`` of monomial images is ``None`` until the ideal verdict passes.
+    """
+
+    __slots__ = ("source", "target", "images", "_report", "_table")
 
     def __init__(self, source, target, images):
         images = [target.nf(q) for q in images]
@@ -144,7 +161,7 @@ class AlgMorphism:
         self.target = target
         self.images = tuple(images)
         self._report = None
-        self._sound = False
+        self._table = None
 
     @classmethod
     def identity(cls, algebra):
@@ -165,22 +182,24 @@ class AlgMorphism:
         if not self.source.ideal.generators:
             report.add("source ideal is empty", True)
         self._report = report
-        self._sound = report.verdict
+        if report.verdict:
+            self._table = _variable_table(self.source.arity, self.images)
+            self._table[(0,) * self.source.arity] = self.target.one()
         return report
 
     def apply(self, p):
-        """Substitute variable images, then reduce in the target; the
-        variable x_v goes straight to ``images[v]``, stored in normal form."""
-        if not self._sound:
+        """The image of ``p`` in normal form, summed from the table of
+        monomial images.  The table starts with the variables and 1; a new
+        monomial x^a gets nf(x^a.subs(images))."""
+        if self._table is None:
             self.check().require("morphism does not map the ideal into the ideal")
         if p.arity != self.source.arity:
             raise ValueError("element arity does not match the source algebra")
-        if self.source.arity == 0:
-            return self.target.const(p.constant_value())
-        v = _variable_index(p)
-        if v is not None:
-            return MPoly._raw(self.target.arity, dict(self.images[v].terms))
-        return self.target.nf(p.subs(list(self.images)))
+        return _table_sum(p, self._table, self._monomial_image, self.target.arity)
+
+    def _monomial_image(self, exp):
+        monomial = MPoly._raw(self.source.arity, {exp: Fraction(1)})
+        return self.target.nf(monomial.subs(list(self.images)))
 
     def compose(self, then):
         """The composite ``then . self`` (self: A->B, then: B->C)."""
@@ -210,10 +229,11 @@ class Derivation:
 
     Well-definedness on the quotient requires the Leibniz extension to map
     the ideal into itself; checking the Groebner generators suffices since
-    every ideal element is an algebra combination of them.
+    every ideal element is an algebra combination of them.  ``_table`` of
+    monomial images is ``None`` until that check passes.
     """
 
-    __slots__ = ("algebra", "images", "_report", "_sound")
+    __slots__ = ("algebra", "images", "_report", "_table")
 
     def __init__(self, algebra, images):
         images = [algebra.nf(q) for q in images]
@@ -224,7 +244,7 @@ class Derivation:
         self.algebra = algebra
         self.images = tuple(images)
         self._report = None
-        self._sound = False
+        self._table = None
 
     @classmethod
     def zero(cls, algebra):
@@ -239,33 +259,11 @@ class Derivation:
         return cls(algebra, images)
 
     def _extend(self, p):
-        """Leibniz extension sum_i (d p / d x_i) * images[i], before reduction.
-
-        Each term c*x^exp of ``p`` adds c*e_i*x^(exp - e_i)*image_i
-        straight into one dict."""
+        """Leibniz extension sum_i (d p / d x_i) * images[i], before reduction."""
         out = {}
-        terms = p.terms.items()
         for i, image in enumerate(self.images):
-            if not image.terms:
-                continue
-            image_terms = image.terms.items()
-            for exp, c in terms:
-                e = exp[i]
-                if not e:
-                    continue
-                lowered = exp[:i] + (e - 1,) + exp[i + 1 :]
-                factor = c * e
-                for gexp, gc in image_terms:
-                    tgt = tuple(map(add, lowered, gexp))
-                    acc = out.get(tgt)
-                    if acc is None:
-                        out[tgt] = factor * gc
-                    else:
-                        acc += factor * gc
-                        if acc:
-                            out[tgt] = acc
-                        else:
-                            del out[tgt]
+            if image.terms:
+                _add_product(out, p.partial(i).terms, image.terms)
         return MPoly._raw(self.algebra.arity, out)
 
     def check(self):
@@ -282,28 +280,26 @@ class Derivation:
         if not self.algebra.ideal.groebner:
             report.add("free algebra: every derivation preserves the zero ideal", True)
         self._report = report
-        self._sound = report.verdict
+        if report.verdict:
+            self._table = _variable_table(self.algebra.arity, self.images)
         return report
 
     def require(self):
         """Raise ``VerificationError`` unless the derivation preserves the ideal."""
-        if not self._sound:
+        if self._table is None:
             self.check().require("derivation does not preserve the ideal")
 
     def apply(self, p):
-        """Leibniz extension from the variable images, in normal form.
-
-        Constants go to zero and the variable x_v to ``images[v]``, which
-        is stored in normal form, with no extension."""
+        """The Leibniz extension of the variable images in normal form, summed
+        from the table of monomial images.  The table starts with the
+        variables; a new monomial x^a gets nf(_extend(x^a))."""
         self.require()
         if p.arity != self.algebra.arity:
             raise ValueError("element arity does not match the algebra")
-        if p.is_constant():
-            return MPoly._raw(p.arity, {})
-        v = _variable_index(p)
-        if v is not None:
-            return MPoly._raw(p.arity, dict(self.images[v].terms))
-        return self.algebra.nf(self._extend(p))
+        return _table_sum(p, self._table, self._monomial_image, p.arity)
+
+    def _monomial_image(self, exp):
+        return self.algebra.nf(self._extend(MPoly._raw(self.algebra.arity, {exp: Fraction(1)})))
 
     def commutator(self, other):
         if other.algebra != self.algebra:

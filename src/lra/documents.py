@@ -116,7 +116,7 @@ def _expect(body, field, types, path, required=True):
             raise DocumentError("missing field", "%s.%s" % (path, field))
         return None
     value = body[field]
-    if not isinstance(value, types):
+    if not isinstance(value, types) or (type(value) is bool and types is int):
         raise DocumentError(
             "field has the wrong type (expected %s)"
             % (types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)),
@@ -200,6 +200,7 @@ def _validate_body(kind, body):
         if len(_expect_str_rows(body, "anchor", path)) != rank:
             raise DocumentError("need one anchor row per basis vector", "%s.anchor" % path)
         structure = _expect(body, "structure", list, path)
+        pairs = []
         for n, entry in enumerate(structure):
             epath = "%s.structure[%d]" % (path, n)
             if not isinstance(entry, dict):
@@ -209,6 +210,8 @@ def _validate_body(kind, body):
             if not 0 <= i < j < rank:
                 raise DocumentError("indices must satisfy 0 <= i < j < rank", epath)
             _expect_str_list(entry, "coeffs", epath)
+            pairs.append((i, j))
+        _no_repeats(pairs, "pair", "%s.structure" % path)
     elif kind == "element":
         has_coords = "coords" in body
         has_mixed = "tensor" in body or "f_part" in body

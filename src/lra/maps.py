@@ -18,6 +18,7 @@ the graph checker.
 from __future__ import annotations
 
 from .algebra import AlgMorphism
+from .poly import MPoly, _add_product
 from .pseudoalgebra import (
     KForm,
     PAElement,
@@ -315,10 +316,13 @@ def _dual_two_form(m, omega_table):
     table = {}
     for i in range(m.source.rank):
         for j in range(i + 1, m.source.rank):
-            acc = b_alg.zero()
+            acc = {}
             for p, q, c in pushed:
-                acc = acc + c * (rows[i][p] * rows[j][q] - rows[i][q] * rows[j][p])
-            table[(i, j)] = acc
+                minor = {}
+                _add_product(minor, rows[i][p].terms, rows[j][q].terms)
+                _add_product(minor, rows[i][q].terms, rows[j][p].terms, -1)
+                _add_product(acc, c.terms, minor)
+            table[(i, j)] = MPoly._raw(b_alg.arity, acc)
     return table
 
 

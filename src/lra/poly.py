@@ -49,6 +49,32 @@ def _as_fraction(value):
     raise TypeError("coefficients must be integers or Fractions, got %r" % (value,))
 
 
+def _add_product(out, a, b, sign=1):
+    """``out += sign * a * b`` in place, on term dicts of one arity; ``sign``
+    is 1 or -1.  A coefficient that cancels is deleted, as in ``MPoly.terms``.
+    This is the one product loop: ``__mul__``, ``subs``, derivations, the
+    monomial tables and the pseudoalgebra sums all call it."""
+    get = out.get
+    b = b.items()
+    for e1, c1 in a.items():
+        if sign < 0:
+            c1 = -c1
+        shift = any(e1)  # a constant term of ``a`` keeps the exponents of ``b``
+        unit = c1 == 1  # and a unit coefficient keeps the coefficients
+        for e2, c2 in b:
+            exp = tuple(map(_add, e1, e2)) if shift else e2
+            c = c2 if unit else c1 * c2
+            acc = get(exp)
+            if acc is None:
+                out[exp] = c
+            else:
+                acc += c
+                if acc:
+                    out[exp] = acc
+                else:
+                    del out[exp]
+
+
 class MPoly:
     """A multivariate polynomial with a fixed arity.
 
@@ -196,19 +222,7 @@ class MPoly:
             return self.scale(other)
         self._check_same_arity(other)
         out = {}
-        other_terms = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other_terms:
-                exp = tuple(map(_add, e1, e2))
-                acc = out.get(exp)
-                if acc is None:
-                    out[exp] = c1 * c2
-                else:
-                    acc += c1 * c2
-                    if acc:
-                        out[exp] = acc
-                    else:
-                        del out[exp]
+        _add_product(out, self.terms, other.terms)
         return MPoly._raw(self.arity, out)
 
     def __rmul__(self, other):
@@ -276,17 +290,8 @@ class MPoly:
                 if e:
                     factor = power(i, e)
                     monomial = factor if monomial is None else monomial * factor
-            pieces = monomial.terms.items() if monomial is not None else ((constant, 1),)
-            for tgt, v in pieces:
-                acc = out.get(tgt)
-                if acc is None:
-                    out[tgt] = c * v
-                else:
-                    acc += c * v
-                    if acc:
-                        out[tgt] = acc
-                    else:
-                        del out[tgt]
+            pieces = monomial.terms if monomial is not None else {constant: Fraction(1)}
+            _add_product(out, {constant: c}, pieces)
         return MPoly._raw(target_arity, out)
 
     def lift(self, arity, offset=0):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraPres, Derivation
-from .poly import MPoly, monomials_up_to
+from .poly import MPoly, _add_product, monomials_up_to
 from .verdict import VerdictReport, VerificationError
 
 
@@ -201,14 +201,14 @@ def _combine(alg, rank, terms, push=None):
     the anchor axiom, map extensions, span residuals and flattening all
     call it.
     """
-    out = [alg.zero()] * rank
+    out = [{} for _ in range(rank)]
     for weight, vector in terms:
         if weight.is_zero():
             continue
         for k, c in enumerate(vector):
             if not c.is_zero():
-                out[k] = out[k] + weight * (c if push is None else push.apply(c))
-    return [alg.nf(p) for p in out]
+                _add_product(out[k], weight.terms, (c if push is None else push.apply(c)).terms)
+    return [alg.nf(MPoly._raw(alg.arity, t)) for t in out]
 
 
 def bracket(x, y):
@@ -252,12 +252,11 @@ def anchor_apply(x, a):
             if not xi.is_zero():
                 delta.require()
         return alg.zero()
-    out = MPoly.zero(alg.arity)
+    out = {}
     for xi, delta in zip(x.coords, e.anchors):
-        if xi.is_zero():
-            continue
-        out = out + xi * delta.apply(a)
-    return alg.nf(out)
+        if not xi.is_zero():
+            _add_product(out, xi.terms, delta.apply(a).terms)
+    return alg.nf(MPoly._raw(alg.arity, out))
 
 
 def _anchor_identity(push, terms, y, a):
@@ -267,11 +266,11 @@ def _anchor_identity(push, terms, y, a):
     algebra of ``y``.  Returns ``(lhs, rhs)``, both in normal form.
     """
     alg = y.parent.algebra
-    lhs = alg.zero()
+    lhs = {}
     for delta, b in terms:
         if not b.is_zero():
-            lhs = lhs + push.apply(delta.apply(a)) * b
-    return alg.nf(lhs), anchor_apply(y, push.apply(a))
+            _add_product(lhs, push.apply(delta.apply(a)).terms, b.terms)
+    return alg.nf(MPoly._raw(alg.arity, lhs)), anchor_apply(y, push.apply(a))
 
 
 def anchor_derivation(x):
@@ -318,17 +317,17 @@ def _basis_jacobiator(e, a, b, c):
     of a constant is zero.  The anchors must be known to be derivations.
     """
     alg = e.algebra
-    out = [alg.zero()] * e.rank
+    one = alg.one().terms
+    out = [{} for _ in range(e.rank)]
     for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
         for l, u in enumerate(e.struct_coeffs(i, j)):
             if u.is_zero():
                 continue
             for m, v in enumerate(e.struct_coeffs(l, k)):
-                if not v.is_zero():
-                    out[m] = out[m] + u * v
+                _add_product(out[m], u.terms, v.terms)
             if not u.is_constant():
-                out[l] = out[l] - e.anchors[k].apply(u)
-    return [alg.nf(p) for p in out]
+                _add_product(out[l], one, e.anchors[k].apply(u).terms, -1)
+    return [alg.nf(MPoly._raw(alg.arity, t)) for t in out]
 
 
 def _derivation_checks(derivations):
@@ -435,13 +434,15 @@ def differential(e, omega):
     if omega.degree == 0:
         return KForm.one_form(e, [d.apply(omega.data) for d in e.anchors])
     if omega.degree == 1:
+        one = e.algebra.one().terms
         table = {}
         for i in range(e.rank):
             for j in range(i + 1, e.rank):
-                value = e.anchors[i].apply(omega.data[j]) - e.anchors[j].apply(omega.data[i])
+                value = e.anchors[i].apply(omega.data[j]).terms  # a fresh dict
+                _add_product(value, one, e.anchors[j].apply(omega.data[i]).terms, -1)
                 for k, c in enumerate(e.struct_coeffs(i, j)):
-                    value = value - c * omega.data[k]
-                table[(i, j)] = value
+                    _add_product(value, c.terms, omega.data[k].terms, -1)
+                table[(i, j)] = MPoly._raw(e.algebra.arity, value)
         return KForm.two_form(e, table)
     raise ValueError("the differential of a degree-2 form is not supported")
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lra.algebra import AlgebraPres, AlgMorphism, Derivation
 from lra.documents import load_document, to_algebra
-from lra.groebner import IdealPres
+from lra.groebner import IdealPres, ResourceCapExceeded, step_budget
 from lra.poly import MPoly
 from lra.verdict import VerificationError
 
@@ -168,8 +168,8 @@ CIRCLE_ENDOMORPHISMS = (
 @given(data=st.data())
 def test_apply_shortcuts_match_the_general_path(case, data):
     """``Derivation.apply`` is nf(_extend(p)) and ``AlgMorphism.apply`` is
-    nf(p.subs(images)), also on the arguments answered from the stored
-    images; every result owns its term dict."""
+    nf(p.subs(images)), both when the first call fills the table and when
+    the second reads it; every result owns its term dict."""
     algebra = data.draw(st.sampled_from([AlgebraPres.free("x", "y", "z"), CIRCLE]))
     n = algebra.arity
     v = data.draw(st.integers(0, n - 1))
@@ -193,12 +193,41 @@ def test_apply_shortcuts_match_the_general_path(case, data):
         images = [data.draw(small_polys(arity=2, max_terms=3, max_exp=2)) for _ in range(n)]
         m = AlgMorphism(algebra, CIRCLE, images)
     assert d.check().verdict and m.check().verdict
-    for result, expected, stored in (
-        (d.apply(p), algebra.nf(d._extend(p)), d.images),
-        (m.apply(p), m.target.nf(p.subs(list(m.images))), m.images),
-    ):
-        assert result == expected
-        assert all(result.terms is not q.terms for q in stored)
+    for f, expected in ((d, algebra.nf(d._extend(p))), (m, m.target.nf(p.subs(list(m.images))))):
+        first, second = f.apply(p), f.apply(p)
+        assert first == second == expected
+        assert set(p.terms) <= set(f._table)
+        stored = list(f.images) + list(f._table.values()) + [first]
+        assert all(second.terms is not q.terms for q in stored)
+        assert all(first.terms is not q.terms for q in stored[:-1])
+
+
+def test_unsound_derivation_builds_no_table():
+    x, y = CIRCLE.variable(0), CIRCLE.variable(1)
+    d = Derivation(CIRCLE, [y, x])
+    with pytest.raises(VerificationError, match="derivation does not preserve the ideal"):
+        d.apply(x * y)
+    assert d._table is None
+
+
+@pytest.mark.parametrize("kind", ["derivation", "morphism"])
+def test_apply_stopped_by_the_budget_leaves_no_entry(kind):
+    """An entry is stored only once its normal form has returned."""
+    x, y = CIRCLE.variable(0), CIRCLE.variable(1)
+    p = x ** 5 * y ** 5
+    if kind == "derivation":
+        f = Derivation(CIRCLE, [-y, x])
+        expected = CIRCLE.nf(f._extend(p))
+    else:
+        f = AlgMorphism(CIRCLE, CIRCLE, [y, x])
+        expected = CIRCLE.nf(p.subs(list(f.images)))
+    assert f.check().verdict
+    seeded = dict(f._table)
+    with pytest.raises(ResourceCapExceeded), step_budget(1):
+        f.apply(p)
+    assert f._table == seeded
+    assert f.apply(p) == expected
+    assert f._table[(5, 5)] == expected
 
 
 def test_apply_checks_the_ideal_before_any_shortcut():

@@ -455,6 +455,25 @@ def test_check_palg_failure_exits_one(tmp_path):
     assert main(["check-palg", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "edit, location",
+    [
+        (lambda body: body.update(rank=True), "body.rank"),
+        (lambda body: body["structure"][0].update(i=False, j=True), "body.structure[0].i"),
+    ],
+    ids=["rank", "indices"],
+)
+def test_booleans_are_not_integers(tmp_path, capsys, edit, location):
+    """JSON true and false are not integers, though Python's bool is an int."""
+    raw = json.loads(DATA["palg_sl2_action"].read_text(encoding="utf-8"))
+    edit(raw["body"])
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["check-palg", str(path)]) == 2
+    message = "field has the wrong type (expected int) (at %s)" % location
+    assert capsys.readouterr().err == "lra: input error: %s\n" % message
+
+
 def _pair_without_product(tmp_path):
     """make_pair(["a", "b"]) with the product of (a, b) and (b, a) deleted."""
     from lra.groupoid import make_pair

@@ -102,6 +102,10 @@ DATA = pathlib.Path(__file__).parent / "data"
             "grpdmap_swap_pair2_comorphism", "table", 0, ["1", "('a', 'a')", "('1', 1)"],
             "repeated pair ('1', \"('a', 'a')\") (at body.table[1])",
         ),
+        (
+            "palg_sl2_action", "structure", 3, {"coeffs": ["0", "0", "0"], "i": 0, "j": 1},
+            "repeated pair (0, 1) (at body.structure[3])",
+        ),
     ],
 )
 def test_repeated_entries_are_rejected(tmp_path, capsys, name, field, at, row, message):
@@ -117,6 +121,8 @@ def test_repeated_entries_are_rejected(tmp_path, capsys, name, field, at, row, m
     path.write_text(json.dumps(raw), encoding="utf-8")
     if name == "groupoid_pair2":
         argv = ["grpd", "check", path]
+    elif name == "palg_sl2_action":
+        argv = ["check-palg", path]
     else:
         argv = ["grpd", "check-map", DATA / "groupoid_swap.json", DATA / "groupoid_pair2.json", path]
     assert main([str(arg) for arg in argv]) == 2

@@ -8,6 +8,7 @@ from lra.algebra import AlgebraPres, Derivation
 from lra.groebner import IdealPres, buchberger, normal_form
 from lra.poly import (
     MPoly,
+    _add_product,
     PolyParseError,
     grevlex_key,
     lex_key,
@@ -304,5 +305,18 @@ def test_trusted_results_are_valid_and_fresh(p, q, f, g, scalar, power):
     for algebra in (AlgebraPres(("x", "y")), AlgebraPres(("x", "y"), ideal)):
         rotation = Derivation(algebra, [-y * q, x * q])
         checks.append((rotation.apply(p), p, q) + rotation.images)
+        checks.append((rotation.apply(p), p, q) + rotation.images)  # read from the table
+    # the in-place kernel: out += sign*a*b, onto an empty and a filled dict
+    for sign in (1, -1):
+        for start in (MPoly.zero(2), p + q):
+            out = dict(start.terms)
+            _add_product(out, p.terms, q.terms, sign)
+            result = MPoly._raw(2, out)
+            assert result == start + (p * q).scale(sign)
+            checks.append((result, p, q, start))
+    out = {}
+    _add_product(out, p.terms, q.terms)
+    _add_product(out, p.terms, q.terms, -1)
+    assert out == {}
     for result, *operands in checks:
         _assert_trusted_result(result, *operands)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import jacobiator, sl2, sl2_action_images
+from test_poly import small_polys
 from lra.algebra import AlgebraPres, AlgMorphism, Derivation
 from lra.groebner import IdealPres
 from lra.poly import MPoly
@@ -15,6 +16,7 @@ from lra.pseudoalgebra import (
     PAElement,
     anchor_apply,
     _anchor_axiom,
+    _combine,
     _derivation_checks,
     axioms_check,
     bracket,
@@ -556,3 +558,24 @@ def test_coordinate_vectors_of_different_owners_do_not_mix(owners):
     for combine in (lambda a, b: a + b, lambda a, b: a - b):
         with pytest.raises(ValueError, match="elements belong to different %s" % owners):
             combine(u, v)
+
+
+CIRCLE2 = AlgebraPres(("x", "y"), IdealPres(2, [MPoly.variable(2, 0) ** 2 + MPoly.variable(2, 1) ** 2 - 1]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_combine_is_the_naive_sum(data):
+    """_combine equals nf of the sum of MPoly products, with and without a push."""
+    alg = data.draw(st.sampled_from([AlgebraPres.free("x", "y"), CIRCLE2]))
+    rank = data.draw(st.integers(1, 3))
+    polys = small_polys(arity=2, max_terms=3, max_exp=3)
+    terms = data.draw(st.lists(st.tuples(polys, st.lists(polys, min_size=rank, max_size=rank)), max_size=4))
+    terms = [(alg.nf(w), [alg.nf(c) for c in v]) for w, v in terms]
+    swap = AlgMorphism(alg, alg, [alg.variable(1), alg.variable(0)])
+    push = data.draw(st.sampled_from([None, swap]))
+    naive = [alg.zero()] * rank
+    for w, v in terms:
+        for k, c in enumerate(v):
+            naive[k] = naive[k] + w * (c if push is None else push.apply(c))
+    assert _combine(alg, rank, terms, push) == [alg.nf(c) for c in naive]
