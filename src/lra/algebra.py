@@ -12,8 +12,6 @@ form is Q-linear.  The table lives as long as its object.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .groebner import IdealPres
 from .poly import MPoly, _add_product, parse_poly, poly_to_string
 from .verdict import VerdictReport
@@ -198,8 +196,7 @@ class AlgMorphism:
         return _table_sum(p, self._table, self._monomial_image, self.target.arity)
 
     def _monomial_image(self, exp):
-        monomial = MPoly._raw(self.source.arity, {exp: Fraction(1)})
-        return self.target.nf(monomial.subs(list(self.images)))
+        return self.target.nf(MPoly._raw(self.source.arity, {exp: 1}).subs(list(self.images)))
 
     def compose(self, then):
         """The composite ``then . self`` (self: A->B, then: B->C)."""
@@ -299,7 +296,7 @@ class Derivation:
         return _table_sum(p, self._table, self._monomial_image, p.arity)
 
     def _monomial_image(self, exp):
-        return self.algebra.nf(self._extend(MPoly._raw(self.algebra.arity, {exp: Fraction(1)})))
+        return self.algebra.nf(self._extend(MPoly._raw(self.algebra.arity, {exp: 1})))
 
     def commutator(self, other):
         if other.algebra != self.algebra:

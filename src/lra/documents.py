@@ -19,7 +19,7 @@ from .algebra import AlgebraPres, AlgMorphism, Derivation
 from .groebner import IdealPres
 from .groupoid import FinGroupoid, GrpdComorphism, GrpdMorphism
 from .maps import PAComorphism, PAMorphism
-from .poly import PolyParseError, parse_poly
+from .poly import PolyParseError, is_variable_name, parse_poly
 from .pseudoalgebra import PAlg, PAElement
 from .psisum import MixedElement
 
@@ -168,7 +168,11 @@ def _expect_str_table(body, field, path):
 
 
 def _validate_algebra_body(body, path):
-    _expect_str_list(body, "variables", path)
+    variables = _expect_str_list(body, "variables", path)
+    for n, name in enumerate(variables):
+        if not is_variable_name(name):
+            raise DocumentError("bad variable name %r" % name, "%s.variables[%d]" % (path, n))
+    _no_repeats(variables, "variable", "%s.variables" % path)
     _expect_str_list(body, "ideal", path)
     order = _expect(body, "order", str, path, required=False)
     if order is not None and order not in ("grevlex", "grlex", "lex"):

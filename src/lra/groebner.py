@@ -33,7 +33,7 @@ from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, and_, le, mul, rshift
 
-from .poly import MPoly, order_key
+from .poly import MPoly, _coefficient, order_key
 
 DEFAULT_STEP_CAP = 10**6
 
@@ -182,7 +182,8 @@ def _prepare(basis, pack):
         for keyed in (pack.keyed(g.terms) for g in basis if not g.is_zero()):
             lead_key = min(keyed)
             lc = keyed.pop(lead_key)
-            prepared.append((lead_key, pack.cover - lead_key, 1, [(k, c / lc) for k, c in keyed.items()]))
+            tail = [(k, _coefficient(Fraction(c, lc))) for k, c in keyed.items()]
+            prepared.append((lead_key, pack.cover - lead_key, 1, tail))
         return pack, prepared
     except _Overflow:
         return _prepare(basis, pack.wider())
@@ -199,7 +200,7 @@ def _divide(p, basis, pack, prepared):
         return _divide(p, basis, *_prepare(basis, pack.wider()))
     if steps.left == left:
         return MPoly._raw(p.arity, dict(p.terms))
-    return MPoly._raw(p.arity, {pack.exponent(k): c for k, c in remainder.items()})
+    return MPoly._raw(p.arity, {pack.exponent(k): _coefficient(c) for k, c in remainder.items()})
 
 
 def normal_form(p, basis, order="grevlex"):
@@ -334,7 +335,7 @@ def _complete(integral, pack, steps):
         work[lead_key] = lc
         reduced.append(_primitive(_reduce_terms(work, reduced, guards, steps), pack))
     arity = pack.arity
-    return [MPoly._raw(arity, {exponent(lead): Fraction(1), **{exponent(k): Fraction(c, lc) for k, c in tail}})
+    return [MPoly._raw(arity, {exponent(lead): 1, **{exponent(k): _coefficient(Fraction(c, lc)) for k, c in tail}})
             for lead, _, lc, tail in reduced]
 
 

@@ -1,8 +1,11 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 A polynomial is stored as a mapping from exponent tuples to nonzero
-``Fraction`` coefficients; the number of variables (arity) is fixed per
-polynomial.  Everything is exact -- no floats anywhere.
+coefficients; the number of variables (arity) is fixed per polynomial.
+A coefficient has one form, set by ``_coefficient``: an ``int`` when it is
+integral, otherwise a ``Fraction`` with denominator > 1, so integer
+arithmetic runs at int speed.  Everything is exact -- no floats anywhere,
+and a quotient of coefficients is always taken as a ``Fraction``.
 
 This module also owns the text grammar shared by all document formats:
 terms like ``3/2*x^2*y`` joined by ``+`` and ``-``, with variable names
@@ -41,11 +44,16 @@ def order_key(order):
         raise ValueError("unknown monomial order %r" % (order,)) from None
 
 
-def _as_fraction(value):
-    if isinstance(value, Fraction):
+def _coefficient(value):
+    """``value``, an int or a Fraction, in the one coefficient form: an int
+    when it is integral, else a Fraction with denominator > 1.  A bool or an
+    int subclass becomes an int; anything else is a TypeError."""
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if type(value) is Fraction:
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, (int, Fraction)):
+        return _coefficient(Fraction(value))
     raise TypeError("coefficients must be integers or Fractions, got %r" % (value,))
 
 
@@ -60,29 +68,28 @@ def _add_product(out, a, b, sign=1):
         if sign < 0:
             c1 = -c1
         shift = any(e1)  # a constant term of ``a`` keeps the exponents of ``b``
-        unit = c1 == 1  # and a unit coefficient keeps the coefficients
+        unit = type(c1) is int and c1 == 1  # and 1 keeps the coefficients (a Fraction is never 1)
         for e2, c2 in b:
             exp = tuple(map(_add, e1, e2)) if shift else e2
             c = c2 if unit else c1 * c2
             acc = get(exp)
-            if acc is None:
-                out[exp] = c
-            else:
-                acc += c
-                if acc:
-                    out[exp] = acc
-                else:
+            if acc is not None:
+                c += acc
+                if not c:
                     del out[exp]
+                    continue
+            out[exp] = c if type(c) is int else _coefficient(c)
 
 
 class MPoly:
     """A multivariate polynomial with a fixed arity.
 
-    ``terms`` maps exponent tuples to nonzero Fractions; zero coefficients
-    are never stored, so equality of polynomials is dict equality.
+    ``terms`` maps exponent tuples to nonzero coefficients in the one form
+    of ``_coefficient``; zero coefficients are never stored, so equality of
+    polynomials is dict equality.
 
     ``MPoly(arity, terms)`` validates: it copies ``terms``, checks every
-    exponent and turns every coefficient into a Fraction.  The document
+    exponent and brings every coefficient into that form.  The document
     loaders and the public constructors build through it.  Arithmetic on
     polynomials that are already valid, and the parser, which builds its
     own term dict, build their results with ``MPoly._raw``, which trusts
@@ -110,8 +117,8 @@ class MPoly:
                     if any(e < 0 for e in exp):
                         raise ValueError("negative exponent in %r" % (exp,))
                     exp = tuple(map(int, exp))  # bools
-                coeff = _as_fraction(coeff)
-                if coeff != 0:
+                coeff = _coefficient(coeff)
+                if coeff:
                     clean[exp] = coeff
         self.terms = clean
 
@@ -121,7 +128,8 @@ class MPoly:
     def _raw(cls, arity, terms):
         """Trusted constructor: ``terms`` is a dict that no other polynomial
         holds, from exponent tuples of length ``arity`` with no negative
-        entry to nonzero Fractions.  It is neither copied nor checked."""
+        entry to nonzero coefficients in the form of ``_coefficient``.  It is
+        neither copied nor checked."""
         p = _new(cls)
         p.arity = arity
         p.terms = terms
@@ -133,8 +141,8 @@ class MPoly:
 
     @classmethod
     def const(cls, arity, value):
-        value = _as_fraction(value)
-        if value == 0:
+        value = _coefficient(value)
+        if not value:
             return cls(arity)
         return cls(arity, {(0,) * arity: value})
 
@@ -147,11 +155,11 @@ class MPoly:
         if not 0 <= index < arity:
             raise ValueError("variable index %d out of range for arity %d" % (index, arity))
         exp = tuple(1 if i == index else 0 for i in range(arity))
-        return cls(arity, {exp: Fraction(1)})
+        return cls(arity, {exp: 1})
 
     @classmethod
     def monomial(cls, arity, exp, coeff=1):
-        return cls(arity, {tuple(exp): _as_fraction(coeff)})
+        return cls(arity, {tuple(exp): coeff})
 
     # -- predicates / accessors ---------------------------------------
 
@@ -162,10 +170,10 @@ class MPoly:
         return all(sum(e) == 0 for e in self.terms)
 
     def constant_value(self):
-        return self.terms.get((0,) * self.arity, Fraction(0))
+        return self.terms.get((0,) * self.arity, 0)
 
     def coeff(self, exp):
-        return self.terms.get(tuple(exp), Fraction(0))
+        return self.terms.get(tuple(exp), 0)
 
     def total_degree(self):
         if not self.terms:
@@ -199,7 +207,7 @@ class MPoly:
             else:
                 acc += c
                 if acc:
-                    terms[exp] = acc
+                    terms[exp] = _coefficient(acc)
                 else:
                     del terms[exp]
         return MPoly._raw(self.arity, terms)
@@ -231,10 +239,10 @@ class MPoly:
         return NotImplemented
 
     def scale(self, value):
-        value = _as_fraction(value)
-        if value == 0:
+        value = _coefficient(value)
+        if not value:
             return MPoly._raw(self.arity, {})
-        return MPoly._raw(self.arity, {e: c * value for e, c in self.terms.items()})
+        return MPoly._raw(self.arity, {e: _coefficient(c * value) for e, c in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -257,7 +265,7 @@ class MPoly:
             e = exp[index]
             if e:
                 # distinct exponents stay distinct when lowered, so no sum
-                out[exp[:index] + (e - 1,) + exp[index + 1 :]] = c * e
+                out[exp[:index] + (e - 1,) + exp[index + 1 :]] = _coefficient(c * e)
         return MPoly._raw(self.arity, out)
 
     def subs(self, images):
@@ -273,24 +281,19 @@ class MPoly:
                     raise ValueError("substitution images have mixed arities")
         else:
             target_arity = 0
-        # powers of each image, built on first use
-        powers = [{1: q} for q in images]
-
-        def power(i, e):
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = power(i, e - 1) * images[i]
-            return cache[e]
-
+        # powers[i][k] is images[i] ** (k + 1), built in a loop on first use
+        powers = [[q] for q in images]
         out = {}
         constant = (0,) * target_arity
         for exp, c in self.terms.items():
             monomial = None
             for i, e in enumerate(exp):
                 if e:
-                    factor = power(i, e)
-                    monomial = factor if monomial is None else monomial * factor
-            pieces = monomial.terms if monomial is not None else {constant: Fraction(1)}
+                    row = powers[i]
+                    while len(row) < e:
+                        row.append(row[-1] * images[i])
+                    monomial = row[e - 1] if monomial is None else monomial * row[e - 1]
+            pieces = monomial.terms if monomial is not None else {constant: 1}
             _add_product(out, {constant: c}, pieces)
         return MPoly._raw(target_arity, out)
 
@@ -333,40 +336,15 @@ class PolyParseError(ValueError):
         self.column = column
 
 
-_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^])")
+_NAME = "[A-Za-z_][A-Za-z_0-9]*"
+# one token per match after ASCII whitespace: a number, a name, an operator,
+# or any other character, which the grammar rejects
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|(%s)|([-+*/^])|(\S))" % _NAME, re.ASCII)
 
 
-class _Tokens:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.items = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            m = _TOKEN_RE.match(text, i)
-            if m is None:
-                raise PolyParseError("unexpected character %r" % ch, *_line_col(text, i))
-            kind = m.lastgroup
-            self.items.append((kind, m.group(), i))
-            i = m.end()
-        self.items.append(("end", "", len(text)))
-
-    def peek(self):
-        return self.items[self.pos]
-
-    def advance(self):
-        tok = self.items[self.pos]
-        if tok[0] != "end":
-            self.pos += 1
-        return tok
-
-    def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise PolyParseError(message, *_line_col(self.text, tok[2]))
+def is_variable_name(name):
+    """True when the grammar reads ``name`` as one variable name."""
+    return re.fullmatch(_NAME, name) is not None
 
 
 def _line_col(text, index):
@@ -375,83 +353,86 @@ def _line_col(text, index):
     return line, index - last_nl
 
 
+def _fail(text, tokens, k, message):
+    """Raise ``message`` at token ``k``, or at the first character outside the
+    grammar if there is one; only now are token positions worked out."""
+    bad = next((j for j, token in enumerate(tokens) if token[3]), None)
+    if bad is not None:
+        k, message = bad, "unexpected character %r" % tokens[bad][3]
+    starts = [m.start(m.lastindex) for m in _TOKEN_RE.finditer(text)]
+    raise PolyParseError(message, *_line_col(text, starts[k] if k < len(starts) else len(text)))
+
+
 def parse_poly(text, names):
     """Parse a polynomial in the declared variables ``names``.
 
     Grammar: ``poly := [-] term {(+|-) term}``; ``term := factor {* factor}``;
-    ``factor := int [/ int] | name [^ int]``.  The grammar has no
-    parentheses, so it is read term by term: each term becomes one
-    exponent list and one coefficient, and the terms are summed in a dict
-    of exponent tuples, with no polynomial arithmetic.
+    ``factor := int [/ int] | name [^ int]``, in ASCII, with ASCII whitespace
+    between tokens.  One regex scan splits the text into tokens.  The
+    grammar has no parentheses, so it is read term by term: each term
+    becomes one exponent list and one coefficient, and the terms are summed
+    in a dict of exponent tuples, with no polynomial arithmetic.
     """
-    if text == "0":  # most structure-table entries: no tokens needed
-        return MPoly._raw(len(names), {})
-    index = {name: i for i, name in enumerate(names)}
     arity = len(names)
-    toks = _Tokens(text)
+    if text == "0":  # most structure-table entries: no tokens needed
+        return MPoly._raw(arity, {})
+    index = {name: i for i, name in enumerate(names)}
+    tokens = _TOKEN_RE.findall(text)
+    end = len(tokens)
+    tokens.append(("", "", "", ""))  # the end
     terms = {}
-
-    def parse_int(what):
-        kind, value, _ = toks.peek()
-        if kind != "num":
-            toks.error("expected %s" % what)
-        toks.advance()
-        return int(value)
-
-    def parse_term(sign):
-        num, den = sign, 1
-        exp = [0] * arity
-        while True:
-            kind, value, pos = toks.peek()
-            if kind == "num":
-                toks.advance()
-                num *= int(value)
-                if toks.peek()[:2] == ("op", "/"):
-                    toks.advance()
-                    d = parse_int("denominator")
-                    if d == 0:
-                        toks.error("zero denominator")
-                    den *= d
-            elif kind == "name":
-                toks.advance()
-                if value not in index:
-                    raise PolyParseError("unknown variable %r" % value, *_line_col(text, pos))
-                e = 1
-                if toks.peek()[:2] == ("op", "^"):
-                    toks.advance()
-                    e = parse_int("exponent")
-                exp[index[value]] += e
-            else:
-                toks.error("expected a coefficient or variable")
-            if toks.peek()[:2] != ("op", "*"):
-                break
-            toks.advance()
-        if num:
-            coeff = Fraction(num) if den == 1 else Fraction(num, den)
-            key = tuple(exp)
-            acc = terms.get(key)
-            if acc is None:
-                terms[key] = coeff
-            else:
-                acc += coeff
-                if acc:
-                    terms[key] = acc
-                else:
-                    del terms[key]
-
-    sign = 1
-    if toks.peek()[:2] == ("op", "-"):
-        toks.advance()
-        sign = -1
+    k, sign = (1, -1) if tokens[0][2] == "-" else (0, 1)
     while True:
-        parse_term(sign)
-        kind, value, _ = toks.peek()
-        if kind == "end":
+        num, den, exp = sign, 1, [0] * arity
+        while True:  # one term
+            number, name, _, _ = tokens[k]
+            if number:
+                num *= int(number)
+                k += 1
+                if tokens[k][2] == "/":
+                    d = tokens[k + 1][0]
+                    if not d:
+                        _fail(text, tokens, k + 1, "expected denominator")
+                    d = int(d)
+                    if not d:
+                        _fail(text, tokens, k + 2, "zero denominator")
+                    den *= d
+                    k += 2
+            elif name:
+                i = index.get(name)
+                if i is None:
+                    _fail(text, tokens, k, "unknown variable %r" % name)
+                k += 1
+                if tokens[k][2] == "^":
+                    e = tokens[k + 1][0]
+                    if not e:
+                        _fail(text, tokens, k + 1, "expected exponent")
+                    exp[i] += int(e)
+                    k += 2
+                else:
+                    exp[i] += 1
+            else:
+                _fail(text, tokens, k, "expected a coefficient or variable")
+            if tokens[k][2] != "*":
+                break
+            k += 1
+        if num:
+            key = tuple(exp)
+            coeff = num if den == 1 else Fraction(num, den)
+            acc = terms.get(key)
+            if acc is not None:
+                coeff += acc
+            if coeff:
+                terms[key] = _coefficient(coeff)
+            else:
+                del terms[key]
+        if k == end:
             return MPoly._raw(arity, terms)
-        if kind != "op" or value not in ("+", "-"):
-            toks.error("expected '+' or '-'")
-        toks.advance()
-        sign = 1 if value == "+" else -1
+        op = tokens[k][2]
+        if op != "+" and op != "-":
+            _fail(text, tokens, k, "expected '+' or '-'")
+        sign = 1 if op == "+" else -1
+        k += 1
 
 
 def poly_to_string(p, names, order="grevlex"):

@@ -498,7 +498,7 @@ def _solve_span_at(algebra, columns, target, degree):
     def row_for(v, gamma):
         key = (v, gamma)
         if key not in rows:
-            rows[key] = [Fraction(0)] * (len(unknowns) + 1)
+            rows[key] = [0] * (len(unknowns) + 1)
         return rows[key]
 
     for col_index, (k, m) in enumerate(unknowns):
@@ -525,7 +525,7 @@ def _solve_span_at(algebra, columns, target, degree):
             continue
         matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
         lead = matrix[r][col]
-        matrix[r] = [value / lead for value in matrix[r]]
+        matrix[r] = [Fraction(value, lead) for value in matrix[r]]
         for i in range(len(matrix)):
             if i != r and matrix[i][col] != 0:
                 factor = matrix[i][col]
@@ -535,7 +535,7 @@ def _solve_span_at(algebra, columns, target, degree):
     for i in range(r, len(matrix)):
         if matrix[i][-1] != 0:
             return None  # inconsistent at this degree bound
-    values = [Fraction(0)] * width
+    values = [0] * width
     for row_index, col in enumerate(pivot_cols):
         values[col] = matrix[row_index][-1]
     coeffs = []

@@ -31,6 +31,13 @@ from lra import (
 from lra.poly import MPoly, order_key
 
 
+def coefficient_form(c):
+    """The one coefficient form of ``lra.poly``: an int exactly when the value
+    is integral, otherwise a Fraction with denominator > 1; never a bool or a
+    float."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 # -- Groebner reference ------------------------------------------------------
 
 

@@ -11,7 +11,9 @@ from conftest import algebras, sl2, sl2_action_images
 from lra import documents as docs
 from lra.algebra import AlgebraPres, AlgMorphism
 from lra.cli import COMMANDS, build_parser, main
+from lra.groebner import IdealPres
 from lra.maps import PAComorphism, PAMorphism
+from lra.poly import MPoly
 from lra.pseudoalgebra import make_action, make_der
 from lra.psisum import MixedElement, PsiSumCtx
 
@@ -71,6 +73,16 @@ def test_check_comorphism_exit_codes(workspace, capsys):
     out = capsys.readouterr().out
     assert "3*x" in out  # witness printed
     assert main(["check", "comorphism", p["duv.json"], p["dx.json"], "missing.json"]) == 2
+
+
+def test_algebra_map_of_a_high_power(tmp_path, capsys):
+    """x |-> y maps (x^1500) into (y^2); the power is far past the recursion limit."""
+    source = AlgebraPres(("x",), IdealPres(1, [MPoly.variable(1, 0) ** 1500]))
+    target = AlgebraPres(("y",), IdealPres(1, [MPoly.variable(1, 0) ** 2]))
+    path = tmp_path / "high_power.json"
+    docs.save_document(docs.algmorphism_document(AlgMorphism(source, target, [target.variable(0)])), path)
+    assert main(["check", "algmorphism", str(path)]) == 0
+    assert "x^1500" in capsys.readouterr().out
 
 
 def test_check_other_kinds(workspace):
@@ -800,6 +812,26 @@ def test_malformed_command_lines_exit_two(workspace, capsys, argv, culprit):
             ["check", "comorphism", "{duv}", "{dx}", "{bad}"],
             "co", {"images": [["1", "2*x"], ["0", "1"]]},
             "need one image row per F-basis vector (at body.images)",
+        ),
+        (
+            ["check-algebra", "{bad}"],
+            "qx", {"variables": ["x y"]},
+            "bad variable name 'x y' (at body.variables[0])",
+        ),
+        (
+            ["check-palg", "{bad}"],
+            "dx", {"algebra": {"variables": ["2z"], "ideal": []}},
+            "bad variable name '2z' (at body.algebra.variables[0])",
+        ),
+        (
+            ["check", "algmorphism", "{bad}"],
+            "psi_curve", {"source": {"variables": ["u", "v\u00e9"], "ideal": []}},
+            "bad variable name 'v\u00e9' (at body.source.variables[1])",
+        ),
+        (
+            ["check", "algmorphism", "{bad}"],
+            "psi_curve", {"target": {"variables": ["x", ""], "ideal": []}},
+            "bad variable name '' (at body.target.variables[1])",
         ),
     ],
 )

@@ -106,6 +106,19 @@ DATA = pathlib.Path(__file__).parent / "data"
             "palg_sl2_action", "structure", 3, {"coeffs": ["0", "0", "0"], "i": 0, "j": 1},
             "repeated pair (0, 1) (at body.structure[3])",
         ),
+        ("algebra_line", "variables", 1, "x", "repeated variable 'x' (at body.variables[1])"),
+        (
+            "palg_sl2_action", "algebra.variables", 1, "x",
+            "repeated variable 'x' (at body.algebra.variables[1])",
+        ),
+        (
+            "morphism_curve", "target.variables", 0, "x",
+            "repeated variable 'x' (at body.target.variables[1])",
+        ),
+        (
+            "derivation_euler", "algebra.variables", 0, "t",
+            "repeated variable 't' (at body.algebra.variables[1])",
+        ),
     ],
 )
 def test_repeated_entries_are_rejected(tmp_path, capsys, name, field, at, row, message):
@@ -113,18 +126,22 @@ def test_repeated_entries_are_rejected(tmp_path, capsys, name, field, at, row, m
     from lra.cli import main
 
     raw = json.loads((DATA / (name + ".json")).read_text(encoding="utf-8"))
-    raw["body"][field].insert(at, row)
+    entries = raw["body"]
+    for key in field.split("."):
+        entries = entries[key]
+    entries.insert(at, row)
     with pytest.raises(docs.DocumentError) as err:
         docs.parse_document(json.dumps(raw))
     assert str(err.value) == message
     path = tmp_path / "repeated.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
-    if name == "groupoid_pair2":
-        argv = ["grpd", "check", path]
-    elif name == "palg_sl2_action":
-        argv = ["check-palg", path]
-    else:
-        argv = ["grpd", "check-map", DATA / "groupoid_swap.json", DATA / "groupoid_pair2.json", path]
+    argv = {
+        "groupoid_pair2": ["grpd", "check", path],
+        "palg_sl2_action": ["check-palg", path],
+        "algebra_line": ["check-algebra", path],
+        "morphism_curve": ["check", "algmorphism", path],
+        "derivation_euler": ["check", "derivation", path],
+    }.get(name, ["grpd", "check-map", DATA / "groupoid_swap.json", DATA / "groupoid_pair2.json", path])
     assert main([str(arg) for arg in argv]) == 2
     assert capsys.readouterr().err == "lra: input error: %s\n" % message
 

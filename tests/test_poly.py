@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ref_poly_to_string
+from conftest import coefficient_form, ref_poly_to_string
 from lra.algebra import AlgebraPres, Derivation
 from lra.groebner import IdealPres, buchberger, normal_form
 from lra.poly import (
@@ -34,6 +34,15 @@ def test_zero_terms_dropped():
     p = MPoly(2, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
     assert (1, 0) not in p.terms
     assert p == MPoly(2, {(0, 1): 2})
+
+
+@pytest.mark.parametrize(
+    "value, expected", [(7, 7), (True, 1), (Fraction(4, 2), 2), (Fraction(-6, 4), Fraction(-3, 2))]
+)
+def test_coefficients_take_one_form(value, expected):
+    """An integral coefficient is stored as an int, never as a bool or an integral Fraction."""
+    (coeff,) = MPoly(1, {(1,): value}).terms.values()
+    assert coeff == expected and type(coeff) is type(expected)
 
 
 @pytest.mark.parametrize(
@@ -78,6 +87,13 @@ def test_subs_is_ring_morphism():
     p, q = x * y + 1, x - y
     assert (p * q).subs(images) == p.subs(images) * q.subs(images)
     assert (p + q).subs(images) == p.subs(images) + q.subs(images)
+
+
+def test_subs_reaches_powers_past_the_recursion_limit():
+    x, y = MPoly.variable(1, 0), MPoly.variable(2, 1)
+    image = Fraction(-1, 2) * y
+    assert (x ** 1500).subs([image]) == image ** 1500
+    assert (x ** 1500 + 3 * x ** 1499).subs([image]) == image ** 1500 + 3 * image ** 1499
 
 
 def test_grevlex_order():
@@ -146,6 +162,13 @@ def test_parse_errors_carry_position():
         ("x $ y", "unexpected character '$'", 1, 3),
         ("x + 1.5", "unexpected character '.'", 1, 6),
         ("x\n\ny\t$", "unexpected character '$'", 3, 3),
+        ("x + * $", "unexpected character '$'", 1, 7),
+        ("\u0663*x", "unexpected character '\u0663'", 1, 1),
+        ("x^\u0662", "unexpected character '\u0662'", 1, 3),
+        ("x +\n\uff13", "unexpected character '\uff13'", 2, 1),
+        ("x\u00a0+ y", "unexpected character '\\xa0'", 1, 2),
+        ("x +\u2003y", "unexpected character '\\u2003'", 1, 4),
+        ("x\x1c+ y", "unexpected character '\\x1c'", 1, 2),
         ("", "expected a coefficient or variable", 1, 1),
         ("   ", "expected a coefficient or variable", 1, 4),
     ],
@@ -228,7 +251,9 @@ def test_render_matches_the_reference(p, order):
 @given(small_polys())
 def test_parse_render_round_trip(p):
     names = NAMES[:2]
-    assert parse_poly(poly_to_string(p, names), names) == p
+    again = parse_poly(poly_to_string(p, names), names)
+    assert again == p
+    assert all(map(coefficient_form, again.terms.values()))
 
 
 @given(small_polys(), small_polys(), small_polys())
@@ -268,7 +293,7 @@ def _assert_trusted_result(result, *operands):
     for exp, coeff in result.terms.items():
         assert type(exp) is tuple and len(exp) == result.arity
         assert all(e >= 0 for e in exp)
-        assert type(coeff) is Fraction and coeff != 0
+        assert coefficient_form(coeff) and coeff != 0
     for operand in operands:
         assert result.terms is not operand.terms
 
@@ -297,7 +322,7 @@ def test_trusted_results_are_valid_and_fresh(p, q, f, g, scalar, power):
     checks.append((normal_form(p, ideal.groebner), p) + ideal.groebner)
     checks.append((normal_form(p, non_monic), p, *non_monic))
     checks.append((normal_form(p, [MPoly.zero(2)]), p))
-    # the integer completion kernel must not leak int coefficients
+    # the integer completion kernel must leave its coefficients in the one form
     completed = buchberger([p, q, x * q - 1]) + buchberger([x ** 2 + y ** 2 - 1, x * y - p])
     checks += [(element, p, q) for element in completed]
     names = ("x", "y")
