@@ -13,7 +13,7 @@ form is Q-linear.  The table lives as long as its object.
 from __future__ import annotations
 
 from .groebner import IdealPres
-from .poly import MPoly, _add_product, parse_poly, poly_to_string
+from .poly import MPoly, _add_product, _Sum, is_variable_name, parse_poly, poly_to_string
 from .verdict import VerdictReport
 
 
@@ -24,6 +24,9 @@ class AlgebraPres:
 
     def __init__(self, variables, ideal=None, order="grevlex"):
         variables = tuple(variables)
+        for name in variables:
+            if not (isinstance(name, str) and is_variable_name(name)):
+                raise ValueError("bad variable name %r" % (name,))
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
         if ideal is None:
@@ -128,14 +131,15 @@ def _variable_table(arity, images):
 def _table_sum(p, table, build, arity):
     """sum_a c_a table[a] over the terms c_a x^a of ``p``.  A missing entry
     is ``build(a)``, stored only once it has returned."""
-    out = {}
+    out = _Sum()
     one = (0,) * arity
     for exp, c in p.terms.items():
         image = table.get(exp)
         if image is None:
             image = table[exp] = build(exp)
-        _add_product(out, {one: c}, image.terms)
-    return MPoly._raw(arity, out)
+        if image.terms:
+            _add_product(out, {one: c}, image.terms)
+    return MPoly._raw(arity, out.finish())
 
 
 class AlgMorphism:
@@ -257,11 +261,13 @@ class Derivation:
 
     def _extend(self, p):
         """Leibniz extension sum_i (d p / d x_i) * images[i], before reduction."""
-        out = {}
+        out = _Sum()
         for i, image in enumerate(self.images):
             if image.terms:
-                _add_product(out, p.partial(i).terms, image.terms)
-        return MPoly._raw(self.algebra.arity, out)
+                partial = p.partial(i).terms
+                if partial:
+                    _add_product(out, partial, image.terms)
+        return MPoly._raw(self.algebra.arity, out.finish())
 
     def check(self):
         if self._report is not None:
@@ -296,7 +302,12 @@ class Derivation:
         return _table_sum(p, self._table, self._monomial_image, p.arity)
 
     def _monomial_image(self, exp):
-        return self.algebra.nf(self._extend(MPoly._raw(self.algebra.arity, {exp: 1})))
+        """nf of sum_i a_i x^(a - e_i) images[i], the extension of x^a."""
+        out = _Sum()
+        for i, (a, image) in enumerate(zip(exp, self.images)):
+            if a and image.terms:
+                _add_product(out, {exp[:i] + (a - 1,) + exp[i + 1 :]: a}, image.terms)
+        return self.algebra.nf(MPoly._raw(self.algebra.arity, out.finish()))
 
     def commutator(self, other):
         if other.algebra != self.algebra:

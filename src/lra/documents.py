@@ -73,6 +73,8 @@ def parse_document(text):
         raise DocumentError(
             "invalid JSON: %s (line %d, column %d)" % (err.msg, err.lineno, err.colno)
         ) from None
+    except RecursionError:
+        raise DocumentError("document nests too deeply") from None
     if not isinstance(raw, dict):
         raise DocumentError("a document must be a JSON object")
     for field in ("kind", "version", "body"):

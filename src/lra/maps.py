@@ -18,7 +18,7 @@ the graph checker.
 from __future__ import annotations
 
 from .algebra import AlgMorphism
-from .poly import MPoly, _add_product
+from .poly import MPoly, _add_product, _Sum
 from .pseudoalgebra import (
     KForm,
     PAElement,
@@ -311,18 +311,23 @@ def _dual_one_form(m, xi_coeffs):
 def _dual_two_form(m, omega_table):
     """Pull a two-form on E back to F: antisymmetrized products of rows."""
     b_alg = m.source.algebra
-    pushed = [(p, q, m.psi.apply(c)) for (p, q), c in omega_table.items() if not c.is_zero()]
+    pushed = [(p, q, m.psi.apply(c).terms) for (p, q), c in omega_table.items() if c.terms]
     rows = m.images
     table = {}
     for i in range(m.source.rank):
         for j in range(i + 1, m.source.rank):
-            acc = {}
+            acc = _Sum()
             for p, q, c in pushed:
-                minor = {}
-                _add_product(minor, rows[i][p].terms, rows[j][q].terms)
-                _add_product(minor, rows[i][q].terms, rows[j][p].terms, -1)
-                _add_product(acc, c.terms, minor)
-            table[(i, j)] = MPoly._raw(b_alg.arity, acc)
+                if not c:
+                    continue
+                minor = _Sum()
+                for r, s, sign in ((p, q, 1), (q, p, -1)):
+                    if rows[i][r].terms and rows[j][s].terms:
+                        _add_product(minor, rows[i][r].terms, rows[j][s].terms, sign)
+                minor = minor.finish()
+                if minor:
+                    _add_product(acc, c, minor)
+            table[(i, j)] = MPoly._raw(b_alg.arity, acc.finish())
     return table
 
 

@@ -2,10 +2,13 @@
 
 A polynomial is stored as a mapping from exponent tuples to nonzero
 coefficients; the number of variables (arity) is fixed per polynomial.
-A coefficient has one form, set by ``_coefficient``: an ``int`` when it is
-integral, otherwise a ``Fraction`` with denominator > 1, so integer
-arithmetic runs at int speed.  Everything is exact -- no floats anywhere,
-and a quotient of coefficients is always taken as a ``Fraction``.
+A coefficient has one form: an ``int`` when it is integral, otherwise a
+``Fraction`` with denominator > 1, so integer arithmetic runs at int
+speed.  Two places set it: ``_coefficient``, for single values, and
+``_Sum.finish``, for a sum of products, which the product kernel
+``_add_product`` keeps as unreduced integer pairs until it is finished.
+Everything is exact -- no floats anywhere, and a quotient of coefficients
+is always taken as a ``Fraction``.
 
 This module also owns the text grammar shared by all document formats:
 terms like ``3/2*x^2*y`` joined by ``+`` and ``-``, with variable names
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from operator import add as _add, neg
 
 _new = object.__new__
@@ -57,28 +61,63 @@ def _coefficient(value):
     raise TypeError("coefficients must be integers or Fractions, got %r" % (value,))
 
 
+class _Sum(dict):
+    """One sum of term products, ``out`` of ``_add_product``: a map from each
+    exponent to an unreduced ``(numerator, denominator)`` pair of ints, the
+    denominator positive and the numerator nonzero.  No ``Fraction`` is
+    built while the sum runs; ``finish`` reduces each pair once, at the end.
+    An accumulator serves one sum and is dropped after ``finish``."""
+
+    __slots__ = ()
+
+    def finish(self):
+        """The terms of the sum, each coefficient in the form of
+        ``_coefficient``: an int when the denominator divides the numerator,
+        else a Fraction in lowest terms."""
+        out = {}
+        for exp, (n, d) in self.items():
+            if d != 1:
+                g = gcd(n, d)
+                n = n // d if g == d else Fraction(n // g, d // g)
+            out[exp] = n
+        return out
+
+
 def _add_product(out, a, b, sign=1):
-    """``out += sign * a * b`` in place, on term dicts of one arity; ``sign``
-    is 1 or -1.  A coefficient that cancels is deleted, as in ``MPoly.terms``.
-    This is the one product loop: ``__mul__``, ``subs``, derivations, the
-    monomial tables and the pseudoalgebra sums all call it."""
+    """``out += sign * a * b`` for term dicts ``a`` and ``b`` of one arity and
+    a ``_Sum`` ``out``; ``sign`` is 1 or -1.  A coefficient that cancels is
+    deleted.  Equal denominators add directly, unequal ones over their lcm,
+    so the pairs of a sum grow no faster than the lcm of its terms.  This is
+    the one product loop outside the Groebner kernel: ``__mul__``, ``subs``,
+    derivations, the monomial tables and the pseudoalgebra sums all call it,
+    and they leave zero operands out."""
     get = out.get
     b = b.items()
     for e1, c1 in a.items():
-        if sign < 0:
-            c1 = -c1
+        if type(c1) is int:
+            n1, d1 = c1 if sign > 0 else -c1, 1
+        else:
+            n1, d1 = c1.numerator * sign, c1.denominator
         shift = any(e1)  # a constant term of ``a`` keeps the exponents of ``b``
-        unit = type(c1) is int and c1 == 1  # and 1 keeps the coefficients (a Fraction is never 1)
         for e2, c2 in b:
             exp = tuple(map(_add, e1, e2)) if shift else e2
-            c = c2 if unit else c1 * c2
+            if type(c2) is int:
+                n, d = n1 * c2, d1
+            else:
+                n, d = n1 * c2.numerator, d1 * c2.denominator
             acc = get(exp)
             if acc is not None:
-                c += acc
-                if not c:
+                n0, d0 = acc
+                if d0 == d:
+                    n += n0
+                else:
+                    g = gcd(d0, d)
+                    n = n * (d0 // g) + n0 * (d // g)
+                    d *= d0 // g
+                if not n:
                     del out[exp]
                     continue
-            out[exp] = c if type(c) is int else _coefficient(c)
+            out[exp] = (n, d)
 
 
 class MPoly:
@@ -229,9 +268,11 @@ class MPoly:
         if type(other) is not MPoly and not isinstance(other, MPoly):
             return self.scale(other)
         self._check_same_arity(other)
-        out = {}
+        if not self.terms or not other.terms:
+            return MPoly._raw(self.arity, {})
+        out = _Sum()
         _add_product(out, self.terms, other.terms)
-        return MPoly._raw(self.arity, out)
+        return MPoly._raw(self.arity, out.finish())
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -283,7 +324,7 @@ class MPoly:
             target_arity = 0
         # powers[i][k] is images[i] ** (k + 1), built in a loop on first use
         powers = [[q] for q in images]
-        out = {}
+        out = _Sum()
         constant = (0,) * target_arity
         for exp, c in self.terms.items():
             monomial = None
@@ -294,8 +335,9 @@ class MPoly:
                         row.append(row[-1] * images[i])
                     monomial = row[e - 1] if monomial is None else monomial * row[e - 1]
             pieces = monomial.terms if monomial is not None else {constant: 1}
-            _add_product(out, {constant: c}, pieces)
-        return MPoly._raw(target_arity, out)
+            if pieces:
+                _add_product(out, {constant: c}, pieces)
+        return MPoly._raw(target_arity, out.finish())
 
     def lift(self, arity, offset=0):
         """Reinterpret in a larger variable list, shifting variables by ``offset``."""
@@ -340,6 +382,28 @@ _NAME = "[A-Za-z_][A-Za-z_0-9]*"
 # one token per match after ASCII whitespace: a number, a name, an operator,
 # or any other character, which the grammar rejects
 _TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|(%s)|([-+*/^])|(\S))" % _NAME, re.ASCII)
+
+
+# CPython refuses int <-> str conversions of more than 4,300 digits by default
+# (sys.get_int_max_str_digits); longer numbers are split into pieces this long
+_DIGITS = 4000
+
+
+def _read_int(digits):
+    """``int(digits)`` for a string of ASCII digits of any length."""
+    if len(digits) <= _DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _read_int(digits[:-k]) * 10**k + _read_int(digits[-k:])
+
+
+def _int_text(n):
+    """``str(n)`` for an int n >= 0 of any size."""
+    if n.bit_length() <= 3 * _DIGITS:  # at most 3,613 digits
+        return str(n)
+    k = n.bit_length() * 3 // 20  # 10**k is about the square root of n
+    high, low = divmod(n, 10**k)
+    return _int_text(high) + _int_text(low).zfill(k)
 
 
 def is_variable_name(name):
@@ -387,13 +451,13 @@ def parse_poly(text, names):
         while True:  # one term
             number, name, _, _ = tokens[k]
             if number:
-                num *= int(number)
+                num *= int(number) if len(number) <= _DIGITS else _read_int(number)
                 k += 1
                 if tokens[k][2] == "/":
                     d = tokens[k + 1][0]
                     if not d:
                         _fail(text, tokens, k + 1, "expected denominator")
-                    d = int(d)
+                    d = int(d) if len(d) <= _DIGITS else _read_int(d)
                     if not d:
                         _fail(text, tokens, k + 2, "zero denominator")
                     den *= d
@@ -446,7 +510,7 @@ def poly_to_string(p, names, order="grevlex"):
     for exp in sorted(terms, key=order_key(order), reverse=True):
         coeff = terms[exp]
         num, den = coeff.numerator, coeff.denominator
-        mag = str(abs(num)) if den == 1 else "%d/%d" % (abs(num), den)
+        mag = _int_text(abs(num)) if den == 1 else _int_text(abs(num)) + "/" + _int_text(den)
         mono = "*".join([name if e == 1 else "%s^%d" % (name, e) for name, e in zip(names, exp) if e])
         if not mono:
             body = mag

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraPres, Derivation
-from .poly import MPoly, _add_product, monomials_up_to
+from .poly import MPoly, _add_product, _Sum, monomials_up_to
 from .verdict import VerdictReport, VerificationError
 
 
@@ -36,10 +36,12 @@ class PAlg:
 
     structure[(i, j)] for i < j holds the coefficients of [e_i, e_j] on the
     basis.  The i = j and i > j entries follow from antisymmetry; they are
-    built once, with the stored ones, for ``struct_coeffs``.
+    built once, with the stored ones, for ``struct_coeffs``, and so are the
+    nonzero entries of each row, as (index, coefficient) pairs, in
+    ``_nonzero``.
     """
 
-    __slots__ = ("algebra", "rank", "anchors", "structure", "_coeffs")
+    __slots__ = ("algebra", "rank", "anchors", "structure", "_coeffs", "_nonzero")
 
     def __init__(self, algebra, rank, anchors, structure=None):
         anchors = list(anchors)
@@ -70,6 +72,9 @@ class PAlg:
             coeffs[(i, j)] = row
             coeffs[(j, i)] = tuple(-c for c in row)
         self._coeffs = coeffs
+        self._nonzero = {
+            key: tuple((l, c) for l, c in enumerate(row) if c.terms) for key, row in coeffs.items()
+        }
 
     def struct_coeffs(self, i, j):
         """Coefficients of [e_i, e_j], valid for any i, j."""
@@ -201,14 +206,16 @@ def _combine(alg, rank, terms, push=None):
     the anchor axiom, map extensions, span residuals and flattening all
     call it.
     """
-    out = [{} for _ in range(rank)]
+    out = [_Sum() for _ in range(rank)]
     for weight, vector in terms:
         if weight.is_zero():
             continue
         for k, c in enumerate(vector):
-            if not c.is_zero():
-                _add_product(out[k], weight.terms, (c if push is None else push.apply(c)).terms)
-    return [alg.nf(MPoly._raw(alg.arity, t)) for t in out]
+            if c.terms:
+                image = c.terms if push is None else push.apply(c).terms
+                if image:
+                    _add_product(out[k], weight.terms, image)
+    return [alg.nf(MPoly._raw(alg.arity, t.finish())) for t in out]
 
 
 def bracket(x, y):
@@ -252,11 +259,13 @@ def anchor_apply(x, a):
             if not xi.is_zero():
                 delta.require()
         return alg.zero()
-    out = {}
+    out = _Sum()
     for xi, delta in zip(x.coords, e.anchors):
-        if not xi.is_zero():
-            _add_product(out, xi.terms, delta.apply(a).terms)
-    return alg.nf(MPoly._raw(alg.arity, out))
+        if xi.terms:
+            image = delta.apply(a).terms
+            if image:
+                _add_product(out, xi.terms, image)
+    return alg.nf(MPoly._raw(alg.arity, out.finish()))
 
 
 def _anchor_identity(push, terms, y, a):
@@ -266,11 +275,13 @@ def _anchor_identity(push, terms, y, a):
     algebra of ``y``.  Returns ``(lhs, rhs)``, both in normal form.
     """
     alg = y.parent.algebra
-    lhs = {}
+    lhs = _Sum()
     for delta, b in terms:
-        if not b.is_zero():
-            _add_product(lhs, push.apply(delta.apply(a)).terms, b.terms)
-    return alg.nf(MPoly._raw(alg.arity, lhs)), anchor_apply(y, push.apply(a))
+        if b.terms:
+            image = push.apply(delta.apply(a)).terms
+            if image:
+                _add_product(lhs, image, b.terms)
+    return alg.nf(MPoly._raw(alg.arity, lhs.finish())), anchor_apply(y, push.apply(a))
 
 
 def anchor_derivation(x):
@@ -318,16 +329,17 @@ def _basis_jacobiator(e, a, b, c):
     """
     alg = e.algebra
     one = alg.one().terms
-    out = [{} for _ in range(e.rank)]
+    nonzero = e._nonzero
+    out = [_Sum() for _ in range(e.rank)]
     for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
-        for l, u in enumerate(e.struct_coeffs(i, j)):
-            if u.is_zero():
-                continue
-            for m, v in enumerate(e.struct_coeffs(l, k)):
+        for l, u in nonzero[(i, j)]:
+            for m, v in nonzero[(l, k)]:
                 _add_product(out[m], u.terms, v.terms)
             if not u.is_constant():
-                _add_product(out[l], one, e.anchors[k].apply(u).terms, -1)
-    return [alg.nf(MPoly._raw(alg.arity, t)) for t in out]
+                image = e.anchors[k].apply(u).terms
+                if image:
+                    _add_product(out[l], one, image, -1)
+    return [alg.nf(MPoly._raw(alg.arity, t.finish())) for t in out]
 
 
 def _derivation_checks(derivations):
@@ -438,11 +450,15 @@ def differential(e, omega):
         table = {}
         for i in range(e.rank):
             for j in range(i + 1, e.rank):
-                value = e.anchors[i].apply(omega.data[j]).terms  # a fresh dict
-                _add_product(value, one, e.anchors[j].apply(omega.data[i]).terms, -1)
-                for k, c in enumerate(e.struct_coeffs(i, j)):
-                    _add_product(value, c.terms, omega.data[k].terms, -1)
-                table[(i, j)] = MPoly._raw(e.algebra.arity, value)
+                value = _Sum()
+                for sign, delta, xi in ((1, e.anchors[i], omega.data[j]), (-1, e.anchors[j], omega.data[i])):
+                    image = delta.apply(xi).terms
+                    if image:
+                        _add_product(value, one, image, sign)
+                for k, c in e._nonzero[(i, j)]:
+                    if omega.data[k].terms:
+                        _add_product(value, c.terms, omega.data[k].terms, -1)
+                table[(i, j)] = MPoly._raw(e.algebra.arity, value.finish())
         return KForm.two_form(e, table)
     raise ValueError("the differential of a degree-2 form is not supported")
 

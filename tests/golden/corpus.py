@@ -25,6 +25,10 @@ lines are:
   their reports carry Jacobi and anchor witnesses;
 - algebra documents with malformed polynomial text (exit 2 with a
   location);
+- integers longer than CPython's 4,300-digit conversion limit: a map
+  whose witness has 4,401 digits (exit 1) and an algebra with a
+  5,000-digit coefficient (exit 0); and a document nested 100,000 arrays
+  deep (exit 2);
 - a few runs under ``LRA_STEP_CAP`` 1 to 5.
 
 This is a change detector, not an oracle: a record only says what the
@@ -382,6 +386,20 @@ def cases(workdir):
     for n, text in enumerate(BAD_POLYNOMIALS):
         _doc(palgs, "bad%d" % n, "algebra", {"variables": ["x", "y"], "ideal": [text], "order": "grevlex"})
         out += _both_formats("parse: %r" % text, ["check-algebra", "{work}/palgs/bad%d.json" % n])
+
+    big = workdir / "big"
+    big.mkdir()
+    _doc(big, "long-witness", "morphism", {
+        "source": {"variables": ["x"], "ideal": ["x^4400"], "order": "grevlex"},
+        "target": {"variables": ["y"], "ideal": [], "order": "grevlex"},
+        "images": ["10*y"],
+    })
+    _doc(big, "long-coefficient", "algebra",
+         {"variables": ["x", "y"], "ideal": ["x^2 - %s/7*y" % ("3" * 4999 + "1")], "order": "grevlex"})
+    (big / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    out += _both_formats("long: check algmorphism long-witness", ["check", "algmorphism", "{work}/big/long-witness.json"])
+    out += _both_formats("long: check-algebra long-coefficient", ["check-algebra", "{work}/big/long-coefficient.json"])
+    out += _both_formats("deep: check-algebra deep", ["check-algebra", "{work}/big/deep.json"])
 
     capped = [
         ["check-palg", "{work}/palgs/circle-rotations.json"],

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lra import documents as docs
 from lra.algebra import AlgebraPres, AlgMorphism, Derivation
 from lra.documents import load_document, to_algebra
 from lra.groebner import IdealPres, ResourceCapExceeded, step_budget
@@ -25,6 +26,23 @@ def test_algebra_presentation_rejects_unit_ideal():
         AlgebraPres(("x",), IdealPres(1, [T, T - 1]))
     with pytest.raises(ValueError, match="duplicate"):
         AlgebraPres(("x", "x"))
+
+
+@pytest.mark.parametrize("name", ["x y", "", "1x", "x-1", "x^2", "\u00e9", "x\n", 3, None])
+def test_algebra_presentation_rejects_unreadable_names(name):
+    """Every name must read back as one variable, or documents written from
+    the algebra would not load."""
+    with pytest.raises(ValueError, match="bad variable name"):
+        AlgebraPres(("x", name))
+
+
+def test_tensor_renames_are_readable_names():
+    a = AlgebraPres(("x", "x_1"))
+    t, renaming = a.tensor(AlgebraPres(("x", "y")))
+    assert t.variables == ("x", "x_1", "x_2", "y")
+    assert renaming == {"x": "x_2"}
+    doc = docs.parse_document(docs.render_document(docs.algebra_document(t)))
+    assert to_algebra(doc.body) == t
 
 
 def test_scalars_algebra():

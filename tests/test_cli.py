@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import algebras, sl2, sl2_action_images
 from lra import documents as docs
 from lra.algebra import AlgebraPres, AlgMorphism
-from lra.cli import COMMANDS, build_parser, main
+from lra.cli import COMMANDS, _report_json, build_parser, main
 from lra.groebner import IdealPres
 from lra.maps import PAComorphism, PAMorphism
 from lra.poly import MPoly
 from lra.pseudoalgebra import make_action, make_der
 from lra.psisum import MixedElement, PsiSumCtx
+from lra.verdict import VerdictReport
 
 DATA = {path.stem: path for path in sorted((pathlib.Path(__file__).parent / "data").glob("*.json"))}
 
@@ -83,6 +84,31 @@ def test_algebra_map_of_a_high_power(tmp_path, capsys):
     docs.save_document(docs.algmorphism_document(AlgMorphism(source, target, [target.variable(0)])), path)
     assert main(["check", "algmorphism", str(path)]) == 0
     assert "x^1500" in capsys.readouterr().out
+
+
+def test_coefficients_of_any_length(tmp_path, capsys):
+    """Integers past CPython's 4,300-digit str limit parse and print."""
+    source = docs.Document("morphism", "1", {
+        "source": {"variables": ["x"], "ideal": ["x^4400"], "order": "grevlex"},
+        "target": {"variables": ["y"], "ideal": [], "order": "grevlex"},
+        "images": ["10*y"],
+    })
+    path = tmp_path / "long_witness.json"
+    docs.save_document(source, path)
+    assert main(["check", "algmorphism", str(path)]) == 1
+    assert "normal form of the image is 1%s*y^4400" % ("0" * 4400) in capsys.readouterr().out
+    long = "7" * 4999 + "1"
+    algebra = tmp_path / "long_coefficient.json"
+    docs.save_document(docs.Document("algebra", "1", {"variables": ["x"], "ideal": ["x^2 - %s/3" % long]}), algebra)
+    assert main(["check-algebra", str(algebra)]) == 0
+    assert "[x^2 - %s/3]" % long in capsys.readouterr().out
+
+
+def test_deep_nesting_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["check-algebra", str(path)]) == 2
+    assert capsys.readouterr().err == "lra: input error: document nests too deeply\n"
 
 
 def test_check_other_kinds(workspace):
@@ -174,6 +200,21 @@ def test_json_format(workspace, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "pass"
     assert payload["checks"]
+
+
+@pytest.mark.parametrize("checks", [
+    [],
+    [("anchor on e_0", True, "")],
+    [("caf\u00e9 \u2202x", False, 'quote " and backslash \\ and tab \t'), ("\x00\x1f\n", True, "")],
+    [("long", False, "w" * 20000), ("empty witness", False, ""), ("\u2028 \ud83d\ude00", True, "")],
+])
+@pytest.mark.parametrize("timing_ms", [0.0, 0.001, 2.5, 12345.678, 1e-07, 1e16])
+def test_report_json_matches_the_generic_encoder(checks, timing_ms):
+    report = VerdictReport()
+    for name, passed, witness in checks:
+        report.add(name, passed, witness)
+    report.timing_ms = timing_ms
+    assert _report_json(report) == json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
 
 
 def test_grpd_commands(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from lra.groebner import IdealPres, buchberger, normal_form
 from lra.poly import (
     MPoly,
     _add_product,
+    _Sum,
     PolyParseError,
     grevlex_key,
     lex_key,
@@ -331,17 +333,68 @@ def test_trusted_results_are_valid_and_fresh(p, q, f, g, scalar, power):
         rotation = Derivation(algebra, [-y * q, x * q])
         checks.append((rotation.apply(p), p, q) + rotation.images)
         checks.append((rotation.apply(p), p, q) + rotation.images)  # read from the table
-    # the in-place kernel: out += sign*a*b, onto an empty and a filled dict
+    # the kernel: a _Sum takes out += sign*a*b, onto an empty and a non-empty
+    # sum, and its finished terms are start + sign*p*q
+    one = {(0, 0): 1}
     for sign in (1, -1):
         for start in (MPoly.zero(2), p + q):
-            out = dict(start.terms)
+            out = _Sum()
+            if start.terms:
+                _add_product(out, one, start.terms)
             _add_product(out, p.terms, q.terms, sign)
-            result = MPoly._raw(2, out)
+            result = MPoly._raw(2, out.finish())
             assert result == start + (p * q).scale(sign)
             checks.append((result, p, q, start))
-    out = {}
+    out = _Sum()
     _add_product(out, p.terms, q.terms)
     _add_product(out, p.terms, q.terms, -1)
-    assert out == {}
+    assert out == {} and out.finish() == {}
     for result, *operands in checks:
         _assert_trusted_result(result, *operands)
+
+
+def _rational_terms(arity=2):
+    """Term dicts whose coefficients are ints and fractions over coprime
+    denominators 2, 3, 5 and 7 and their products, in the coefficient form."""
+    coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 5, 6, 7, 35]))
+    exps = st.tuples(*([st.integers(0, 2)] * arity))
+    return st.dictionaries(exps, coeffs, max_size=4).map(lambda terms: MPoly(arity, terms).terms)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_rational_terms(), _rational_terms(), st.sampled_from([1, -1])), max_size=6),
+       st.data())
+def test_sum_of_products_matches_fraction_arithmetic(products, data):
+    """A _Sum of signed products equals the same sum taken term by term in
+    Fraction arithmetic; each product may be followed by its negative, so
+    whole sums cancel exactly."""
+    sums = []
+    for a, b, sign in products:
+        sums.append((a, b, sign))
+        if data.draw(st.booleans()):
+            sums.append((a, b, -sign))
+    out, expected, lcms = _Sum(), {}, {}
+    for a, b, sign in sums:
+        if a and b:
+            _add_product(out, a, b, sign)
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                exp = tuple(x + y for x, y in zip(e1, e2))
+                expected[exp] = expected.get(exp, Fraction(0)) + sign * Fraction(c1) * Fraction(c2)
+                lcms[exp] = math.lcm(lcms.get(exp, 1), c1.denominator * c2.denominator)
+    finished = out.finish()
+    assert finished == {exp: c for exp, c in expected.items() if c}
+    assert all(map(coefficient_form, finished.values()))
+    for exp, (n, d) in out.items():  # an unreduced pair stays over the lcm of its terms
+        assert n and d > 0 and lcms[exp] % d == 0
+
+
+def test_integers_of_any_length_round_trip():
+    """Digit strings past CPython's 4,300-digit conversion limit, on both sides
+    of the 4,000-digit pieces the parser and the renderer split them into."""
+    for digits in (3999, 4000, 4001, 4300, 4301, 9001):
+        big = 10 ** (digits - 1) + 7
+        p = MPoly(1, {(2,): -big, (1,): Fraction(3, big), (0,): Fraction(big, 11)})
+        text = poly_to_string(p, ("x",))
+        assert text.count("0") >= 3 * (digits - 2)
+        assert parse_poly(text, ("x",)) == p
