@@ -7,7 +7,9 @@ polynomials.
 A derivation or an algebra map keeps a table from exponent tuples to the
 normal form of each monomial's image, filled on first use, and maps
 p = sum c_a x^a to sum c_a table[a], which is reduced because the normal
-form is Q-linear.  The table lives as long as its object.
+form is Q-linear.  The table lives as long as its object.  The sum adds
+into a ``poly._Sum`` (``_table_add``), so a commutator sums both of its
+terms into one accumulator per coordinate and needs no ``nf``.
 """
 
 from __future__ import annotations
@@ -128,17 +130,23 @@ def _variable_table(arity, images):
     return {(0,) * v + (1,) + (0,) * (arity - v - 1): q for v, q in enumerate(images)}
 
 
-def _table_sum(p, table, build, arity):
-    """sum_a c_a table[a] over the terms c_a x^a of ``p``.  A missing entry
-    is ``build(a)``, stored only once it has returned."""
-    out = _Sum()
+def _table_add(out, p, table, build, arity, sign=1):
+    """``out += sign * sum_a c_a table[a]`` over the terms c_a x^a of ``p``,
+    for a ``_Sum`` ``out``.  A missing entry is ``build(a)``, stored only
+    once it has returned."""
     one = (0,) * arity
     for exp, c in p.terms.items():
         image = table.get(exp)
         if image is None:
             image = table[exp] = build(exp)
         if image.terms:
-            _add_product(out, {one: c}, image.terms)
+            _add_product(out, {one: c}, image.terms, sign)
+
+
+def _table_sum(p, table, build, arity):
+    """sum_a c_a table[a], finished: reduced when the table entries are."""
+    out = _Sum()
+    _table_add(out, p, table, build, arity)
     return MPoly._raw(arity, out.finish())
 
 
@@ -248,6 +256,16 @@ class Derivation:
         self._table = None
 
     @classmethod
+    def _raw(cls, algebra, images):
+        """Trusted constructor: ``images`` are ``algebra.arity`` reduced polynomials."""
+        d = object.__new__(cls)
+        d.algebra = algebra
+        d.images = tuple(images)
+        d._report = None
+        d._table = None
+        return d
+
+    @classmethod
     def zero(cls, algebra):
         return cls(algebra, [algebra.zero()] * algebra.arity)
 
@@ -310,10 +328,20 @@ class Derivation:
         return self.algebra.nf(MPoly._raw(self.algebra.arity, out.finish()))
 
     def commutator(self, other):
+        """[self, other]: x_v goes to self(q_v) - other(p_v), for the images
+        p_v of self and q_v of other, summed from the reduced monomial tables."""
         if other.algebra != self.algebra:
             raise ValueError("derivations live on different algebras")
-        images = [self.apply(q) - other.apply(p) for p, q in zip(self.images, other.images)]
-        return Derivation(self.algebra, images)
+        self.require()
+        other.require()
+        arity = self.algebra.arity
+        images = []
+        for p, q in zip(self.images, other.images):
+            out = _Sum()
+            _table_add(out, q, self._table, self._monomial_image, arity)
+            _table_add(out, p, other._table, other._monomial_image, arity, -1)
+            images.append(MPoly._raw(arity, out.finish()))
+        return Derivation._raw(self.algebra, images)
 
     def __eq__(self, other):
         if not isinstance(other, Derivation):

@@ -98,7 +98,7 @@ def _emit_document(args, doc):
 def _load(path, kind):
     doc = docs.load_document(path)
     if doc.kind != kind:
-        raise docs.DocumentError("expected a %r document, got %r" % (kind, doc.kind))
+        raise docs.DocumentError("expected a %r document, got %r" % (kind, doc.kind), "kind")
     return doc
 
 
@@ -117,7 +117,9 @@ def _load_psictx(e_path, f_path, psi_path):
     f = _load_palg(f_path)
     psi = docs.to_algmorphism(_load(psi_path, "morphism").body)
     if psi.source != e.algebra or psi.target != f.algebra:
-        raise docs.DocumentError("psi does not connect the two coefficient algebras")
+        raise docs.DocumentError(
+            "psi in %s does not connect the coefficient algebras of %s and %s" % (psi_path, e_path, f_path)
+        )
     return PsiSumCtx(e, f, psi)
 
 

@@ -19,7 +19,7 @@ from .algebra import AlgebraPres, AlgMorphism, Derivation
 from .groebner import IdealPres
 from .groupoid import FinGroupoid, GrpdComorphism, GrpdMorphism
 from .maps import PAComorphism, PAMorphism
-from .poly import PolyParseError, is_variable_name, parse_poly
+from .poly import PolyParseError, _read_int, is_variable_name, parse_poly
 from .pseudoalgebra import PAlg, PAElement
 from .psisum import MixedElement
 
@@ -65,10 +65,15 @@ def _unique_keys(pairs):
     return obj
 
 
+def _json_int(literal):
+    """A JSON integer literal of any length; ``int`` refuses more than 4,300 digits."""
+    return -_read_int(literal[1:]) if literal[0] == "-" else _read_int(literal)
+
+
 def parse_document(text):
     """Parse and structurally validate one document."""
     try:
-        raw = json.loads(text, object_pairs_hook=_unique_keys)
+        raw = json.loads(text, object_pairs_hook=_unique_keys, parse_int=_json_int)
     except json.JSONDecodeError as err:
         raise DocumentError(
             "invalid JSON: %s (line %d, column %d)" % (err.msg, err.lineno, err.colno)
@@ -80,6 +85,9 @@ def parse_document(text):
     for field in ("kind", "version", "body"):
         if field not in raw:
             raise DocumentError("missing field", field)
+    for field in ("kind", "version"):
+        if not isinstance(raw[field], str):
+            raise DocumentError("expected a string", field)
     if raw["kind"] not in KINDS:
         raise DocumentError("unknown kind %r" % raw["kind"], "kind")
     if raw["version"] != VERSION:

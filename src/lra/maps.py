@@ -25,7 +25,9 @@ from .pseudoalgebra import (
     _anchor_axiom,
     _anchor_identity,
     _combine,
+    _combine_add,
     _leibniz_bracket,
+    _reduce,
     anchor_derivation,
     bracket,
     differential,
@@ -268,9 +270,17 @@ def graph_subalgebra_check(ctx, generators, kind):
 
 
 def _span_residual(ctx, generators, w, kind):
+    """w minus the span combination its distinguished block names, summed
+    into one accumulator per coordinate and reduced once."""
     coeffs = w.tensor if kind == "morphism" else w.f_part
-    span = _combine(ctx.algebra, ctx.rank, zip(coeffs, (gen.coords for gen in generators)))
-    return w - MixedElement._raw(ctx, span)
+    alg = ctx.algebra
+    one = {(0,) * alg.arity: 1}
+    out = [_Sum() for _ in range(ctx.rank)]
+    for t, c in zip(out, w.coords):
+        if c.terms:
+            _add_product(t, one, c.terms)
+    _combine_add(out, zip(coeffs, (gen.coords for gen in generators)), sign=-1)
+    return MixedElement._raw(ctx, [_reduce(alg, t) for t in out])
 
 
 # -- composition -----------------------------------------------------------

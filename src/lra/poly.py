@@ -471,6 +471,8 @@ def parse_poly(text, names):
                     e = tokens[k + 1][0]
                     if not e:
                         _fail(text, tokens, k + 1, "expected exponent")
+                    if len(e) > _DIGITS:
+                        _fail(text, tokens, k + 1, "exponent too large")
                     exp[i] += int(e)
                     k += 2
                 else:

@@ -20,6 +20,12 @@ brackets to commutators, the Jacobiator is alternating and A-linear in
 each argument, since J(fX, Y, Z) = f J(X, Y, Z) + (rho([Y, Z]) -
 [rho(Y), rho(Z)])(f) X.  So it vanishes when it vanishes on e_a, e_b,
 e_c for a < b < c.
+
+Each formula sums into one ``poly._Sum`` accumulator per output
+coordinate and reduces it once, at the end, since the normal form is
+Q-linear.  ``_combine_add`` (weighted sums of coefficient vectors) and
+``_anchor_sum`` (the anchor) add into given accumulators, which the
+bracket feeds in turn; ``_combine`` and ``anchor_apply`` finish one each.
 """
 
 from __future__ import annotations
@@ -35,13 +41,12 @@ class PAlg:
     """A Lie pseudoalgebra over a presented algebra.
 
     structure[(i, j)] for i < j holds the coefficients of [e_i, e_j] on the
-    basis.  The i = j and i > j entries follow from antisymmetry; they are
-    built once, with the stored ones, for ``struct_coeffs``, and so are the
-    nonzero entries of each row, as (index, coefficient) pairs, in
-    ``_nonzero``.
+    basis.  The i = j and i > j entries follow from antisymmetry.
+    ``_nonzero`` holds the nonzero entries of every row, i >= j included,
+    as (index, coefficient) pairs; it is built once, for the Jacobiator.
     """
 
-    __slots__ = ("algebra", "rank", "anchors", "structure", "_coeffs", "_nonzero")
+    __slots__ = ("algebra", "rank", "anchors", "structure", "_nonzero")
 
     def __init__(self, algebra, rank, anchors, structure=None):
         anchors = list(anchors)
@@ -67,18 +72,19 @@ class PAlg:
         self.rank = rank
         self.anchors = tuple(anchors)
         self.structure = table
-        coeffs = dict.fromkeys(((i, i) for i in range(rank)), (algebra.zero(),) * rank)
+        nonzero = dict.fromkeys(((i, i) for i in range(rank)), ())
         for (i, j), row in table.items():
-            coeffs[(i, j)] = row
-            coeffs[(j, i)] = tuple(-c for c in row)
-        self._coeffs = coeffs
-        self._nonzero = {
-            key: tuple((l, c) for l, c in enumerate(row) if c.terms) for key, row in coeffs.items()
-        }
+            pairs = nonzero[(i, j)] = tuple((l, c) for l, c in enumerate(row) if c.terms)
+            nonzero[(j, i)] = tuple((l, -c) for l, c in pairs)
+        self._nonzero = nonzero
 
     def struct_coeffs(self, i, j):
         """Coefficients of [e_i, e_j], valid for any i, j."""
-        return self._coeffs[(i, j)]
+        if i < j:
+            return self.structure[(i, j)]
+        if i > j:
+            return tuple(-c for c in self.structure[(j, i)])
+        return (self.algebra.zero(),) * self.rank
 
     def basis(self, i):
         coords = [self.algebra.zero()] * self.rank
@@ -195,27 +201,41 @@ class PAElement(CoordVector):
         return self.owner
 
 
-def _combine(alg, rank, terms, push=None):
-    """Coordinates of sum_n w_n push(v_n), each in normal form over ``alg``.
+def _reduce(alg, out):
+    """The finished sum ``out`` in normal form over ``alg``; an empty sum is
+    zero and skips ``nf``."""
+    terms = out.finish()
+    return alg.nf(MPoly._raw(alg.arity, terms)) if terms else MPoly._raw(alg.arity, terms)
 
-    ``terms`` yields pairs of a weight w_n in ``alg`` and a vector v_n of
-    ``rank`` entries; ``push`` is an algebra map that carries the entries
-    into ``alg`` (``None`` is the identity).  Zero weights and zero entries
-    cost no product and no push, and each coordinate is reduced once, at
-    the end.  This is the one weighted sum of coefficient vectors: brackets,
-    the anchor axiom, map extensions, span residuals and flattening all
-    call it.
+
+def _combine_add(out, terms, push=None, sign=1):
+    """``out[k] += sign * sum_n w_n push(v_n)[k]`` for ``_Sum`` accumulators ``out``.
+
+    ``terms`` yields pairs of a weight w_n and a vector v_n with one entry
+    per accumulator; ``push`` is an algebra map that carries the entries
+    into the algebra of the weights (``None`` is the identity).  Zero
+    weights and zero entries cost no product and no push.
     """
-    out = [_Sum() for _ in range(rank)]
     for weight, vector in terms:
-        if weight.is_zero():
+        if not weight.terms:
             continue
         for k, c in enumerate(vector):
             if c.terms:
                 image = c.terms if push is None else push.apply(c).terms
                 if image:
-                    _add_product(out[k], weight.terms, image)
-    return [alg.nf(MPoly._raw(alg.arity, t.finish())) for t in out]
+                    _add_product(out[k], weight.terms, image, sign)
+
+
+def _combine(alg, rank, terms, push=None):
+    """Coordinates of sum_n w_n push(v_n), each in normal form over ``alg``:
+    one ``_combine_add`` into ``rank`` accumulators, each reduced once.  This
+    is the one weighted sum of coefficient vectors: brackets, the anchor
+    axiom, map extensions, span residuals and flattening all call it or its
+    accumulating form.
+    """
+    out = [_Sum() for _ in range(rank)]
+    _combine_add(out, terms, push)
+    return [_reduce(alg, t) for t in out]
 
 
 def bracket(x, y):
@@ -233,39 +253,48 @@ def _leibniz_bracket(e, push, u, w, x, y):
 
     over the algebra of ``x`` and ``y``.  ``u`` and ``w`` are coefficients
     on the basis of ``e``; ``push`` carries the structure coefficients of
-    ``e`` into that algebra (``None`` is the identity).
+    ``e`` into that algebra (``None`` is the identity).  The structure part
+    reads the stored rows only: a pair i > j enters as -u_i w_j [e_j, e_i].
+    It and both anchor terms sum into one accumulator per coordinate, which
+    is reduced once.
     """
     alg = x.parent.algebra
-    terms = (
-        (ui * wj, e.struct_coeffs(i, j))
-        for i, ui in enumerate(u)
-        if not ui.is_zero()
-        for j, wj in enumerate(w)
-        if i != j and not wj.is_zero()
-    )
-    out = _combine(alg, e.rank, terms, push)
-    return [out[k] + anchor_apply(x, w[k]) - anchor_apply(y, u[k]) for k in range(e.rank)]
+    rows = e.structure
+    ku = [i for i, c in enumerate(u) if c.terms]
+    kw = [j for j, c in enumerate(w) if c.terms]
+    out = [_Sum() for _ in range(e.rank)]
+    _combine_add(out, ((u[i] * w[j], rows[(i, j)]) for i in ku for j in kw if i < j), push)
+    _combine_add(out, ((u[i] * w[j], rows[(j, i)]) for i in ku for j in kw if i > j), push, -1)
+    for k, t in enumerate(out):
+        _anchor_sum(t, x, w[k])
+        _anchor_sum(t, y, u[k], -1)
+    return [_reduce(alg, t) for t in out]
 
 
 def anchor_apply(x, a):
     """Apply the anchor of ``x`` to an algebra element."""
-    e = x.parent
-    alg = e.algebra
+    alg = x.parent.algebra
     if a.arity != alg.arity:
         raise ValueError("argument arity does not match the coefficient algebra")
+    out = _Sum()
+    _anchor_sum(out, x, a)
+    return _reduce(alg, out)
+
+
+def _anchor_sum(out, x, a, sign=1):
+    """``out += sign * theta(x)(a)`` for a ``_Sum`` ``out``: sum_i x_i rho_i(a)."""
+    anchors = x.parent.anchors
     if a.is_constant():
         # a derivation kills constants; it must still be one of the algebra
-        for xi, delta in zip(x.coords, e.anchors):
-            if not xi.is_zero():
+        for xi, delta in zip(x.coords, anchors):
+            if xi.terms:
                 delta.require()
-        return alg.zero()
-    out = _Sum()
-    for xi, delta in zip(x.coords, e.anchors):
+        return
+    for xi, delta in zip(x.coords, anchors):
         if xi.terms:
             image = delta.apply(a).terms
             if image:
-                _add_product(out, xi.terms, image)
-    return alg.nf(MPoly._raw(alg.arity, out.finish()))
+                _add_product(out, xi.terms, image, sign)
 
 
 def _anchor_identity(push, terms, y, a):
@@ -281,7 +310,7 @@ def _anchor_identity(push, terms, y, a):
             image = push.apply(delta.apply(a)).terms
             if image:
                 _add_product(lhs, image, b.terms)
-    return alg.nf(MPoly._raw(alg.arity, lhs.finish())), anchor_apply(y, push.apply(a))
+    return _reduce(alg, lhs), anchor_apply(y, push.apply(a))
 
 
 def anchor_derivation(x):
@@ -339,7 +368,7 @@ def _basis_jacobiator(e, a, b, c):
                 image = e.anchors[k].apply(u).terms
                 if image:
                     _add_product(out[l], one, image, -1)
-    return [alg.nf(MPoly._raw(alg.arity, t.finish())) for t in out]
+    return [_reduce(alg, t) for t in out]
 
 
 def _derivation_checks(derivations):

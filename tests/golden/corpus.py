@@ -26,9 +26,10 @@ lines are:
 - algebra documents with malformed polynomial text (exit 2 with a
   location);
 - integers longer than CPython's 4,300-digit conversion limit: a map
-  whose witness has 4,401 digits (exit 1) and an algebra with a
-  5,000-digit coefficient (exit 0); and a document nested 100,000 arrays
-  deep (exit 2);
+  whose witness has 4,401 digits (exit 1), an algebra with a 5,000-digit
+  coefficient (exit 0), an algebra with a 5,000-digit exponent and a
+  pseudoalgebra whose rank is a 5,000-digit JSON integer (exit 2 with a
+  location); and a document nested 100,000 arrays deep (exit 2);
 - a few runs under ``LRA_STEP_CAP`` 1 to 5.
 
 This is a change detector, not an oracle: a record only says what the
@@ -396,9 +397,14 @@ def cases(workdir):
     })
     _doc(big, "long-coefficient", "algebra",
          {"variables": ["x", "y"], "ideal": ["x^2 - %s/7*y" % ("3" * 4999 + "1")], "order": "grevlex"})
+    _doc(big, "long-exponent", "algebra", {"variables": ["x", "y"], "ideal": ["y + x^" + "1" * 5000], "order": "grevlex"})
+    rank = json.dumps({"kind": "palg", "version": "1", "body": _palg_body(("x",), (), [["1"]], {})})
+    (big / "long-rank.json").write_text(rank.replace('"rank": 1', '"rank": ' + "1" * 5000))
     (big / "deep.json").write_text("[" * 100000 + "]" * 100000)
     out += _both_formats("long: check algmorphism long-witness", ["check", "algmorphism", "{work}/big/long-witness.json"])
     out += _both_formats("long: check-algebra long-coefficient", ["check-algebra", "{work}/big/long-coefficient.json"])
+    out += _both_formats("long: check-algebra long-exponent", ["check-algebra", "{work}/big/long-exponent.json"])
+    out += _both_formats("long: check-palg long-rank", ["check-palg", "{work}/big/long-rank.json"])
     out += _both_formats("deep: check-algebra deep", ["check-algebra", "{work}/big/deep.json"])
 
     capped = [

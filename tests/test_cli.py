@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,6 +103,22 @@ def test_coefficients_of_any_length(tmp_path, capsys):
     docs.save_document(docs.Document("algebra", "1", {"variables": ["x"], "ideal": ["x^2 - %s/3" % long]}), algebra)
     assert main(["check-algebra", str(algebra)]) == 0
     assert "[x^2 - %s/3]" % long in capsys.readouterr().out
+
+
+def test_long_exponents_and_json_integers_are_located_input_errors(tmp_path, capsys):
+    """An exponent or a JSON integer literal past the 4,300-digit limit exits 2
+    with the place of the bad value."""
+    algebra = tmp_path / "long_exponent.json"
+    docs.save_document(docs.Document("algebra", "1", {"variables": ["x", "y"], "ideal": ["y + x^" + "1" * 5000]}), algebra)
+    assert main(["check-algebra", str(algebra)]) == 2
+    assert capsys.readouterr().err.endswith("': exponent too large (line 1, column 7) (at body.ideal)\n")
+    body = docs.from_palg(make_der(algebras()["x"]))
+    for rank in ("1" * 5000, "-" + "7" * 5000):
+        palg = tmp_path / "long_rank.json"
+        palg.write_text(json.dumps({"kind": "palg", "version": "1", "body": dict(body, rank=0)}).replace(
+            '"rank": 0', '"rank": ' + rank))
+        assert main(["check-palg", str(palg)]) == 2
+        assert capsys.readouterr().err == "lra: input error: need one anchor row per basis vector (at body.anchor)\n"
 
 
 def test_deep_nesting_is_an_input_error(tmp_path, capsys):
@@ -916,7 +933,14 @@ def test_arrow_map_with_an_extra_arrow_fails_both_tests(tmp_path, capsys):
 
 # -- robustness: command lines from the table and mutated corpus documents ----
 
-JUNK = ([], {}, 0, None, "zz", "x^")
+# Markers for JSON integer literals longer than CPython's 4,300-digit
+# conversion limit, which ``json.dumps`` cannot write; ``_json_text`` puts the
+# literals in place of the quoted markers.
+LONG_INTEGERS = {"\0long": "1" * 5000, "\0negative-long": "-" + "7" * 5000}
+JUNK = (
+    [], {}, 0, None, "zz", "x^", -1, 3, "x", "1/2", "x^2 + 1", "palg", "algebra", ["x", "y"], [["1"]],
+    *LONG_INTEGERS, "9" * 5000 + "*x", "x^" + "1" * 5000, "y^" + "1" * 5000 + " + 1",
+)
 DELETE = object()
 OPTION_VALUES = (
     "", "x", "zz", "x^", "1", "a,b", "1,2", "p,q", "1->2,2->1", "a->b,b->a", "p->q,q->p",
@@ -1008,34 +1032,58 @@ def _nodes(value, path=()):
         yield from _nodes(child, path + (key,))
 
 
+def _json_text(doc):
+    text = json.dumps(doc)
+    for marker, literal in LONG_INTEGERS.items():
+        text = text.replace(json.dumps(marker), literal)
+    return text
+
+
 @st.composite
 def mutants(draw):
-    """A corpus command line, and one of its documents with one value replaced or deleted."""
+    """A corpus command line, and one of its documents with one or two values
+    replaced or deleted."""
     argv = draw(st.sampled_from(CORPUS_COMMANDS))
     slot = draw(st.sampled_from([n for n, arg in enumerate(argv) if arg in DATA]))
     doc = json.loads(DATA[argv[slot]].read_text(encoding="utf-8"))
-    nodes = list(_nodes(doc))
-    # a field of the body first, then a node in it: short tables such as a
-    # groupoid's `id` are hit as often as its long `comp` list
-    field = draw(st.sampled_from(list(dict.fromkeys(path[:2] for path in nodes))))
-    path = draw(st.sampled_from([p for p in nodes if p[:2] == field]))
-    junk = draw(st.sampled_from(JUNK + (DELETE,)))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    if junk is DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = junk
-    return argv, slot, json.dumps(doc)
+    for _ in range(draw(st.integers(1, 2))):
+        nodes = list(_nodes(doc))
+        if not nodes:
+            break
+        # a field of the body first, then a node in it: short tables such as a
+        # groupoid's `id` are hit as often as its long `comp` list
+        field = draw(st.sampled_from(list(dict.fromkeys(path[:2] for path in nodes))))
+        path = draw(st.sampled_from([p for p in nodes if p[:2] == field]))
+        junk = draw(st.sampled_from(JUNK + (DELETE,)))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if junk is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = json.loads(json.dumps(junk))
+    return argv, slot, _json_text(doc)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+LOCATION = re.compile(r"\(at [^)]*\)|\(line \d+, column \d+\)")
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
 @given(mutants())
 def test_mutated_documents_never_crash(tmp_path_factory, case):
+    """The exit-code contract on mutated documents: no exception escapes
+    ``main``, the exit code is 0, 1, 2 or 3, and an input error names its
+    location in a document or the documents that disagree."""
     argv, slot, text = case
     path = tmp_path_factory.getbasetemp() / "mutant.json"
     path.write_text(text, encoding="utf-8")
-    argv = _with_corpus(argv)
-    argv[slot] = path
-    assert _run(argv) in (0, 1, 2, 3)
+    argv = [str(arg) for arg in _with_corpus(argv)]
+    argv[slot] = str(path)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        message = err.getvalue()
+        named = sum(1 for arg in set(argv) if arg.endswith(".json") and arg in message)
+        assert LOCATION.search(message) or named >= 2, message

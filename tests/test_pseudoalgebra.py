@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import jacobiator, sl2, sl2_action_images
+from conftest import jacobiator, reduced, ref_anchor, sl2, sl2_action_images, stored_reduced
 from test_poly import small_polys
 from lra.algebra import AlgebraPres, AlgMorphism, Derivation
 from lra.groebner import IdealPres
@@ -476,13 +476,8 @@ def _derivation_pool(algebra):
 _ALGEBRAS = [AlgebraPres.free("x", "y", "z"), _circle()]
 
 
-@st.composite
-def random_tables(draw):
-    """Rank-3/4 pseudoalgebras over Q[x,y,z] or the circle, mostly failing ones."""
-    alg = _ALGEBRAS[draw(st.integers(0, 1))]
-    rank = draw(st.integers(3, 4))
-    pool = _derivation_pool(alg)
-    anchors = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(rank)]
+def _entries(draw, alg):
+    """Draws sparse small polynomials over ``alg``."""
     monomials = [alg.one()] + [alg.variable(v) for v in range(alg.arity)] + [alg.variable(0) * alg.variable(1)]
     coefficient = st.sampled_from([0, 0, 0, 1, -1, Fraction(1, 2), 2])
 
@@ -490,6 +485,17 @@ def random_tables(draw):
         return sum((draw(coefficient) * m for m in draw(st.lists(st.sampled_from(monomials), max_size=2))),
                    alg.zero())
 
+    return entry
+
+
+@st.composite
+def random_tables(draw):
+    """Rank-3/4 pseudoalgebras over Q[x,y,z] or the circle, mostly failing ones."""
+    alg = _ALGEBRAS[draw(st.integers(0, 1))]
+    rank = draw(st.integers(3, 4))
+    pool = _derivation_pool(alg)
+    anchors = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(rank)]
+    entry = _entries(draw, alg)
     table = {(i, j): [entry() for _ in range(rank)] for i in range(rank) for j in range(i + 1, rank)}
     return PAlg(alg, rank, anchors, table)
 
@@ -527,6 +533,48 @@ def test_jacobi_from_the_table_matches_the_bracket():
 
     compare()
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _plain_derivative(delta, p):
+    """sum_v dp/dx_v delta(x_v), unreduced: the Leibniz rule from plain partials."""
+    out = p.zero(p.arity)
+    for v, image in enumerate(delta.images):
+        out = out + p.partial(v) * image
+    return out
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_fused_bracket_and_commutator_match_the_formulas(data):
+    """The bracket equals the module docstring's formula,
+
+        [X, Y] = sum_{i<j} (x_i y_j - x_j y_i) [e_i, e_j] + theta(X)(y_k) e_k - theta(Y)(x_k) e_k,
+
+    with each part computed by MPoly arithmetic, ``ref_anchor`` and ``nf``;
+    a commutator of derivations equals nf(d1(d2(x_v)) - d2(d1(x_v))) from
+    plain partials; and every stored coordinate is reduced."""
+    e = data.draw(random_tables())
+    alg = e.algebra
+    entry = _entries(data.draw, alg)
+    u, w = [entry() for _ in range(e.rank)], [entry() for _ in range(e.rank)]
+    x, y = PAElement(e, u), PAElement(e, w)
+    u, w = x.coords, y.coords
+    expected = []
+    for k in range(e.rank):
+        structure = alg.zero()
+        for (i, j), row in e.structure.items():
+            structure = structure + (u[i] * w[j] - u[j] * w[i]) * row[k]
+        expected.append(alg.nf(structure) + ref_anchor(e, u, w[k]) - ref_anchor(e, w, u[k]))
+    got = bracket(x, y)
+    assert list(got.coords) == expected
+    assert stored_reduced(got)
+
+    d1, d2 = e.anchors[0], e.anchors[data.draw(st.integers(1, e.rank - 1))]
+    comm = d1.commutator(d2)
+    assert list(comm.images) == [
+        alg.nf(_plain_derivative(d1, q) - _plain_derivative(d2, p)) for p, q in zip(d1.images, d2.images)
+    ]
+    assert reduced(alg, comm.images)
 
 
 def test_anchor_apply_on_constants_keeps_the_ideal_check():
