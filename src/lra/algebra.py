@@ -7,9 +7,12 @@ polynomials.
 A derivation or an algebra map keeps a table from exponent tuples to the
 normal form of each monomial's image, filled on first use, and maps
 p = sum c_a x^a to sum c_a table[a], which is reduced because the normal
-form is Q-linear.  The table lives as long as its object.  The sum adds
-into a ``poly._Sum`` (``_table_add``), so a commutator sums both of its
-terms into one accumulator per coordinate and needs no ``nf``.
+form is Q-linear.  The table lives as long as its object.  ``_add_image``
+adds w * s * sum c_a table[a], for a term dict w and a rational s, straight
+into a caller's ``poly._Sum``, so brackets, anchors and commutators need no
+intermediate image; ``apply`` finishes one sum.  An algebra map fills its
+table one factor at a time, table[a] = nf(table[a - e_v] * psi(x_v)): nf is
+a ring homomorphism modulo the target ideal, so powers stay reduced.
 """
 
 from __future__ import annotations
@@ -125,38 +128,44 @@ class AlgebraPres:
         )
 
 
-def _variable_table(arity, images):
-    """The table that maps the exponent of each variable x_v to ``images[v]``."""
-    return {(0,) * v + (1,) + (0,) * (arity - v - 1): q for v, q in enumerate(images)}
+def _variable_table(arity, images, constant):
+    """The table that maps x_v to ``images[v]`` for each variable, and 1 to ``constant``."""
+    table = {(0,) * v + (1,) + (0,) * (arity - v - 1): q for v, q in enumerate(images)}
+    return {(0,) * arity: constant, **table}
 
 
-def _table_add(out, p, table, build, arity, sign=1):
-    """``out += sign * sum_a c_a table[a]`` over the terms c_a x^a of ``p``,
-    for a ``_Sum`` ``out``.  A missing entry is ``build(a)``, stored only
-    once it has returned."""
-    one = (0,) * arity
+def _table_add(out, p, table, build, weight, scale=1):
+    """``out += scale * weight * sum_a c_a table[a]`` over the terms c_a x^a of ``p``, for a
+    ``_Sum`` ``out`` and a term dict ``weight``; a missing entry is ``build(a)``, stored once it returns."""
     for exp, c in p.terms.items():
         image = table.get(exp)
         if image is None:
             image = table[exp] = build(exp)
         if image.terms:
-            _add_product(out, {one: c}, image.terms, sign)
+            _add_product(out, weight, image.terms, c * scale)
 
 
 def _table_sum(p, table, build, arity):
-    """sum_a c_a table[a], finished: reduced when the table entries are."""
+    """sum_a c_a table[a], finished: reduced when the table entries are.  For
+    one monomial with coefficient 1 it is the stored entry itself."""
+    if len(p.terms) == 1 and 1 in p.terms.values():
+        (exp,) = p.terms
+        if exp not in table:
+            table[exp] = build(exp)
+        return table[exp]
     out = _Sum()
-    _table_add(out, p, table, build, arity)
+    _table_add(out, p, table, build, {(0,) * arity: 1})
     return MPoly._raw(arity, out.finish())
 
 
 class AlgMorphism:
     """An algebra map, stored as one target element per source variable.
 
-    ``_table`` of monomial images is ``None`` until the ideal verdict passes.
+    ``_table`` of monomial images is a map on the free algebra, so it fills
+    before the ideal verdict, which ``_verified`` records.
     """
 
-    __slots__ = ("source", "target", "images", "_report", "_table")
+    __slots__ = ("source", "target", "images", "_report", "_table", "_verified")
 
     def __init__(self, source, target, images):
         images = [target.nf(q) for q in images]
@@ -171,19 +180,20 @@ class AlgMorphism:
         self.target = target
         self.images = tuple(images)
         self._report = None
-        self._table = None
+        self._table = _variable_table(source.arity, images, target.one())
+        self._verified = False
 
     @classmethod
     def identity(cls, algebra):
         return cls(algebra, algebra, [algebra.variable(i) for i in range(algebra.arity)])
 
     def check(self):
-        """Pass iff every source-ideal generator maps into the target ideal."""
+        """Pass iff every source-ideal generator, summed over the table, maps into the target ideal."""
         if self._report is not None:
             return self._report
         report = VerdictReport()
         for g in self.source.ideal.generators:
-            image = self.target.nf(g.subs(list(self.images)))
+            image = _table_sum(g, self._table, self._monomial_image, self.target.arity)
             report.add(
                 "generator %s maps into the target ideal" % self.source.render(g),
                 image.is_zero(),
@@ -192,23 +202,43 @@ class AlgMorphism:
         if not self.source.ideal.generators:
             report.add("source ideal is empty", True)
         self._report = report
-        if report.verdict:
-            self._table = _variable_table(self.source.arity, self.images)
-            self._table[(0,) * self.source.arity] = self.target.one()
+        self._verified = report.verdict
         return report
 
-    def apply(self, p):
-        """The image of ``p`` in normal form, summed from the table of
-        monomial images.  The table starts with the variables and 1; a new
-        monomial x^a gets nf(x^a.subs(images))."""
-        if self._table is None:
+    def require(self):
+        """Raise ``VerificationError`` unless the map sends the ideal into the ideal."""
+        if not self._verified:
             self.check().require("morphism does not map the ideal into the ideal")
+
+    def apply(self, p):
+        """The image of ``p`` in normal form, summed from the table of monomial images."""
+        self.require()
         if p.arity != self.source.arity:
             raise ValueError("element arity does not match the source algebra")
         return _table_sum(p, self._table, self._monomial_image, self.target.arity)
 
+    def _add_image(self, out, p, weight, scale=1):
+        """``out += scale * weight * self(p)`` for a ``_Sum`` ``out``, from the table."""
+        self.require()
+        _table_add(out, p, self._table, self._monomial_image, weight, scale)
+
     def _monomial_image(self, exp):
-        return self.target.nf(MPoly._raw(self.source.arity, {exp: 1}).subs(list(self.images)))
+        """table[a] = nf(table[a - e_v] * images[v]) for the first v with a_v > 0:
+        the missing entries below ``exp`` fill in a loop, so powers are reduced
+        as they grow, and each is stored once its normal form has returned."""
+        table, images = self._table, self.images
+        chain = []
+        while exp not in table:
+            v = next(v for v, a in enumerate(exp) if a)
+            chain.append((exp, v))
+            exp = exp[:v] + (exp[v] - 1,) + exp[v + 1 :]
+        image = table[exp]
+        for exp, v in reversed(chain):
+            out = _Sum()
+            if image.terms and images[v].terms:
+                _add_product(out, image.terms, images[v].terms)
+            image = table[exp] = self.target.nf(MPoly._raw(self.target.arity, out.finish()))
+        return image
 
     def compose(self, then):
         """The composite ``then . self`` (self: A->B, then: B->C)."""
@@ -302,7 +332,7 @@ class Derivation:
             report.add("free algebra: every derivation preserves the zero ideal", True)
         self._report = report
         if report.verdict:
-            self._table = _variable_table(self.algebra.arity, self.images)
+            self._table = _variable_table(self.algebra.arity, self.images, self.algebra.zero())
         return report
 
     def require(self):
@@ -311,13 +341,17 @@ class Derivation:
             self.check().require("derivation does not preserve the ideal")
 
     def apply(self, p):
-        """The Leibniz extension of the variable images in normal form, summed
-        from the table of monomial images.  The table starts with the
-        variables; a new monomial x^a gets nf(_extend(x^a))."""
+        """The Leibniz extension in normal form, summed from the table of monomial
+        images, which starts with 1 and the variables; a new x^a gets nf(_extend(x^a))."""
         self.require()
         if p.arity != self.algebra.arity:
             raise ValueError("element arity does not match the algebra")
         return _table_sum(p, self._table, self._monomial_image, p.arity)
+
+    def _add_image(self, out, p, weight, scale=1):
+        """``out += scale * weight * self(p)`` for a ``_Sum`` ``out``, from the table."""
+        self.require()
+        _table_add(out, p, self._table, self._monomial_image, weight, scale)
 
     def _monomial_image(self, exp):
         """nf of sum_i a_i x^(a - e_i) images[i], the extension of x^a."""
@@ -327,21 +361,20 @@ class Derivation:
                 _add_product(out, {exp[:i] + (a - 1,) + exp[i + 1 :]: a}, image.terms)
         return self.algebra.nf(MPoly._raw(self.algebra.arity, out.finish()))
 
+    def _add_commutator(self, out, other):
+        """``out[v] += self(q_v) - other(p_v)`` for the images p_v of self and q_v of other."""
+        one = {(0,) * self.algebra.arity: 1}
+        for t, p, q in zip(out, self.images, other.images):
+            self._add_image(t, q, one)
+            other._add_image(t, p, one, -1)
+
     def commutator(self, other):
-        """[self, other]: x_v goes to self(q_v) - other(p_v), for the images
-        p_v of self and q_v of other, summed from the reduced monomial tables."""
+        """[self, other], summed from the reduced monomial tables: no ``nf``."""
         if other.algebra != self.algebra:
             raise ValueError("derivations live on different algebras")
-        self.require()
-        other.require()
-        arity = self.algebra.arity
-        images = []
-        for p, q in zip(self.images, other.images):
-            out = _Sum()
-            _table_add(out, q, self._table, self._monomial_image, arity)
-            _table_add(out, p, other._table, other._monomial_image, arity, -1)
-            images.append(MPoly._raw(arity, out.finish()))
-        return Derivation._raw(self.algebra, images)
+        out = [_Sum() for _ in self.images]
+        self._add_commutator(out, other)
+        return Derivation._raw(self.algebra, [MPoly._raw(self.algebra.arity, t.finish()) for t in out])
 
     def __eq__(self, other):
         if not isinstance(other, Derivation):

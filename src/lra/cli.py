@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 = pass, 1 = fail (witness printed), 2 = input error,
-3 = resource cap exceeded.  ``--format json`` switches reports to JSON.
+3 = resource cap exceeded, 4 = internal error (any other exception, with
+its traceback).  ``--format json`` switches reports to JSON.
 Each command runs under one step budget: reduction steps, S-pairs and
 partial maps of the groupoid search all spend from it.  The environment
 variable ``LRA_STEP_CAP`` sets its size (default ``DEFAULT_STEP_CAP``).
@@ -532,6 +533,11 @@ def main(argv=None):
     except (OSError, ValueError) as err:
         print("lra: input error: %s" % err, file=sys.stderr)
         return 2
+    except Exception as err:  # a bug in lra, never a verdict or an input error
+        import traceback  # here only: loading it would cost every start-up time and memory
+        print("lra: internal error: %s: %s" % (type(err).__name__, err), file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

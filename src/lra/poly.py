@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from operator import add as _add, neg
 
@@ -83,21 +84,23 @@ class _Sum(dict):
         return out
 
 
-def _add_product(out, a, b, sign=1):
-    """``out += sign * a * b`` for term dicts ``a`` and ``b`` of one arity and
-    a ``_Sum`` ``out``; ``sign`` is 1 or -1.  A coefficient that cancels is
-    deleted.  Equal denominators add directly, unequal ones over their lcm,
-    so the pairs of a sum grow no faster than the lcm of its terms.  This is
-    the one product loop outside the Groebner kernel: ``__mul__``, ``subs``,
-    derivations, the monomial tables and the pseudoalgebra sums all call it,
-    and they leave zero operands out."""
+def _add_product(out, a, b, scale=1):
+    """``out += scale * a * b`` for term dicts ``a`` and ``b`` of one arity, a
+    ``_Sum`` ``out`` and a nonzero rational ``scale`` (an int or a Fraction),
+    which a table sum uses to carry a term's coefficient.  A coefficient that
+    cancels is deleted.  Equal denominators add directly, unequal ones over
+    their lcm, so the pairs of a sum grow no faster than the lcm of its terms.
+    This is the one product loop outside the Groebner kernel: ``__mul__``,
+    derivations, algebra maps, the monomial tables and the pseudoalgebra sums
+    all call it, and they leave zero operands out."""
     get = out.get
     b = b.items()
+    sn, sd = scale.numerator, scale.denominator
     for e1, c1 in a.items():
         if type(c1) is int:
-            n1, d1 = c1 if sign > 0 else -c1, 1
+            n1, d1 = c1 * sn, sd
         else:
-            n1, d1 = c1.numerator * sign, c1.denominator
+            n1, d1 = c1.numerator * sn, c1.denominator * sd
         shift = any(e1)  # a constant term of ``a`` keeps the exponents of ``b``
         for e2, c2 in b:
             exp = tuple(map(_add, e1, e2)) if shift else e2
@@ -309,36 +312,6 @@ class MPoly:
                 out[exp[:index] + (e - 1,) + exp[index + 1 :]] = _coefficient(c * e)
         return MPoly._raw(self.arity, out)
 
-    def subs(self, images):
-        """Substitute ``images[i]`` (all of one common arity) for variable i."""
-        if len(images) != self.arity:
-            raise ValueError(
-                "expected %d images, got %d" % (self.arity, len(images))
-            )
-        if images:
-            target_arity = images[0].arity
-            for q in images:
-                if q.arity != target_arity:
-                    raise ValueError("substitution images have mixed arities")
-        else:
-            target_arity = 0
-        # powers[i][k] is images[i] ** (k + 1), built in a loop on first use
-        powers = [[q] for q in images]
-        out = _Sum()
-        constant = (0,) * target_arity
-        for exp, c in self.terms.items():
-            monomial = None
-            for i, e in enumerate(exp):
-                if e:
-                    row = powers[i]
-                    while len(row) < e:
-                        row.append(row[-1] * images[i])
-                    monomial = row[e - 1] if monomial is None else monomial * row[e - 1]
-            pieces = monomial.terms if monomial is not None else {constant: 1}
-            if pieces:
-                _add_product(out, {constant: c}, pieces)
-        return MPoly._raw(target_arity, out.finish())
-
     def lift(self, arity, offset=0):
         """Reinterpret in a larger variable list, shifting variables by ``offset``."""
         if offset < 0 or offset + self.arity > arity:
@@ -527,15 +500,4 @@ def poly_to_string(p, names, order="grevlex"):
 
 def monomials_up_to(arity, degree):
     """All exponent tuples of total degree <= degree, in grevlex order."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], degree, arity)
-    out.sort(key=grevlex_key)
-    return out
+    return sorted((e for e in product(range(degree + 1), repeat=arity) if sum(e) <= degree), key=grevlex_key)

@@ -23,13 +23,20 @@ e_c for a < b < c.
 
 Each formula sums into one ``poly._Sum`` accumulator per output
 coordinate and reduces it once, at the end, since the normal form is
-Q-linear.  ``_combine_add`` (weighted sums of coefficient vectors) and
-``_anchor_sum`` (the anchor) add into given accumulators, which the
-bracket feeds in turn; ``_combine`` and ``anchor_apply`` finish one each.
+Q-linear.  ``_combine_add`` (weighted sums of coefficient vectors),
+``_anchor_sum`` (the anchor) and ``_leibniz_add`` (the bracket) add into
+given accumulators; ``_combine``, ``anchor_apply`` and ``_leibniz_bracket``
+finish one each.  An identity lhs = rhs is decided the same way: both
+sides go into one accumulator with opposite signs, and one reduction
+tests nf(lhs - rhs) for zero (``_anchor_identity``, ``_anchor_axiom`` and
+the bracket conditions of ``maps``).  Only a failing check needs the two
+sides, for its witness; by linearity one side, read as before, and the
+difference give the other with no new reduction (``_sides``).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 from .algebra import AlgebraPres, Derivation
@@ -213,17 +220,19 @@ def _combine_add(out, terms, push=None, sign=1):
 
     ``terms`` yields pairs of a weight w_n and a vector v_n with one entry
     per accumulator; ``push`` is an algebra map that carries the entries
-    into the algebra of the weights (``None`` is the identity).  Zero
-    weights and zero entries cost no product and no push.
+    into the algebra of the weights (``None`` is the identity), and adds
+    each pushed entry straight from its table.  Zero weights and zero
+    entries cost no product and no push.
     """
     for weight, vector in terms:
         if not weight.terms:
             continue
         for k, c in enumerate(vector):
             if c.terms:
-                image = c.terms if push is None else push.apply(c).terms
-                if image:
-                    _add_product(out[k], weight.terms, image, sign)
+                if push is None:
+                    _add_product(out[k], weight.terms, c.terms, sign)
+                else:
+                    push._add_image(out[k], c, weight.terms, sign)
 
 
 def _combine(alg, rank, terms, push=None):
@@ -253,22 +262,25 @@ def _leibniz_bracket(e, push, u, w, x, y):
 
     over the algebra of ``x`` and ``y``.  ``u`` and ``w`` are coefficients
     on the basis of ``e``; ``push`` carries the structure coefficients of
-    ``e`` into that algebra (``None`` is the identity).  The structure part
-    reads the stored rows only: a pair i > j enters as -u_i w_j [e_j, e_i].
-    It and both anchor terms sum into one accumulator per coordinate, which
-    is reduced once.
+    ``e`` into that algebra (``None`` is the identity).
     """
-    alg = x.parent.algebra
+    out = [_Sum() for _ in range(e.rank)]
+    _leibniz_add(out, e, push, u, w, x, y)
+    return [_reduce(x.parent.algebra, t) for t in out]
+
+
+def _leibniz_add(out, e, push, u, w, x, y, sign=1):
+    """``out[k] += sign * (the bracket formula of _leibniz_bracket)[k]``.  The
+    structure part reads the stored rows only: a pair i > j enters as
+    -u_i w_j [e_j, e_i]."""
     rows = e.structure
     ku = [i for i, c in enumerate(u) if c.terms]
     kw = [j for j, c in enumerate(w) if c.terms]
-    out = [_Sum() for _ in range(e.rank)]
-    _combine_add(out, ((u[i] * w[j], rows[(i, j)]) for i in ku for j in kw if i < j), push)
-    _combine_add(out, ((u[i] * w[j], rows[(j, i)]) for i in ku for j in kw if i > j), push, -1)
+    _combine_add(out, ((u[i] * w[j], rows[(i, j)]) for i in ku for j in kw if i < j), push, sign)
+    _combine_add(out, ((u[i] * w[j], rows[(j, i)]) for i in ku for j in kw if i > j), push, -sign)
     for k, t in enumerate(out):
-        _anchor_sum(t, x, w[k])
-        _anchor_sum(t, y, u[k], -1)
-    return [_reduce(alg, t) for t in out]
+        _anchor_sum(t, x, w[k], sign)
+        _anchor_sum(t, y, u[k], -sign)
 
 
 def anchor_apply(x, a):
@@ -282,35 +294,40 @@ def anchor_apply(x, a):
 
 
 def _anchor_sum(out, x, a, sign=1):
-    """``out += sign * theta(x)(a)`` for a ``_Sum`` ``out``: sum_i x_i rho_i(a)."""
-    anchors = x.parent.anchors
-    if a.is_constant():
-        # a derivation kills constants; it must still be one of the algebra
-        for xi, delta in zip(x.coords, anchors):
-            if xi.terms:
-                delta.require()
-        return
-    for xi, delta in zip(x.coords, anchors):
+    """``out += sign * theta(x)(a)`` for a ``_Sum`` ``out``: sum_i x_i rho_i(a),
+    from the tables.  Each rho_i with x_i != 0 must be a derivation, even of a constant."""
+    for xi, delta in zip(x.coords, x.parent.anchors):
         if xi.terms:
-            image = delta.apply(a).terms
-            if image:
-                _add_product(out, xi.terms, image, sign)
+            delta._add_image(out, a, xi.terms, sign)
 
 
-def _anchor_identity(push, terms, y, a):
-    """Both sides of the anchor identity sum_i push(theta_i(a)) b_i = theta(y)(push(a)).
+def _pushed(psi, anchors, pushed, i, v):
+    """psi(rho_i(x_v)), or psi(x_v) for i = None, kept in the dict ``pushed``;
+    its first use runs the checks of ``apply`` where an uncached use would."""
+    image = pushed.get((i, v))
+    if image is None:
+        a = psi.source.variable(v)
+        image = pushed[(i, v)] = psi.apply(a if i is None else anchors[i].apply(a))
+    return image
 
-    ``terms`` pairs each derivation theta_i with its coefficient b_i in the
-    algebra of ``y``.  Returns ``(lhs, rhs)``, both in normal form.
+
+def _anchor_identity(psi, anchors, pushed, terms, y, v):
+    """nf(lhs - rhs) for the anchor identity at the variable x_v of A,
+
+        lhs = sum_i psi(rho_i(x_v)) b_i,    rhs = theta(y)(psi(x_v)),
+
+    zero exactly when the identity holds.  ``terms`` pairs each index i of
+    the ``anchors`` rho_i with b_i in the algebra of ``y``; ``pushed`` caches
+    ``_pushed`` for one psi and one list of anchors.
     """
-    alg = y.parent.algebra
-    lhs = _Sum()
-    for delta, b in terms:
+    out = _Sum()
+    for i, b in terms:
         if b.terms:
-            image = push.apply(delta.apply(a)).terms
+            image = _pushed(psi, anchors, pushed, i, v).terms
             if image:
-                _add_product(lhs, image, b.terms)
-    return _reduce(alg, lhs), anchor_apply(y, push.apply(a))
+                _add_product(out, image, b.terms)
+    _anchor_sum(out, y, _pushed(psi, anchors, pushed, None, v), -1)
+    return _reduce(y.parent.algebra, out)
 
 
 def anchor_derivation(x):
@@ -364,10 +381,7 @@ def _basis_jacobiator(e, a, b, c):
         for l, u in nonzero[(i, j)]:
             for m, v in nonzero[(l, k)]:
                 _add_product(out[m], u.terms, v.terms)
-            if not u.is_constant():
-                image = e.anchors[k].apply(u).terms
-                if image:
-                    _add_product(out[l], one, image, -1)
+            e.anchors[k]._add_image(out[l], u, one, -1)
     return [_reduce(alg, t) for t in out]
 
 
@@ -384,19 +398,29 @@ def _anchor_axiom(report, derivations, structure):
 
     ``structure[(i, j)]`` holds c_ij^k for i < j, in normal form over the
     algebra of the derivations ``d_k``, which must already be known to be
-    derivations.  One check per pair and algebra variable.
+    derivations.  One check per pair and variable x_v: nf([d_i, d_j](x_v) -
+    sum_k c_ij^k d_k(x_v)) is zero.  The commutator needs no ``nf``.
     """
     for (i, j), row in structure.items():
-        comm = derivations[i].commutator(derivations[j])
-        alg = comm.algebra
-        images = _combine(alg, alg.arity, zip(row, (delta.images for delta in derivations)))
-        for v, image in enumerate(images):
+        alg = derivations[i].algebra
+        out = [_Sum() for _ in range(alg.arity)]
+        derivations[i]._add_commutator(out, derivations[j])
+        _combine_add(out, zip(row, (delta.images for delta in derivations)), sign=-1)
+        for v, t in enumerate(out):
+            diff = _reduce(alg, t)
             report.add(
                 "anchor respects [e_%d, e_%d] on %s" % (i, j, alg.variables[v]),
-                image == comm.images[v],
+                not diff.terms,
                 lambda: "anchor of bracket gives %s, commutator gives %s"
-                % (alg.render(image), alg.render(comm.images[v])),
+                % _sides(alg.render, derivations[i].commutator(derivations[j]).images[v], diff)[::-1],
             )
+
+
+def _sides(render, side, diff):
+    """``side`` and the other side, side - diff for diff = nf(side - other side), rendered."""
+    if isinstance(side, MPoly):
+        return render(side), render(side - diff)
+    return render(side), render([a - b for a, b in zip(side, diff)])
 
 
 class KForm:
@@ -417,14 +441,10 @@ class KForm:
             if len(data) != parent.rank:
                 raise ValueError("degree-1 form needs one coefficient per basis vector")
         elif degree == 2:
-            table = {}
-            for i in range(parent.rank):
-                for j in range(i + 1, parent.rank):
-                    table[(i, j)] = alg.nf(data.get((i, j), alg.zero()))
-            extra = set(data) - set(table)
-            if extra:
+            pairs = [(i, j) for i in range(parent.rank) for j in range(i + 1, parent.rank)]
+            if set(data) - set(pairs):
                 raise ValueError("degree-2 coefficients must be indexed by i < j")
-            data = table
+            data = {key: alg.nf(data.get(key, alg.zero())) for key in pairs}
         else:
             raise ValueError("only degrees 0, 1, 2 are supported")
         self.parent = parent
@@ -480,10 +500,8 @@ def differential(e, omega):
         for i in range(e.rank):
             for j in range(i + 1, e.rank):
                 value = _Sum()
-                for sign, delta, xi in ((1, e.anchors[i], omega.data[j]), (-1, e.anchors[j], omega.data[i])):
-                    image = delta.apply(xi).terms
-                    if image:
-                        _add_product(value, one, image, sign)
+                e.anchors[i]._add_image(value, omega.data[j], one)
+                e.anchors[j]._add_image(value, omega.data[i], one, -1)
                 for k, c in e._nonzero[(i, j)]:
                     if omega.data[k].terms:
                         _add_product(value, c.terms, omega.data[k].terms, -1)
@@ -538,26 +556,19 @@ def _solve_span_at(algebra, columns, target, degree):
     rank = len(columns)
     monos = monomials_up_to(arity, degree)
     unknowns = [(k, m) for k in range(rank) for m in monos]
-    rows = {}
-
-    def row_for(v, gamma):
-        key = (v, gamma)
-        if key not in rows:
-            rows[key] = [0] * (len(unknowns) + 1)
-        return rows[key]
-
+    width = len(unknowns)
+    rows = defaultdict(lambda: [0] * (width + 1))  # one row per (variable, monomial)
     for col_index, (k, m) in enumerate(unknowns):
         mono = MPoly.monomial(arity, m)
         for v in range(arity):
             prod = algebra.nf(mono * columns[k][v])
             for gamma, c in prod.terms.items():
-                row_for(v, gamma)[col_index] += c
+                rows[(v, gamma)][col_index] += c
     for v in range(arity):
         for gamma, c in target[v].terms.items():
-            row_for(v, gamma)[-1] += c
+            rows[(v, gamma)][-1] += c
 
     matrix = [rows[key] for key in sorted(rows)]
-    width = len(unknowns)
     pivot_cols = []
     r = 0
     for col in range(width):
@@ -583,14 +594,7 @@ def _solve_span_at(algebra, columns, target, degree):
     values = [0] * width
     for row_index, col in enumerate(pivot_cols):
         values[col] = matrix[row_index][-1]
-    coeffs = []
-    for k in range(rank):
-        terms = {}
-        for col_index, (kk, m) in enumerate(unknowns):
-            if kk == k and values[col_index] != 0:
-                terms[m] = values[col_index]
-        coeffs.append(MPoly(arity, terms))
-    return coeffs
+    return [MPoly(arity, {m: values[n] for n, (kk, m) in enumerate(unknowns) if kk == k}) for k in range(rank)]
 
 
 def make_der(algebra, basis=None, structure=None):

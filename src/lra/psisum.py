@@ -12,8 +12,9 @@ membership is decided by the equivalent identity
 checked on the variables of A only -- both sides are psi-twisted
 derivations in a, so agreement on generators propagates to all of A (the
 sampling test in the suite guards this reduction).  The identity is
-evaluated by ``pseudoalgebra._anchor_identity`` and the bracket of the sum
-by ``pseudoalgebra._leibniz_bracket``, here and in the map verifiers.
+decided by ``pseudoalgebra._anchor_identity``, one reduction of lhs - rhs
+from the pushed anchors a context keeps, and the bracket of the sum is
+``pseudoalgebra._leibniz_bracket``, here and in the map verifiers.
 
 Triple sums use the same ``membership_report`` and ``psisum_bracket``: a
 flattened member of the triple sum E + F + G is a pair of mixed elements,
@@ -48,7 +49,7 @@ class PsiSumCtx:
     E-basis vector and then one per F-basis vector.
     """
 
-    __slots__ = ("e", "f", "psi")
+    __slots__ = ("e", "f", "psi", "_pushed")
 
     def __init__(self, e, f, psi):
         if psi.source != e.algebra or psi.target != f.algebra:
@@ -59,6 +60,7 @@ class PsiSumCtx:
         self.e = e
         self.f = f
         self.psi = psi
+        self._pushed = {}  # psi(x_v) and psi(rho_i(x_v)), see pseudoalgebra._pushed
 
     @property
     def algebra(self):
@@ -142,30 +144,23 @@ def direct_sum(e, f):
     tensor_algebra, right_renaming = a.tensor(b)
     n_left = a.arity
     arity = tensor_algebra.arity
-
-    def lift_left(p):
-        return p.lift(arity, 0)
-
-    def lift_right(p):
-        return p.lift(arity, n_left)
-
     anchors = []
     for d in e.anchors:
-        images = [lift_left(q) for q in d.images] + [tensor_algebra.zero()] * b.arity
+        images = [q.lift(arity) for q in d.images] + [tensor_algebra.zero()] * b.arity
         anchors.append(Derivation(tensor_algebra, images))
     for d in f.anchors:
-        images = [tensor_algebra.zero()] * a.arity + [lift_right(q) for q in d.images]
+        images = [tensor_algebra.zero()] * a.arity + [q.lift(arity, n_left) for q in d.images]
         anchors.append(Derivation(tensor_algebra, images))
 
     rank = e.rank + f.rank
     structure = {}
     for i in range(e.rank):
         for j in range(i + 1, e.rank):
-            row = [lift_left(c) for c in e.structure[(i, j)]]
+            row = [c.lift(arity) for c in e.structure[(i, j)]]
             structure[(i, j)] = row + [tensor_algebra.zero()] * f.rank
     for i in range(f.rank):
         for j in range(i + 1, f.rank):
-            row = [lift_right(c) for c in f.structure[(i, j)]]
+            row = [c.lift(arity, n_left) for c in f.structure[(i, j)]]
             structure[(e.rank + i, e.rank + j)] = [tensor_algebra.zero()] * e.rank + row
     # cross brackets [e_i, f_j] are zero: omitted entries default to zero
 
@@ -186,15 +181,12 @@ def membership(ctx, z):
 def membership_report(ctx, z):
     report = VerdictReport()
     a_alg = ctx.e.algebra
-    for v in range(a_alg.arity):
-        lhs, rhs = _anchor_identity(
-            ctx.psi, zip(ctx.e.anchors, z.tensor), z.f_element(), a_alg.variable(v)
-        )
+    for v, name in enumerate(a_alg.variables):
+        diff = _anchor_identity(ctx.psi, ctx.e.anchors, ctx._pushed, enumerate(z.tensor), z.f_element(), v)
         report.add(
-            "membership identity at %s" % a_alg.variables[v],
-            lhs == rhs,
-            "sum_i psi([X_i, %s]) b_i differs from [Y, psi(%s)]"
-            % (a_alg.variables[v], a_alg.variables[v]),
+            "membership identity at %s" % name,
+            not diff.terms,
+            "sum_i psi([X_i, %s]) b_i differs from [Y, psi(%s)]" % (name, name),
         )
     if a_alg.arity == 0:
         report.add("membership identity is vacuous over the scalars", True)

@@ -12,6 +12,7 @@ from lra.groebner import IdealPres, ResourceCapExceeded, step_budget
 from lra.poly import MPoly
 from lra.verdict import VerificationError
 
+from conftest import subs
 from test_poly import small_polys
 
 T = MPoly.variable(1, 0)
@@ -186,8 +187,9 @@ CIRCLE_ENDOMORPHISMS = (
 @given(data=st.data())
 def test_apply_shortcuts_match_the_general_path(case, data):
     """``Derivation.apply`` is nf(_extend(p)) and ``AlgMorphism.apply`` is
-    nf(p.subs(images)), both when the first call fills the table and when
-    the second reads it; every result owns its term dict."""
+    nf(subs(p, images)), both when the first call fills the table and when
+    the second reads it.  The image of one monomial with coefficient 1 is
+    the stored table entry itself; every other result owns its term dict."""
     algebra = data.draw(st.sampled_from([AlgebraPres.free("x", "y", "z"), CIRCLE]))
     n = algebra.arity
     v = data.draw(st.integers(0, n - 1))
@@ -211,10 +213,13 @@ def test_apply_shortcuts_match_the_general_path(case, data):
         images = [data.draw(small_polys(arity=2, max_terms=3, max_exp=2)) for _ in range(n)]
         m = AlgMorphism(algebra, CIRCLE, images)
     assert d.check().verdict and m.check().verdict
-    for f, expected in ((d, algebra.nf(d._extend(p))), (m, m.target.nf(p.subs(list(m.images))))):
+    for f, expected in ((d, algebra.nf(d._extend(p))), (m, m.target.nf(subs(p, m.images)))):
         first, second = f.apply(p), f.apply(p)
         assert first == second == expected
         assert set(p.terms) <= set(f._table)
+        if list(p.terms.values()) == [1]:
+            assert first is second is f._table[next(iter(p.terms))]
+            continue
         stored = list(f.images) + list(f._table.values()) + [first]
         assert all(second.terms is not q.terms for q in stored)
         assert all(first.terms is not q.terms for q in stored[:-1])
@@ -238,12 +243,17 @@ def test_apply_stopped_by_the_budget_leaves_no_entry(kind):
         expected = CIRCLE.nf(f._extend(p))
     else:
         f = AlgMorphism(CIRCLE, CIRCLE, [y, x])
-        expected = CIRCLE.nf(p.subs(list(f.images)))
+        expected = CIRCLE.nf(subs(p, f.images))
     assert f.check().verdict
     seeded = dict(f._table)
     with pytest.raises(ResourceCapExceeded), step_budget(1):
         f.apply(p)
-    assert f._table == seeded
+    if kind == "derivation":
+        assert f._table == seeded
+    else:  # the powers below x^5 y^5 that finished before the stop stay
+        assert (5, 5) not in f._table
+        for exp, entry in f._table.items():
+            assert entry == CIRCLE.nf(subs(MPoly.monomial(2, exp), f.images))
     assert f.apply(p) == expected
     assert f._table[(5, 5)] == expected
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import jacobiator, reduced, ref_anchor, sl2, sl2_action_images, stored_reduced
+from conftest import jacobiator, reduced, ref_anchor, ref_anchor_axiom_checks, sl2, sl2_action_images, stored_reduced
 from test_poly import small_polys
 from lra.algebra import AlgebraPres, AlgMorphism, Derivation
 from lra.groebner import IdealPres
@@ -15,7 +15,6 @@ from lra.pseudoalgebra import (
     PAlg,
     PAElement,
     anchor_apply,
-    _anchor_axiom,
     _combine,
     _derivation_checks,
     axioms_check,
@@ -505,7 +504,8 @@ def reference_axioms_report(e):
     report = _derivation_checks(e.anchors)
     if not report.verdict:
         return report
-    _anchor_axiom(report, e.anchors, e.structure)
+    for name, passed, witness in ref_anchor_axiom_checks(e.anchors, e.structure):
+        report.add(name, passed, witness)
     for i in range(e.rank):
         for j in range(i + 1, e.rank):
             for k in range(j + 1, e.rank):

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import subs
 from lra.algebra import AlgebraPres, Derivation
 from lra.pseudoalgebra import bracket, make_der
 from lra.restriction import (
@@ -127,7 +128,7 @@ def test_restriction_reproduces_line_derivations():
         for n2, p2 in plane_elems.items():
             reduced = quotient_bracket(ctx, p1, p2)
             assert reduced.coords[1].is_zero()
-            projected = reduced.coords[0].subs(drop_y)
+            projected = subs(reduced.coords[0], drop_y)
             expected = bracket(line_elems[n1], line_elems[n2])
             # expected is c0 * d + c1 * (x d); compare total d/dx coefficient
             total = expected.coords[0] + expected.coords[1] * qx.variable(0)
