@@ -30,6 +30,10 @@ lines are:
   coefficient (exit 0), an algebra with a 5,000-digit exponent and a
   pseudoalgebra whose rank is a 5,000-digit JSON integer (exit 2 with a
   location); and a document nested 100,000 arrays deep (exit 2);
+- loader faults (exit 2 with a location): a pseudoalgebra document with
+  a malformed body read where an algebra is expected, a morphism with a
+  fault in each of its two algebras, and groupoids with a ``tgt`` value
+  that is not an object or an ``inv`` value that is not an arrow;
 - a few runs under ``LRA_STEP_CAP`` 1 to 5.
 
 This is a change detector, not an oracle: a record only says what the
@@ -406,6 +410,24 @@ def cases(workdir):
     out += _both_formats("long: check-algebra long-exponent", ["check-algebra", "{work}/big/long-exponent.json"])
     out += _both_formats("long: check-palg long-rank", ["check-palg", "{work}/big/long-rank.json"])
     out += _both_formats("deep: check-algebra deep", ["check-algebra", "{work}/big/deep.json"])
+
+    faults = workdir / "faults"
+    faults.mkdir()
+    free_x = {"variables": ["x"], "ideal": [], "order": "grevlex"}
+    _doc(faults, "palg-bad-rank", "palg", dict(_palg_body(("x",), (), [["1"]], {}), rank="one"))
+    _doc(faults, "morphism-two-faults", "morphism", {
+        "source": dict(free_x, ideal=["x^"]),
+        "target": {"variables": ["y", "y"], "ideal": [], "order": "grevlex"},
+        "images": ["y"],
+    })
+    pair2 = json.loads((DATA / "groupoid_pair2.json").read_text())["body"]
+    for field in ("tgt", "inv"):
+        _doc(faults, "pair2-bad-%s" % field, "groupoid", dict(pair2, **{field: dict(pair2[field], **{"('a', 'b')": "zz"})}))
+    out += _both_formats("fault: check-algebra palg-bad-rank", ["check-algebra", "{work}/faults/palg-bad-rank.json"])
+    out += _both_formats("fault: check algmorphism morphism-two-faults",
+                         ["check", "algmorphism", "{work}/faults/morphism-two-faults.json"])
+    for field in ("tgt", "inv"):
+        out += _both_formats("fault: grpd check pair2-bad-" + field, ["grpd", "check", "{work}/faults/pair2-bad-%s.json" % field])
 
     capped = [
         ["check-palg", "{work}/palgs/circle-rotations.json"],

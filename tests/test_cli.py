@@ -489,6 +489,12 @@ def test_step_cap_below_one_exits_two(monkeypatch, capsys, cap):
     assert capsys.readouterr().err == "lra: LRA_STEP_CAP must be at least 1, got %s\n" % cap
 
 
+def test_step_cap_that_is_not_an_integer_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("LRA_STEP_CAP", "abc")
+    assert main(["check-algebra", str(DATA["algebra_line"])]) == 2
+    assert capsys.readouterr().err == "lra: LRA_STEP_CAP must be an integer\n"
+
+
 def test_bad_inputs_exit_two(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
@@ -842,6 +848,21 @@ def test_grpd_witnesses_do_not_depend_on_hash_seed(tmp_path):
             ["grpd", "build", "gauge", "--cyclic", "1", "--total", "p,p", "--proj", "p->1", "--perm", "p->p"],
             "repeated label 'p' in --total",
         ),
+        (
+            [
+                "grpd", "enumerate", "{groupoid_pair2}", "{groupoid_pair2}",
+                "--phi", "a:a", "--kind", "morphism",
+            ],
+            "bad base map entry 'a:a' (expected key->value)",
+        ),
+        (
+            ["grpd", "build", "action", "--cyclic", "2", "--objects", "a,b", "--perm", "a->b"],
+            "permutation misses 'b'",
+        ),
+        (
+            ["grpd", "build", "restrict", "{groupoid_pair2}", "--objects", "zz"],
+            "'zz' is not an object of the groupoid",
+        ),
     ],
 )
 def test_malformed_command_lines_exit_two(workspace, capsys, argv, culprit):
@@ -922,16 +943,47 @@ def test_malformed_command_lines_exit_two(workspace, capsys, argv, culprit):
             "psi_curve", {"target": {"variables": ["x", ""], "ideal": []}},
             "bad variable name '' (at body.target.variables[1])",
         ),
+        (
+            ["check", "algmorphism", "{bad}"],
+            "psi_curve", {"images": ["x"]},
+            "need one image per source variable (at body.images)",
+        ),
+        (
+            ["check", "derivation", "{bad}"],
+            "derivation_euler", {"images": []},
+            "need one image per variable (at body.images)",
+        ),
+        (
+            ["check-palg", "{bad}"],
+            "act", {"structure": [{"i": 0, "j": 1, "coeffs": ["0"]}]},
+            "need one coefficient per basis vector (at body.structure[0])",
+        ),
+        (
+            ["check-palg", "{bad}"],
+            "dx", {"structure": [0]},
+            "expected an object (at body.structure[0])",
+        ),
+        (
+            ["check", "morphism", "{dx}", "{dy}", "{bad}"],
+            "relabel", {"images": []},
+            "need one image per source basis vector (at body.images)",
+        ),
+        (
+            ["restrict", "member", "{dx}", "{bad}", "--ideal", "x"],
+            "elem_x", {"tensor": ["1"]},
+            "an element carries either 'coords' or both 'tensor' and 'f_part' (at body)",
+        ),
     ],
 )
 def test_loaders_name_the_bad_field(workspace, capsys, command, source, edit, message):
-    """A document that does not fit the pseudoalgebras it is read against exits 2 at its field."""
+    """A document that does not fit its schema, or the pseudoalgebras it is read
+    against, exits 2 at its field; ``source`` names a workspace or data document."""
     tmp_path, p = workspace
-    doc = docs.load_document(p[source + ".json"])
+    paths = {name[: -len(".json")]: path for name, path in p.items()}
+    doc = docs.load_document(paths.get(source) or DATA[source])
     doc.body.update(edit or {})
     bad = tmp_path / "bad.json"
     docs.save_document(doc, bad)
-    paths = {name[: -len(".json")]: path for name, path in p.items()}
     assert main([arg.format(bad=bad, **paths) for arg in command]) == 2
     captured = capsys.readouterr()
     assert captured.err == "lra: input error: %s\n" % message
