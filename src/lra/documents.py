@@ -1,9 +1,15 @@
 """JSON document formats for every object the command line handles.
 
 Every document is an envelope {"kind": ..., "version": "1", "body": ...}
-with a kind-specific body.  Rendering is canonical (sorted keys, fixed
-indentation, sorted table entries), so parse . render is the identity on
-documents and rendered corpora are diff-stable.
+with a kind-specific body.  ``parse_document`` checks the envelope only.
+The converter of the kind (``to_algebra``, ``to_palg``, ``to_groupoid``,
+...) checks the body as it reads it, each field once, and rejects a bad
+field with a ``DocumentError`` that names its location; a body with
+several faults reports the first in the converter's reading order.
+
+Rendering is canonical (sorted keys, fixed indentation, sorted table
+entries), so parse . render is the identity on documents and rendered
+corpora are diff-stable.
 
 Polynomial payloads are strings in the shared polynomial grammar, parsed
 against the variables of the algebra embedded in (or supplied with) the
@@ -71,7 +77,9 @@ def _json_int(literal):
 
 
 def parse_document(text):
-    """Parse and structurally validate one document."""
+    """Parse one document and check its envelope: the JSON itself, repeated
+    keys, ``kind``, ``version``, and that ``body`` is an object.  The body
+    is checked by the converter of its kind."""
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys, parse_int=_json_int)
     except json.JSONDecodeError as err:
@@ -94,7 +102,6 @@ def parse_document(text):
         raise DocumentError("unsupported version %r" % raw["version"], "version")
     if not isinstance(raw["body"], dict):
         raise DocumentError("body must be an object", "body")
-    _validate_body(raw["kind"], raw["body"])
     return Document(raw["kind"], raw["version"], raw["body"])
 
 
@@ -117,45 +124,43 @@ def save_document(doc, path):
         handle.write(render_document(doc))
 
 
-# -- structural schemas ------------------------------------------------------
+# -- field readers -------------------------------------------------------------
 
 
-def _expect(body, field, types, path, required=True):
+def _expect(body, field, kind, path):
+    """The value of a required field of type ``kind`` (a bool is not an int)."""
     if field not in body:
-        if required:
-            raise DocumentError("missing field", "%s.%s" % (path, field))
-        return None
+        raise DocumentError("missing field", "%s.%s" % (path, field))
     value = body[field]
-    if not isinstance(value, types) or (type(value) is bool and types is int):
-        raise DocumentError(
-            "field has the wrong type (expected %s)"
-            % (types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)),
-            "%s.%s" % (path, field),
-        )
+    if not isinstance(value, kind) or (type(value) is bool and kind is int):
+        raise DocumentError("field has the wrong type (expected %s)" % kind.__name__, "%s.%s" % (path, field))
     return value
 
 
-def _expect_str_list(body, field, path, required=True):
-    value = _expect(body, field, list, path, required)
-    if value is None:
-        return None
+def _expect_str_list(body, field, path):
+    value = _expect(body, field, list, path)
     for i, item in enumerate(value):
         if not isinstance(item, str):
             raise DocumentError("expected a string", "%s.%s[%d]" % (path, field, i))
     return value
 
 
-def _expect_str_rows(body, field, path, shape="a list of strings", width=None):
-    """A list field whose entries are lists of strings (``width`` of them, if given)."""
+def _expect_str_rows(body, field, path):
+    """A list field whose entries are lists of strings."""
     rows = _expect(body, field, list, path)
     for n, row in enumerate(rows):
-        if (
-            not isinstance(row, list)
-            or not all(isinstance(s, str) for s in row)
-            or width not in (None, len(row))
-        ):
-            raise DocumentError("expected %s" % shape, "%s.%s[%d]" % (path, field, n))
+        if not isinstance(row, list) or not all(isinstance(s, str) for s in row):
+            raise DocumentError("expected a list of strings", "%s.%s[%d]" % (path, field, n))
     return rows
+
+
+def _triples(body, field, path, shape):
+    """(location, row) for each entry of a list field of string triples."""
+    for n, row in enumerate(_expect(body, field, list, path)):
+        where = "%s.%s[%d]" % (path, field, n)
+        if not isinstance(row, list) or len(row) != 3 or not all(isinstance(s, str) for s in row):
+            raise DocumentError("expected %s" % shape, where)
+        yield where, row
 
 
 def _no_repeats(keys, what, path):
@@ -177,122 +182,32 @@ def _expect_str_table(body, field, path):
     return table
 
 
-def _validate_algebra_body(body, path):
-    variables = _expect_str_list(body, "variables", path)
+# -- converters: documents -> objects ---------------------------------------
+
+
+def _parse_payloads(variables, texts, path):
+    """Parse polynomials over ``variables``, unreduced: every converter hands
+    them to a constructor that reduces (``IdealPres`` takes generators as given)."""
+    out = []
+    for text in texts:
+        try:
+            out.append(parse_poly(text, variables))
+        except PolyParseError as err:
+            raise DocumentError("bad polynomial %r: %s" % (text, err), path) from None
+    return out
+
+
+def to_algebra(body, path="body"):
+    variables = tuple(_expect_str_list(body, "variables", path))
     for n, name in enumerate(variables):
         if not is_variable_name(name):
             raise DocumentError("bad variable name %r" % name, "%s.variables[%d]" % (path, n))
     _no_repeats(variables, "variable", "%s.variables" % path)
-    _expect_str_list(body, "ideal", path)
-    order = _expect(body, "order", str, path, required=False)
-    if order is not None and order not in ("grevlex", "grlex", "lex"):
+    ideal = _expect_str_list(body, "ideal", path)
+    order = _expect(body, "order", str, path) if "order" in body else "grevlex"
+    if order not in ("grevlex", "grlex", "lex"):
         raise DocumentError("unknown monomial order %r" % order, "%s.order" % path)
-
-
-def _validate_morphism_body(body, path):
-    source = _expect(body, "source", dict, path)
-    target = _expect(body, "target", dict, path)
-    _validate_algebra_body(source, "%s.source" % path)
-    _validate_algebra_body(target, "%s.target" % path)
-    _expect_str_list(body, "images", path)
-
-
-def _validate_body(kind, body):
-    path = "body"
-    if kind == "algebra":
-        _validate_algebra_body(body, path)
-    elif kind == "morphism":
-        _validate_morphism_body(body, path)
-    elif kind == "derivation":
-        algebra = _expect(body, "algebra", dict, path)
-        _validate_algebra_body(algebra, "%s.algebra" % path)
-        _expect_str_list(body, "images", path)
-    elif kind == "palg":
-        algebra = _expect(body, "algebra", dict, path)
-        _validate_algebra_body(algebra, "%s.algebra" % path)
-        rank = _expect(body, "rank", int, path)
-        if len(_expect_str_rows(body, "anchor", path)) != rank:
-            raise DocumentError("need one anchor row per basis vector", "%s.anchor" % path)
-        structure = _expect(body, "structure", list, path)
-        pairs = []
-        for n, entry in enumerate(structure):
-            epath = "%s.structure[%d]" % (path, n)
-            if not isinstance(entry, dict):
-                raise DocumentError("expected an object", epath)
-            i = _expect(entry, "i", int, epath)
-            j = _expect(entry, "j", int, epath)
-            if not 0 <= i < j < rank:
-                raise DocumentError("indices must satisfy 0 <= i < j < rank", epath)
-            _expect_str_list(entry, "coeffs", epath)
-            pairs.append((i, j))
-        _no_repeats(pairs, "pair", "%s.structure" % path)
-    elif kind == "element":
-        has_coords = "coords" in body
-        has_mixed = "tensor" in body or "f_part" in body
-        if has_coords == has_mixed:
-            raise DocumentError(
-                "an element carries either 'coords' or both 'tensor' and 'f_part'", path
-            )
-        if has_coords:
-            _expect_str_list(body, "coords", path)
-        else:
-            _expect_str_list(body, "tensor", path)
-            _expect_str_list(body, "f_part", path)
-    elif kind in ("pamorphism", "pacomorphism"):
-        psi = _expect(body, "psi", dict, path)
-        _validate_morphism_body(psi, "%s.psi" % path)
-        _expect_str_rows(body, "images", path)
-    elif kind == "groupoid":
-        _no_repeats(_expect_str_list(body, "objects", path), "object", "%s.objects" % path)
-        arrows = _expect_str_list(body, "arrows", path)
-        _no_repeats(arrows, "arrow", "%s.arrows" % path)
-        arrow_set = set(arrows)
-        for field in ("src", "tgt", "inv"):
-            for key in _expect_str_table(body, field, path):
-                if key not in arrow_set:
-                    raise DocumentError("unknown arrow %r" % key, "%s.%s" % (path, field))
-        ident = _expect_str_table(body, "id", path)
-        for key, value in ident.items():
-            if value not in arrow_set:
-                raise DocumentError(
-                    "identity of %r is not an arrow" % key, "%s.id[%r]" % (path, key)
-                )
-        comp = _expect_str_rows(body, "comp", path, "[g, h, gh]", 3)
-        for n, entry in enumerate(comp):
-            for s in entry:
-                if s not in arrow_set:
-                    raise DocumentError("unknown arrow %r" % s, "%s.comp[%d]" % (path, n))
-        _no_repeats([(g, h) for g, h, _ in comp], "pair", "%s.comp" % path)
-    elif kind == "grpdmap":
-        maptype = _expect(body, "maptype", str, path)
-        if maptype not in ("morphism", "comorphism"):
-            raise DocumentError("maptype must be 'morphism' or 'comorphism'", "%s.maptype" % path)
-        _expect_str_table(body, "base", path)
-        if maptype == "morphism":
-            _expect_str_table(body, "arrows", path)
-        else:
-            table = _expect_str_rows(body, "table", path, "[x, w, g]", 3)
-            _no_repeats([(x, w) for x, w, _ in table], "pair", "%s.table" % path)
-
-
-# -- converters: documents -> objects ---------------------------------------
-
-
-def _parse_payload(algebra, text, path):
-    """Parse a polynomial over the variables of ``algebra``, unreduced: every
-    converter hands it to a constructor that reduces (``IdealPres`` takes
-    generators as given)."""
-    try:
-        return parse_poly(text, algebra.variables)
-    except PolyParseError as err:
-        raise DocumentError("bad polynomial %r: %s" % (text, err), path) from None
-
-
-def to_algebra(body, path="body"):
-    variables = tuple(body["variables"])
-    order = body.get("order", "grevlex")
-    free = AlgebraPres(variables, order=order)
-    gens = [_parse_payload(free, s, "%s.ideal" % path) for s in body["ideal"]]
+    gens = _parse_payloads(variables, ideal, "%s.ideal" % path)
     try:
         return AlgebraPres(variables, IdealPres(len(variables), gens, order))
     except ValueError as err:
@@ -312,11 +227,12 @@ def algebra_document(algebra):
 
 
 def to_algmorphism(body, path="body"):
-    source = to_algebra(body["source"], "%s.source" % path)
-    target = to_algebra(body["target"], "%s.target" % path)
-    if len(body["images"]) != source.arity:
+    source = to_algebra(_expect(body, "source", dict, path), "%s.source" % path)
+    target = to_algebra(_expect(body, "target", dict, path), "%s.target" % path)
+    images = _expect_str_list(body, "images", path)
+    if len(images) != source.arity:
         raise DocumentError("need one image per source variable", "%s.images" % path)
-    images = [_parse_payload(target, s, "%s.images" % path) for s in body["images"]]
+    images = _parse_payloads(target.variables, images, "%s.images" % path)
     return AlgMorphism(source, target, images)
 
 
@@ -333,10 +249,11 @@ def algmorphism_document(m):
 
 
 def to_derivation(body, path="body"):
-    algebra = to_algebra(body["algebra"], "%s.algebra" % path)
-    if len(body["images"]) != algebra.arity:
+    algebra = to_algebra(_expect(body, "algebra", dict, path), "%s.algebra" % path)
+    images = _expect_str_list(body, "images", path)
+    if len(images) != algebra.arity:
         raise DocumentError("need one image per variable", "%s.images" % path)
-    images = [_parse_payload(algebra, s, "%s.images" % path) for s in body["images"]]
+    images = _parse_payloads(algebra.variables, images, "%s.images" % path)
     return Derivation(algebra, images)
 
 
@@ -352,27 +269,33 @@ def derivation_document(d):
 
 
 def to_palg(body, path="body"):
-    algebra = to_algebra(body["algebra"], "%s.algebra" % path)
-    rank = body["rank"]
+    algebra = to_algebra(_expect(body, "algebra", dict, path), "%s.algebra" % path)
+    names = algebra.variables
+    rank = _expect(body, "rank", int, path)
+    rows = _expect_str_rows(body, "anchor", path)
+    if len(rows) != rank:
+        raise DocumentError("need one anchor row per basis vector", "%s.anchor" % path)
     anchors = []
-    for i, row in enumerate(body["anchor"]):
-        if len(row) != algebra.arity:
-            raise DocumentError(
-                "need one image per variable", "%s.anchor[%d]" % (path, i)
-            )
-        anchors.append(
-            Derivation(algebra, [_parse_payload(algebra, s, "%s.anchor[%d]" % (path, i)) for s in row])
-        )
+    for i, row in enumerate(rows):
+        where = "%s.anchor[%d]" % (path, i)
+        if len(row) != len(names):
+            raise DocumentError("need one image per variable", where)
+        anchors.append(Derivation(algebra, _parse_payloads(names, row, where)))
     structure = {}
-    for n, entry in enumerate(body["structure"]):
-        if len(entry["coeffs"]) != rank:
-            raise DocumentError(
-                "need one coefficient per basis vector", "%s.structure[%d]" % (path, n)
-            )
-        structure[(entry["i"], entry["j"])] = [
-            _parse_payload(algebra, s, "%s.structure[%d]" % (path, n))
-            for s in entry["coeffs"]
-        ]
+    for n, entry in enumerate(_expect(body, "structure", list, path)):
+        where = "%s.structure[%d]" % (path, n)
+        if not isinstance(entry, dict):
+            raise DocumentError("expected an object", where)
+        i = _expect(entry, "i", int, where)
+        j = _expect(entry, "j", int, where)
+        if not 0 <= i < j < rank:
+            raise DocumentError("indices must satisfy 0 <= i < j < rank", where)
+        if (i, j) in structure:
+            raise DocumentError("repeated pair %r" % ((i, j),), where)
+        coeffs = _expect_str_list(entry, "coeffs", where)
+        if len(coeffs) != rank:
+            raise DocumentError("need one coefficient per basis vector", where)
+        structure[(i, j)] = _parse_payloads(names, coeffs, where)
     return PAlg(algebra, rank, anchors, structure)
 
 
@@ -399,13 +322,21 @@ def palg_document(e):
     return Document("palg", VERSION, from_palg(e))
 
 
+def _is_plain(body, path):
+    """Whether an element body carries 'coords' rather than 'tensor' and 'f_part'."""
+    plain = "coords" in body
+    if plain == ("tensor" in body or "f_part" in body):
+        raise DocumentError("an element carries either 'coords' or both 'tensor' and 'f_part'", path)
+    return plain
+
+
 def to_element(body, palg, path="body"):
-    coords = body.get("coords")
-    if coords is None:
+    if not _is_plain(body, path):
         raise DocumentError("expected a plain element with 'coords'", path)
+    coords = _expect_str_list(body, "coords", path)
     if len(coords) != palg.rank:
         raise DocumentError("need one coordinate per basis vector", "%s.coords" % path)
-    return PAElement(palg, [_parse_payload(palg.algebra, s, "%s.coords" % path) for s in coords])
+    return PAElement(palg, _parse_payloads(palg.algebra.variables, coords, "%s.coords" % path))
 
 
 def from_element(x):
@@ -417,20 +348,17 @@ def element_document(x):
 
 
 def to_mixed_element(body, ctx, path="body"):
-    tensor = body.get("tensor")
-    f_part = body.get("f_part")
-    if tensor is None or f_part is None:
+    if _is_plain(body, path):
         raise DocumentError("expected a mixed element with 'tensor' and 'f_part'", path)
-    b_alg = ctx.f.algebra
+    tensor = _expect_str_list(body, "tensor", path)
+    f_part = _expect_str_list(body, "f_part", path)
     if len(tensor) != ctx.e.rank:
         raise DocumentError("need one tensor coefficient per E-basis vector", "%s.tensor" % path)
     if len(f_part) != ctx.f.rank:
         raise DocumentError("need one coordinate per F-basis vector", "%s.f_part" % path)
-    return MixedElement(
-        ctx,
-        [_parse_payload(b_alg, s, "%s.tensor" % path) for s in tensor],
-        [_parse_payload(b_alg, s, "%s.f_part" % path) for s in f_part],
-    )
+    names = ctx.f.algebra.variables
+    tensor = _parse_payloads(names, tensor, "%s.tensor" % path)
+    return MixedElement(ctx, tensor, _parse_payloads(names, f_part, "%s.f_part" % path))
 
 
 def from_mixed_element(z):
@@ -445,23 +373,25 @@ def mixed_element_document(z):
     return Document("element", VERSION, from_mixed_element(z))
 
 
-def to_pamorphism(body, e, f, path="body"):
-    psi = to_algmorphism(body["psi"], "%s.psi" % path)
+def _psi(body, e, f, path):
+    """The algebra map of a (co)morphism body, which must run from E's algebra to F's."""
+    psi = to_algmorphism(_expect(body, "psi", dict, path), "%s.psi" % path)
     if psi.source != e.algebra or psi.target != f.algebra:
-        raise DocumentError(
-            "psi does not connect the supplied pseudoalgebras", "%s.psi" % path
-        )
-    if len(body["images"]) != e.rank:
+        raise DocumentError("psi does not connect the supplied pseudoalgebras", "%s.psi" % path)
+    return psi
+
+
+def to_pamorphism(body, e, f, path="body"):
+    psi = _psi(body, e, f, path)
+    rows = _expect_str_rows(body, "images", path)
+    if len(rows) != e.rank:
         raise DocumentError("need one image per source basis vector", "%s.images" % path)
     images = []
-    for i, row in enumerate(body["images"]):
+    for i, row in enumerate(rows):
+        where = "%s.images[%d]" % (path, i)
         if len(row) != f.rank:
-            raise DocumentError(
-                "need one coordinate per target basis vector", "%s.images[%d]" % (path, i)
-            )
-        images.append(
-            PAElement(f, [_parse_payload(f.algebra, s, "%s.images[%d]" % (path, i)) for s in row])
-        )
+            raise DocumentError("need one coordinate per target basis vector", where)
+        images.append(PAElement(f, _parse_payloads(f.algebra.variables, row, where)))
     return PAMorphism(e, f, psi, images)
 
 
@@ -478,20 +408,16 @@ def pamorphism_document(m):
 
 def to_pacomorphism(body, e, f, path="body"):
     """Build a comorphism from F to E; the document's psi runs E-side to F-side."""
-    psi = to_algmorphism(body["psi"], "%s.psi" % path)
-    if psi.source != e.algebra or psi.target != f.algebra:
-        raise DocumentError(
-            "psi does not connect the supplied pseudoalgebras", "%s.psi" % path
-        )
-    if len(body["images"]) != f.rank:
+    psi = _psi(body, e, f, path)
+    rows = _expect_str_rows(body, "images", path)
+    if len(rows) != f.rank:
         raise DocumentError("need one image row per F-basis vector", "%s.images" % path)
     images = []
-    for j, row in enumerate(body["images"]):
+    for j, row in enumerate(rows):
+        where = "%s.images[%d]" % (path, j)
         if len(row) != e.rank:
-            raise DocumentError(
-                "need one coefficient per E-basis vector", "%s.images[%d]" % (path, j)
-            )
-        images.append([_parse_payload(f.algebra, s, "%s.images[%d]" % (path, j)) for s in row])
+            raise DocumentError("need one coefficient per E-basis vector", where)
+        images.append(_parse_payloads(f.algebra.variables, row, where))
     return PAComorphism(f, e, psi, images)
 
 
@@ -538,28 +464,40 @@ def groupoid_document(g):
 
 
 def to_groupoid(body, path="body"):
-    objects = body["objects"]
-    arrows = body["arrows"]
-    for field in ("src", "tgt", "inv"):
-        if set(body[field]) != set(arrows):
+    objects = _expect_str_list(body, "objects", path)
+    _no_repeats(objects, "object", "%s.objects" % path)
+    arrows = _expect_str_list(body, "arrows", path)
+    _no_repeats(arrows, "arrow", "%s.arrows" % path)
+    object_set, arrow_set = set(objects), set(arrows)
+    tables = {}
+    for field, values, fault in (
+        ("src", object_set, "endpoint of %r is not an object"),
+        ("tgt", object_set, "endpoint of %r is not an object"),
+        ("inv", arrow_set, "inverse of %r is not an arrow"),
+    ):
+        table = tables[field] = _expect_str_table(body, field, path)
+        for key, value in table.items():
+            if key not in arrow_set:
+                raise DocumentError("unknown arrow %r" % key, "%s.%s" % (path, field))
+            if value not in values:
+                raise DocumentError(fault % key, "%s.%s[%r]" % (path, field, key))
+        if len(table) != len(arrows):
             raise DocumentError("table must cover every arrow exactly", "%s.%s" % (path, field))
-    if set(body["id"]) != set(objects):
+    ident = _expect_str_table(body, "id", path)
+    for key, value in ident.items():
+        if value not in arrow_set:
+            raise DocumentError("identity of %r is not an arrow" % key, "%s.id[%r]" % (path, key))
+    if set(ident) != object_set:
         raise DocumentError("identity table must cover every object", "%s.id" % path)
-    for a in arrows:
-        if body["src"][a] not in objects or body["tgt"][a] not in objects:
-            raise DocumentError("endpoint of %r is not an object" % a, "%s.src" % path)
     comp = {}
-    for g1, g2, g3 in body["comp"]:
-        comp[(g1, g2)] = g3
-    return FinGroupoid(
-        objects,
-        arrows,
-        dict(body["src"]),
-        dict(body["tgt"]),
-        dict(body["id"]),
-        dict(body["inv"]),
-        comp,
-    )
+    for where, (g, h, gh) in _triples(body, "comp", path, "[g, h, gh]"):
+        for a in (g, h, gh):
+            if a not in arrow_set:
+                raise DocumentError("unknown arrow %r" % a, where)
+        if (g, h) in comp:
+            raise DocumentError("repeated pair %r" % ((g, h),), where)
+        comp[(g, h)] = gh
+    return FinGroupoid(objects, arrows, tables["src"], tables["tgt"], ident, tables["inv"], comp)
 
 
 def from_grpdmap(m):
@@ -581,9 +519,15 @@ def grpdmap_document(m):
 
 
 def to_grpdmap(body, path="body"):
-    if body["maptype"] == "morphism":
-        return GrpdMorphism(dict(body["base"]), dict(body["arrows"]))
+    maptype = _expect(body, "maptype", str, path)
+    if maptype not in ("morphism", "comorphism"):
+        raise DocumentError("maptype must be 'morphism' or 'comorphism'", "%s.maptype" % path)
+    base = dict(_expect_str_table(body, "base", path))
+    if maptype == "morphism":
+        return GrpdMorphism(base, dict(_expect_str_table(body, "arrows", path)))
     table = {}
-    for x, w, g in body["table"]:
+    for where, (x, w, g) in _triples(body, "table", path, "[x, w, g]"):
+        if (x, w) in table:
+            raise DocumentError("repeated pair %r" % ((x, w),), where)
         table[(x, w)] = g
-    return GrpdComorphism(dict(body["base"]), table)
+    return GrpdComorphism(base, table)

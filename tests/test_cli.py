@@ -384,6 +384,26 @@ def test_grpd_check_reports_broken_tables(tmp_path, capsys, field, key, value, f
     assert [c["name"] for c in checks if c["status"] == "fail"] == [failing]
 
 
+@pytest.mark.parametrize(
+    "field, fault",
+    [
+        ("src", "endpoint of \"('a', 'b')\" is not an object"),
+        ("tgt", "endpoint of \"('a', 'b')\" is not an object"),
+        ("inv", "inverse of \"('a', 'b')\" is not an arrow"),
+    ],
+)
+def test_grpd_tables_name_the_bad_value(tmp_path, capsys, field, fault):
+    """A dangling endpoint or inverse exits 2 at the table and key that hold it."""
+    raw = json.loads(DATA["groupoid_pair2"].read_text(encoding="utf-8"))
+    raw["body"][field]["('a', 'b')"] = "zz"
+    path = tmp_path / "dangling.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["grpd", "check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "lra: input error: %s (at body.%s[\"('a', 'b')\"])\n" % (fault, field)
+    assert captured.out == ""
+
+
 def test_resource_cap_exit_code(tmp_path, monkeypatch):
     monkeypatch.setenv("LRA_STEP_CAP", "2")
     body = {

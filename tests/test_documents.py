@@ -13,6 +13,22 @@ from lra.pseudoalgebra import make_action, make_der
 from lra.psisum import MixedElement, PsiSumCtx
 
 
+CONVERTERS = {
+    "algebra": docs.to_algebra,
+    "morphism": docs.to_algmorphism,
+    "derivation": docs.to_derivation,
+    "palg": docs.to_palg,
+    "groupoid": docs.to_groupoid,
+    "grpdmap": docs.to_grpdmap,
+}
+
+
+def convert(text):
+    """Parse a document and read its body with the converter of its kind."""
+    doc = docs.parse_document(text)
+    return CONVERTERS[doc.kind](doc.body)
+
+
 def sample_documents():
     alg = algebras()
     qx = alg["x"]
@@ -79,7 +95,7 @@ def test_table_values_must_be_strings(name, field, key, location, junk):
     raw = json.loads(path.read_text(encoding="utf-8"))
     raw["body"][field][key] = junk
     with pytest.raises(docs.DocumentError) as err:
-        docs.parse_document(json.dumps(raw))
+        convert(json.dumps(raw))
     assert str(err.value) == "expected a string (at %s)" % location
 
 
@@ -131,7 +147,7 @@ def test_repeated_entries_are_rejected(tmp_path, capsys, name, field, at, row, m
         entries = entries[key]
     entries.insert(at, row)
     with pytest.raises(docs.DocumentError) as err:
-        docs.parse_document(json.dumps(raw))
+        convert(json.dumps(raw))
     assert str(err.value) == message
     path = tmp_path / "repeated.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
@@ -176,14 +192,14 @@ def test_repeated_json_key_is_rejected(tmp_path, capsys, anchor):
 
 def test_schema_violations_name_the_field():
     with pytest.raises(docs.DocumentError, match="body.variables"):
-        docs.parse_document('{"kind": "algebra", "version": "1", "body": {"ideal": []}}')
+        convert('{"kind": "algebra", "version": "1", "body": {"ideal": []}}')
     text = (
         '{"kind": "palg", "version": "1", "body": {"algebra": {"variables": ["x"],'
         ' "ideal": []}, "rank": 1, "anchor": [["1"]], "structure":'
         ' [{"i": 1, "j": 0, "coeffs": ["0"]}]}}'
     )
     with pytest.raises(docs.DocumentError, match="structure"):
-        docs.parse_document(text)
+        convert(text)
 
 
 def test_bad_polynomial_reports_position():
@@ -210,7 +226,7 @@ def test_groupoid_doc_detects_dangling_arrow():
     body = docs.from_groupoid(make_pair(["a", "b"]))
     body["comp"][0][2] = "nonsense"
     with pytest.raises(docs.DocumentError, match="unknown arrow"):
-        docs._validate_body("groupoid", body)
+        docs.to_groupoid(body)
 
 
 def test_semantic_binding_errors():
