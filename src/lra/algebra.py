@@ -223,20 +223,26 @@ class AlgMorphism:
         _table_add(out, p, self._table, self._monomial_image, weight, scale)
 
     def _monomial_image(self, exp):
-        """table[a] = nf(table[a - e_v] * images[v]) for the first v with a_v > 0:
-        the missing entries below ``exp`` fill in a loop, so powers are reduced
-        as they grow, and each is stored once its normal form has returned."""
+        """table[a] = nf(table[a/2]^2) when every exponent is even, else
+        nf(table[a - e_v] * images[v]) for the first v with a_v odd: the missing
+        entries below ``exp`` fill in a loop of length logarithmic in the
+        exponents, so powers are reduced as they grow, and each is stored once
+        its normal form has returned."""
         table, images = self._table, self.images
         chain = []
         while exp not in table:
-            v = next(v for v, a in enumerate(exp) if a)
+            v = next((v for v, a in enumerate(exp) if a & 1), None)
             chain.append((exp, v))
-            exp = exp[:v] + (exp[v] - 1,) + exp[v + 1 :]
+            if v is None:
+                exp = tuple(a >> 1 for a in exp)
+            else:
+                exp = exp[:v] + (exp[v] - 1,) + exp[v + 1 :]
         image = table[exp]
         for exp, v in reversed(chain):
+            factor = image if v is None else images[v]
             out = _Sum()
-            if image.terms and images[v].terms:
-                _add_product(out, image.terms, images[v].terms)
+            if image.terms and factor.terms:
+                _add_product(out, image.terms, factor.terms)
             image = table[exp] = self.target.nf(MPoly._raw(self.target.arity, out.finish()))
         return image
 

@@ -237,7 +237,7 @@ def test_unsound_derivation_builds_no_table():
 def test_apply_stopped_by_the_budget_leaves_no_entry(kind):
     """An entry is stored only once its normal form has returned."""
     x, y = CIRCLE.variable(0), CIRCLE.variable(1)
-    p = x ** 5 * y ** 5
+    p = x ** 6 * y ** 6  # the morphism reaches it through more reductions than a cap of 1 allows
     if kind == "derivation":
         f = Derivation(CIRCLE, [-y, x])
         expected = CIRCLE.nf(f._extend(p))
@@ -250,12 +250,12 @@ def test_apply_stopped_by_the_budget_leaves_no_entry(kind):
         f.apply(p)
     if kind == "derivation":
         assert f._table == seeded
-    else:  # the powers below x^5 y^5 that finished before the stop stay
-        assert (5, 5) not in f._table
+    else:  # the powers below x^6 y^6 that finished before the stop stay
+        assert (6, 6) not in f._table
         for exp, entry in f._table.items():
             assert entry == CIRCLE.nf(subs(MPoly.monomial(2, exp), f.images))
     assert f.apply(p) == expected
-    assert f._table[(5, 5)] == expected
+    assert f._table[(6, 6)] == expected
 
 
 def test_apply_checks_the_ideal_before_any_shortcut():

@@ -106,9 +106,9 @@ def test_coefficients_of_any_length(tmp_path, capsys):
 
 
 def test_algebra_map_powers_reduce_in_the_target(tmp_path, monkeypatch, capsys):
-    """x^2000 into Q[y]/(y^2) along x -> y + 1: the image is reduced one
-    factor at a time, so the witness comes quickly and a cap of one step
-    stops the command at its second reduction."""
+    """x^2000 into Q[y]/(y^2) along x -> y + 1: the powers are reduced as
+    they grow, so the witness comes quickly and a cap of one step stops the
+    command at its second reduction."""
     path = tmp_path / "power.json"
     docs.save_document(docs.Document("morphism", "1", {
         "source": {"variables": ["x"], "ideal": ["x^2000"], "order": "grevlex"},
@@ -120,6 +120,20 @@ def test_algebra_map_powers_reduce_in_the_target(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LRA_STEP_CAP", "1")
     assert main(["check", "algmorphism", str(path)]) == 3
     assert "step cap of 1 exhausted" in capsys.readouterr().err
+
+
+def test_algebra_map_of_a_hundred_digit_power(tmp_path, capsys):
+    """x^(10^100) into Q[y]/(y^2) along x -> y + 1: the walk to the power
+    squares, so it takes a few hundred steps, not 10^100."""
+    n = 10 ** 100
+    path = tmp_path / "power.json"
+    docs.save_document(docs.Document("morphism", "1", {
+        "source": {"variables": ["x"], "ideal": ["x^%d" % n], "order": "grevlex"},
+        "target": {"variables": ["y"], "ideal": ["y^2"], "order": "grevlex"},
+        "images": ["y + 1"],
+    }), path)
+    assert main(["check", "algmorphism", str(path)]) == 1
+    assert "-- normal form of the image is %d*y + 1\n" % n in capsys.readouterr().out
 
 
 def test_internal_errors_exit_four(monkeypatch, capsys):
