@@ -154,13 +154,8 @@ def _expect_str_rows(body, field, path):
     return rows
 
 
-def _triples(body, field, path, shape):
-    """(location, row) for each entry of a list field of string triples."""
-    for n, row in enumerate(_expect(body, field, list, path)):
-        where = "%s.%s[%d]" % (path, field, n)
-        if not isinstance(row, list) or len(row) != 3 or not all(isinstance(s, str) for s in row):
-            raise DocumentError("expected %s" % shape, where)
-        yield where, row
+def _is_str_triple(row):
+    return isinstance(row, list) and len(row) == 3 and all(isinstance(s, str) for s in row)
 
 
 def _no_repeats(keys, what, path):
@@ -490,12 +485,19 @@ def to_groupoid(body, path="body"):
     if set(ident) != object_set:
         raise DocumentError("identity table must cover every object", "%s.id" % path)
     comp = {}
-    for where, (g, h, gh) in _triples(body, "comp", path, "[g, h, gh]"):
-        for a in (g, h, gh):
-            if a not in arrow_set:
-                raise DocumentError("unknown arrow %r" % a, where)
+    for n, row in enumerate(_expect(body, "comp", list, path)):
+        try:  # arrows are strings, so a row of three arrows is well formed
+            known = isinstance(row, list) and len(row) == 3 and arrow_set.issuperset(row)
+        except TypeError:  # an unhashable entry
+            known = False
+        if not known:
+            where = "%s.comp[%d]" % (path, n)
+            if not _is_str_triple(row):
+                raise DocumentError("expected [g, h, gh]", where)
+            raise DocumentError("unknown arrow %r" % next(a for a in row if a not in arrow_set), where)
+        g, h, gh = row
         if (g, h) in comp:
-            raise DocumentError("repeated pair %r" % ((g, h),), where)
+            raise DocumentError("repeated pair %r" % ((g, h),), "%s.comp[%d]" % (path, n))
         comp[(g, h)] = gh
     return FinGroupoid(objects, arrows, tables["src"], tables["tgt"], ident, tables["inv"], comp)
 
@@ -526,8 +528,11 @@ def to_grpdmap(body, path="body"):
     if maptype == "morphism":
         return GrpdMorphism(base, dict(_expect_str_table(body, "arrows", path)))
     table = {}
-    for where, (x, w, g) in _triples(body, "table", path, "[x, w, g]"):
+    for n, row in enumerate(_expect(body, "table", list, path)):
+        if not _is_str_triple(row):
+            raise DocumentError("expected [x, w, g]", "%s.table[%d]" % (path, n))
+        x, w, g = row
         if (x, w) in table:
-            raise DocumentError("repeated pair %r" % ((x, w),), where)
+            raise DocumentError("repeated pair %r" % ((x, w),), "%s.table[%d]" % (path, n))
         table[(x, w)] = g
     return GrpdComorphism(base, table)

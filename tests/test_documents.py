@@ -229,6 +229,24 @@ def test_groupoid_doc_detects_dangling_arrow():
         docs.to_groupoid(body)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (["('a', 'a')", "('a', 'b')"], "expected [g, h, gh] (at body.comp[1])"),
+        (["('a', 'a')", [], "('a', 'b')"], "expected [g, h, gh] (at body.comp[1])"),
+        (["('a', 'a')", "('a', 'b')", 0], "expected [g, h, gh] (at body.comp[1])"),
+        (["('a', 'a')", "('a', 'b')", "zz"], "unknown arrow 'zz' (at body.comp[1])"),
+    ],
+)
+def test_product_rows_name_their_fault(row, message):
+    """A row that is not three strings is malformed; three strings must all be arrows."""
+    body = json.loads((DATA / "groupoid_pair2.json").read_text(encoding="utf-8"))["body"]
+    body["comp"][1] = row
+    with pytest.raises(docs.DocumentError) as err:
+        docs.to_groupoid(body)
+    assert str(err.value) == message
+
+
 def test_semantic_binding_errors():
     alg = algebras()
     dx = make_der(alg["x"])
