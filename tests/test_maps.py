@@ -14,6 +14,8 @@ from conftest import (
     sl2,
 )
 from lra.algebra import AlgebraPres, AlgMorphism, Derivation
+from lra.groebner import IdealPres
+from lra.poly import MPoly
 from lra.maps import (
     PAComorphism,
     PAMorphism,
@@ -90,6 +92,31 @@ def test_check_pacomorphism_examples():
     assert not report.verdict
     failing = report.failures()[0]
     assert "v" in failing.name and "3*x" in failing.witness
+
+
+BAD_ANCHOR = "derivation does not preserve the ideal: derivative has normal form 4\\*x\\*y"
+BAD_PSI = "morphism does not map the ideal into the ideal: normal form of the image is 3\\*y\\^2"
+
+
+def test_map_verifiers_require_sound_anchors_and_psi():
+    """On the circle Q[x,y]/(x^2+y^2-1), the anchor conditions raise when an anchor is the
+    non-derivation (y, x) or psi is the map (x, 2y), which leaves the ideal; a comorphism
+    with an all-zero row still reads psi(x_v)."""
+    x, y = MPoly.variable(2, 0), MPoly.variable(2, 1)
+    circle = AlgebraPres(("x", "y"), IdealPres(2, [x ** 2 + y ** 2 - 1]))
+    sound = PAlg(circle, 1, [Derivation(circle, [-y, x])])
+    unsound = PAlg(circle, 1, [Derivation(circle, [y, x])])
+    ident, stretch = AlgMorphism.identity(circle), AlgMorphism(circle, circle, [x, 2 * y])
+    cases = [
+        (check_pamorphism, PAMorphism(unsound, sound, ident, [sound.basis(0)]), BAD_ANCHOR),
+        (check_pamorphism, PAMorphism(sound, sound, stretch, [sound.basis(0)]), BAD_PSI),
+        (check_pacomorphism, PAComorphism(sound, unsound, ident, [[circle.one()]]), BAD_ANCHOR),
+        (check_pacomorphism, PAComorphism(sound, sound, stretch, [[circle.one()]]), BAD_PSI),
+        (check_pacomorphism, PAComorphism(sound, sound, stretch, [[circle.zero()]]), BAD_PSI),
+    ]
+    for check, m, message in cases:
+        with pytest.raises(VerificationError, match="^%s$" % message):
+            check(m)
 
 
 def test_graph_generators():
