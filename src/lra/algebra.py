@@ -5,14 +5,16 @@ Groebner basis, so equality of residue classes is equality of stored
 polynomials.
 
 A derivation or an algebra map keeps a table from exponent tuples to the
-normal form of each monomial's image, filled on first use, and maps
-p = sum c_a x^a to sum c_a table[a], which is reduced because the normal
-form is Q-linear.  The table lives as long as its object.  ``_add_image``
+normal form of each monomial's image, filled on first use and kept as long
+as its object; it is the only formula for an image.  ``check`` sums each
+ideal generator over it, ``apply`` maps p = sum c_a x^a to sum c_a table[a]
+(reduced, as the normal form is Q-linear), and ``_add_image``
 adds w * s * sum c_a table[a], for a term dict w and a rational s, straight
-into a caller's ``poly._Sum``, so brackets, anchors and commutators need no
-intermediate image; ``apply`` finishes one sum.  An algebra map fills its
-table one factor at a time, table[a] = nf(table[a - e_v] * psi(x_v)): nf is
-a ring homomorphism modulo the target ideal, so powers stay reduced.
+into a caller's ``poly._Sum``, so brackets, anchors, commutators and the
+anchor identity need no intermediate image.  A derivation's entry is the
+normal form of the Leibniz extension of x^a; an algebra map's is
+nf(table[a/2]^2) or nf(table[a - e_v] * psi(x_v)), as nf is a ring
+homomorphism modulo the target ideal.
 """
 
 from __future__ import annotations
@@ -274,11 +276,13 @@ class Derivation:
 
     Well-definedness on the quotient requires the Leibniz extension to map
     the ideal into itself; checking the Groebner generators suffices since
-    every ideal element is an algebra combination of them.  ``_table`` of
-    monomial images is ``None`` until that check passes.
+    every ideal element is an algebra combination of them.  As for
+    ``AlgMorphism``, ``_table`` of monomial images is the Leibniz extension
+    on the free algebra, so it fills before that check, whose verdict
+    ``_verified`` records.
     """
 
-    __slots__ = ("algebra", "images", "_report", "_table")
+    __slots__ = ("algebra", "images", "_report", "_table", "_verified")
 
     def __init__(self, algebra, images):
         images = [algebra.nf(q) for q in images]
@@ -289,7 +293,8 @@ class Derivation:
         self.algebra = algebra
         self.images = tuple(images)
         self._report = None
-        self._table = None
+        self._table = _variable_table(algebra.arity, images, algebra.zero())
+        self._verified = False
 
     @classmethod
     def _raw(cls, algebra, images):
@@ -298,7 +303,8 @@ class Derivation:
         d.algebra = algebra
         d.images = tuple(images)
         d._report = None
-        d._table = None
+        d._table = _variable_table(algebra.arity, images, algebra.zero())
+        d._verified = False
         return d
 
     @classmethod
@@ -313,22 +319,13 @@ class Derivation:
         ]
         return cls(algebra, images)
 
-    def _extend(self, p):
-        """Leibniz extension sum_i (d p / d x_i) * images[i], before reduction."""
-        out = _Sum()
-        for i, image in enumerate(self.images):
-            if image.terms:
-                partial = p.partial(i).terms
-                if partial:
-                    _add_product(out, partial, image.terms)
-        return MPoly._raw(self.algebra.arity, out.finish())
-
     def check(self):
+        """Pass iff the image of every Groebner element, summed over the table, reduces to zero."""
         if self._report is not None:
             return self._report
         report = VerdictReport()
         for g in self.algebra.ideal.groebner:
-            value = self.algebra.nf(self._extend(g))
+            value = _table_sum(g, self._table, self._monomial_image, self.algebra.arity)
             report.add(
                 "ideal generator %s stays in the ideal" % self.algebra.render(g),
                 value.is_zero(),
@@ -337,18 +334,16 @@ class Derivation:
         if not self.algebra.ideal.groebner:
             report.add("free algebra: every derivation preserves the zero ideal", True)
         self._report = report
-        if report.verdict:
-            self._table = _variable_table(self.algebra.arity, self.images, self.algebra.zero())
+        self._verified = report.verdict
         return report
 
     def require(self):
         """Raise ``VerificationError`` unless the derivation preserves the ideal."""
-        if self._table is None:
+        if not self._verified:
             self.check().require("derivation does not preserve the ideal")
 
     def apply(self, p):
-        """The Leibniz extension in normal form, summed from the table of monomial
-        images, which starts with 1 and the variables; a new x^a gets nf(_extend(x^a))."""
+        """The Leibniz extension in normal form, summed from the table of monomial images."""
         self.require()
         if p.arity != self.algebra.arity:
             raise ValueError("element arity does not match the algebra")
@@ -360,7 +355,7 @@ class Derivation:
         _table_add(out, p, self._table, self._monomial_image, weight, scale)
 
     def _monomial_image(self, exp):
-        """nf of sum_i a_i x^(a - e_i) images[i], the extension of x^a."""
+        """nf of sum_i a_i x^(a - e_i) images[i], the Leibniz extension of x^a."""
         out = _Sum()
         for i, (a, image) in enumerate(zip(exp, self.images)):
             if a and image.terms:

@@ -27,7 +27,6 @@ from .pseudoalgebra import (
     _combine,
     _combine_add,
     _leibniz_add,
-    _pushed,
     _reduce,
     _sides,
     anchor_derivation,
@@ -150,15 +149,15 @@ def check_pamorphism(m):
     report = VerdictReport()
     e, f = m.source, m.target
     a_alg, b_alg = e.algebra, f.algebra
-    pushed, one = {}, b_alg.one()
+    one = b_alg.one()
     for i in range(e.rank):
         for v, name in enumerate(a_alg.variables):
-            diff = _anchor_identity(m.psi, e.anchors, pushed, [(i, one)], m.images[i], v)
+            diff = _anchor_identity(m.psi, e.anchors, [(i, one)], m.images[i], v)
             report.add(
                 "anchor condition on e_%d at %s" % (i, name),
                 not diff.terms,
                 lambda: "psi([e_{0}, {1}]) = {2} but [image, psi({1})] = {3}".format(
-                    i, name, *_sides(b_alg.render, _pushed(m.psi, e.anchors, pushed, i, v), diff)
+                    i, name, *_sides(b_alg.render, m.psi.apply(e.anchors[i].images[v]), diff)
                 ),
             )
     for i in range(e.rank):
@@ -188,10 +187,9 @@ def check_pacomorphism(m):
     report = VerdictReport()
     f, e = m.source, m.target
     a_alg, b_alg = e.algebra, f.algebra
-    pushed = {}
     for j in range(f.rank):
         for v, name in enumerate(a_alg.variables):
-            diff = _anchor_identity(m.psi, e.anchors, pushed, enumerate(m.images[j]), f.basis(j), v)
+            diff = _anchor_identity(m.psi, e.anchors, enumerate(m.images[j]), f.basis(j), v)
             report.add(
                 "anchor condition on f_%d at %s" % (j, name),
                 not diff.terms,
@@ -324,13 +322,13 @@ def _dual_one_form(m, xi_coeffs):
 def _dual_two_form(m, omega_table):
     """Pull a two-form on E back to F: antisymmetrized products of rows."""
     b_alg = m.source.algebra
-    pushed = [(p, q, m.psi.apply(c).terms) for (p, q), c in omega_table.items() if c.terms]
+    entries = [(p, q, m.psi.apply(c).terms) for (p, q), c in omega_table.items() if c.terms]
     rows = m.images
     table = {}
     for i in range(m.source.rank):
         for j in range(i + 1, m.source.rank):
             acc = _Sum()
-            for p, q, c in pushed:
+            for p, q, c in entries:
                 if not c:
                     continue
                 minor = _Sum()
@@ -401,8 +399,8 @@ def induced_infinitesimal_action(m):
     report = VerdictReport()
     for i, d in enumerate(derivations):
         report.fold("induced map %d is a derivation" % i, d.check())
-    pushed = {key: [m.psi.apply(c) for c in row] for key, row in m.source.structure.items()}
-    _anchor_axiom(report, derivations, pushed)
+    structure = {key: [m.psi.apply(c) for c in row] for key, row in m.source.structure.items()}
+    _anchor_axiom(report, derivations, structure)
     if not report.checks:
         report.add("nothing to verify (empty action data)", True)
     return derivations, report

@@ -301,32 +301,24 @@ def _anchor_sum(out, x, a, sign=1):
             delta._add_image(out, a, xi.terms, sign)
 
 
-def _pushed(psi, anchors, pushed, i, v):
-    """psi(rho_i(x_v)), or psi(x_v) for i = None, kept in the dict ``pushed``;
-    its first use runs the checks of ``apply`` where an uncached use would."""
-    image = pushed.get((i, v))
-    if image is None:
-        a = psi.source.variable(v)
-        image = pushed[(i, v)] = psi.apply(a if i is None else anchors[i].apply(a))
-    return image
-
-
-def _anchor_identity(psi, anchors, pushed, terms, y, v):
+def _anchor_identity(psi, anchors, terms, y, v):
     """nf(lhs - rhs) for the anchor identity at the variable x_v of A,
 
         lhs = sum_i psi(rho_i(x_v)) b_i,    rhs = theta(y)(psi(x_v)),
 
     zero exactly when the identity holds.  ``terms`` pairs each index i of
-    the ``anchors`` rho_i with b_i in the algebra of ``y``; ``pushed`` caches
-    ``_pushed`` for one psi and one list of anchors.
+    the ``anchors`` rho_i with b_i in the algebra of ``y``.  rho_i(x_v) and
+    psi(x_v) are the variable entries of their maps' tables, and each
+    psi(rho_i(x_v)) b_i is summed from the table of psi; each map used must
+    pass its ideal check, and psi must even when every b_i is zero.
     """
     out = _Sum()
     for i, b in terms:
         if b.terms:
-            image = _pushed(psi, anchors, pushed, i, v).terms
-            if image:
-                _add_product(out, image, b.terms)
-    _anchor_sum(out, y, _pushed(psi, anchors, pushed, None, v), -1)
+            anchors[i].require()
+            psi._add_image(out, anchors[i].images[v], b.terms)
+    psi.require()
+    _anchor_sum(out, y, psi.images[v], -1)
     return _reduce(y.parent.algebra, out)
 
 

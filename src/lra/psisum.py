@@ -13,8 +13,8 @@ checked on the variables of A only -- both sides are psi-twisted
 derivations in a, so agreement on generators propagates to all of A (the
 sampling test in the suite guards this reduction).  The identity is
 decided by ``pseudoalgebra._anchor_identity``, one reduction of lhs - rhs
-from the pushed anchors a context keeps, and the bracket of the sum is
-``pseudoalgebra._leibniz_bracket``, here and in the map verifiers.
+summed from the monomial tables of psi and the anchors, and the bracket of
+the sum is ``pseudoalgebra._leibniz_bracket``, here and in the map verifiers.
 
 Triple sums use the same ``membership_report`` and ``psisum_bracket``: a
 flattened member of the triple sum E + F + G is a pair of mixed elements,
@@ -49,7 +49,7 @@ class PsiSumCtx:
     E-basis vector and then one per F-basis vector.
     """
 
-    __slots__ = ("e", "f", "psi", "_pushed")
+    __slots__ = ("e", "f", "psi")
 
     def __init__(self, e, f, psi):
         if psi.source != e.algebra or psi.target != f.algebra:
@@ -60,7 +60,6 @@ class PsiSumCtx:
         self.e = e
         self.f = f
         self.psi = psi
-        self._pushed = {}  # psi(x_v) and psi(rho_i(x_v)), see pseudoalgebra._pushed
 
     @property
     def algebra(self):
@@ -182,7 +181,7 @@ def membership_report(ctx, z):
     report = VerdictReport()
     a_alg = ctx.e.algebra
     for v, name in enumerate(a_alg.variables):
-        diff = _anchor_identity(ctx.psi, ctx.e.anchors, ctx._pushed, enumerate(z.tensor), z.f_element(), v)
+        diff = _anchor_identity(ctx.psi, ctx.e.anchors, enumerate(z.tensor), z.f_element(), v)
         report.add(
             "membership identity at %s" % name,
             not diff.terms,

@@ -12,7 +12,7 @@ from lra.groebner import IdealPres, ResourceCapExceeded, step_budget
 from lra.poly import MPoly
 from lra.verdict import VerificationError
 
-from conftest import subs
+from conftest import ref_derive, subs
 from test_poly import small_polys
 
 T = MPoly.variable(1, 0)
@@ -186,7 +186,7 @@ CIRCLE_ENDOMORPHISMS = (
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(data=st.data())
 def test_apply_shortcuts_match_the_general_path(case, data):
-    """``Derivation.apply`` is nf(_extend(p)) and ``AlgMorphism.apply`` is
+    """``Derivation.apply`` is ``ref_derive`` and ``AlgMorphism.apply`` is
     nf(subs(p, images)), both when the first call fills the table and when
     the second reads it.  The image of one monomial with coefficient 1 is
     the stored table entry itself; every other result owns its term dict."""
@@ -213,7 +213,7 @@ def test_apply_shortcuts_match_the_general_path(case, data):
         images = [data.draw(small_polys(arity=2, max_terms=3, max_exp=2)) for _ in range(n)]
         m = AlgMorphism(algebra, CIRCLE, images)
     assert d.check().verdict and m.check().verdict
-    for f, expected in ((d, algebra.nf(d._extend(p))), (m, m.target.nf(subs(p, m.images)))):
+    for f, expected in ((d, ref_derive(d, p)), (m, m.target.nf(subs(p, m.images)))):
         first, second = f.apply(p), f.apply(p)
         assert first == second == expected
         assert set(p.terms) <= set(f._table)
@@ -225,12 +225,16 @@ def test_apply_shortcuts_match_the_general_path(case, data):
         assert all(first.terms is not q.terms for q in stored[:-1])
 
 
-def test_unsound_derivation_builds_no_table():
+def test_unsound_derivation_raises_over_a_true_table():
+    """The table is the Leibniz extension on the free algebra, so the failed
+    check leaves true entries behind, and ``apply`` still raises."""
     x, y = CIRCLE.variable(0), CIRCLE.variable(1)
     d = Derivation(CIRCLE, [y, x])
     with pytest.raises(VerificationError, match="derivation does not preserve the ideal"):
         d.apply(x * y)
-    assert d._table is None
+    assert (2, 0) in d._table and (0, 2) in d._table  # read by the check of x^2 + y^2 - 1
+    for exp, entry in d._table.items():
+        assert entry == ref_derive(d, MPoly.monomial(2, exp))
 
 
 @pytest.mark.parametrize("kind", ["derivation", "morphism"])
@@ -240,7 +244,7 @@ def test_apply_stopped_by_the_budget_leaves_no_entry(kind):
     p = x ** 6 * y ** 6  # the morphism reaches it through more reductions than a cap of 1 allows
     if kind == "derivation":
         f = Derivation(CIRCLE, [-y, x])
-        expected = CIRCLE.nf(f._extend(p))
+        expected = ref_derive(f, p)
     else:
         f = AlgMorphism(CIRCLE, CIRCLE, [y, x])
         expected = CIRCLE.nf(subs(p, f.images))
