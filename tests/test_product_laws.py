@@ -1,11 +1,11 @@
-"""Product laws decided on a generating set agree with the full scans.
+"""Product laws agree with the full-scan rules of ``tests/conftest.py``.
 
-``check_groupoid``, ``check_grpd_morphism``, ``check_grpd_comorphism`` and
-``check_groupoid_action`` scan their product law on a generating set first.
-Here each is compared with the full-scan rule of ``tests/conftest.py`` on
-random groupoids (pair, action, cyclic, direct products, relabelled copies),
-on random tables with the right endpoints, and on one-entry mutants: the
-verdict and the witnesses must be the same.
+``check_groupoid`` and ``check_groupoid_action`` scan their product law on a
+generating set first; ``check_grpd_morphism`` and ``check_grpd_comorphism``
+scan theirs once on every composable pair.  Here each is compared with the
+full-scan rule on random groupoids (pair, action, cyclic, direct products,
+relabelled copies), on random tables with the right endpoints, and on
+one-entry mutants: the verdict and the witnesses must be the same.
 """
 
 from hypothesis import given, settings, strategies as st
