@@ -363,6 +363,10 @@ def make_gauge(total, projection, group, act):
     for x in total:
         if x not in projection:
             raise ValueError("projection is not defined at %r" % (x,))
+    points = set(total)
+    for x in projection:
+        if x not in points:
+            raise ValueError("projection is defined at %r, which is not a point of the total space" % (x,))
     action = _group_action(group, total, act)
     check_groupoid_action(action).require("the action tables do not verify")
     unit = group.ident[group.objects[0]]

@@ -170,6 +170,8 @@ def test_make_gauge_examples():
     not_free = {((m, a), g): (m, a) for (m, a) in total for g in Z2.arrows}
     with pytest.raises(VerificationError, match="free"):
         make_gauge(total, projection, Z2, not_free)
+    with pytest.raises(ValueError, match="^projection is defined at 'zz', which is not a point of the total space$"):
+        make_gauge(total, {**projection, "zz": "3"}, Z2, act)
 
 
 def test_check_grpd_morphism_examples():
