@@ -322,13 +322,13 @@ def _dual_one_form(m, xi_coeffs):
 def _dual_two_form(m, omega_table):
     """Pull a two-form on E back to F: antisymmetrized products of rows."""
     b_alg = m.source.algebra
-    entries = [(p, q, m.psi.apply(c).terms) for (p, q), c in omega_table.items() if c.terms]
+    pushed = [(p, q, m.psi.apply(c).terms) for (p, q), c in omega_table.items() if c.terms]
     rows = m.images
     table = {}
     for i in range(m.source.rank):
         for j in range(i + 1, m.source.rank):
             acc = _Sum()
-            for p, q, c in entries:
+            for p, q, c in pushed:
                 if not c:
                     continue
                 minor = _Sum()
@@ -399,8 +399,8 @@ def induced_infinitesimal_action(m):
     report = VerdictReport()
     for i, d in enumerate(derivations):
         report.fold("induced map %d is a derivation" % i, d.check())
-    structure = {key: [m.psi.apply(c) for c in row] for key, row in m.source.structure.items()}
-    _anchor_axiom(report, derivations, structure)
+    pushed = {key: [m.psi.apply(c) for c in row] for key, row in m.source.structure.items()}
+    _anchor_axiom(report, derivations, pushed)
     if not report.checks:
         report.add("nothing to verify (empty action data)", True)
     return derivations, report

@@ -869,13 +869,6 @@ def test_grpd_witnesses_do_not_depend_on_hash_seed(tmp_path):
             ],
             "repeated key 'p' in the projection",
         ),
-        (
-            [
-                "grpd", "build", "gauge", "--cyclic", "2", "--total", "p,q",
-                "--proj", "p->m,q->m,zz->n", "--perm", "p->q,q->p",
-            ],
-            "projection is defined at 'zz', which is not a point of the total space",
-        ),
         (["grpd", "build", "pair", "--objects", "a,b,a"], "repeated label 'a' in --objects"),
         (
             ["grpd", "build", "action", "--cyclic", "2", "--objects", "a, a", "--perm", "a->a"],
@@ -903,6 +896,13 @@ def test_grpd_witnesses_do_not_depend_on_hash_seed(tmp_path):
         (
             ["grpd", "build", "restrict", "{groupoid_pair2}", "--objects", "zz"],
             "'zz' is not an object of the groupoid",
+        ),
+        (
+            [
+                "grpd", "build", "gauge", "--cyclic", "2", "--total", "p,q",
+                "--proj", "p->m,q->m,zz->n", "--perm", "p->q,q->p",
+            ],
+            "projection is defined at 'zz', which is not a point of the total space",
         ),
     ],
 )
