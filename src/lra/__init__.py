@@ -8,7 +8,8 @@ map notions, actions, and the matching graph theorems.
 """
 
 from .algebra import AlgebraPres, AlgMorphism, Derivation
-from .groebner import IdealPres, ResourceCapExceeded, buchberger, normal_form
+from .budget import ResourceCapExceeded
+from .groebner import IdealPres, buchberger, normal_form
 from .groupoid import (
     FinGroupoid,
     GroupoidAction,

@@ -25,8 +25,8 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
+from . import budget
 from . import documents as docs
-from . import groebner
 from .groupoid import (
     GrpdMorphism,
     check_groupoid,
@@ -508,7 +508,7 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     try:
-        cap = int(os.environ.get("LRA_STEP_CAP") or groebner.DEFAULT_STEP_CAP)
+        cap = int(os.environ.get("LRA_STEP_CAP") or budget.DEFAULT_STEP_CAP)
     except ValueError:
         print("lra: LRA_STEP_CAP must be an integer", file=sys.stderr)
         return 2
@@ -518,11 +518,11 @@ def main(argv=None):
     try:
         args = build_parser(argv).parse_args(argv)
         _check_variant(args)
-        with groebner.step_budget(cap):
+        with budget.step_budget(cap):
             return args.entry.handler(args)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
-    except groebner.ResourceCapExceeded as err:
+    except budget.ResourceCapExceeded as err:
         print("lra: resource cap: %s" % err, file=sys.stderr)
         return 3
     except VerificationError as err:

@@ -17,65 +17,23 @@ Completion runs on primitive integer polynomials, keeps its S-pairs in a
 heap in normal selection order pruned by the Gebauer-Moeller criteria
 (1988), and makes each element of the reduced basis monic at the end.
 
-Work spends from one step budget per scope, opened by ``step_budget``:
-reduction steps, S-pairs and (in ``groupoid``) partial maps tried.  A call
-outside any block gets a fresh ``DEFAULT_STEP_CAP`` budget.  Exhausting it
-raises ``ResourceCapExceeded`` -- out of resources, never a wrong answer.
+Each reduction step and each S-pair spends one step of the open budget
+(``budget.step_budget``), and running out of it raises
+``budget.ResourceCapExceeded``, never a wrong answer.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, and_, le, mul, rshift
 
+# DEFAULT_STEP_CAP and default_step_cap are read here by the benchmark
+# harness (perfbench/run.py), which names this module.
+from .budget import DEFAULT_STEP_CAP, budget, default_step_cap  # noqa: F401
 from .poly import MPoly, _coefficient, order_key
-
-DEFAULT_STEP_CAP = 10**6
-
-
-class ResourceCapExceeded(RuntimeError):
-    """The step budget ran out before the computation finished."""
-
-
-class _Budget:
-    __slots__ = ("cap", "left")
-
-    def __init__(self, cap):
-        self.cap = self.left = cap
-
-    def spend(self, operation, n=1):
-        self.left -= n
-        if self.left < 0:
-            raise ResourceCapExceeded("step cap of %d exhausted in %s" % (self.cap, operation))
-
-
-_open_budget = contextvars.ContextVar("lra_step_budget", default=None)
-
-
-@contextlib.contextmanager
-def step_budget(cap):
-    """Open one budget of ``cap`` steps for everything the block runs; yields it."""
-    steps = _Budget(int(cap))
-    token = _open_budget.set(steps)
-    try:
-        yield steps
-    finally:
-        _open_budget.reset(token)
-
-
-def budget():
-    """The open budget, or a fresh default one outside any ``step_budget`` block."""
-    return _open_budget.get() or _Budget(DEFAULT_STEP_CAP)
-
-
-def default_step_cap():
-    """The cap of the open budget, or ``DEFAULT_STEP_CAP`` outside any block."""
-    return budget().cap
 
 
 def _divides(small, big):

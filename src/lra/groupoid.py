@@ -17,8 +17,10 @@ action is a ``GroupoidAction`` of it, so ``check_groupoid`` is the only
 associativity check and ``check_groupoid_action`` the only check of the
 action law.
 Both map notions are searched as one thing, graphs in the phi-product
-closed under its product (``enumerate_maps``); ``iter_candidate_maps``, the
-brute-force candidate generator, is the tests' oracle for that search.
+closed under its product (``enumerate_maps``).  By the graph theorem each
+such graph is a map, so the search runs no verifier; ``iter_candidate_maps``,
+the brute-force candidate generator, and the direct verifiers are the
+tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .groebner import budget
+from .budget import budget
 from .verdict import VerdictReport, VerificationError
 
 
@@ -830,51 +832,29 @@ def iter_candidate_maps(gamma, pi, phi, kind):
         yield make(dict(phi), dict(zip(slots, combo)))
 
 
-def _depth_first(options, fits, leave):
-    """Assignments of one option per slot, in ``itertools.product`` order, that fit.
+def _closed_graphs(gamma, pi, phi, kind, steps):
+    """The maps of ``enumerate_maps``, one at a time; each option tried spends a step of ``steps``.
 
-    Slot i takes its options in order; ``fits(i, values)`` sees ``values[:i + 1]``
-    filled and returns False to cut the branch.  ``leave(i, values)`` undoes
-    what an accepted ``fits`` recorded, before slot i takes its next option.
-    The yielded list is reused: copy it before the next step.  Each partial
-    assignment tried spends one step of the budget.
+    By the graph theorem a map is one of its kind exactly when its graph is
+    a wide subgroupoid of the phi-product, so the graphs with one arrow per
+    slot that are closed under its product are the maps, and no verifier
+    runs.  The slot of an identity takes only that identity.  Each chosen
+    pair (p, q) with tgt(p) == src(q) needs p*q at its slot: chosen there
+    already, or forced there until that slot is filled.  Products are taken
+    componentwise for chosen pairs only.
     """
-    n = len(options)
-    if not n:
-        yield []
+    _check_base_map(gamma, pi, phi)
+    if kind == "morphism":
+        slots, make = list(gamma.arrows), GrpdMorphism
+        slot_of, value = (lambda p: p[0]), 1
+    elif kind == "comorphism":
+        slots, make = pullback_domain(gamma, pi, phi), GrpdComorphism
+        slot_of, value = (lambda p: (gamma.src[p[0]], p[1])), 0
+    else:
+        raise ValueError("kind must be 'morphism' or 'comorphism'")
+    if not slots:
+        yield make(dict(phi), {})
         return
-    values = [None] * n
-    steps = budget()
-    stack = [iter(options[0])]
-    while stack:
-        i = len(stack) - 1
-        for value in stack[i]:
-            steps.spend("the map search")
-            values[i] = value
-            if fits(i, values):
-                break
-        else:
-            stack.pop()
-            if stack:
-                leave(i - 1, values)
-            continue
-        if i + 1 < n:
-            stack.append(iter(options[i + 1]))
-        else:
-            yield values
-            leave(i, values)
-
-
-def _graph_search(gamma, pi, phi, slots, slot_of):
-    """Graphs in the phi-product with one arrow per slot that are closed under its product.
-
-    Slot s takes the arrows p with ``slot_of(p) == s`` in arrow order, and the
-    slot of an identity only that identity.  Each chosen pair (p, q) with
-    tgt(p) == src(q) needs p*q at ``slot_of(p*q)``: chosen there already, or
-    forced there until that slot is filled.  Products are taken componentwise
-    for chosen pairs only; no product table is built.  Yields the chosen
-    arrows in slot order; the list is reused.
-    """
     arrows = _phi_arrows(gamma, pi, phi)
     mul = _componentwise(gamma, pi)
     src, tgt = gamma.src, gamma.tgt
@@ -886,57 +866,53 @@ def _graph_search(gamma, pi, phi, slots, slot_of):
     for x in gamma.objects:
         ident = (gamma.ident[x], pi.ident[phi[x]])
         options[at[ident]] = [ident]
+    chosen = []  # the arrow in each filled slot, in slot order
     leaving, arriving = {}, {}  # object -> chosen arrows from / to it
     forced = {}  # slot position -> the product a chosen pair puts there
     undo = []  # per chosen arrow, the positions it forced
 
-    def fits(i, values):
-        p = values[i]
+    def forces(i, p):
+        """The positions that p at slot i forces, or None if p or one of its products clashes."""
         if forced.get(i, p) != p:
-            return False
+            return None
         s, t = src[p[0]], tgt[p[0]]
-        # p joins ``leaving`` before and ``arriving`` after the pairs are read,
-        # so a loop p meets itself once
-        leaving.setdefault(s, []).append(p)
-        pairs = [(p, q) for q in leaving.get(t, ())] + [(q, p) for q in arriving.get(s, ())]
-        arriving.setdefault(t, []).append(p)
-        undo.append([])
-        for pq in pairs:
-            r = mul(*pq)
+        products = [mul(p, q) for q in leaving.get(t, ())] + [mul(q, p) for q in arriving.get(s, ())]
+        if s == t:
+            products.append(mul(p, p))
+        new = {}
+        for r in products:
             j = at[r]
-            if j > i and j not in forced:
-                forced[j] = r
-                undo[-1].append(j)
-            elif (values[j] if j <= i else forced[j]) != r:
-                leave(i, values)
-                return False
-        return True
+            held = chosen[j] if j < i else p if j == i else forced.get(j) or new.setdefault(j, r)
+            if held != r:
+                return None
+        return new
 
-    def leave(i, values):
-        p = values[i]
-        leaving[src[p[0]]].pop()
-        arriving[tgt[p[0]]].pop()
-        for j in undo.pop():
-            del forced[j]
-
-    return _depth_first(options, fits, leave)
-
-
-def _verified_maps(gamma, pi, phi, kind):
-    """Maps of one kind over phi that the direct verifier passes, in candidate order."""
-    _check_base_map(gamma, pi, phi)
-    if kind == "morphism":
-        slots, make, check = list(gamma.arrows), GrpdMorphism, check_grpd_morphism
-        slot_of, value = (lambda p: p[0]), 1
-    elif kind == "comorphism":
-        slots, make, check = pullback_domain(gamma, pi, phi), GrpdComorphism, check_grpd_comorphism
-        slot_of, value = (lambda p: (gamma.src[p[0]], p[1])), 0
-    else:
-        raise ValueError("kind must be 'morphism' or 'comorphism'")
-    for graph in _graph_search(gamma, pi, phi, slots, slot_of):
-        m = make(dict(phi), {slot_of(p): p[value] for p in graph})
-        if check(gamma, pi, m).verdict:
-            yield m
+    stack = [iter(options[0])]
+    while stack:
+        i = len(stack) - 1
+        if len(chosen) > i:  # take back slot i's arrow before its next option
+            p = chosen.pop()
+            leaving[src[p[0]]].pop()
+            arriving[tgt[p[0]]].pop()
+            for j in undo.pop():
+                del forced[j]
+        for p in stack[i]:
+            steps.spend("the map search")
+            new = forces(i, p)
+            if new is not None:
+                break
+        else:
+            stack.pop()
+            continue
+        chosen.append(p)
+        leaving.setdefault(src[p[0]], []).append(p)
+        arriving.setdefault(tgt[p[0]], []).append(p)
+        forced.update(new)
+        undo.append(new)
+        if i + 1 < len(slots):
+            stack.append(iter(options[i + 1]))
+        else:
+            yield make(dict(phi), {slot_of(q): q[value] for q in chosen})
 
 
 def enumerate_maps(gamma, pi, phi, kind):
@@ -945,12 +921,12 @@ def enumerate_maps(gamma, pi, phi, kind):
     A morphism picks an arrow (g, w) for each arrow g of gamma, a comorphism
     one for each pullback pair (src g, w).  Slots and options come in
     ``iter_candidate_maps`` order, and so do the maps.  A branch is cut as
-    soon as two chosen arrows have a product the graph cannot hold; each
-    complete map still passes the direct verifier, so both groupoids must
+    soon as two chosen arrows have a product the graph cannot hold; by the
+    graph theorem every complete graph is a map, provided both groupoids
     pass ``check_groupoid``.  Each partial map tried spends one step of the
-    step budget (see ``groebner.step_budget``).
+    step budget (see ``budget.step_budget``).
     """
-    return list(_verified_maps(gamma, pi, phi, kind))
+    return list(_closed_graphs(gamma, pi, phi, kind, budget()))
 
 
 def find_isomorphism(g1, g2):
@@ -963,14 +939,13 @@ def find_isomorphism(g1, g2):
         return None
 
     def hom_profile(g):
-        return sorted(
-            (len(g.hom(x, y)) for x in g.objects for y in g.objects)
-        )
+        return sorted(len(g.hom(x, y)) for x in g.objects for y in g.objects)
 
     if hom_profile(g1) != hom_profile(g2):
         return None
+    steps = budget()  # one budget for every bijection
     for perm in itertools.permutations(g2.objects):
-        for m in _verified_maps(g1, g2, dict(zip(g1.objects, perm)), "morphism"):
+        for m in _closed_graphs(g1, g2, dict(zip(g1.objects, perm)), "morphism", steps):
             if len(set(m.arrows.values())) == len(m.arrows):
                 return m.base, m.arrows
     return None

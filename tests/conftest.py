@@ -17,11 +17,14 @@ from lra import (
     Derivation,
     FinGroupoid,
     GroupoidAction,
+    GrpdMorphism,
     PAComorphism,
     PAElement,
     PAMorphism,
     bracket,
+    check_grpd_morphism,
     cyclic_group,
+    find_isomorphism,
     make_action_groupoid,
     make_der,
     make_klie,
@@ -538,6 +541,31 @@ def all_base_maps(gamma, pi):
     domain = list(gamma.objects)
     for values in itertools.product(pi.objects, repeat=len(domain)):
         yield dict(zip(domain, values))
+
+
+def checked_isomorphism(g1, g2):
+    """``find_isomorphism(g1, g2)``, asserted to be a morphism that is bijective on objects and arrows."""
+    found = find_isomorphism(g1, g2)
+    if found is not None:
+        base, arrows = found
+        assert check_grpd_morphism(g1, g2, GrpdMorphism(base, arrows)).verdict
+        for images, targets in ((list(base.values()), g2.objects), (list(arrows.values()), g2.arrows)):
+            assert len(set(images)) == len(images) and set(images) == set(targets)
+    return found
+
+
+def disjoint_union(*parts):
+    """The disjoint union of groupoids, each label of part k tagged as (k, label)."""
+    objects, arrows, src, tgt, ident, inv, comp = [], [], {}, {}, {}, {}, {}
+    for k, g in enumerate(parts):
+        objects += [(k, x) for x in g.objects]
+        arrows += [(k, a) for a in g.arrows]
+        src.update(((k, a), (k, x)) for a, x in g.src.items())
+        tgt.update(((k, a), (k, x)) for a, x in g.tgt.items())
+        ident.update(((k, x), (k, a)) for x, a in g.ident.items())
+        inv.update(((k, a), (k, b)) for a, b in g.inv.items())
+        comp.update((((k, a), (k, b)), (k, c)) for (a, b), c in g.comp.items())
+    return FinGroupoid(objects, arrows, src, tgt, ident, inv, comp)
 
 
 def action_tables():

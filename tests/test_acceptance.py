@@ -15,6 +15,7 @@ from conftest import (
     action_tables,
     algebras,
     all_base_maps,
+    checked_isomorphism,
     comorphism_suite,
     groupoid_corpus,
     morphism_suite,
@@ -30,7 +31,6 @@ from lra.groupoid import (
     check_grpd_comorphism,
     cyclic_group,
     enumerate_maps,
-    find_isomorphism,
     graph_of_map,
     graph_subgroupoid_check,
     induced_groupoid_action,
@@ -268,7 +268,7 @@ def test_criterion_09_gauge():
     assert len(gauge.arrows) == 8
     one_object_z2 = make_action_groupoid(z2, ["o"], {("o", 0): "o", ("o", 1): "o"})
     model = make_direct_product(make_pair(["1", "2"]), one_object_z2)
-    assert find_isomorphism(gauge, model) is not None
+    assert checked_isomorphism(gauge, model) is not None
     trivial = cyclic_group(1)
     assert make_gauge(total, {p: p for p in total}, trivial, {(p, 0): p for p in total}) == make_pair(total)
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from lra import documents as docs
 from lra.algebra import AlgebraPres, AlgMorphism, Derivation
 from lra.documents import load_document, to_algebra
-from lra.groebner import IdealPres, ResourceCapExceeded, step_budget
+from lra.budget import ResourceCapExceeded, step_budget
+from lra.groebner import IdealPres
 from lra.poly import MPoly
 from lra.verdict import VerificationError
 

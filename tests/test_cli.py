@@ -436,7 +436,7 @@ def test_step_cap_bounds_the_whole_command(tmp_path, monkeypatch, capsys):
     Counted here: each Buchberger run and each normal form fits under the
     total minus one, so only a budget for the whole command can run out.
     """
-    from lra import groebner
+    from lra import budget, groebner
 
     body = {"variables": ["x", "y"], "ideal": ["x^3 + y", "x*y + 1", "y^2 - x"], "order": "grevlex"}
     path = tmp_path / "alg.json"
@@ -445,7 +445,7 @@ def test_step_cap_bounds_the_whole_command(tmp_path, monkeypatch, capsys):
 
     def counted(fn):
         def wrapper(*args):
-            steps = groebner.budget()
+            steps = budget.budget()
             before = steps.left
             try:
                 return fn(*args)
@@ -455,7 +455,7 @@ def test_step_cap_bounds_the_whole_command(tmp_path, monkeypatch, capsys):
         return wrapper
 
     @contextlib.contextmanager
-    def spy(cap, open_budget=groebner.step_budget):
+    def spy(cap, open_budget=budget.step_budget):
         with open_budget(cap) as steps:
             opened.append(steps)
             yield steps
@@ -463,7 +463,7 @@ def test_step_cap_bounds_the_whole_command(tmp_path, monkeypatch, capsys):
     with monkeypatch.context() as patch:
         patch.setattr(groebner, "buchberger", counted(groebner.buchberger))
         patch.setattr(groebner.IdealPres, "normal_form", counted(groebner.IdealPres.normal_form))
-        patch.setattr(groebner, "step_budget", spy)
+        patch.setattr(budget, "step_budget", spy)
         assert main(["check-algebra", str(path)]) == 0
     (steps,) = opened
     total = steps.cap - steps.left
@@ -489,7 +489,7 @@ def test_step_cap_bounds_the_map_search(monkeypatch, capsys):
 
 def test_step_budget_closes_with_the_command(workspace, tmp_path, monkeypatch):
     """The command's budget is open while it runs and gone after any exit or exception."""
-    from lra import cli, groebner
+    from lra import budget, cli
 
     _, p = workspace
     alg = tmp_path / "alg.json"
@@ -503,17 +503,17 @@ def test_step_budget_closes_with_the_command(workspace, tmp_path, monkeypatch):
         (["check-algebra", str(alg)], 3),
     ):
         assert main(argv) == code
-        assert groebner.default_step_cap() == groebner.DEFAULT_STEP_CAP
+        assert budget.default_step_cap() == budget.DEFAULT_STEP_CAP
     seen = []
 
     def boom(g):
-        seen.append(groebner.default_step_cap())
+        seen.append(budget.default_step_cap())
         raise RuntimeError("internal bug")
 
     monkeypatch.setattr(cli, "check_groupoid", boom)
     assert main(["grpd", "check", str(DATA["groupoid_pair2"])]) == 4
     assert seen == [5]
-    assert groebner.default_step_cap() == groebner.DEFAULT_STEP_CAP
+    assert budget.default_step_cap() == budget.DEFAULT_STEP_CAP
 
 
 @pytest.mark.parametrize("cap", ["-5", "0"])

@@ -28,3 +28,24 @@ def test_the_check_sees_third_party_imports():
 def test_library_imports_only_the_standard_library(path):
     names = set(imported_modules(ast.parse(path.read_text(encoding="utf-8"))))
     assert names <= set(sys.stdlib_module_names) | {"lra"}
+
+
+def relative_imports(tree):
+    """The modules of ``lra`` that a parsed file imports by relative import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_the_check_sees_relative_imports():
+    tree = ast.parse("from . import documents as docs\nfrom .budget import budget\nimport os")
+    assert list(relative_imports(tree)) == ["documents", "budget"]
+
+
+def test_groupoid_layer_loads_no_polynomial_module():
+    """The groupoid layer imports only the step budget and the verdict reports."""
+    path = SOURCES[0].parent / "groupoid.py"
+    assert set(relative_imports(ast.parse(path.read_text(encoding="utf-8")))) == {"budget", "verdict"}

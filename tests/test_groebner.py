@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lra import groebner
-from lra.groebner import (
-    IdealPres,
-    ResourceCapExceeded,
-    buchberger,
-    normal_form,
-    step_budget,
-)
+from lra.budget import ResourceCapExceeded, step_budget
+from lra.groebner import IdealPres, buchberger, normal_form
 from lra.poly import MPoly, order_key
 
 from conftest import coefficient_form, s_polynomial

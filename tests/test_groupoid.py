@@ -3,8 +3,17 @@ import random
 
 import pytest
 
-from conftest import action_tables, all_base_maps, composable_oracle, groupoid_corpus, shuffled_copy
-from lra.groebner import ResourceCapExceeded, step_budget
+from conftest import (
+    action_tables,
+    all_base_maps,
+    checked_isomorphism,
+    composable_oracle,
+    disjoint_union,
+    groupoid_corpus,
+    shuffled_copy,
+)
+from lra import budget
+from lra.budget import ResourceCapExceeded, step_budget
 from lra.groupoid import (
     FinGroupoid,
     GrpdComorphism,
@@ -34,7 +43,6 @@ from lra.groupoid import (
     pullback_domain,
     restrict_groupoid,
 )
-from lra.groupoid import _graph_search
 from lra.verdict import VerificationError
 
 Z2 = cyclic_group(2)
@@ -107,7 +115,7 @@ def test_make_direct_product_examples():
     assert check_groupoid(make_direct_product(p2, az2)).verdict
     trivial = make_pair(["t"])
     again = make_direct_product(p2, trivial)
-    assert find_isomorphism(again, p2) is not None
+    assert checked_isomorphism(again, p2) is not None
 
 
 def test_find_isomorphism_tells_vertex_groups_apart():
@@ -117,16 +125,34 @@ def test_find_isomorphism_tells_vertex_groups_apart():
     assert sorted(len(klein.hom(x, y)) for x in klein.objects for y in klein.objects) == [4]
     assert find_isomorphism(z4, klein) is None
     assert find_isomorphism(klein, z4) is None
-    base, arrows = find_isomorphism(z4, z4)
-    assert check_grpd_morphism(z4, z4, GrpdMorphism(base, arrows)).verdict
-    assert sorted(arrows.values()) == sorted(z4.arrows)
+    assert checked_isomorphism(z4, z4) is not None
+
+
+def test_find_isomorphism_spends_one_budget(monkeypatch):
+    """Every object bijection spends from one budget, so a cap bounds the whole call.
+
+    Z4+Z4+V4 and Z4+V4+V4 share their hom profile but are not isomorphic, so
+    all six bijections are searched: 7,478 steps in all, at most 1,545 for
+    one, so only a budget for the whole call runs out under a cap of 7,477.
+    """
+    z4, v4 = cyclic_group(4), make_direct_product(Z2, Z2)
+    g1, g2 = disjoint_union(z4, z4, v4), disjoint_union(z4, v4, v4)
+    with step_budget(10**6) as steps:
+        assert find_isomorphism(g1, g2) is None
+    spent = steps.cap - steps.left
+    assert spent == 7478
+    with step_budget(spent - 1), pytest.raises(ResourceCapExceeded, match="exhausted in the map search"):
+        find_isomorphism(g1, g2)
+    monkeypatch.setattr(budget, "DEFAULT_STEP_CAP", spent - 1)
+    with pytest.raises(ResourceCapExceeded, match="step cap of %d exhausted in the map search" % (spent - 1)):
+        find_isomorphism(g1, g2)
 
 
 def test_make_phi_product_examples():
     p2 = make_pair([1, 2])
     const = make_phi_product(p2, make_pair(["a"]), {1: "a", 2: "a"})
     assert len(const.arrows) == 4
-    assert find_isomorphism(const, p2) is not None
+    assert checked_isomorphism(const, p2) is not None
 
     diagonal = make_phi_product(p2, p2, {1: 1, 2: 2})
     assert len(diagonal.arrows) == 4
@@ -161,7 +187,7 @@ def test_make_gauge_examples():
     assert check_groupoid(gauge).verdict
     one_object_z2 = make_action_groupoid(Z2, ["o"], {("o", 0): "o", ("o", 1): "o"})
     model = make_direct_product(make_pair(["1", "2"]), one_object_z2)
-    assert find_isomorphism(gauge, model) is not None
+    assert checked_isomorphism(gauge, model) is not None
 
     trivial = cyclic_group(1)
     pair_like = make_gauge(total, {p: p for p in total}, trivial, {(p, 0): p for p in total})
@@ -384,19 +410,28 @@ def brute_force_maps(gamma, pi, phi, kind):
 
 
 def test_search_matches_brute_force():
-    """The pruned search returns exactly the verified candidates, in candidate order."""
-    corpus = groupoid_corpus()
+    """The pruned search returns exactly the verified candidates, in candidate order.
+
+    Also on copies with shuffled labels and arrow order, where the slots and
+    options of the search come in another order.
+    """
+    rng = random.Random(7)
+    corpus = list(groupoid_corpus().values())
+    copies = [shuffled_copy(g, rng) for g in corpus]
     cases = [
         (gamma, pi, phi)
-        for gamma in corpus.values()
-        for pi in corpus.values()
+        for groupoids in (corpus, copies)
+        for gamma in groupoids
+        for pi in groupoids
         for phi in all_base_maps(gamma, pi)
     ]
-    cases.append(trivial_bundle(3, 3))
+    bundle, zk, _ = trivial_bundle(3, 3)
+    for gamma, pi in ((bundle, zk), (shuffled_copy(bundle, rng), shuffled_copy(zk, rng))):
+        cases.append((gamma, pi, {x: pi.objects[0] for x in gamma.objects}))
     for gamma, pi, phi in cases:
         for kind in ("morphism", "comorphism"):
             assert enumerate_maps(gamma, pi, phi, kind) == brute_force_maps(gamma, pi, phi, kind), (
-                gamma, pi, phi, kind,
+                gamma.arrows, phi, kind,
             )
     gamma, pi, phi = trivial_bundle(3, 3)
     assert [len(enumerate_maps(gamma, pi, phi, kind)) for kind in ("morphism", "comorphism")] == [27, 27]
@@ -428,38 +463,6 @@ def test_search_respects_cap():
         with step_budget(10):
             with pytest.raises(ResourceCapExceeded, match="cap of 10 exhausted in the map search"):
                 enumerate_maps(gamma, pi, phi, kind)
-
-
-def graph_search_maps(gamma, pi, phi, kind):
-    """The raw output of the graph search, before any verifier, read back as maps."""
-    with step_budget(10**6):
-        if kind == "morphism":
-            graphs = _graph_search(gamma, pi, phi, list(gamma.arrows), lambda p: p[0])
-            return [GrpdMorphism(phi, {g: w for g, w in graph}) for graph in graphs]
-        slots = pullback_domain(gamma, pi, phi)
-        graphs = _graph_search(gamma, pi, phi, slots, lambda p: (gamma.src[p[0]], p[1]))
-        return [GrpdComorphism(phi, {(gamma.src[g], w): g for g, w in graph}) for graph in graphs]
-
-
-def test_graph_search_is_exact():
-    """Every closed graph the search yields is a verified map, also on reordered copies."""
-    rng = random.Random(7)
-    corpus = list(groupoid_corpus().values())
-    copies = [shuffled_copy(g, rng) for g in corpus]
-    cases = [
-        (gamma, pi, phi)
-        for groupoids in (corpus, copies)
-        for gamma in groupoids
-        for pi in groupoids
-        for phi in all_base_maps(gamma, pi)
-    ]
-    bundle, zk, _ = trivial_bundle(3, 3)
-    for gamma, pi in ((bundle, zk), (shuffled_copy(bundle, rng), shuffled_copy(zk, rng))):
-        cases.append((gamma, pi, {x: pi.objects[0] for x in gamma.objects}))
-    for gamma, pi, phi in cases:
-        for kind in ("morphism", "comorphism"):
-            found = enumerate_maps(gamma, pi, phi, kind)
-            assert graph_search_maps(gamma, pi, phi, kind) == found, (gamma.arrows, phi, kind)
 
 
 def test_orbit_condition_necessity_across_corpus():

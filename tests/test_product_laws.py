@@ -18,6 +18,7 @@ from conftest import (
     ref_morphism_faults,
     shuffled_copy,
 )
+from lra.budget import ResourceCapExceeded, step_budget
 from lra.groupoid import (
     FinGroupoid,
     GroupoidAction,
@@ -34,7 +35,6 @@ from lra.groupoid import (
     make_pair,
     pullback_domain,
 )
-from lra.groebner import ResourceCapExceeded, step_budget
 from lra.groupoid import _generators
 
 def _cyclic_action(rng):
