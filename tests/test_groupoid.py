@@ -410,31 +410,50 @@ def brute_force_maps(gamma, pi, phi, kind):
 
 
 def test_search_matches_brute_force():
-    """The pruned search returns exactly the verified candidates, in candidate order.
+    """The pruned search returns exactly the verified candidates, in candidate order."""
+    corpus = groupoid_corpus()
+    cases = [
+        (gamma, pi, phi)
+        for gamma in corpus.values()
+        for pi in corpus.values()
+        for phi in all_base_maps(gamma, pi)
+    ]
+    cases.append(trivial_bundle(3, 3))
+    for gamma, pi, phi in cases:
+        for kind in ("morphism", "comorphism"):
+            assert enumerate_maps(gamma, pi, phi, kind) == brute_force_maps(gamma, pi, phi, kind), (
+                gamma, pi, phi, kind,
+            )
+    gamma, pi, phi = trivial_bundle(3, 3)
+    assert [len(enumerate_maps(gamma, pi, phi, kind)) for kind in ("morphism", "comorphism")] == [27, 27]
 
-    Also on copies with shuffled labels and arrow order, where the slots and
-    options of the search come in another order.
+
+def test_graph_search_is_exact():
+    """Every closed graph the search yields is a verified map, also on reordered copies.
+
+    The search calls no verifier, so each map it returns is checked here; on
+    copies with shuffled labels and arrow order, where the slots and options
+    of the search come in another order, the maps are still exactly the
+    verified candidates, in candidate order.
     """
     rng = random.Random(7)
     corpus = list(groupoid_corpus().values())
     copies = [shuffled_copy(g, rng) for g in corpus]
     cases = [
         (gamma, pi, phi)
-        for groupoids in (corpus, copies)
-        for gamma in groupoids
-        for pi in groupoids
+        for gamma in copies
+        for pi in copies
         for phi in all_base_maps(gamma, pi)
     ]
     bundle, zk, _ = trivial_bundle(3, 3)
-    for gamma, pi in ((bundle, zk), (shuffled_copy(bundle, rng), shuffled_copy(zk, rng))):
-        cases.append((gamma, pi, {x: pi.objects[0] for x in gamma.objects}))
+    gamma, pi = shuffled_copy(bundle, rng), shuffled_copy(zk, rng)
+    cases.append((gamma, pi, {x: pi.objects[0] for x in gamma.objects}))
     for gamma, pi, phi in cases:
         for kind in ("morphism", "comorphism"):
-            assert enumerate_maps(gamma, pi, phi, kind) == brute_force_maps(gamma, pi, phi, kind), (
-                gamma.arrows, phi, kind,
-            )
-    gamma, pi, phi = trivial_bundle(3, 3)
-    assert [len(enumerate_maps(gamma, pi, phi, kind)) for kind in ("morphism", "comorphism")] == [27, 27]
+            check = check_grpd_morphism if kind == "morphism" else check_grpd_comorphism
+            found = enumerate_maps(gamma, pi, phi, kind)
+            assert all(check(gamma, pi, m).verdict for m in found), (gamma.arrows, phi, kind)
+            assert found == brute_force_maps(gamma, pi, phi, kind), (gamma.arrows, phi, kind)
 
 
 @pytest.mark.parametrize("k, m", [(4, 2), (6, 2)])
