@@ -13,6 +13,7 @@ from conftest import (
     ref_psisum_bracket,
     sl2,
 )
+from test_identities import _sphere_palg
 from lra.algebra import AlgebraPres, AlgMorphism, Derivation
 from lra.groebner import IdealPres
 from lra.poly import MPoly
@@ -208,6 +209,32 @@ def test_chain_map_example_fails_at_degree_zero():
     report = chain_map_check(mutant)
     assert not report.verdict
     assert any(c.name.startswith("degree 0 at v") for c in report.failures())
+
+
+def test_chain_map_over_the_sphere():
+    """so(3) acting on Q[x,y,z]/(x^2 + y^2 + z^2 - 1) by rotations: the dual
+    map's products leave the normal form, so each pulled-back entry must be
+    reduced before the two sides compare and render."""
+    sphere, sph = _sphere_palg()
+    x, y, z = (sphere.variable(v) for v in range(3))
+    identity = PAComorphism.identity(sph)
+    assert chain_map_check(identity).verdict and check_pacomorphism(identity).verdict
+    mutant = _comorphism_with_entry(_comorphism_with_entry(identity, 0, 1, x * y), 1, 2, x * z)
+    assert not check_pacomorphism(mutant).verdict
+    report = chain_map_check(mutant)
+    assert not report.verdict
+    witnesses = {c.name: c.witness for c in report.failures() if c.name.startswith("degree 1")}
+    assert witnesses == {
+        "degree 1 at the dual covector of e_0":
+            "d of the pullback is {(0, 1): 0, (0, 2): 0, (1, 2): 1}"
+            " but the pullback of d is {(0, 1): -y^3*z - y*z^3 + y*z, (0, 2): x*y, (1, 2): 1}",
+        "degree 1 at the dual covector of e_1":
+            "d of the pullback is {(0, 1): -y*z, (0, 2): 2*y^2 + z^2 - 2, (1, 2): x*y}"
+            " but the pullback of d is {(0, 1): -x*z, (0, 2): -1, (1, 2): 0}",
+        "degree 1 at the dual covector of e_2":
+            "d of the pullback is {(0, 1): x*y + 1, (0, 2): -x*z, (1, 2): y*z}"
+            " but the pullback of d is {(0, 1): 1, (0, 2): 0, (1, 2): 0}",
+    }
 
 
 def test_compose_morphisms_properties():
