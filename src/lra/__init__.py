@@ -49,7 +49,6 @@ from .maps import (
 )
 from .poly import MPoly, PolyParseError, parse_poly, poly_to_string
 from .pseudoalgebra import (
-    KForm,
     PAlg,
     PAElement,
     anchor_apply,

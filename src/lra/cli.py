@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 = pass, 1 = fail (witness printed), 2 = input error,
-3 = resource cap exceeded, 4 = internal error (any other exception, with
-its traceback).  ``--format json`` switches reports to JSON.
+Exit codes: 0 = pass, 1 = fail (witness printed), 2 = input error (a
+document, polynomial, file or command-line value), 3 = resource cap
+exceeded, 4 = internal error (any other exception, a plain ``ValueError``
+included, with its traceback).  ``--format json`` switches reports to JSON.
 Each command runs under one step budget: reduction steps, S-pairs and
 partial maps of the groupoid search all spend from it.  The environment
 variable ``LRA_STEP_CAP`` sets its size (default ``DEFAULT_STEP_CAP``).
@@ -29,6 +30,7 @@ from . import budget
 from . import documents as docs
 from .groupoid import (
     GrpdMorphism,
+    _check_base_map,
     check_groupoid,
     check_grpd_comorphism,
     check_grpd_morphism,
@@ -52,6 +54,7 @@ from .maps import (
     graph,
     graph_subalgebra_check,
 )
+from .poly import PolyParseError
 from .pseudoalgebra import axioms_check
 from .psisum import PsiSumCtx, membership_report, psisum_bracket
 from .restriction import RestrictionCtx, in_lower, in_upper, quotient_bracket
@@ -147,6 +150,16 @@ def _parse_items(text, option):
             raise docs.DocumentError("repeated label %r in %s" % (item, option))
         seen.add(item)
     return items
+
+
+def _from_flags(build, *values):
+    """``build(*values)`` on command-line values: its plain ``ValueError`` is an input error."""
+    try:
+        return build(*values)
+    except VerificationError:
+        raise
+    except ValueError as err:
+        raise docs.DocumentError(str(err)) from None
 
 
 def _agreement(direct, via_graph):
@@ -287,7 +300,7 @@ def cmd_psisum(args):
 def _cyclic_action(args, objects):
     """The cyclic group of order ``--cyclic`` acting on ``objects`` through ``--perm``."""
     step = _parse_mapping(args.perm, "permutation")
-    group = cyclic_group(args.cyclic)
+    group = _from_flags(cyclic_group, args.cyclic)
     for x in objects:
         if x not in step:
             raise docs.DocumentError("permutation misses %r" % x)
@@ -315,9 +328,9 @@ def cmd_grpd_build(args):
     elif args.what == "product":
         g = make_direct_product(*inputs)
     elif args.what == "phi-product":
-        g = make_phi_product(*inputs, _parse_mapping(args.phi, "base map"))
+        g = _from_flags(make_phi_product, *inputs, _parse_mapping(args.phi, "base map"))
     elif args.what == "restrict":
-        g = restrict_groupoid(*inputs, _parse_items(args.objects, "--objects"))
+        g = _from_flags(restrict_groupoid, *inputs, _parse_items(args.objects, "--objects"))
     elif args.what == "action":
         objects = _parse_items(args.objects, "--objects")
         group, act = _cyclic_action(args, objects)
@@ -325,7 +338,7 @@ def cmd_grpd_build(args):
     else:
         total = _parse_items(args.total, "--total")
         group, act = _cyclic_action(args, total)
-        g = make_gauge(total, _parse_mapping(args.proj, "projection"), group, act)
+        g = _from_flags(make_gauge, total, _parse_mapping(args.proj, "projection"), group, act)
     return _emit_document(args, docs.groupoid_document(g))
 
 
@@ -357,6 +370,7 @@ def cmd_grpd_enumerate(args):
     gamma = _load_groupoid(args.gamma)
     pi = _load_groupoid(args.pi)
     phi = _parse_mapping(args.phi, "base map")
+    _from_flags(_check_base_map, gamma, pi, phi)
     found = enumerate_maps(gamma, pi, phi, args.kind)
     if args.format == "json":
         payload = {"count": len(found), "maps": [docs.from_grpdmap(m) for m in found]}
@@ -530,7 +544,7 @@ def main(argv=None):
         if err.report is not None:
             print(err.report.render_text(), file=sys.stderr)
         return 1
-    except (OSError, ValueError) as err:
+    except (OSError, docs.DocumentError, PolyParseError) as err:
         print("lra: input error: %s" % err, file=sys.stderr)
         return 2
     except Exception as err:  # a bug in lra, never a verdict or an input error

@@ -323,9 +323,10 @@ def _anchor_identity(psi, anchors, terms, y, v):
 
 
 def anchor_derivation(x):
-    """The anchor of ``x`` packaged as a Derivation of the algebra."""
+    """The anchor of ``x`` packaged as a Derivation of the algebra; its
+    images come from ``anchor_apply`` in normal form."""
     alg = x.parent.algebra
-    return Derivation(alg, [anchor_apply(x, alg.variable(v)) for v in range(alg.arity)])
+    return Derivation._raw(alg, [anchor_apply(x, alg.variable(v)) for v in range(alg.arity)])
 
 
 def axioms_check(e):
@@ -415,91 +416,38 @@ def _sides(render, side, diff):
     return render(side), render([a - b for a, b in zip(side, diff)])
 
 
-class KForm:
-    """An alternating form of degree 0, 1 or 2 on a free pseudoalgebra.
-
-    Degree-2 data is stored on pairs i < j only, so antisymmetry holds by
-    construction.
-    """
-
-    __slots__ = ("parent", "degree", "data")
-
-    def __init__(self, parent, degree, data):
-        alg = parent.algebra
-        if degree == 0:
-            data = alg.nf(data)
-        elif degree == 1:
-            data = tuple(alg.nf(c) for c in data)
-            if len(data) != parent.rank:
-                raise ValueError("degree-1 form needs one coefficient per basis vector")
-        elif degree == 2:
-            pairs = [(i, j) for i in range(parent.rank) for j in range(i + 1, parent.rank)]
-            if set(data) - set(pairs):
-                raise ValueError("degree-2 coefficients must be indexed by i < j")
-            data = {key: alg.nf(data.get(key, alg.zero())) for key in pairs}
-        else:
-            raise ValueError("only degrees 0, 1, 2 are supported")
-        self.parent = parent
-        self.degree = degree
-        self.data = data
-
-    @classmethod
-    def scalar(cls, parent, a):
-        return cls(parent, 0, a)
-
-    @classmethod
-    def one_form(cls, parent, coeffs):
-        return cls(parent, 1, coeffs)
-
-    @classmethod
-    def two_form(cls, parent, table):
-        return cls(parent, 2, table)
-
-    def __eq__(self, other):
-        if not isinstance(other, KForm):
-            return NotImplemented
-        return (
-            self.parent == other.parent
-            and self.degree == other.degree
-            and self.data == other.data
-        )
-
-    def render(self):
-        """Canonical text of a 1-form (its coefficients) or a 2-form (each entry by pair (i, j))."""
-        if self.degree == 1:
-            return self.parent.render_element(self.data)
-        render = self.parent.algebra.render
-        return "{%s}" % ", ".join("(%d, %d): %s" % (i, j, render(c)) for (i, j), c in sorted(self.data.items()))
-
-    def __repr__(self):
-        return "KForm(degree=%d, %r)" % (self.degree, self.data)
-
-
 def differential(e, omega):
-    """Exterior differential on degrees 0 and 1.
+    """Exterior differential on degrees 0 and 1, on forms as plain data.
 
-    Degree 0:  <da, e_i>        = theta(e_i)(a).
-    Degree 1:  <dxi, e_i ^ e_j> = theta(e_i)<xi, e_j> - theta(e_j)<xi, e_i>
-                                  - <xi, [e_i, e_j]>.
+    Degree 0: an algebra element a (an ``MPoly``) gives the tuple of
+    <da, e_i> = theta(e_i)(a).  Degree 1: ``e.rank`` coefficients <xi, e_i>
+    give a dict on the pairs i < j of
+    <dxi, e_i ^ e_j> = theta(e_i)<xi, e_j> - theta(e_j)<xi, e_i> - <xi, [e_i, e_j]>.
+    A dict is a degree-2 form, which is not supported.  Each entry is
+    reduced where it is made, so inputs need not be.
     """
-    if omega.parent != e:
-        raise ValueError("form does not live on this pseudoalgebra")
-    if omega.degree == 0:
-        return KForm.one_form(e, [d.apply(omega.data) for d in e.anchors])
-    if omega.degree == 1:
-        one = e.algebra.one().terms
-        table = {}
-        for i in range(e.rank):
-            for j in range(i + 1, e.rank):
-                value = _Sum()
-                e.anchors[i]._add_image(value, omega.data[j], one)
-                e.anchors[j]._add_image(value, omega.data[i], one, -1)
-                for k, c in e._nonzero[(i, j)]:
-                    if omega.data[k].terms:
-                        _add_product(value, c.terms, omega.data[k].terms, -1)
-                table[(i, j)] = MPoly._raw(e.algebra.arity, value.finish())
-        return KForm.two_form(e, table)
-    raise ValueError("the differential of a degree-2 form is not supported")
+    alg = e.algebra
+    if isinstance(omega, MPoly):
+        return tuple(d.apply(omega) for d in e.anchors)
+    if isinstance(omega, dict):
+        raise ValueError("the differential of a degree-2 form is not supported")
+    omega = tuple(omega)
+    if len(omega) != e.rank:
+        raise ValueError("degree-1 form needs one coefficient per basis vector")
+    if any(c.arity != alg.arity for c in omega):
+        raise ValueError("form arity does not match the coefficient algebra")
+    one = alg.one().terms
+    table = {}
+    for i in range(e.rank):
+        for j in range(i + 1, e.rank):
+            value = _Sum()
+            e.anchors[i]._add_image(value, omega[j], one)
+            e.anchors[j]._add_image(value, omega[i], one, -1)
+            for k, c in e._nonzero[(i, j)]:
+                if omega[k].terms:
+                    _add_product(value, c.terms, omega[k].terms, -1)
+            table[(i, j)] = _reduce(alg, value)
+    return table
 
 
 # -- constructors --------------------------------------------------------

@@ -151,6 +151,21 @@ def test_internal_errors_exit_four(monkeypatch, capsys):
     assert err.endswith("KeyError: 'internal bug'\n")
 
 
+def test_plain_value_errors_in_a_verifier_exit_four(workspace, monkeypatch, capsys):
+    """Only a document, polynomial, file or command-line value is an input
+    error; a plain ValueError raised while verifying valid input is a bug."""
+    from lra import cli
+
+    def boom(m):
+        raise ValueError("internal bug")
+
+    _, p = workspace
+    monkeypatch.setattr(cli, "check_pacomorphism", boom)
+    assert main(["check", "comorphism", p["duv.json"], p["dx.json"], p["co.json"]]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("lra: internal error: ValueError: internal bug\nTraceback (most recent call last):\n")
+
+
 def test_long_exponents_and_json_integers_are_located_input_errors(tmp_path, capsys):
     """An exponent or a JSON integer literal past the 4,300-digit limit exits 2
     with the place of the bad value."""

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import jacobiator, reduced, ref_anchor, ref_anchor_axiom_checks, sl2, sl2_action_images, stored_reduced
+from test_identities import _sphere_palg
 from test_poly import small_polys
 from lra.algebra import AlgebraPres, AlgMorphism, Derivation
 from lra.groebner import IdealPres
 from lra.poly import MPoly
 from lra.pseudoalgebra import (
-    KForm,
     PAlg,
     PAElement,
     anchor_apply,
@@ -146,13 +146,13 @@ def test_differential_examples():
     qxy = AlgebraPres.free("x", "y")
     der = make_der(qxy)
     a = qxy.parse("x*y")
-    da = differential(der, KForm.scalar(der, a))
-    assert list(da.data) == [qxy.parse("y"), qxy.parse("x")]
-    assert all(c.is_zero() for c in differential(der, KForm.scalar(der, qxy.one())).data)
+    da = differential(der, a)
+    assert list(da) == [qxy.parse("y"), qxy.parse("x")]
+    assert all(c.is_zero() for c in differential(der, qxy.one()))
     for text in ("x", "y", "x^2*y"):
-        form = differential(der, KForm.scalar(der, qxy.parse(text)))
+        form = differential(der, qxy.parse(text))
         dd = differential(der, form)
-        assert all(v.is_zero() for v in dd.data.values())
+        assert all(v.is_zero() for v in dd.values())
     with pytest.raises(ValueError, match="degree-2"):
         differential(der, differential(der, da))
 
@@ -176,9 +176,9 @@ def test_square_zero_on_scalars_for_every_constructed_palg():
     ]
     for palg in constructed:
         for v in range(palg.algebra.arity):
-            form = differential(palg, KForm.scalar(palg, palg.algebra.variable(v)))
+            form = differential(palg, palg.algebra.variable(v))
             again = differential(palg, form)
-            assert all(value.is_zero() for value in again.data.values())
+            assert all(value.is_zero() for value in again.values())
 
 
 def test_differential_pairs_with_anchor():
@@ -189,9 +189,39 @@ def test_differential_pairs_with_anchor():
     for _ in range(20):
         a = qx.const(rng.randint(-3, 3)) * x ** rng.randint(0, 3)
         X = PAElement(act, [qx.const(rng.randint(-2, 2)) * x ** rng.randint(0, 2) for _ in range(3)])
-        da = differential(act, KForm.scalar(act, a))
-        pairing = qx.nf(sum((c * xi for c, xi in zip(da.data, X.coords)), qx.zero()))
+        da = differential(act, a)
+        pairing = qx.nf(sum((c * xi for c, xi in zip(da, X.coords)), qx.zero()))
         assert pairing == anchor_apply(X, a)
+
+
+def test_differential_over_the_sphere():
+    """so(3) acting on Q[x,y,z]/(x^2 + y^2 + z^2 - 1) by rotations, where
+    ``nf`` does work: unreduced input, reduced output, and d(d(a)) = 0."""
+    sphere, sph = _sphere_palg()
+    x, y, z = (sphere.variable(v) for v in range(3))
+    unreduced = (x * x * z + y * y * z + z * z * z, x, y * z)
+    reduced_form = tuple(sphere.nf(c) for c in unreduced)
+    assert reduced_form[0] == z != unreduced[0]
+    d = differential(sph, unreduced)
+    assert d == differential(sph, reduced_form)
+    assert {key: sphere.render(c) for key, c in d.items()} == {
+        (0, 1): "y*z + x", (0, 2): "y^2 - z^2 - x", (1, 2): "-x*y + y + z",
+    }
+    for a in (x ** 3, x * y * z, z ** 4):
+        da = differential(sph, a)
+        dda = differential(sph, da)
+        for c in da + tuple(dda.values()):
+            assert c == sphere.nf(c)
+        assert all(c.is_zero() for c in dda.values())
+
+
+def test_differential_rejects_malformed_one_forms():
+    sphere, sph = _sphere_palg()
+    x = sphere.variable(0)
+    with pytest.raises(ValueError, match="one coefficient per basis vector"):
+        differential(sph, (x, x))
+    with pytest.raises(ValueError, match="arity"):
+        differential(sph, (x, x, AlgebraPres.free("t").variable(0)))
 
 
 def test_make_der_examples():
