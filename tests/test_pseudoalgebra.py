@@ -204,6 +204,7 @@ def test_differential_over_the_sphere():
     assert reduced_form[0] == z != unreduced[0]
     d = differential(sph, unreduced)
     assert d == differential(sph, reduced_form)
+    assert all(c == sphere.nf(c) for c in d.values())
     assert {key: sphere.render(c) for key, c in d.items()} == {
         (0, 1): "y*z + x", (0, 2): "y^2 - z^2 - x", (1, 2): "-x*y + y + z",
     }
