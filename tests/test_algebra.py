@@ -11,6 +11,8 @@ from lra.documents import load_document, to_algebra
 from lra.budget import ResourceCapExceeded, step_budget
 from lra.groebner import IdealPres
 from lra.poly import MPoly
+from lra.pseudoalgebra import make_der
+from lra.restriction import RestrictionCtx
 from lra.verdict import VerificationError
 
 from conftest import ref_derive, subs
@@ -274,6 +276,38 @@ def test_apply_checks_the_ideal_before_any_shortcut():
     for p in (CIRCLE.zero(), CIRCLE.const(3), y, x * y):
         with pytest.raises(VerificationError, match="morphism does not map the ideal into the ideal"):
             stretch.apply(p)
+
+
+def test_map_surface_over_the_circle():
+    """The printed form, equality, the cached report and the arity errors of
+    algebra maps and derivations, and of a restriction's ideal generators."""
+    x, y, t = CIRCLE.variable(0), CIRCLE.variable(1), MPoly.variable(1, 0)
+    identity = AlgMorphism.identity(CIRCLE)
+    assert repr(identity) == "AlgMorphism(x->x, y->y)"
+    assert repr(Derivation.partial(CIRCLE, 0)) == "Derivation(x->1, y->0)"
+    assert repr(AlgMorphism(CIRCLE, quotient(2, "t"), [t, t ** 3])) == "AlgMorphism(x->t, y->0)"
+    assert repr(Derivation(CIRCLE, [-y, x ** 3])) == "Derivation(x->-y, y->-x*y^2 + x)"
+    same_images = Derivation(CIRCLE, [x, y])
+    assert same_images.images == identity.images
+    assert same_images != identity and identity != same_images
+    assert not (same_images == identity or identity == same_images)
+    assert identity == AlgMorphism(CIRCLE, CIRCLE, [x, y + x ** 2 + y ** 2 - 1])
+    assert same_images == Derivation(CIRCLE, [x + x * (x ** 2 + y ** 2 - 1), y])
+    for f in (identity, same_images, Derivation(CIRCLE, [-y, x])):
+        assert f.check() is f.check()
+    rotations = make_der(CIRCLE, [Derivation(CIRCLE, [-y, x])])
+    for free in (False, True):
+        a = AlgebraPres.free("x", "y") if free else CIRCLE
+        parent = make_der(a) if free else rotations
+        builds = (
+            lambda: AlgMorphism(a, a, [t, a.variable(1)]),
+            lambda: AlgMorphism(quotient(2), a, [t]),
+            lambda: Derivation(a, [a.variable(0), t]),
+            lambda: RestrictionCtx(parent, [t]),
+        )
+        for build in builds:
+            with pytest.raises(ValueError, match="arity"):
+                build()
 
 
 def test_commutator_is_a_derivation():

@@ -29,10 +29,14 @@ def _holder(module, owner):
     return holder if owner is None else getattr(holder, owner)
 
 
-def test_every_traced_name_is_patched():
+def _import_lra():
     for info in pkgutil.iter_modules(lra.__path__):
         if info.name != "__main__":
             importlib.import_module("lra." + info.name)
+
+
+def test_every_traced_name_is_patched():
+    _import_lra()
     tracing = _load_tracing()
     names = tracing.SPANS + [tracing.CANDIDATES]
     targets = [(_holder(module, owner), attr) for _, module, owner, attr in names]
@@ -46,3 +50,23 @@ def test_every_traced_name_is_patched():
     missing = [name[0] for name, ok in zip(names, patched) if not ok]
     assert not missing
     assert [vars(holder)[attr] for holder, attr in targets] == originals
+
+
+def test_traced_methods_are_patched_on_their_owner_only():
+    """Every binding of a traced function is patched, so a method that lived
+    in a base class shared by two classes would count both under one span."""
+    _import_lra()
+    tracing = _load_tracing()
+    owners = {
+        vars(_holder(module, owner))[attr]: _holder(module, owner)
+        for _, module, owner, attr in tracing.SPANS + [tracing.CANDIDATES]
+        if owner is not None
+    }
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        patched = [(holder, original) for holder, _, original in tracer._patches if isinstance(holder, type)]
+    finally:
+        tracer.uninstall()
+    assert all(holder is owners.get(original) for holder, original in patched)
+    assert {holder.__name__ for holder, _ in patched} == {"MPoly", "AlgebraPres", "Derivation"}
