@@ -4,17 +4,19 @@ Every element is canonicalized by normal form against the ideal's reduced
 Groebner basis, so equality of residue classes is equality of stored
 polynomials.
 
-A derivation or an algebra map keeps a table from exponent tuples to the
-normal form of each monomial's image, filled on first use and kept as long
-as its object; it is the only formula for an image.  ``check`` sums each
-ideal generator over it, ``apply`` maps p = sum c_a x^a to sum c_a table[a]
-(reduced, as the normal form is Q-linear), and ``_add_image``
-adds w * s * sum c_a table[a], for a term dict w and a rational s, straight
-into a caller's ``poly._Sum``, so brackets, anchors, commutators and the
-anchor identity need no intermediate image.  A derivation's entry is the
-normal form of the Leibniz extension of x^a; an algebra map's is
-nf(table[a/2]^2) or nf(table[a - e_v] * psi(x_v)), as nf is a ring
-homomorphism modulo the target ideal.
+An algebra map and a derivation are linear maps fixed by their images of
+the variables: the one extends multiplicatively, the other by the Leibniz
+rule.  Both keep, in their shared base ``_TableMap``, a table from exponent
+tuples to the normal form of each monomial's image, filled on first use and
+kept as long as its object; it is the only formula for an image.  ``check``
+sums ideal elements over it, ``apply`` maps p = sum c_a x^a to sum c_a
+table[a] (reduced, as the normal form is Q-linear), and ``_add_image`` adds
+w * s * sum c_a table[a], for a term dict w and a rational s, straight into
+a caller's ``poly._Sum``, so brackets, anchors, commutators and the anchor
+identity need no intermediate image.  A derivation's entry is the normal
+form of the Leibniz extension of x^a; an algebra map's is nf(table[a/2]^2)
+or nf(table[a - e_v] * psi(x_v)), as nf is a ring homomorphism modulo the
+target ideal.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class AlgebraPres:
 
     __slots__ = ("variables", "ideal")
 
-    def __init__(self, variables, ideal=None, order="grevlex"):
+    def __init__(self, variables, ideal=None):
         variables = tuple(variables)
         for name in variables:
             if not (isinstance(name, str) and is_variable_name(name)):
@@ -37,7 +39,7 @@ class AlgebraPres:
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
         if ideal is None:
-            ideal = IdealPres(len(variables), (), order)
+            ideal = IdealPres(len(variables))
         if ideal.arity != len(variables):
             raise ValueError("ideal arity does not match the variable count")
         if ideal.is_trivial():
@@ -130,44 +132,102 @@ class AlgebraPres:
         )
 
 
-def _variable_table(arity, images, constant):
-    """The table that maps x_v to ``images[v]`` for each variable, and 1 to ``constant``."""
-    table = {(0,) * v + (1,) + (0,) * (arity - v - 1): q for v, q in enumerate(images)}
-    return {(0,) * arity: constant, **table}
+class _TableMap:
+    """What ``AlgMorphism`` and ``Derivation`` share: the variable images, the
+    table of monomial images, the cached ideal verdict and the table sums.
 
-
-def _table_add(out, p, table, build, weight, scale=1):
-    """``out += scale * weight * sum_a c_a table[a]`` over the terms c_a x^a of ``p``, for a
-    ``_Sum`` ``out`` and a term dict ``weight``; a missing entry is ``build(a)``, stored once it returns."""
-    for exp, c in p.terms.items():
-        image = table.get(exp)
-        if image is None:
-            image = table[exp] = build(exp)
-        if image.terms:
-            _add_product(out, weight, image.terms, c * scale)
-
-
-def _table_sum(p, table, build, arity):
-    """sum_a c_a table[a], finished: reduced when the table entries are.  For
-    one monomial with coefficient 1 it is the stored entry itself."""
-    if len(p.terms) == 1 and 1 in p.terms.values():
-        (exp,) = p.terms
-        if exp not in table:
-            table[exp] = build(exp)
-        return table[exp]
-    out = _Sum()
-    _table_add(out, p, table, build, {(0,) * arity: 1})
-    return MPoly._raw(arity, out.finish())
-
-
-class AlgMorphism:
-    """An algebra map, stored as one target element per source variable.
-
-    ``_table`` of monomial images is a map on the free algebra, so it fills
-    before the ideal verdict, which ``_verified`` records.
+    A subclass has ``source`` and ``target`` algebras and supplies
+    ``_monomial_image`` for a missing entry, ``_relations`` for the ideal
+    elements that ``check`` sums, and the texts of its checks and of
+    ``require``.  The table is a map on the free algebra, so it fills before
+    the ideal verdict, which ``_verified`` records.
     """
 
-    __slots__ = ("source", "target", "images", "_report", "_table", "_verified")
+    __slots__ = ("images", "_report", "_table", "_verified")
+
+    def __init__(self, images, constant):
+        """Trusted setup: ``images`` are reduced; ``constant`` is the image of 1."""
+        n = len(images)
+        self.images = tuple(images)
+        self._report = None
+        self._table = {(0,) * n: constant}
+        self._table.update(((0,) * v + (1,) + (0,) * (n - v - 1), q) for v, q in enumerate(images))
+        self._verified = False
+
+    def check(self):
+        """Pass iff every ideal element of ``_relations``, summed over the table, reduces to zero."""
+        if self._report is not None:
+            return self._report
+        report = VerdictReport()
+        relations = self._relations()
+        for g in relations:
+            image = self._sum(g)
+            report.add(
+                self._CHECK % self.source.render(g),
+                image.is_zero(),
+                lambda: self._WITNESS % self.target.render(image),
+            )
+        if not relations:
+            report.add(self._NO_RELATIONS, True)
+        self._report = report
+        self._verified = report.verdict
+        return report
+
+    def require(self):
+        """Raise ``VerificationError`` unless ``check`` passes."""
+        if not self._verified:
+            self.check().require(self._REFUSAL)
+
+    def _add_image(self, out, p, weight, scale=1):
+        """``out += scale * weight * self(p)`` for a ``_Sum`` ``out``, from the table."""
+        self.require()
+        self._add_table(out, p, weight, scale)
+
+    def _add_table(self, out, p, weight, scale=1):
+        """``out += scale * weight * sum_a c_a table[a]`` over the terms c_a x^a of ``p``,
+        with no ideal check; a missing entry is stored once ``_monomial_image`` returns."""
+        table = self._table
+        for exp, c in p.terms.items():
+            image = table.get(exp)
+            if image is None:
+                image = table[exp] = self._monomial_image(exp)
+            if image.terms:
+                _add_product(out, weight, image.terms, c * scale)
+
+    def _sum(self, p):
+        """sum_a c_a table[a] with no ideal check, reduced as the entries are.
+        For one monomial with coefficient 1 it is the stored entry itself."""
+        if len(p.terms) == 1 and 1 in p.terms.values():
+            (exp,) = p.terms
+            if exp not in self._table:
+                self._table[exp] = self._monomial_image(exp)
+            return self._table[exp]
+        arity = self.target.arity
+        out = _Sum()
+        self._add_table(out, p, {(0,) * arity: 1})
+        return MPoly._raw(arity, out.finish())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.source, self.target, self.images) == (other.source, other.target, other.images)
+
+    def __repr__(self):
+        body = ", ".join(
+            "%s->%s" % (name, self.target.render(q))
+            for name, q in zip(self.source.variables, self.images)
+        )
+        return "%s(%s)" % (type(self).__name__, body)
+
+
+class AlgMorphism(_TableMap):
+    """An algebra map, stored as one target element per source variable."""
+
+    __slots__ = ("source", "target")
+    _CHECK = "generator %s maps into the target ideal"
+    _WITNESS = "normal form of the image is %s"
+    _NO_RELATIONS = "source ideal is empty"
+    _REFUSAL = "morphism does not map the ideal into the ideal"
 
     def __init__(self, source, target, images):
         images = [target.nf(q) for q in images]
@@ -175,54 +235,23 @@ class AlgMorphism:
             raise ValueError(
                 "expected %d images, got %d" % (source.arity, len(images))
             )
-        for q in images:
-            if q.arity != target.arity:
-                raise ValueError("image arity does not match the target algebra")
         self.source = source
         self.target = target
-        self.images = tuple(images)
-        self._report = None
-        self._table = _variable_table(source.arity, images, target.one())
-        self._verified = False
+        super().__init__(images, target.one())
 
     @classmethod
     def identity(cls, algebra):
         return cls(algebra, algebra, [algebra.variable(i) for i in range(algebra.arity)])
 
-    def check(self):
-        """Pass iff every source-ideal generator, summed over the table, maps into the target ideal."""
-        if self._report is not None:
-            return self._report
-        report = VerdictReport()
-        for g in self.source.ideal.generators:
-            image = _table_sum(g, self._table, self._monomial_image, self.target.arity)
-            report.add(
-                "generator %s maps into the target ideal" % self.source.render(g),
-                image.is_zero(),
-                lambda: "normal form of the image is %s" % self.target.render(image),
-            )
-        if not self.source.ideal.generators:
-            report.add("source ideal is empty", True)
-        self._report = report
-        self._verified = report.verdict
-        return report
-
-    def require(self):
-        """Raise ``VerificationError`` unless the map sends the ideal into the ideal."""
-        if not self._verified:
-            self.check().require("morphism does not map the ideal into the ideal")
+    def _relations(self):
+        return self.source.ideal.generators
 
     def apply(self, p):
         """The image of ``p`` in normal form, summed from the table of monomial images."""
         self.require()
         if p.arity != self.source.arity:
             raise ValueError("element arity does not match the source algebra")
-        return _table_sum(p, self._table, self._monomial_image, self.target.arity)
-
-    def _add_image(self, out, p, weight, scale=1):
-        """``out += scale * weight * self(p)`` for a ``_Sum`` ``out``, from the table."""
-        self.require()
-        _table_add(out, p, self._table, self._monomial_image, weight, scale)
+        return self._sum(p)
 
     def _monomial_image(self, exp):
         """table[a] = nf(table[a/2]^2) when every exponent is even, else
@@ -254,35 +283,20 @@ class AlgMorphism:
             raise ValueError("morphisms are not composable")
         return AlgMorphism(self.source, then.target, [then.apply(q) for q in self.images])
 
-    def __eq__(self, other):
-        if not isinstance(other, AlgMorphism):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.images == other.images
-        )
 
-    def __repr__(self):
-        body = ", ".join(
-            "%s->%s" % (name, self.target.render(q))
-            for name, q in zip(self.source.variables, self.images)
-        )
-        return "AlgMorphism(%s)" % body
-
-
-class Derivation:
+class Derivation(_TableMap):
     """A K-linear derivation of an algebra, stored by variable images.
 
     Well-definedness on the quotient requires the Leibniz extension to map
     the ideal into itself; checking the Groebner generators suffices since
-    every ideal element is an algebra combination of them.  As for
-    ``AlgMorphism``, ``_table`` of monomial images is the Leibniz extension
-    on the free algebra, so it fills before that check, whose verdict
-    ``_verified`` records.
+    every ideal element is an algebra combination of them.
     """
 
-    __slots__ = ("algebra", "images", "_report", "_table", "_verified")
+    __slots__ = ("algebra",)
+    _CHECK = "ideal generator %s stays in the ideal"
+    _WITNESS = "derivative has normal form %s"
+    _NO_RELATIONS = "free algebra: every derivation preserves the zero ideal"
+    _REFUSAL = "derivation does not preserve the ideal"
 
     def __init__(self, algebra, images):
         images = [algebra.nf(q) for q in images]
@@ -291,20 +305,14 @@ class Derivation:
                 "expected %d images, got %d" % (algebra.arity, len(images))
             )
         self.algebra = algebra
-        self.images = tuple(images)
-        self._report = None
-        self._table = _variable_table(algebra.arity, images, algebra.zero())
-        self._verified = False
+        super().__init__(images, algebra.zero())
 
     @classmethod
     def _raw(cls, algebra, images):
         """Trusted constructor: ``images`` are ``algebra.arity`` reduced polynomials."""
         d = object.__new__(cls)
         d.algebra = algebra
-        d.images = tuple(images)
-        d._report = None
-        d._table = _variable_table(algebra.arity, images, algebra.zero())
-        d._verified = False
+        _TableMap.__init__(d, images, algebra.zero())
         return d
 
     @classmethod
@@ -319,40 +327,22 @@ class Derivation:
         ]
         return cls(algebra, images)
 
-    def check(self):
-        """Pass iff the image of every Groebner element, summed over the table, reduces to zero."""
-        if self._report is not None:
-            return self._report
-        report = VerdictReport()
-        for g in self.algebra.ideal.groebner:
-            value = _table_sum(g, self._table, self._monomial_image, self.algebra.arity)
-            report.add(
-                "ideal generator %s stays in the ideal" % self.algebra.render(g),
-                value.is_zero(),
-                lambda: "derivative has normal form %s" % self.algebra.render(value),
-            )
-        if not self.algebra.ideal.groebner:
-            report.add("free algebra: every derivation preserves the zero ideal", True)
-        self._report = report
-        self._verified = report.verdict
-        return report
+    @property
+    def source(self):
+        """A derivation of A is a linear map A -> A."""
+        return self.algebra
 
-    def require(self):
-        """Raise ``VerificationError`` unless the derivation preserves the ideal."""
-        if not self._verified:
-            self.check().require("derivation does not preserve the ideal")
+    target = source
+
+    def _relations(self):
+        return self.algebra.ideal.groebner
 
     def apply(self, p):
         """The Leibniz extension in normal form, summed from the table of monomial images."""
         self.require()
         if p.arity != self.algebra.arity:
             raise ValueError("element arity does not match the algebra")
-        return _table_sum(p, self._table, self._monomial_image, p.arity)
-
-    def _add_image(self, out, p, weight, scale=1):
-        """``out += scale * weight * self(p)`` for a ``_Sum`` ``out``, from the table."""
-        self.require()
-        _table_add(out, p, self._table, self._monomial_image, weight, scale)
+        return self._sum(p)
 
     def _monomial_image(self, exp):
         """nf of sum_i a_i x^(a - e_i) images[i], the Leibniz extension of x^a."""
@@ -376,16 +366,3 @@ class Derivation:
         out = [_Sum() for _ in self.images]
         self._add_commutator(out, other)
         return Derivation._raw(self.algebra, [MPoly._raw(self.algebra.arity, t.finish()) for t in out])
-
-    def __eq__(self, other):
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self.algebra == other.algebra and self.images == other.images
-
-    def __repr__(self):
-        body = ", ".join(
-            "%s->%s" % (name, self.algebra.render(q))
-            for name, q in zip(self.algebra.variables, self.images)
-        )
-        return "Derivation(%s)" % body
-

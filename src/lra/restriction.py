@@ -29,9 +29,6 @@ class RestrictionCtx:
     def __init__(self, parent, ideal_gens):
         algebra = parent.algebra
         gens = [algebra.nf(g) for g in ideal_gens]
-        for g in gens:
-            if g.arity != algebra.arity:
-                raise ValueError("ideal generator arity does not match the algebra")
         combined = IdealPres(
             algebra.arity,
             list(algebra.ideal.generators) + gens,
