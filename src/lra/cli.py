@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 = pass, 1 = fail (witness printed), 2 = input error (a
-document, polynomial, file or command-line value), 3 = resource cap
+document, polynomial, file or command-line value; a bad command-line
+value raises ``UsageError``, a ``DocumentError``), 3 = resource cap
 exceeded, 4 = internal error (any other exception, a plain ``ValueError``
 included, with its traceback).  ``--format json`` switches reports to JSON.
 Each command runs under one step budget: reduction steps, S-pairs and
@@ -127,6 +128,10 @@ def _load_psictx(e_path, f_path, psi_path):
     return PsiSumCtx(e, f, psi)
 
 
+class UsageError(docs.DocumentError):
+    """A bad command-line value: exits 2 like a bad document, and is told apart by type."""
+
+
 def _parse_mapping(text, what):
     mapping = {}
     for chunk in text.split(","):
@@ -134,10 +139,10 @@ def _parse_mapping(text, what):
         if not chunk:
             continue
         if "->" not in chunk:
-            raise docs.DocumentError("bad %s entry %r (expected key->value)" % (what, chunk))
+            raise UsageError("bad %s entry %r (expected key->value)" % (what, chunk))
         key, _, value = (part.strip() for part in chunk.partition("->"))
         if key in mapping:
-            raise docs.DocumentError("repeated key %r in the %s" % (key, what))
+            raise UsageError("repeated key %r in the %s" % (key, what))
         mapping[key] = value
     return mapping
 
@@ -147,7 +152,7 @@ def _parse_items(text, option):
     seen = set()
     for item in items:
         if item in seen:
-            raise docs.DocumentError("repeated label %r in %s" % (item, option))
+            raise UsageError("repeated label %r in %s" % (item, option))
         seen.add(item)
     return items
 
@@ -159,7 +164,7 @@ def _from_flags(build, *values):
     except VerificationError:
         raise
     except ValueError as err:
-        raise docs.DocumentError(str(err)) from None
+        raise UsageError(str(err)) from None
 
 
 def _agreement(direct, via_graph):
@@ -303,12 +308,12 @@ def _cyclic_action(args, objects):
     group = _from_flags(cyclic_group, args.cyclic)
     for x in objects:
         if x not in step:
-            raise docs.DocumentError("permutation misses %r" % x)
+            raise UsageError("permutation misses %r" % x)
         if step[x] not in objects:
-            raise docs.DocumentError("permutation sends %r outside the objects: %r" % (x, step[x]))
+            raise UsageError("permutation sends %r outside the objects: %r" % (x, step[x]))
     for x in step:
         if x not in objects:
-            raise docs.DocumentError("permutation moves %r, which is not an object" % x)
+            raise UsageError("permutation moves %r, which is not an object" % x)
     current = {x: x for x in objects}
     act = {}
     for g in group.arrows:
@@ -317,7 +322,7 @@ def _cyclic_action(args, objects):
         current = {x: step[current[x]] for x in objects}
     for x in objects:
         if current[x] != x:
-            raise docs.DocumentError("the permutation does not have order dividing %d" % args.cyclic)
+            raise UsageError("the permutation does not have order dividing %d" % args.cyclic)
     return group, act
 
 
@@ -511,11 +516,11 @@ def _check_variant(args):
         value = getattr(args, name)
         if "nargs" in options and want is not None and len(value) != want:
             noun = name if want != 1 else name[:-1]
-            raise docs.DocumentError(
+            raise UsageError(
                 "%s needs %s %s, got %d" % (variant, _COUNT_WORDS[want], noun, len(value))
             )
         if variant not in options.get("variants", (variant,)) and value != options.get("default"):
-            raise docs.DocumentError("%s takes no %s" % (variant, flags[-1]))
+            raise UsageError("%s takes no %s" % (variant, flags[-1]))
 
 
 def main(argv=None):

@@ -12,6 +12,11 @@ Associativity and the action law are decided on a generating set of the
 table and scanned on every arrow only to name the faults when they fail;
 the two map laws are scanned once on every composable pair, which costs
 about as much as picking a generating set for a two-arrow law.
+The table laws read ``_Tables``, an interned view built once the tables are
+total: arrow i is ``g.arrows[i]``; ``src``, ``tgt``, ``ident`` and ``inv`` are
+int lists; ``leaving[x]`` lists the arrows from object x in arrow order, and
+``rows[a][pos[b]]`` is the index of a*b (None if missing or not an arrow), the
+one read of each composable pair of ``g.comp``.  Witnesses name the labels.
 A group is a groupoid with one object (``cyclic_group``), and a group
 action is a ``GroupoidAction`` of it, so ``check_groupoid`` is the only
 associativity check and ``check_groupoid_action`` the only check of the
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .budget import budget
@@ -36,8 +42,8 @@ from .verdict import VerdictReport, VerificationError
 def _composable(arrows, src, tgt):
     """Each arrow g with the arrows h after it, tgt(g) == src(h), both in arrow order.
 
-    The one walk over composable pairs: an index of arrows by source object,
-    read at each arrow's target.
+    The walk over composable pairs by label (``_Tables`` holds it by index):
+    an index of arrows by source object, read at each arrow's target.
     """
     leaving = {}
     for h in arrows:
@@ -115,13 +121,18 @@ def check_groupoid(g):
         "objects with displaced identities: %r" % bad,
     ):
         return report
-    comp, src, tgt, ident = g.comp, g.src, g.tgt, g.ident
-    after = dict(_composable(g.arrows, src, tgt))
-    domain = [(a, b) for a, bs in after.items() for b in bs]
-    pairs = set(domain)
-    missing = [p for p in domain if p not in comp]
-    if missing or len(comp) != len(pairs):  # else comp holds exactly these pairs
-        extra = [p for p in comp if p not in pairs]
+    t = _Tables(g)
+    rows, src, tgt, ident, leaving, pos, label = t.rows, t.src, t.tgt, t.ident, t.leaving, t.pos, g.arrows
+    bad = [
+        (label[a], label[b])
+        for a, row in enumerate(rows)
+        for b, c in zip(leaving[tgt[a]], row)
+        if c is None or src[c] != src[a] or tgt[c] != tgt[b]
+    ]
+    missing = [p for p in bad if p not in g.comp]  # a missing product is a bad pair too
+    if missing or len(g.comp) != sum(map(len, rows)):  # else comp holds exactly the composable pairs
+        pairs = {(label[a], label[b]) for a in range(len(rows)) for b in leaving[tgt[a]]}
+        extra = [p for p in g.comp if p not in pairs]
         report.add(
             "product defined exactly on composable pairs",
             False,
@@ -129,78 +140,94 @@ def check_groupoid(g):
         )
         return report
     report.add("product defined exactly on composable pairs", True)
-    bad = [
-        (a, b)
-        for (a, b) in domain
-        if (c := comp[a, b]) not in arrows or src[c] != src[a] or tgt[c] != tgt[b]
-    ]
     if not report.add("products have the right endpoints", not bad, "bad pairs: %r" % bad[:3]):
         return report
-    bad = [a for a in g.arrows if comp[ident[src[a]], a] != a or comp[a, ident[tgt[a]]] != a]
+    bad = [
+        label[a]
+        for a in range(len(rows))
+        if rows[ident[src[a]]][pos[a]] != a or rows[a][pos[ident[tgt[a]]]] != a
+    ]
     report.add("identities are neutral", not bad, "arrows violating unit laws: %r" % bad[:3])
-    bad = []
-    for a in g.arrows:
-        b = g.inv[a]
-        if src[b] != tgt[a] or tgt[b] != src[a]:
-            bad.append(a)
-        elif comp[a, b] != ident[src[a]] or comp[b, a] != ident[tgt[a]]:
-            bad.append(a)
+    bad = [
+        label[a]
+        for a, b in enumerate(t.inv)
+        if src[b] != tgt[a] or tgt[b] != src[a]
+        or rows[a][pos[b]] != ident[src[a]] or rows[b][pos[a]] != ident[tgt[a]]
+    ]
     report.add("inverses cancel on both sides", not bad, "arrows with broken inverses: %r" % bad[:3])
 
-    def triples(middles):
-        right = {b: [(c, comp[b, c]) for c in after[b]] for b in middles}  # b -> (c, b c)
-        bad = []
-        for a, b in domain:
-            if b in right:
-                ab = comp[a, b]
-                for c, bc in right[b]:
-                    if comp[ab, c] != comp[a, bc]:
-                        bad.append((a, b, c))
-        return bad
+    def triples(middles):  # (a b) c against a (b c), for each c after b
+        return [
+            (label[a], label[b], label[c])
+            for a, row in enumerate(rows)
+            for b, ab in zip(leaving[tgt[a]], row)
+            if b in middles
+            for c, ab_c, bc in zip(leaving[tgt[b]], rows[ab], rows[b])
+            if ab_c != row[pos[bc]]
+        ]
 
-    bad = _law_faults(triples, g)
+    bad = _law_faults(triples, t)
     report.add("associativity on all composable triples", not bad, "triples: %r" % bad[:3])
     return report
 
 
-def _generators(g):
-    """Each arrow of g, in arrow order, that table products of those picked before it miss.
+class _Tables:
+    """The interned view of a groupoid's tables (see the module docstring)."""
+
+    def __init__(self, g):
+        arrows, get, missing = g.arrows, g.comp.get, object()
+        index = {a: i for i, a in enumerate(arrows)}
+        obj = {x: i for i, x in enumerate(g.objects)}
+        self.src = [obj[g.src[a]] for a in arrows]
+        self.tgt = [obj[g.tgt[a]] for a in arrows]
+        self.ident = [index[g.ident[x]] for x in g.objects]
+        self.inv = [index[g.inv[a]] for a in arrows]
+        self.leaving, self.pos = [[] for _ in g.objects], []
+        for a, x in enumerate(self.src):
+            self.pos.append(len(self.leaving[x]))
+            self.leaving[x].append(a)
+        self.rows = [  # the one read of each composable pair
+            [index.get(get((a, arrows[b]), missing)) for b in self.leaving[x]]
+            for a, x in zip(arrows, self.tgt)
+        ]
+
+
+def _generators(t):
+    """Each arrow of the view t, in index order, that table products of those picked before it miss.
 
     The closure starts empty and assumes neither associativity nor the unit
     laws; it needs a product on every composable pair, with the right endpoints.
     """
-    comp, src, tgt = g.comp, g.src, g.tgt
-    leaving, arriving = {}, {}  # object -> closure arrows from / to it
-    closure, gens = set(), set()
-    for a in g.arrows:
-        if a in closure:
+    rows, src, tgt, pos = t.rows, t.src, t.tgt, t.pos
+    leaving, arriving = [[] for _ in t.leaving], [[] for _ in t.leaving]  # closure arrows by object
+    closure, gens = [False] * len(rows), set()
+    for a in range(len(rows)):
+        if closure[a]:
             continue
         gens.add(a)
         new = [a]
         for u in new:  # u meets each closure arrow indexed before it, and itself
-            if u in closure:
+            if closure[u]:
                 continue
-            closure.add(u)
-            s, t = src[u], tgt[u]
-            leaving.setdefault(s, []).append(u)
-            arriving.setdefault(t, []).append(u)
-            for v in leaving.get(t, ()):
-                new.append(comp[u, v])
-            for v in arriving.get(s, ()):
-                new.append(comp[v, u])
+            closure[u] = True
+            s, e = src[u], tgt[u]
+            leaving[s].append(u)
+            arriving[e].append(u)
+            new += [rows[u][pos[v]] for v in leaving[e]]
+            new += [rows[v][pos[u]] for v in arriving[s]]
     return gens
 
 
-def _law_faults(scan, g):
-    """``scan(middles)`` lists the faults of a law with middle arrow in ``middles``.
+def _law_faults(scan, t):
+    """``scan(middles)`` lists the faults of a law with middle arrow index in ``middles``.
 
     The middle arrows where the law holds are closed under products (Light's
     associativity test, Clifford & Preston I, ch. 1; the action law needs an
     associative groupoid), so it holds everywhere if it holds on
-    ``_generators(g)``; a fault there is reported from the scan over every
-    arrow of g.
+    ``_generators(t)``; a fault there is reported from the scan over every
+    arrow of the view t.
     """
-    return scan(_generators(g)) and scan(set(g.arrows))
+    return scan(_generators(t)) and scan(range(len(t.rows)))
 
 
 # -- constructors -----------------------------------------------------------
@@ -719,19 +746,21 @@ def check_groupoid_action(action):
         if any(action.maps[g.ident[x]][z] != z for z in action.fiber(x))
     ]
     report.add("identities act as the identity", not bad, "objects: %r" % bad[:3])
-    maps = action.maps
-    fibers = {x: action.fiber(x) for x in g.objects}
+    t = _Tables(g)
+    maps = [action.maps[a] for a in g.arrows]
+    fibers = [action.fiber(x) for x in g.objects]
 
     def violations(middles):
         return [
-            (a, b, z)
-            for a, b in g.composable_pairs()
+            (g.arrows[a], g.arrows[b], z)
+            for a, row in enumerate(t.rows)
+            for b, ab in zip(t.leaving[t.tgt[a]], row)
             if b in middles
-            for z in fibers[g.src[a]]
-            if maps[g.comp[(a, b)]][z] != maps[b][maps[a][z]]
+            for z in fibers[t.src[a]]
+            if maps[ab][z] != maps[b][maps[a][z]]
         ]
 
-    bad = _law_faults(violations, g)
+    bad = _law_faults(violations, t)
     report.add(
         "products act in reverse order",
         not bad,
@@ -938,8 +967,9 @@ def find_isomorphism(g1, g2):
     if len(g1.objects) != len(g2.objects) or len(g1.arrows) != len(g2.arrows):
         return None
 
-    def hom_profile(g):
-        return sorted(len(g.hom(x, y)) for x in g.objects for y in g.objects)
+    def hom_profile(g):  # the sizes of all n^2 hom-sets, sorted: the empty ones first
+        sizes = Counter((g.src[a], g.tgt[a]) for a in g.arrows)
+        return [0] * (len(g.objects) ** 2 - len(sizes)) + sorted(sizes.values())
 
     if hom_profile(g1) != hom_profile(g2):
         return None

@@ -108,6 +108,13 @@ class PAComorphism:
         self.images = tuple(rows)
 
     @classmethod
+    def _raw(cls, source, target, psi, rows):
+        """Trusted constructor: ``source.rank`` rows of ``target.rank`` coefficients in normal form."""
+        m = object.__new__(cls)
+        m.source, m.target, m.psi, m.images = source, target, psi, tuple(map(tuple, rows))
+        return m
+
+    @classmethod
     def identity(cls, e):
         rows = [
             [e.algebra.one() if k == j else e.algebra.zero() for k in range(e.rank)]
@@ -304,7 +311,7 @@ def compose_comorphisms(m1, m2):
         raise ValueError("comorphisms are not composable")
     theta, c_alg = m2.psi, m2.source.algebra
     rows = [_combine(c_alg, m1.target.rank, zip(row, m1.images), theta) for row in m2.images]
-    return PAComorphism(m2.source, m1.target, m1.psi.compose(theta), rows)
+    return PAComorphism._raw(m2.source, m1.target, m1.psi.compose(theta), rows)
 
 
 # -- the dual chain map ----------------------------------------------------

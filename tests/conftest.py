@@ -651,6 +651,54 @@ def ref_associativity_faults(g):
     ]
 
 
+def ref_table_checks(g):
+    """(name, passed, witness) of the product-domain, endpoint, unit and inverse checks.
+
+    Faults come in arrow order, first factor first, and the domain witness
+    lists missing and extra pairs sorted by repr.  The list is cut where a
+    failing check ends the report, and is empty when the tables are not
+    total or an identity is not a loop at its object.
+    """
+    arrows, objects = set(g.arrows), set(g.objects)
+    total = all(x in g.ident and g.ident[x] in arrows for x in g.objects) and all(
+        a in g.src and a in g.tgt and g.src[a] in objects and g.tgt[a] in objects
+        and a in g.inv and g.inv[a] in arrows
+        for a in g.arrows
+    )
+    if not total or any(g.src[g.ident[x]] != x or g.tgt[g.ident[x]] != x for x in g.objects):
+        return []
+    pairs = [(a, b) for a in g.arrows for b in g.arrows if g.tgt[a] == g.src[b]]
+    missing = sorted((p for p in pairs if p not in g.comp), key=repr)
+    extra = sorted((p for p in g.comp if p not in set(pairs)), key=repr)
+    checks = [(
+        "product defined exactly on composable pairs",
+        not (missing or extra),
+        "missing: %r, extra: %r" % (missing[:3], extra[:3]) if missing or extra else "",
+    )]
+    if missing or extra:
+        return checks
+
+    def check(name, faults, text):
+        checks.append((name, not faults, text % (faults[:3],) if faults else ""))
+
+    src, tgt, ident, inv, comp = g.src, g.tgt, g.ident, g.inv, g.comp
+    check("products have the right endpoints", [
+        (a, b) for a, b in pairs
+        if comp[(a, b)] not in arrows or src[comp[(a, b)]] != src[a] or tgt[comp[(a, b)]] != tgt[b]
+    ], "bad pairs: %r")
+    if not checks[-1][1]:
+        return checks
+    check("identities are neutral", [
+        a for a in g.arrows if comp[(ident[src[a]], a)] != a or comp[(a, ident[tgt[a]])] != a
+    ], "arrows violating unit laws: %r")
+    check("inverses cancel on both sides", [
+        a for a in g.arrows
+        if src[inv[a]] != tgt[a] or tgt[inv[a]] != src[a]
+        or comp[(a, inv[a])] != ident[src[a]] or comp[(inv[a], a)] != ident[tgt[a]]
+    ], "arrows with broken inverses: %r")
+    return checks
+
+
 def ref_morphism_faults(gamma, pi, m):
     """Composable pairs (g, h) of gamma with F(g h) != F(g) F(h)."""
     f = m.arrows

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import algebras, sl2, sl2_action_images
 from lra import documents as docs
 from lra.algebra import AlgebraPres, AlgMorphism
-from lra.cli import COMMANDS, _report_json, build_parser, main
+from lra.cli import COMMANDS, UsageError, _check_variant, _report_json, build_parser, main
 from lra.groebner import IdealPres
 from lra.maps import PAComorphism, PAMorphism
 from lra.poly import MPoly
@@ -929,6 +929,27 @@ def test_malformed_command_lines_exit_two(workspace, capsys, argv, culprit):
     captured = capsys.readouterr()
     assert captured.err == "lra: input error: %s\n" % culprit
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["grpd", "build", "pair", "--objects", "a", "--phi", "zz"], True),
+        (["grpd", "build", "restrict", "{groupoid_pair2}", "--objects", "a,a"], True),
+        (["grpd", "check", "{bad}"], False),
+    ],
+)
+def test_bad_flags_and_bad_documents_differ_by_type(tmp_path, argv, usage):
+    """A bad command-line value raises ``UsageError``; a bad document a plain ``DocumentError``."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "groupoid", "version": "1", "body": {"objects": []}}')
+    argv = [arg.format(bad=bad, **DATA) for arg in argv]
+    args = build_parser(argv).parse_args(argv)
+    with pytest.raises(docs.DocumentError) as err:
+        _check_variant(args)
+        args.entry.handler(args)
+    assert isinstance(err.value, UsageError) == usage
+    assert main(argv) == 2
 
 
 @pytest.mark.parametrize(

@@ -237,6 +237,20 @@ def test_chain_map_over_the_sphere():
     }
 
 
+def test_composite_comorphism_over_the_sphere():
+    """Rows (x, y, z), (y, z, x), (z, x, y) composed with themselves over the so(3) rotations of
+    Q[x,y,z]/(x^2 + y^2 + z^2 - 1): entries such as x^2 + y^2 + z^2 leave the normal form and must
+    be reduced, so the composite is what the public constructor builds from its rows."""
+    sphere, sph = _sphere_palg()
+    x, y, z = (sphere.variable(v) for v in range(3))
+    m = PAComorphism(sph, sph, AlgMorphism.identity(sphere), [[x, y, z], [y, z, x], [z, x, y]])
+    composite = compose_comorphisms(m, m)
+    assert composite == PAComorphism(composite.source, composite.target, composite.psi, composite.images)
+    assert all(sphere.nf(c) == c for row in composite.images for c in row)
+    one, s = sphere.one(), x * y + x * z + y * z
+    assert composite.images == ((one, s, s), (s, one, s), (s, s, one))
+
+
 def test_compose_morphisms_properties():
     alg = algebras()
     dx, dy, dz = make_der(alg["x"]), make_der(alg["y"]), make_der(alg["z"])

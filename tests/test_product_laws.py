@@ -16,6 +16,7 @@ from conftest import (
     ref_closure,
     ref_cocycle_faults,
     ref_morphism_faults,
+    ref_table_checks,
     shuffled_copy,
 )
 from lra.budget import ResourceCapExceeded, step_budget
@@ -35,7 +36,7 @@ from lra.groupoid import (
     make_pair,
     pullback_domain,
 )
-from lra.groupoid import _generators
+from lra.groupoid import _generators, _Tables
 
 def _cyclic_action(rng):
     """Z/k acting on up to three points through a random permutation of order dividing k."""
@@ -104,6 +105,44 @@ def assert_agrees(report, name, faults, prefix):
     assert check.witness == ("" if not faults else prefix % (faults[:3],))
 
 
+def table_mutant(g, rng):
+    """g with one entry of ident, inv, comp, src or tgt changed.
+
+    The new value is another object or arrow, or a label of neither; a
+    product may also be removed, or set on a random pair of arrows.
+    """
+    tables = {name: dict(getattr(g, name)) for name in ("src", "tgt", "ident", "inv", "comp")}
+    name = rng.choice(["ident", "inv", "comp", "src", "tgt"])
+    table, roll = tables[name], rng.random()
+    if name == "comp" and roll < 0.2:
+        del table[rng.choice(sorted(table, key=repr))]
+    elif name == "comp" and roll < 0.4:
+        table[(rng.choice(g.arrows), rng.choice(g.arrows))] = rng.choice(g.arrows)
+    elif roll < 0.5:
+        table[rng.choice(sorted(table, key=repr))] = "zz"
+    else:
+        table[rng.choice(sorted(table, key=repr))] = rng.choice(g.objects if name in ("src", "tgt") else g.arrows)
+    return FinGroupoid(g.objects, g.arrows, **tables)
+
+
+TABLE_CHECKS = (
+    "product defined exactly on composable pairs",
+    "products have the right endpoints",
+    "identities are neutral",
+    "inverses cancel on both sides",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 3))
+def test_table_checks_agree_with_the_definitions(rng, source):
+    """Names, order, verdicts and witnesses of the four table checks, against ``ref_table_checks``."""
+    make = [random_groupoid, random_table, random_groupoid, random_table][source]
+    g = make(rng) if source < 2 else table_mutant(make(rng), rng)
+    report = check_groupoid(g)
+    assert [(c.name, c.passed, c.witness) for c in report.checks if c.name in TABLE_CHECKS] == ref_table_checks(g)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(0, 2))
 def test_associativity_on_generators_agrees_with_the_full_scan(rng, source):
@@ -117,7 +156,7 @@ def test_associativity_on_generators_agrees_with_the_full_scan(rng, source):
 def test_generators_generate_every_arrow(rng, table):
     """Each generator lies outside the closure of those before it, and all of them reach every arrow."""
     g = random_table(rng) if table else product_mutant(random_groupoid(rng), rng)
-    gens = _generators(g)
+    gens = {g.arrows[a] for a in _generators(_Tables(g))}
     assert ref_closure(g, gens) == set(g.arrows)
     ordered = [a for a in g.arrows if a in gens]
     for n, a in enumerate(ordered):
@@ -128,8 +167,34 @@ def test_generators_of_pair_groupoids_are_few():
     """In arrow order, a pair groupoid on n objects takes 2n - 1 generators and Z/12 takes 0 and 1."""
     for n in range(1, 6):
         g = make_pair(range(n))
-        assert len(_generators(g)) == 2 * n - 1
-    assert _generators(cyclic_group(12)) == {0, 1}
+        assert len(_generators(_Tables(g))) == 2 * n - 1
+    assert _generators(_Tables(cyclic_group(12))) == {0, 1}  # arrow i of Z/12 is i
+
+
+class _CountedTable(dict):
+    """A product table that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+
+def test_a_passing_check_reads_each_product_once():
+    """The pair groupoid on 15 objects has 15^3 = 3,375 composable pairs."""
+    g = make_pair(range(15))
+    g.comp = _CountedTable(g.comp)
+    assert check_groupoid(g).verdict
+    assert g.comp.reads == 3375
 
 
 def _maps(rng, gamma, pi, phi, kind):
