@@ -19,8 +19,6 @@ or nf(table[a - e_v] * psi(x_v)), as nf is a ring homomorphism modulo the
 target ideal.
 """
 
-from __future__ import annotations
-
 from .groebner import IdealPres
 from .poly import MPoly, _add_product, _Sum, is_variable_name, parse_poly, poly_to_string
 from .verdict import VerdictReport

@@ -8,8 +8,6 @@ Exhausting it raises ``ResourceCapExceeded`` -- out of resources, never a
 wrong answer.
 """
 
-from __future__ import annotations
-
 import contextlib
 import contextvars
 

@@ -19,13 +19,11 @@ such an option set for another variant, with exit 2 before a document is
 read.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
 import sys
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from . import budget
 from . import documents as docs
@@ -394,20 +392,15 @@ def _arg(*flags, **options):
     return flags, options
 
 
-class Command(NamedTuple):
-    """One command: its words, help text, handler and argparse arguments.
+Command = namedtuple("Command", "words help handler arguments")
+Command.__doc__ = """One command: its words, help text, handler and argparse arguments.
 
-    A command with a variadic positional (``nargs`` "+" or "*") gives its
-    first positional a dict as ``choices``: each variant maps to the number
-    of paths the variadic positional takes, or None for any number.  An
-    option of such a command that only some variants read names them in
-    ``variants``.
-    """
-
-    words: tuple
-    help: str
-    handler: Callable
-    arguments: tuple
+A command with a variadic positional (``nargs`` "+" or "*") gives its
+first positional a dict as ``choices``: each variant maps to the number
+of paths the variadic positional takes, or None for any number.  An
+option of such a command that only some variants read names them in
+``variants``.
+"""
 
 
 GROUP_HELP = {"grpd": "finite groupoid commands"}

@@ -16,10 +16,8 @@ against the variables of the algebra embedded in (or supplied with) the
 document.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import AlgebraPres, AlgMorphism, Derivation
 from .groebner import IdealPres
@@ -54,11 +52,7 @@ class DocumentError(ValueError):
         self.path = path
 
 
-@dataclass
-class Document:
-    kind: str
-    version: str
-    body: dict
+Document = namedtuple("Document", "kind version body")
 
 
 def _unique_keys(pairs):

@@ -22,8 +22,6 @@ Each reduction step and each S-pair spends one step of the open budget
 ``budget.ResourceCapExceeded``, never a wrong answer.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat

@@ -28,12 +28,9 @@ the brute-force candidate generator, and the direct verifiers are the
 tests' oracle for it.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .budget import budget
 from .verdict import VerdictReport, VerificationError
@@ -443,26 +440,38 @@ def make_gauge(total, projection, group, act):
 # -- maps of groupoids -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrpdMorphism:
+class _GrpdMap:
+    """The fields of both map notions: a base map and one table.  Two maps
+    are equal exactly when they have the same class and the same fields, and
+    equal maps hash equal."""
+
+    __slots__ = ("base", "_table")
+
+    def __init__(self, base, table):
+        self.base = base
+        self._table = table
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.base == other.base and self._table == other._table
+
+    def __hash__(self):
+        return hash((frozenset(self.base.items()), frozenset(self._table.items())))
+
+
+class GrpdMorphism(_GrpdMap):
     """An arrow map over a base map; validity is the verifier's verdict."""
 
-    base: dict
-    arrows: dict
-
-    def __hash__(self):
-        return hash((frozenset(self.base.items()), frozenset(self.arrows.items())))
+    __slots__ = ()
+    arrows = _GrpdMap._table
 
 
-@dataclass(frozen=True)
-class GrpdComorphism:
+class GrpdComorphism(_GrpdMap):
     """A table on the pullback {(x, w) | phi(x) = src(w)} into the other groupoid."""
 
-    base: dict
-    table: dict
-
-    def __hash__(self):
-        return hash((frozenset(self.base.items()), frozenset(self.table.items())))
+    __slots__ = ()
+    table = _GrpdMap._table
 
 
 def pullback_domain(gamma, pi, phi):

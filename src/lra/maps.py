@@ -15,8 +15,6 @@ is the twisted-sum bracket, so both verifiers call the same kernels as
 the graph checker.
 """
 
-from __future__ import annotations
-
 from .algebra import AlgMorphism
 from .poly import MPoly, _add_product, _Sum
 from .pseudoalgebra import (
@@ -35,10 +33,27 @@ from .psisum import MixedElement, PsiSumCtx, membership_report, psisum_bracket
 from .verdict import VerdictReport
 
 
-class PAMorphism:
-    """A pseudoalgebra morphism candidate: psi plus basis images in F."""
+class _PAMap:
+    """The fields of both map notions; two maps are equal exactly when they
+    have the same class and the same fields."""
 
     __slots__ = ("source", "target", "psi", "images")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.source == other.source
+            and self.target == other.target
+            and self.psi == other.psi
+            and self.images == other.images
+        )
+
+
+class PAMorphism(_PAMap):
+    """A pseudoalgebra morphism candidate: psi plus basis images in F."""
+
+    __slots__ = ()
 
     def __init__(self, source, target, psi, images):
         if psi.source != source.algebra or psi.target != target.algebra:
@@ -67,28 +82,18 @@ class PAMorphism:
         """The weighted sum of ``apply``: pairs (psi(x_i), coordinates of Psi(e_i))."""
         return ((self.psi.apply(c), img.coords) for c, img in zip(coords, self.images) if c.terms)
 
-    def __eq__(self, other):
-        if not isinstance(other, PAMorphism):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.psi == other.psi
-            and self.images == other.images
-        )
-
     def __repr__(self):
         return "PAMorphism(%d -> %d basis images)" % (self.source.rank, self.target.rank)
 
 
-class PAComorphism:
+class PAComorphism(_PAMap):
     """A comorphism candidate from F (over B) to E (over A), over psi: A -> B.
 
     ``images[j][k]`` is the B-coefficient of the k-th E-basis vector in the
     image of the j-th F-basis vector.
     """
 
-    __slots__ = ("source", "target", "psi", "images")
+    __slots__ = ()
 
     def __init__(self, source, target, psi, images):
         if psi.source != target.algebra or psi.target != source.algebra:
@@ -125,16 +130,6 @@ class PAComorphism:
     def apply(self, y):
         """B-linear extension: the tensor coefficients of the image of y."""
         return _combine(self.source.algebra, self.target.rank, zip(y.coords, self.images))
-
-    def __eq__(self, other):
-        if not isinstance(other, PAComorphism):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.psi == other.psi
-            and self.images == other.images
-        )
 
     def __repr__(self):
         return "PAComorphism(%d -> %d tensor rows)" % (self.source.rank, self.target.rank)

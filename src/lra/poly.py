@@ -15,8 +15,6 @@ terms like ``3/2*x^2*y`` joined by ``+`` and ``-``, with variable names
 declared externally (per algebra).
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 from itertools import product

@@ -34,8 +34,6 @@ sides, for its witness; by linearity one side, read as before, and the
 difference give the other with no new reduction (``_sides``).
 """
 
-from __future__ import annotations
-
 from collections import defaultdict
 from fractions import Fraction
 

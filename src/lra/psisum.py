@@ -23,9 +23,7 @@ F + G along theta, so re-association is decided by twisted sums of
 twisted sums.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import Derivation
 from .pseudoalgebra import (
@@ -112,22 +110,12 @@ class MixedElement(CoordVector):
 # -- the direct sum ------------------------------------------------------
 
 
-@dataclass
-class DirectSum:
-    """A direct sum pseudoalgebra over the tensor algebra.
+DirectSum = namedtuple("DirectSum", "palg renamed")
+DirectSum.__doc__ = """A direct sum pseudoalgebra over the tensor algebra.
 
-    ``left_vars``/``right_vars`` record how the factor variables appear in
-    the tensor algebra (right-hand names may have been renamed to avoid
-    collisions; the renaming is part of the result).
-    """
-
-    palg: PAlg
-    left_vars: dict
-    right_vars: dict
-
-    @property
-    def renamed(self):
-        return {k: v for k, v in self.right_vars.items() if k != v}
+Left-hand variables keep their names in the tensor algebra; ``renamed``
+maps each right-hand name that collided to the name it got there.
+"""
 
 
 def direct_sum(e, f):
@@ -163,10 +151,7 @@ def direct_sum(e, f):
             structure[(e.rank + i, e.rank + j)] = [tensor_algebra.zero()] * e.rank + row
     # cross brackets [e_i, f_j] are zero: omitted entries default to zero
 
-    palg = PAlg(tensor_algebra, rank, anchors, structure)
-    left_vars = {name: name for name in a.variables}
-    right_vars = {name: right_renaming.get(name, name) for name in b.variables}
-    return DirectSum(palg, left_vars, right_vars)
+    return DirectSum(PAlg(tensor_algebra, rank, anchors, structure), right_renaming)
 
 
 # -- membership and structure maps ---------------------------------------

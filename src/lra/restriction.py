@@ -8,8 +8,6 @@ it maps an algebra combination of generators into J whenever it maps each
 generator into J.
 """
 
-from __future__ import annotations
-
 from .algebra import AlgebraPres
 from .groebner import IdealPres
 from .pseudoalgebra import CoordVector, bracket, anchor_apply

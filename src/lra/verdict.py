@@ -4,17 +4,10 @@ A report is a flat list of named checks; the overall verdict passes only
 when every check does, and a failing check always carries a witness.
 """
 
-from __future__ import annotations
-
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    witness: str = ""
+Check = namedtuple("Check", "name passed witness")
 
 
 class VerificationError(ValueError):
@@ -27,11 +20,13 @@ class VerificationError(ValueError):
         self.report = report
 
 
-@dataclass
 class VerdictReport:
-    checks: list[Check] = field(default_factory=list)
-    started: float = field(default_factory=time.monotonic)
-    timing_ms: float = 0.0
+    __slots__ = ("checks", "started", "timing_ms")
+
+    def __init__(self):
+        self.checks = []
+        self.started = time.monotonic()
+        self.timing_ms = 0.0
 
     def add(self, name, passed, witness=""):
         """Append one check.  ``witness`` is its text, or a zero-argument

@@ -1,7 +1,12 @@
-"""The library runs on the standard library alone; test tools stay in the tests."""
+"""The library runs on the standard library alone; test tools stay in the tests.
+
+Its records are named tuples and its other value classes plain classes with
+``__slots__``, so it imports neither ``dataclasses`` nor ``typing``.
+"""
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -24,10 +29,23 @@ def test_the_check_sees_third_party_imports():
     assert list(imported_modules(tree)) == ["os", "lra", "sympy", "hypothesis"]
 
 
+UNUSED = {"dataclasses", "typing"}
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_library_imports_only_the_standard_library(path):
     names = set(imported_modules(ast.parse(path.read_text(encoding="utf-8"))))
-    assert names <= set(sys.stdlib_module_names) | {"lra"}
+    assert names <= (set(sys.stdlib_module_names) - UNUSED) | {"lra"}
+
+
+def test_the_command_line_loads_no_declaration_helpers():
+    """``inspect`` comes in with ``dataclasses``; ``-S`` keeps the site hook's imports out."""
+    src = str(SOURCES[0].parent.parent)
+    probe = "import sys; sys.path.insert(0, %r); import lra.cli; print(*sys.modules)" % src
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True, text=True, check=True)
+    loaded = set(run.stdout.split())
+    assert "lra.cli" in loaded
+    assert not {"dataclasses", "inspect", "typing"} & loaded
 
 
 def relative_imports(tree):
