@@ -5,7 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import jacobiator, reduced, ref_anchor, ref_anchor_axiom_checks, sl2, sl2_action_images, stored_reduced
+from conftest import (
+    jacobiator,
+    reduced,
+    ref_anchor,
+    ref_anchor_axiom_checks,
+    ref_derive,
+    sl2,
+    sl2_action_images,
+    stored_reduced,
+)
 from test_identities import _sphere_palg
 from test_poly import small_polys
 from lra.algebra import AlgebraPres, AlgMorphism, Derivation
@@ -658,3 +667,132 @@ def test_combine_is_the_naive_sum(data):
         for k, c in enumerate(v):
             naive[k] = naive[k] + w * (c if push is None else push.apply(c))
     assert _combine(alg, rank, terms, push) == [alg.nf(c) for c in naive]
+
+
+# -- the structure table: its input errors and a dense reference ----------------
+
+
+@pytest.mark.parametrize(
+    "rank, keys, message",
+    [
+        (2, {(0, 1): 0}, "structure row (0,1) has wrong length"),
+        (3, {(0, 1): 0}, "structure row (0,1) has wrong length"),
+        (3, {(0, 1): 2}, "structure row (0,1) has wrong length"),
+        (3, {(0, 1): 4}, "structure row (0,1) has wrong length"),
+        (3, {(0, 1): 0, (2, 1): 3}, "structure row (0,1) has wrong length"),
+        (1, {(0, 1): 0}, "structure table keys must satisfy i < j; got [(0, 1)]"),
+        (2, {(1, 0): 2}, "structure table keys must satisfy i < j; got [(1, 0)]"),
+        (2, {(0, 0): 2, (1, 1): 2}, "structure table keys must satisfy i < j; got [(0, 0), (1, 1)]"),
+        (3, {(0, 1): 3, (2, 3): 3, (0, 3): 3}, "structure table keys must satisfy i < j; got [(0, 3), (2, 3)]"),
+    ],
+)
+def test_palg_rejects_malformed_tables_with_their_texts(rank, keys, message):
+    """A row of the wrong length, an explicit empty one included, and a key
+    off the pairs i < j < rank each raise their own text."""
+    q = AlgebraPres.scalars()
+    table = {key: [q.one()] * length for key, length in keys.items()}
+    with pytest.raises(ValueError) as err:
+        PAlg(q, rank, [Derivation.zero(q)] * rank, table)
+    assert str(err.value) == message
+
+
+def _so_table(n, algebra):
+    """so(n) on the basis M_ab = E_ab - E_ba (a < b), in pair order: the
+    table on pairs i < j, each row read off the matrix commutator."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+    def matrix(a, b):
+        m = [[0] * n for _ in range(n)]
+        m[a][b], m[b][a] = 1, -1
+        return m
+
+    def commutator(x, y):
+        return [[sum(x[p][r] * y[r][q] - y[p][r] * x[r][q] for r in range(n)) for q in range(n)] for p in range(n)]
+
+    mats = [matrix(a, b) for a, b in pairs]
+    table = {}
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            c = commutator(mats[i], mats[j])
+            if any(any(row) for row in c):
+                table[(i, j)] = [algebra.const(c[a][b]) for a, b in pairs]
+    return pairs, table
+
+
+def _so_palgs(n):
+    """so(n) over Q with zero anchors, and so(n) acting on Q[x_0..x_{n-1}] by
+    the linear vector fields x_p -> -sum_q M_pq x_q."""
+    q = AlgebraPres.scalars()
+    pairs, table = _so_table(n, q)
+    yield PAlg(q, len(pairs), [Derivation.zero(q)] * len(pairs), table)
+    if n <= 4:
+        alg = AlgebraPres.free(*("x%d" % p for p in range(n)))
+        _, table = _so_table(n, alg)
+        anchors = []
+        for a, b in pairs:  # x_a -> -x_b, x_b -> x_a
+            images = [alg.zero()] * n
+            images[a], images[b] = -alg.variable(b), alg.variable(a)
+            anchors.append(Derivation(alg, images))
+        yield PAlg(alg, len(pairs), anchors, table)
+
+
+def _table_mutants(e, rng, count):
+    """Seeded one-entry mutants of the table of ``e``: an entry plus a constant
+    or the first variable, or a nonzero entry set to zero."""
+    alg = e.algebra
+    pairs = [(i, j) for i in range(e.rank) for j in range(i + 1, e.rank)]
+    base = {key: list(e.struct_coeffs(*key)) for key in pairs}
+    out = []
+    for _ in range(count):
+        key, k = rng.choice(pairs), rng.randrange(e.rank)
+        row = list(base[key])
+        shifts = [alg.const(rng.choice([1, -1, Fraction(1, 2)]))] + [alg.variable(0) for _ in range(alg.arity > 0)]
+        row[k] = alg.zero() if row[k] and rng.random() < 0.3 else row[k] + rng.choice(shifts)
+        table = dict(base)
+        table[key] = row
+        out.append(PAlg(alg, e.rank, e.anchors, table))
+    return out
+
+
+def dense_axioms_report(e):
+    """The axiom report from dense ``struct_coeffs`` rows and MPoly arithmetic:
+    coordinate m of the Jacobiator of (a, b, c) is the cyclic sum of
+    sum_l c_ab^l c_lc^m - rho_c(c_ab^m)."""
+    report = _derivation_checks(e.anchors)
+    if not report.verdict:
+        return report
+    alg, r = e.algebra, e.rank
+    rows = {(i, j): e.struct_coeffs(i, j) for i in range(r) for j in range(r)}
+    for name, passed, witness in ref_anchor_axiom_checks(e.anchors, {(i, j): rows[(i, j)] for i, j in rows if i < j}):
+        report.add(name, passed, witness)
+    for a in range(r):
+        for b in range(a + 1, r):
+            for c in range(b + 1, r):
+                jac = [alg.zero()] * r
+                for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+                    for m in range(r):
+                        term = sum((rows[(i, j)][l] * rows[(l, k)][m] for l in range(r)), alg.zero())
+                        jac[m] = jac[m] + term - ref_derive(e.anchors[k], rows[(i, j)][m])
+                jac = [alg.nf(t) for t in jac]
+                report.add(
+                    "Jacobi identity on (e_%d, e_%d, e_%d)" % (a, b, c),
+                    not any(jac),
+                    "jacobiator is %s" % e.render_element(jac),
+                )
+    return report
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_axioms_of_so_n_and_its_mutants_match_the_dense_reference(n):
+    """so(n), alone and acting on polynomials, passes; seeded one-entry
+    mutants of its table fail; every check's name, verdict and witness equal
+    the dense reference's, in order."""
+    rng = random.Random(n)
+    verdicts = []
+    for e in _so_palgs(n):
+        assert axioms_check(e).verdict
+        for candidate in [e] + _table_mutants(e, rng, 4):
+            got = [(c.name, c.passed, c.witness) for c in axioms_check(candidate).checks]
+            assert got == [(c.name, c.passed, c.witness) for c in dense_axioms_report(candidate).checks]
+            verdicts.append(all(passed for _, passed, _ in got))
+    assert verdicts.count(True) >= 1 and verdicts.count(False) >= 4
