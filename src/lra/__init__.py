@@ -65,7 +65,6 @@ from .psisum import (
     MixedElement,
     PsiSumCtx,
     direct_sum,
-    membership,
     membership_report,
     psisum_anchor,
     psisum_bracket,

@@ -296,7 +296,7 @@ def from_palg(e):
                 {
                     "i": i,
                     "j": j,
-                    "coeffs": [e.algebra.render(c) for c in e.structure[(i, j)]],
+                    "coeffs": [e.algebra.render(c) for c in e.struct_coeffs(i, j)],
                 }
             )
     return {

@@ -326,9 +326,6 @@ class IdealPres:
             return MPoly._raw(self.arity, {})
         return _divide(p, self.groebner, *self._prepared)
 
-    def contains(self, p):
-        return self.normal_form(p).is_zero()
-
     def is_trivial(self):
         """True when the ideal is the whole ring (1 reduces everything)."""
         return any(g.is_constant() and not g.is_zero() for g in self.groebner)

@@ -792,17 +792,18 @@ def action_as_comorphism(action):
     return pair, GrpdComorphism(dict(action.projection), table)
 
 
-def induced_groupoid_action(omega, gamma, phi, m):
+def induced_groupoid_action(omega, gamma, m):
     """Extract the action encoded by a comorphism over a fibred base map.
 
-    ``m`` is a verified comorphism from gamma to omega over phi (omega's
-    base is the space).  Each arrow acts by following its pullback arrow to
-    its target; the verdict checks all action axioms exhaustively.
+    ``m`` is a verified comorphism from gamma to omega over its base map
+    phi = ``m.base`` (omega's base is the space), which the action takes as
+    its projection.  Each arrow acts by following its pullback arrow to its
+    target; the verdict checks all action axioms exhaustively.
     """
     check_grpd_comorphism(omega, gamma, m).require(
         "the comorphism data does not verify"
     )
-    space = omega.objects
+    space, phi = omega.objects, m.base
     if {phi[z] for z in space} != set(gamma.objects):
         raise VerificationError("the base map is not surjective; no action is induced")
     maps = {}

@@ -76,11 +76,12 @@ class PAMorphism(_PAMap):
     def apply(self, x):
         """psi-semilinear extension from basis images: sum_i psi(x_i) Psi(e_i)."""
         f = self.target
-        return PAElement._raw(f, _combine(f.algebra, f.rank, self._terms(x.coords)))
+        return PAElement._raw(f, _combine(f.algebra, f.rank, self._terms(enumerate(x.coords))))
 
-    def _terms(self, coords):
-        """The weighted sum of ``apply``: pairs (psi(x_i), coordinates of Psi(e_i))."""
-        return ((self.psi.apply(c), img.coords) for c, img in zip(coords, self.images) if c.terms)
+    def _terms(self, pairs):
+        """The weighted sum of ``apply`` on (i, x_i) pairs: pairs (psi(x_i),
+        coordinates of Psi(e_i))."""
+        return ((self.psi.apply(c), enumerate(self.images[i].coords)) for i, c in pairs if c.terms)
 
     def __repr__(self):
         return "PAMorphism(%d -> %d basis images)" % (self.source.rank, self.target.rank)
@@ -129,7 +130,7 @@ class PAComorphism(_PAMap):
 
     def apply(self, y):
         """B-linear extension: the tensor coefficients of the image of y."""
-        return _combine(self.source.algebra, self.target.rank, zip(y.coords, self.images))
+        return _combine(self.source.algebra, self.target.rank, zip(y.coords, map(enumerate, self.images)))
 
     def __repr__(self):
         return "PAComorphism(%d -> %d tensor rows)" % (self.source.rank, self.target.rank)
@@ -201,7 +202,7 @@ def check_pacomorphism(m):
     for i in range(f.rank):
         for j in range(i + 1, f.rank):
             out = [_Sum() for _ in range(e.rank)]
-            _combine_add(out, zip(f.structure[(i, j)], m.images))
+            _combine_add(out, ((c, enumerate(m.images[k])) for k, c in f.structure[(i, j)]))
             _leibniz_add(out, e, m.psi, m.images[i], m.images[j], f.basis(i), f.basis(j), -1)
             diff = [_reduce(b_alg, t) for t in out]
             report.add(
@@ -280,8 +281,8 @@ def _span_residual(ctx, generators, w, kind):
     into one accumulator per coordinate and reduced once."""
     coeffs = w.tensor if kind == "morphism" else w.f_part
     out = [_Sum() for _ in range(ctx.rank)]
-    _combine_add(out, [(ctx.algebra.one(), w.coords)])
-    _combine_add(out, zip(coeffs, (gen.coords for gen in generators)), sign=-1)
+    _combine_add(out, [(ctx.algebra.one(), enumerate(w.coords))])
+    _combine_add(out, zip(coeffs, (enumerate(gen.coords) for gen in generators)), sign=-1)
     return MixedElement._raw(ctx, [_reduce(ctx.algebra, t) for t in out])
 
 
@@ -305,7 +306,7 @@ def compose_comorphisms(m1, m2):
     if m2.target != m1.source:
         raise ValueError("comorphisms are not composable")
     theta, c_alg = m2.psi, m2.source.algebra
-    rows = [_combine(c_alg, m1.target.rank, zip(row, m1.images), theta) for row in m2.images]
+    rows = [_combine(c_alg, m1.target.rank, zip(row, map(enumerate, m1.images)), theta) for row in m2.images]
     return PAComorphism._raw(m2.source, m1.target, m1.psi.compose(theta), rows)
 
 
@@ -316,7 +317,7 @@ def _dual_one_form(m, xi_coeffs):
     """Pull a one-form on E back to a one-form on F through the tensor rows:
     the coefficient of e_k in every row, weighted by psi(xi_k)."""
     columns = zip(*m.images)
-    terms = ((m.psi.apply(c), column) for c, column in zip(xi_coeffs, columns) if not c.is_zero())
+    terms = ((m.psi.apply(c), enumerate(column)) for c, column in zip(xi_coeffs, columns) if not c.is_zero())
     return tuple(_combine(m.source.algebra, m.source.rank, terms))
 
 
@@ -405,7 +406,7 @@ def induced_infinitesimal_action(m):
     report = VerdictReport()
     for i, d in enumerate(derivations):
         report.fold("induced map %d is a derivation" % i, d.check())
-    pushed = {key: [m.psi.apply(c) for c in row] for key, row in m.source.structure.items()}
+    pushed = {(i, j): [(k, m.psi.apply(c)) for k, c in row] for (i, j), row in m.source.structure.items() if i < j}
     _anchor_axiom(report, derivations, pushed)
     if not report.checks:
         report.add("nothing to verify (empty action data)", True)

@@ -21,11 +21,13 @@ each argument, since J(fX, Y, Z) = f J(X, Y, Z) + (rho([Y, Z]) -
 [rho(Y), rho(Z)])(f) X.  So it vanishes when it vanishes on e_a, e_b,
 e_c for a < b < c.
 
-Each formula sums into one ``poly._Sum`` accumulator per output
-coordinate and reduces it once, at the end, since the normal form is
-Q-linear.  ``_combine_add`` (weighted sums of coefficient vectors),
-``_anchor_sum`` (the anchor) and ``_leibniz_add`` (the bracket) add into
-given accumulators; ``_combine``, ``anchor_apply`` and ``_leibniz_bracket``
+The table is stored once, sparse (see ``PAlg``), and every formula reads
+its rows as stored.  Each formula sums into one ``poly._Sum`` accumulator
+per output coordinate, or per touched one for the Jacobiator, and reduces
+it once, at the end, since the normal form is Q-linear.  ``_combine_add``
+(weighted sums of vectors read as (index, entry) pairs), ``_anchor_sum``
+(the anchor) and ``_leibniz_add`` (the bracket) add into given
+accumulators; ``_combine``, ``anchor_apply`` and ``_leibniz_bracket``
 finish one each.  An identity lhs = rhs is decided the same way: both
 sides go into one accumulator with opposite signs, and one reduction
 tests nf(lhs - rhs) for zero (``_anchor_identity``, ``_anchor_axiom`` and
@@ -36,6 +38,7 @@ difference give the other with no new reduction (``_sides``).
 
 from collections import defaultdict
 from fractions import Fraction
+from itertools import combinations
 
 from .algebra import AlgebraPres, Derivation
 from .poly import MPoly, _add_product, _Sum, monomials_up_to
@@ -45,13 +48,13 @@ from .verdict import VerdictReport, VerificationError
 class PAlg:
     """A Lie pseudoalgebra over a presented algebra.
 
-    structure[(i, j)] for i < j holds the coefficients of [e_i, e_j] on the
-    basis.  The i = j and i > j entries follow from antisymmetry.
-    ``_nonzero`` holds the nonzero entries of every row, i >= j included,
-    as (index, coefficient) pairs; it is built once, for the Jacobiator.
+    The constructor takes the coefficients of [e_i, e_j] for pairs i < j; a
+    pair left out is zero.  ``structure[(i, j)]`` holds the nonzero ones as
+    (index, coefficient) pairs for every i and j: the (j, i) row negated,
+    the (i, i) row empty.
     """
 
-    __slots__ = ("algebra", "rank", "anchors", "structure", "_nonzero")
+    __slots__ = ("algebra", "rank", "anchors", "structure")
 
     def __init__(self, algebra, rank, anchors, structure=None):
         anchors = list(anchors)
@@ -60,36 +63,31 @@ class PAlg:
         for d in anchors:
             if d.algebra != algebra:
                 raise ValueError("anchor derivation lives on the wrong algebra")
-        table = {}
+        table = {(i, j): () for i in range(rank) for j in range(rank)}
         structure = dict(structure or {})
         for i in range(rank):
             for j in range(i + 1, rank):
                 row = structure.pop((i, j), None)
                 if row is None:
-                    row = [algebra.zero()] * rank
+                    continue
                 row = [algebra.nf(c) for c in row]
                 if len(row) != rank:
                     raise ValueError("structure row (%d,%d) has wrong length" % (i, j))
-                table[(i, j)] = tuple(row)
+                pairs = table[(i, j)] = tuple((k, c) for k, c in enumerate(row) if c.terms)
+                table[(j, i)] = tuple((k, -c) for k, c in pairs)
         if structure:
             raise ValueError("structure table keys must satisfy i < j; got %r" % sorted(structure))
         self.algebra = algebra
         self.rank = rank
         self.anchors = tuple(anchors)
         self.structure = table
-        nonzero = dict.fromkeys(((i, i) for i in range(rank)), ())
-        for (i, j), row in table.items():
-            pairs = nonzero[(i, j)] = tuple((l, c) for l, c in enumerate(row) if c.terms)
-            nonzero[(j, i)] = tuple((l, -c) for l, c in pairs)
-        self._nonzero = nonzero
 
     def struct_coeffs(self, i, j):
-        """Coefficients of [e_i, e_j], valid for any i, j."""
-        if i < j:
-            return self.structure[(i, j)]
-        if i > j:
-            return tuple(-c for c in self.structure[(j, i)])
-        return (self.algebra.zero(),) * self.rank
+        """The coefficients of [e_i, e_j], as a dense row, for any i, j."""
+        row = [self.algebra.zero()] * self.rank
+        for k, c in self.structure[(i, j)]:
+            row[k] = c
+        return tuple(row)
 
     def basis(self, i):
         coords = [self.algebra.zero()] * self.rank
@@ -216,16 +214,17 @@ def _reduce(alg, out):
 def _combine_add(out, terms, push=None, sign=1):
     """``out[k] += sign * sum_n w_n push(v_n)[k]`` for ``_Sum`` accumulators ``out``.
 
-    ``terms`` yields pairs of a weight w_n and a vector v_n with one entry
-    per accumulator; ``push`` is an algebra map that carries the entries
-    into the algebra of the weights (``None`` is the identity), and adds
-    each pushed entry straight from its table.  Zero weights and zero
-    entries cost no product and no push.
+    ``terms`` yields pairs of a weight w_n and a vector v_n, read as (k,
+    entry) pairs: a dense vector as ``enumerate(...)``, a structure row as
+    stored.  ``push`` is an algebra map that carries the entries into the
+    algebra of the weights (``None`` is the identity), and adds each pushed
+    entry straight from its table.  Zero weights and zero entries cost no
+    product and no push.
     """
     for weight, vector in terms:
         if not weight.terms:
             continue
-        for k, c in enumerate(vector):
+        for k, c in vector:
             if c.terms:
                 if push is None:
                     _add_product(out[k], weight.terms, c.terms, sign)
@@ -269,13 +268,12 @@ def _leibniz_bracket(e, push, u, w, x, y):
 
 def _leibniz_add(out, e, push, u, w, x, y, sign=1):
     """``out[k] += sign * (the bracket formula of _leibniz_bracket)[k]``.  The
-    structure part reads the stored rows only: a pair i > j enters as
-    -u_i w_j [e_j, e_i]."""
+    structure part reads the rows as stored, in one pass; a zero row forms
+    no product u_i w_j."""
     rows = e.structure
     ku = [i for i, c in enumerate(u) if c.terms]
     kw = [j for j, c in enumerate(w) if c.terms]
-    _combine_add(out, ((u[i] * w[j], rows[(i, j)]) for i in ku for j in kw if i < j), push, sign)
-    _combine_add(out, ((u[i] * w[j], rows[(j, i)]) for i in ku for j in kw if i > j), push, -sign)
+    _combine_add(out, ((u[i] * w[j], row) for i in ku for j in kw if (row := rows[(i, j)])), push, sign)
     for k, t in enumerate(out):
         _anchor_sum(t, x, w[k], sign)
         _anchor_sum(t, y, u[k], -sign)
@@ -345,35 +343,36 @@ def axioms_check(e):
 
     _anchor_axiom(report, e.anchors, e.structure)
 
-    for i in range(e.rank):
-        for j in range(i + 1, e.rank):
-            for k in range(j + 1, e.rank):
-                jac = _basis_jacobiator(e, i, j, k)
-                report.add(
-                    "Jacobi identity on (e_%d, e_%d, e_%d)" % (i, j, k),
-                    all(c.is_zero() for c in jac),
-                    lambda: "jacobiator is %s" % e.render_element(jac),
-                )
+    zero = e.algebra.zero()
+    for i, j, k in combinations(range(e.rank), 3):
+        jac = _basis_jacobiator(e, i, j, k)
+        report.add(
+            "Jacobi identity on (e_%d, e_%d, e_%d)" % (i, j, k),
+            not jac,
+            lambda: "jacobiator is %s" % e.render_element([jac.get(m, zero) for m in range(e.rank)]),
+        )
     return report
 
 
 def _basis_jacobiator(e, a, b, c):
-    """Coordinates of [[e_a, e_b], e_c] + [[e_b, e_c], e_a] + [[e_c, e_a], e_b].
+    """The nonzero coordinates {m: coefficient} of [[e_a, e_b], e_c] +
+    [[e_b, e_c], e_a] + [[e_c, e_a], e_b].
 
     By [fX, Y] = f[X, Y] - rho(Y)(f) X, coordinate m of [[e_i, e_j], e_k]
     is sum_l c_ij^l c_lk^m - rho_k(c_ij^m), straight from the table; rho_k
-    of a constant is zero.  The anchors must be known to be derivations.
+    of a constant is zero.  An untouched coordinate costs no reduction.
+    The anchors must be known to be derivations.
     """
     alg = e.algebra
     one = alg.one().terms
-    nonzero = e._nonzero
-    out = [_Sum() for _ in range(e.rank)]
+    rows = e.structure
+    out = defaultdict(_Sum)
     for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
-        for l, u in nonzero[(i, j)]:
-            for m, v in nonzero[(l, k)]:
+        for l, u in rows[(i, j)]:
+            for m, v in rows[(l, k)]:
                 _add_product(out[m], u.terms, v.terms)
             e.anchors[k]._add_image(out[l], u, one, -1)
-    return [_reduce(alg, t) for t in out]
+    return {m: value for m, t in out.items() if (value := _reduce(alg, t)).terms}
 
 
 def _derivation_checks(derivations):
@@ -387,16 +386,17 @@ def _derivation_checks(derivations):
 def _anchor_axiom(report, derivations, structure):
     """Add the anchor axiom [d_i, d_j] = sum_k c_ij^k d_k to ``report``.
 
-    ``structure[(i, j)]`` holds c_ij^k for i < j, in normal form over the
-    algebra of the derivations ``d_k``, which must already be known to be
-    derivations.  One check per pair and variable x_v: nf([d_i, d_j](x_v) -
-    sum_k c_ij^k d_k(x_v)) is zero.  The commutator needs no ``nf``.
+    ``structure[(i, j)]`` holds the nonzero c_ij^k for i < j as (k, c_ij^k)
+    pairs, as ``PAlg`` stores them, in normal form over the algebra of the
+    derivations ``d_k``, which must already be known to be derivations.
+    One check per pair and variable x_v: nf([d_i, d_j](x_v) - sum_k c_ij^k
+    d_k(x_v)) is zero.  The commutator needs no ``nf``.
     """
-    for (i, j), row in structure.items():
+    for i, j in combinations(range(len(derivations)), 2):
         alg = derivations[i].algebra
         out = [_Sum() for _ in range(alg.arity)]
         derivations[i]._add_commutator(out, derivations[j])
-        _combine_add(out, zip(row, (delta.images for delta in derivations)), sign=-1)
+        _combine_add(out, ((c, enumerate(derivations[k].images)) for k, c in structure[(i, j)]), sign=-1)
         for v, t in enumerate(out):
             diff = _reduce(alg, t)
             report.add(
@@ -441,7 +441,7 @@ def differential(e, omega):
             value = _Sum()
             e.anchors[i]._add_image(value, omega[j], one)
             e.anchors[j]._add_image(value, omega[i], one, -1)
-            for k, c in e._nonzero[(i, j)]:
+            for k, c in e.structure[(i, j)]:
                 if omega[k].terms:
                     _add_product(value, c.terms, omega[k].terms, -1)
             table[(i, j)] = _reduce(alg, value)
@@ -594,8 +594,8 @@ def make_action(algebra, klie, theta):
     if len(theta) != klie.rank:
         raise ValueError("need one derivation per Lie algebra basis vector")
     table = {
-        key: [algebra.const(c.constant_value()) for c in row]
-        for key, row in klie.structure.items()
+        (i, j): [algebra.const(c.constant_value()) for c in klie.struct_coeffs(i, j)]
+        for i, j in combinations(range(klie.rank), 2)
     }
     e = PAlg(algebra, klie.rank, theta, table)
     axioms_check(e).require("theta is not a Lie algebra morphism into the derivations")

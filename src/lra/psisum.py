@@ -143,11 +143,11 @@ def direct_sum(e, f):
     structure = {}
     for i in range(e.rank):
         for j in range(i + 1, e.rank):
-            row = [c.lift(arity) for c in e.structure[(i, j)]]
+            row = [c.lift(arity) for c in e.struct_coeffs(i, j)]
             structure[(i, j)] = row + [tensor_algebra.zero()] * f.rank
     for i in range(f.rank):
         for j in range(i + 1, f.rank):
-            row = [c.lift(arity, n_left) for c in f.structure[(i, j)]]
+            row = [c.lift(arity, n_left) for c in f.struct_coeffs(i, j)]
             structure[(e.rank + i, e.rank + j)] = [tensor_algebra.zero()] * e.rank + row
     # cross brackets [e_i, f_j] are zero: omitted entries default to zero
 
@@ -157,12 +157,8 @@ def direct_sum(e, f):
 # -- membership and structure maps ---------------------------------------
 
 
-def membership(ctx, z):
-    """Decide membership of a mixed element in the twisted sum."""
-    return membership_report(ctx, z).verdict
-
-
 def membership_report(ctx, z):
+    """Decide membership of a mixed element in the twisted sum."""
     report = VerdictReport()
     a_alg = ctx.e.algebra
     for v, name in enumerate(a_alg.variables):
@@ -245,7 +241,7 @@ class TripleElement:
         of mixed elements: (E-part, G-part) in E + G along theta.psi and
         (F-part, G-part) in F + G along theta."""
         ctx = self.ctx
-        terms = ((c, z.coords) for z, c in self.parts)
+        terms = ((c, enumerate(z.coords)) for z, c in self.parts)
         flat = _combine(ctx.g.algebra, ctx.inner.rank, terms, ctx.theta)
         w = list(self.g_part.coords)
         n = ctx.inner.e.rank

@@ -120,6 +120,12 @@ def sl2_action_images(algebra):
     ]
 
 
+def dense_table(e):
+    """The structure table of ``e`` as ``PAlg`` takes it: the dense row
+    ``e.struct_coeffs(i, j)`` on every pair i < j."""
+    return {(i, j): e.struct_coeffs(i, j) for i in range(e.rank) for j in range(i + 1, e.rank)}
+
+
 # -- the normal-form invariant of coordinate vectors --------------------------
 
 

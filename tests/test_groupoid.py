@@ -532,9 +532,7 @@ def test_action_round_trips():
         assert check_groupoid_action(action).verdict
         pair_z, com = action_as_comorphism(action)
         assert check_grpd_comorphism(pair_z, action.groupoid, com).verdict
-        recovered, report = induced_groupoid_action(
-            pair_z, action.groupoid, action.projection, com
-        )
+        recovered, report = induced_groupoid_action(pair_z, action.groupoid, com)
         assert report.verdict
         assert recovered == action
 
@@ -550,7 +548,7 @@ def test_induced_action_requires_surjective_base():
     widened = GrpdComorphism(dict(com.base), table)
     assert check_grpd_comorphism(pair_z, bigger, widened).verdict
     with pytest.raises(VerificationError, match="surjective"):
-        induced_groupoid_action(pair_z, bigger, dict(com.base), widened)
+        induced_groupoid_action(pair_z, bigger, widened)
 
 
 def test_action_groupoid_of_action():

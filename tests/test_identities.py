@@ -17,6 +17,7 @@ import pytest
 
 from conftest import (
     comorphism_mutants,
+    dense_table,
     morphism_mutants,
     ref_anchor_axiom_checks,
     ref_membership_checks,
@@ -158,11 +159,11 @@ def _structure_mutants(e):
     """Each nonzero structure entry plus 1, and each entry times the first variable."""
     alg = e.algebra
     out = []
-    for key, row in e.structure.items():
+    for key, row in dense_table(e).items():
         for k in range(e.rank):
             for value in (row[k] + alg.one(), row[k] * alg.variable(0)):
                 if value != row[k]:
-                    table = dict(e.structure)
+                    table = dense_table(e)
                     table[key] = row[:k] + (value,) + row[k + 1 :]
                     out.append(PAlg(alg, e.rank, e.anchors, table))
     return out
@@ -174,6 +175,6 @@ def test_anchor_axiom_matches_the_two_sided_reference(build):
     verdicts = set()
     for candidate in [e] + _structure_mutants(e):
         got = _triples(axioms_check(candidate), "anchor respects")
-        assert got == ref_anchor_axiom_checks(candidate.anchors, candidate.structure)
+        assert got == ref_anchor_axiom_checks(candidate.anchors, dense_table(candidate))
         verdicts.update(passed for _, passed, _ in got)
     assert verdicts == {True, False}

@@ -7,6 +7,7 @@ from conftest import (
     _morphism_with_entry,
     algebras,
     comorphism_suite,
+    dense_table,
     morphism_mutants,
     morphism_suite,
     ref_membership,
@@ -30,7 +31,7 @@ from lra.maps import (
     induced_infinitesimal_action,
 )
 from lra.pseudoalgebra import PAlg, axioms_check, make_cotangent_poisson, make_der, make_klie
-from lra.psisum import membership, membership_report, psisum_bracket
+from lra.psisum import membership_report, psisum_bracket
 from lra.verdict import VerificationError
 
 
@@ -191,7 +192,7 @@ def test_graph_membership_splits_the_anchor_condition():
         report = check_pacomorphism(m)
         anchor_ok = all(c.passed for c in report.checks if "anchor" in c.name)
         ctx, gens = graph(m)
-        contained = all(membership(ctx, z) for z in gens)
+        contained = all(membership_report(ctx, z).verdict for z in gens)
         assert anchor_ok == contained, label
 
 
@@ -423,7 +424,7 @@ def test_failing_witnesses_keep_their_text(monkeypatch):
     eagerly (chain-map and span-residual witnesses: as rendered canonically)."""
     e, m, cm = _poisson_maps()
     y0 = m.target.algebra.variable(0)
-    table = dict(e.structure)
+    table = dense_table(e)
     table[(0, 1)] = [c + e.algebra.variable(2) for c in table[(0, 1)]]
     broken = PAlg(e.algebra, 3, e.anchors, table)
     mutant, comutant = _morphism_with_entry(m, 1, 2, y0), _comorphism_with_entry(cm, 2, 0, y0)

@@ -9,6 +9,7 @@ from conftest import (
     jacobiator,
     reduced,
     ref_anchor,
+    dense_table,
     ref_anchor_axiom_checks,
     ref_derive,
     sl2,
@@ -18,6 +19,7 @@ from conftest import (
 from test_identities import _sphere_palg
 from test_poly import small_polys
 from lra.algebra import AlgebraPres, AlgMorphism, Derivation
+from lra import pseudoalgebra
 from lra.groebner import IdealPres
 from lra.poly import MPoly
 from lra.pseudoalgebra import (
@@ -425,7 +427,7 @@ def anchor_mutants(e):
                 images[v] = value
                 anchors = list(e.anchors)
                 anchors[i] = Derivation(alg, images)
-                out.append(PAlg(alg, e.rank, anchors, e.structure))
+                out.append(PAlg(alg, e.rank, anchors, dense_table(e)))
     return out
 
 
@@ -544,7 +546,7 @@ def reference_axioms_report(e):
     report = _derivation_checks(e.anchors)
     if not report.verdict:
         return report
-    for name, passed, witness in ref_anchor_axiom_checks(e.anchors, e.structure):
+    for name, passed, witness in ref_anchor_axiom_checks(e.anchors, dense_table(e)):
         report.add(name, passed, witness)
     for i in range(e.rank):
         for j in range(i + 1, e.rank):
@@ -602,7 +604,7 @@ def test_fused_bracket_and_commutator_match_the_formulas(data):
     expected = []
     for k in range(e.rank):
         structure = alg.zero()
-        for (i, j), row in e.structure.items():
+        for (i, j), row in dense_table(e).items():
             structure = structure + (u[i] * w[j] - u[j] * w[i]) * row[k]
         expected.append(alg.nf(structure) + ref_anchor(e, u, w[k]) - ref_anchor(e, w, u[k]))
     got = bracket(x, y)
@@ -666,7 +668,7 @@ def test_combine_is_the_naive_sum(data):
     for w, v in terms:
         for k, c in enumerate(v):
             naive[k] = naive[k] + w * (c if push is None else push.apply(c))
-    assert _combine(alg, rank, terms, push) == [alg.nf(c) for c in naive]
+    assert _combine(alg, rank, [(w, enumerate(v)) for w, v in terms], push) == [alg.nf(c) for c in naive]
 
 
 # -- the structure table: its input errors and a dense reference ----------------
@@ -796,3 +798,15 @@ def test_axioms_of_so_n_and_its_mutants_match_the_dense_reference(n):
             assert got == [(c.name, c.passed, c.witness) for c in dense_axioms_report(candidate).checks]
             verdicts.append(all(passed for _, passed, _ in got))
     assert verdicts.count(True) >= 1 and verdicts.count(False) >= 4
+
+
+def test_axioms_check_reduces_no_untouched_coordinate(monkeypatch):
+    """Rank 20 over Q with no table entries and zero anchors: 20 derivation
+    checks and C(20, 3) = 1,140 Jacobi checks, none of which reduces."""
+    calls = []
+    reduce = pseudoalgebra._reduce
+    monkeypatch.setattr(pseudoalgebra, "_reduce", lambda alg, out: calls.append(alg) or reduce(alg, out))
+    q = AlgebraPres.scalars()
+    report = axioms_check(PAlg(q, 20, [Derivation.zero(q)] * 20))
+    assert report.verdict and len(report.checks) == 1160
+    assert calls == []

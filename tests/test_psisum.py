@@ -13,7 +13,7 @@ from lra.psisum import (
     TripleSumCtx,
     _left_bracket,
     direct_sum,
-    membership,
+    membership_report,
     psisum_anchor,
     psisum_bracket,
     triple_inclusion_check,
@@ -38,8 +38,8 @@ def member_of(ctx, gamma):
 def test_membership_examples():
     ctx = square_ctx()
     qy = ctx.f.algebra
-    assert membership(ctx, member_of(ctx, qy.one()))
-    assert not membership(ctx, MixedElement(ctx, [qy.one()], [qy.one()]))
+    assert membership_report(ctx, member_of(ctx, qy.one())).verdict
+    assert not membership_report(ctx, MixedElement(ctx, [qy.one()], [qy.one()])).verdict
 
 
 def test_membership_vacuous_for_lie_algebras():
@@ -52,7 +52,7 @@ def test_membership_vacuous_for_lie_algebras():
             [q.const(rng.randint(-5, 5)) for _ in range(3)],
             [q.const(rng.randint(-5, 5)) for _ in range(2)],
         )
-        assert membership(ctx, z)
+        assert membership_report(ctx, z).verdict
 
 
 def test_membership_generator_sufficiency_sampling():
@@ -75,7 +75,7 @@ def test_membership_generator_sufficiency_sampling():
         MixedElement(ctx, [y], [qy.zero()]),
     ]
     for z in candidates:
-        on_generators = membership(ctx, z)
+        on_generators = membership_report(ctx, z).verdict
         on_samples = all(ref_identity_holds(ctx, z, a) for a in samples)
         assert on_generators == on_samples
 
@@ -103,7 +103,7 @@ def test_bracket_example_and_closure():
     # by hand: [m_1, m_{y^2}] = dx (x) 4y^2 + 2y dy
     assert list(w.tensor) == [4 * y ** 2]
     assert list(w.f_part) == [2 * y]
-    assert membership(ctx, w)
+    assert membership_report(ctx, w).verdict
     assert psisum_bracket(ctx, z1, z1).is_zero()
     with pytest.raises(VerificationError, match="not a member"):
         psisum_bracket(ctx, z1, MixedElement(ctx, [qy.one()], [qy.one()]))
@@ -202,7 +202,7 @@ def test_isum_accepts_everything_and_matches_direct_sum():
             [q.const(rng.randint(-4, 4)) for _ in range(3)],
             [q.const(rng.randint(-4, 4)) for _ in range(2)],
         )
-        assert membership(ctx, z)
+        assert membership_report(ctx, z).verdict
     for i in range(5):
         for j in range(5):
             if i == j:
@@ -392,14 +392,14 @@ def test_membership_over_quotient_algebras():
     y = b.variable(0)
     # identity at x: psi(x) * beta = gamma * 2 psi(x), i.e. y^2 beta = 2 y^2 gamma
     member = MixedElement(ctx, [b.const(2)], [b.one()])
-    assert membership(ctx, member)
+    assert membership_report(ctx, member).verdict
     # beta only matters modulo the annihilator of y^2
     shifted = MixedElement(ctx, [b.const(2) + y ** 2], [b.one()])
-    assert membership(ctx, shifted)
+    assert membership_report(ctx, shifted).verdict
     nonmember = MixedElement(ctx, [b.one()], [b.one()])
-    assert not membership(ctx, nonmember)
+    assert not membership_report(ctx, nonmember).verdict
     w = psisum_bracket(ctx, member, shifted)
-    assert membership(ctx, w)
+    assert membership_report(ctx, w).verdict
 
 
 def test_direct_sum_with_quotient_factor():
