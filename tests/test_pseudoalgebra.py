@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    dense_table,
     jacobiator,
     reduced,
     ref_anchor,
-    dense_table,
     ref_anchor_axiom_checks,
     ref_derive,
     sl2,
@@ -742,11 +742,10 @@ def _table_mutants(e, rng, count):
     """Seeded one-entry mutants of the table of ``e``: an entry plus a constant
     or the first variable, or a nonzero entry set to zero."""
     alg = e.algebra
-    pairs = [(i, j) for i in range(e.rank) for j in range(i + 1, e.rank)]
-    base = {key: list(e.struct_coeffs(*key)) for key in pairs}
+    base = dense_table(e)
     out = []
     for _ in range(count):
-        key, k = rng.choice(pairs), rng.randrange(e.rank)
+        key, k = rng.choice(list(base)), rng.randrange(e.rank)
         row = list(base[key])
         shifts = [alg.const(rng.choice([1, -1, Fraction(1, 2)]))] + [alg.variable(0) for _ in range(alg.arity > 0)]
         row[k] = alg.zero() if row[k] and rng.random() < 0.3 else row[k] + rng.choice(shifts)
@@ -765,7 +764,7 @@ def dense_axioms_report(e):
         return report
     alg, r = e.algebra, e.rank
     rows = {(i, j): e.struct_coeffs(i, j) for i in range(r) for j in range(r)}
-    for name, passed, witness in ref_anchor_axiom_checks(e.anchors, {(i, j): rows[(i, j)] for i, j in rows if i < j}):
+    for name, passed, witness in ref_anchor_axiom_checks(e.anchors, dense_table(e)):
         report.add(name, passed, witness)
     for a in range(r):
         for b in range(a + 1, r):
