@@ -88,8 +88,8 @@ def _emit_report(args, report):
     return 0 if report.verdict else 1
 
 
-def _emit_document(args, doc):
-    text = docs.render_document(doc)
+def _emit_document(args, value):
+    text = docs.render_document(docs.document(value))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -239,9 +239,8 @@ def cmd_compose(args):
     g = _load_palg(args.g)
     m1 = _load_map(args.kind, args.m1, e, f)
     m2 = _load_map(args.kind, args.m2, f, g)
-    if args.kind == "morphism":
-        return _emit_document(args, docs.pamorphism_document(compose_morphisms(m1, m2)))
-    return _emit_document(args, docs.pacomorphism_document(compose_comorphisms(m1, m2)))
+    compose = compose_morphisms if args.kind == "morphism" else compose_comorphisms
+    return _emit_document(args, compose(m1, m2))
 
 
 def cmd_restrict(args):
@@ -281,7 +280,7 @@ def cmd_psisum(args):
     if args.action == "bracket":
         value = psisum_bracket(ctx, *elements)
         if args.output:
-            return _emit_document(args, docs.mixed_element_document(value))
+            return _emit_document(args, value)
         report = VerdictReport()
         report.add("bracket = %s" % value.render(), True)
         report.merge(membership_report(ctx, value), prefix="closure: ")
@@ -342,7 +341,7 @@ def cmd_grpd_build(args):
         total = _parse_items(args.total, "--total")
         group, act = _cyclic_action(args, total)
         g = _from_flags(make_gauge, total, _parse_mapping(args.proj, "projection"), group, act)
-    return _emit_document(args, docs.groupoid_document(g))
+    return _emit_document(args, g)
 
 
 def cmd_grpd_check(args):

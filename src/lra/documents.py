@@ -6,6 +6,8 @@ The converter of the kind (``to_algebra``, ``to_palg``, ``to_groupoid``,
 ...) checks the body as it reads it, each field once, and rejects a bad
 field with a ``DocumentError`` that names its location; a body with
 several faults reports the first in the converter's reading order.
+``document`` builds the document of an object: the kind its class is
+written as, with the body from that kind's writer (``from_algebra``, ...).
 
 Rendering is canonical (sorted keys, fixed indentation, sorted table
 entries), so parse . render is the identity on documents and rendered
@@ -29,19 +31,6 @@ from .psisum import MixedElement
 
 VERSION = "1"
 
-KINDS = (
-    "algebra",
-    "morphism",
-    "derivation",
-    "palg",
-    "element",
-    "pamorphism",
-    "pacomorphism",
-    "groupoid",
-    "grpdmap",
-)
-
-
 class DocumentError(ValueError):
     """Malformed document: bad JSON, bad schema, or bad payload."""
 
@@ -52,7 +41,7 @@ class DocumentError(ValueError):
         self.path = path
 
 
-Document = namedtuple("Document", "kind version body")
+Document = namedtuple("Document", "kind body")
 
 
 def _unique_keys(pairs):
@@ -96,11 +85,11 @@ def parse_document(text):
         raise DocumentError("unsupported version %r" % raw["version"], "version")
     if not isinstance(raw["body"], dict):
         raise DocumentError("body must be an object", "body")
-    return Document(raw["kind"], raw["version"], raw["body"])
+    return Document(raw["kind"], raw["body"])
 
 
 def render_document(doc):
-    payload = {"kind": doc.kind, "version": doc.version, "body": doc.body}
+    payload = {"kind": doc.kind, "version": VERSION, "body": doc.body}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -211,10 +200,6 @@ def from_algebra(algebra):
     }
 
 
-def algebra_document(algebra):
-    return Document("algebra", VERSION, from_algebra(algebra))
-
-
 def to_algmorphism(body, path="body"):
     source = to_algebra(_expect(body, "source", dict, path), "%s.source" % path)
     target = to_algebra(_expect(body, "target", dict, path), "%s.target" % path)
@@ -233,10 +218,6 @@ def from_algmorphism(m):
     }
 
 
-def algmorphism_document(m):
-    return Document("morphism", VERSION, from_algmorphism(m))
-
-
 def to_derivation(body, path="body"):
     algebra = to_algebra(_expect(body, "algebra", dict, path), "%s.algebra" % path)
     images = _expect_str_list(body, "images", path)
@@ -251,10 +232,6 @@ def from_derivation(d):
         "algebra": from_algebra(d.algebra),
         "images": [d.algebra.render(q) for q in d.images],
     }
-
-
-def derivation_document(d):
-    return Document("derivation", VERSION, from_derivation(d))
 
 
 def to_palg(body, path="body"):
@@ -307,10 +284,6 @@ def from_palg(e):
     }
 
 
-def palg_document(e):
-    return Document("palg", VERSION, from_palg(e))
-
-
 def _is_plain(body, path):
     """Whether an element body carries 'coords' rather than 'tensor' and 'f_part'."""
     plain = "coords" in body
@@ -330,10 +303,6 @@ def to_element(body, palg, path="body"):
 
 def from_element(x):
     return {"coords": [x.parent.algebra.render(c) for c in x.coords]}
-
-
-def element_document(x):
-    return Document("element", VERSION, from_element(x))
 
 
 def to_mixed_element(body, ctx, path="body"):
@@ -356,10 +325,6 @@ def from_mixed_element(z):
         "tensor": [b_alg.render(c) for c in z.tensor],
         "f_part": [b_alg.render(c) for c in z.f_part],
     }
-
-
-def mixed_element_document(z):
-    return Document("element", VERSION, from_mixed_element(z))
 
 
 def _psi(body, e, f, path):
@@ -391,10 +356,6 @@ def from_pamorphism(m):
     }
 
 
-def pamorphism_document(m):
-    return Document("pamorphism", VERSION, from_pamorphism(m))
-
-
 def to_pacomorphism(body, e, f, path="body"):
     """Build a comorphism from F to E; the document's psi runs E-side to F-side."""
     psi = _psi(body, e, f, path)
@@ -415,10 +376,6 @@ def from_pacomorphism(m):
         "psi": from_algmorphism(m.psi),
         "images": [[m.source.algebra.render(c) for c in row] for row in m.images],
     }
-
-
-def pacomorphism_document(m):
-    return Document("pacomorphism", VERSION, from_pacomorphism(m))
 
 
 # -- groupoids ---------------------------------------------------------------
@@ -446,10 +403,6 @@ def from_groupoid(g):
         "inv": {arrs[a]: arrs[g.inv[a]] for a in g.arrows},
         "comp": sorted([[arrs[a], arrs[b], arrs[c]] for (a, b), c in g.comp.items()]),
     }
-
-
-def groupoid_document(g):
-    return Document("groupoid", VERSION, from_groupoid(g))
 
 
 def to_groupoid(body, path="body"):
@@ -510,10 +463,6 @@ def from_grpdmap(m):
     }
 
 
-def grpdmap_document(m):
-    return Document("grpdmap", VERSION, from_grpdmap(m))
-
-
 def to_grpdmap(body, path="body"):
     maptype = _expect(body, "maptype", str, path)
     if maptype not in ("morphism", "comorphism"):
@@ -530,3 +479,31 @@ def to_grpdmap(body, path="body"):
             raise DocumentError("repeated pair %r" % ((x, w),), "%s.table[%d]" % (path, n))
         table[(x, w)] = g
     return GrpdComorphism(base, table)
+
+
+# -- the one writer ----------------------------------------------------------
+
+# Each kind with the classes whose objects it carries and the writer of its
+# body; a plain and a mixed element are both of kind "element".
+_WRITERS = (
+    ("algebra", (AlgebraPres,), from_algebra),
+    ("morphism", (AlgMorphism,), from_algmorphism),
+    ("derivation", (Derivation,), from_derivation),
+    ("palg", (PAlg,), from_palg),
+    ("element", (PAElement,), from_element),
+    ("element", (MixedElement,), from_mixed_element),
+    ("pamorphism", (PAMorphism,), from_pamorphism),
+    ("pacomorphism", (PAComorphism,), from_pacomorphism),
+    ("groupoid", (FinGroupoid,), from_groupoid),
+    ("grpdmap", (GrpdMorphism, GrpdComorphism), from_grpdmap),
+)
+
+KINDS = tuple(dict.fromkeys(kind for kind, _, _ in _WRITERS))
+
+
+def document(x):
+    """The document of ``x``, of the kind its class is written as."""
+    for kind, classes, write in _WRITERS:
+        if isinstance(x, classes):
+            return Document(kind, write(x))
+    raise TypeError("no document kind carries a %s" % type(x).__name__)

@@ -50,21 +50,25 @@ def _composable(arrows, src, tgt):
 
 
 class FinGroupoid:
-    """A finite groupoid: explicit source, target, identity, inverse, product."""
+    """A finite groupoid: explicit source, target, identity, inverse, product.
+
+    Object and arrow labels are distinct: a repeated one is a ``ValueError``.
+    The tables are checked by ``check_groupoid``."""
 
     __slots__ = ("objects", "arrows", "src", "tgt", "ident", "inv", "comp")
 
     def __init__(self, objects, arrows, src, tgt, ident, inv, comp):
         self.objects = tuple(objects)
         self.arrows = tuple(arrows)
+        for what, labels in (("object", self.objects), ("arrow", self.arrows)):
+            if len(set(labels)) < len(labels):
+                repeated = next(label for label, n in Counter(labels).items() if n > 1)
+                raise ValueError("repeated %s label %r" % (what, repeated))
         self.src = dict(src)
         self.tgt = dict(tgt)
         self.ident = dict(ident)
         self.inv = dict(inv)
         self.comp = dict(comp)
-
-    def hom(self, x, y):
-        return [g for g in self.arrows if self.src[g] == x and self.tgt[g] == y]
 
     def orbit(self, x):
         return {self.tgt[g] for g in self.arrows if self.src[g] == x}
@@ -724,11 +728,15 @@ def check_groupoid_action(action):
     """Verify the action tables; the groupoid must pass ``check_groupoid``."""
     report = VerdictReport()
     g = action.groupoid
+    objects = set(g.objects)
     covered = {action.projection[z] for z in action.space}
     report.add(
         "projection is onto the base",
-        covered == set(g.objects),
-        "uncovered objects: %r" % sorted(set(g.objects) - covered, key=repr),
+        covered == objects,
+        lambda: "uncovered objects: %r; points over non-objects: %r" % (
+            sorted(objects - covered, key=repr),
+            sorted((z for z in action.space if action.projection[z] not in objects), key=repr),
+        ),
     )
     for a in g.arrows:
         table = action.maps.get(a)

@@ -212,20 +212,10 @@ class MPoly:
     def constant_value(self):
         return self.terms.get((0,) * self.arity, 0)
 
-    def coeff(self, exp):
-        return self.terms.get(tuple(exp), 0)
-
     def total_degree(self):
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def leading(self, key=grevlex_key):
-        """Leading (exponent, coefficient) under the given key; None if zero."""
-        if not self.terms:
-            return None
-        exp = max(self.terms, key=key)
-        return exp, self.terms[exp]
 
     # -- arithmetic ----------------------------------------------------
 

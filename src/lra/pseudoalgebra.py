@@ -94,9 +94,6 @@ class PAlg:
         coords[i] = self.algebra.one()
         return PAElement._raw(self, coords)
 
-    def zero_element(self):
-        return PAElement._raw(self, [self.algebra.zero()] * self.rank)
-
     def bracket_basis(self, i, j):
         return PAElement._raw(self, self.struct_coeffs(i, j))
 

@@ -11,27 +11,21 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import sub
 
-from lra import (
-    AlgebraPres,
-    AlgMorphism,
-    Derivation,
+from lra.algebra import AlgebraPres, AlgMorphism, Derivation
+from lra.groupoid import (
     FinGroupoid,
     GroupoidAction,
     GrpdMorphism,
-    PAComorphism,
-    PAElement,
-    PAMorphism,
-    bracket,
     check_grpd_morphism,
     cyclic_group,
     find_isomorphism,
     make_action_groupoid,
-    make_der,
-    make_klie,
     make_pair,
     restrict_groupoid,
 )
+from lra.maps import PAComorphism, PAMorphism
 from lra.poly import MPoly, order_key
+from lra.pseudoalgebra import PAElement, bracket, make_der, make_klie
 
 
 def coefficient_form(c):
@@ -47,8 +41,9 @@ def coefficient_form(c):
 def s_polynomial(f, g, order="grevlex"):
     """x^a f / lc(f) - x^b g / lc(g), the leading terms cancelling at lcm(lm f, lm g)."""
     key = order_key(order)
-    (ef, cf) = f.leading(key)
-    (eg, cg) = g.leading(key)
+    ef = max(f.terms, key=key)
+    eg = max(g.terms, key=key)
+    cf, cg = f.terms[ef], g.terms[eg]
     m = tuple(map(max, ef, eg))
     mf = MPoly.monomial(f.arity, tuple(map(sub, m, ef)), Fraction(1, 1) / cf)
     mg = MPoly.monomial(g.arity, tuple(map(sub, m, eg)), Fraction(1, 1) / cg)
@@ -401,7 +396,7 @@ def morphism_suite():
             dx.basis(0).scale(-(x ** 2)),
         ],
     )
-    zero_map = PAMorphism(ab, dx, incl_x, [dx.zero_element()])
+    zero_map = PAMorphism(ab, dx, incl_x, [PAElement(dx, [dx.algebra.zero()] * dx.rank)])
     borel = make_klie({(0, 1): [0, 2]})
     borel_incl = PAMorphism(
         borel, g_sl2, AlgMorphism.identity(q), [g_sl2.basis(0), g_sl2.basis(1)]

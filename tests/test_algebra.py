@@ -45,7 +45,7 @@ def test_tensor_renames_are_readable_names():
     t, renaming = a.tensor(AlgebraPres(("x", "y")))
     assert t.variables == ("x", "x_1", "x_2", "y")
     assert renaming == {"x": "x_2"}
-    doc = docs.parse_document(docs.render_document(docs.algebra_document(t)))
+    doc = docs.parse_document(docs.render_document(docs.document(t)))
     assert to_algebra(doc.body) == t
 
 

@@ -37,34 +37,34 @@ def workspace(tmp_path):
         docs.save_document(doc, path)
         paths[name] = str(path)
 
-    put("qx.json", docs.algebra_document(qx))
-    put("dx.json", docs.palg_document(dx))
-    put("dy.json", docs.palg_document(dy))
-    put("duv.json", docs.palg_document(duv))
-    put("act.json", docs.palg_document(make_action(qx, sl2(), sl2_action_images(qx))))
+    put("qx.json", docs.document(qx))
+    put("dx.json", docs.document(dx))
+    put("dy.json", docs.document(dy))
+    put("duv.json", docs.document(duv))
+    put("act.json", docs.document(make_action(qx, sl2(), sl2_action_images(qx))))
 
     psi_curve = AlgMorphism(quv, qx, [x, x ** 2])
-    put("psi_curve.json", docs.algmorphism_document(psi_curve))
+    put("psi_curve.json", docs.document(psi_curve))
     co = PAComorphism(dx, duv, psi_curve, [[qx.one(), 2 * x]])
-    put("co.json", docs.pacomorphism_document(co))
+    put("co.json", docs.document(co))
     mut = PAComorphism(dx, duv, psi_curve, [[qx.one(), 3 * x]])
-    put("mut.json", docs.pacomorphism_document(mut))
+    put("mut.json", docs.document(mut))
 
     relabel = PAMorphism(dx, dy, AlgMorphism(qx, qy, [y]), [dy.basis(0)])
-    put("relabel.json", docs.pamorphism_document(relabel))
+    put("relabel.json", docs.document(relabel))
 
     psi_square = AlgMorphism(qx, qy, [y ** 2])
-    put("psi_square.json", docs.algmorphism_document(psi_square))
+    put("psi_square.json", docs.document(psi_square))
     ctx = PsiSumCtx(dx, dy, psi_square)
-    put("member.json", docs.mixed_element_document(MixedElement(ctx, [2 * y], [qy.one()])))
+    put("member.json", docs.document(MixedElement(ctx, [2 * y], [qy.one()])))
     put(
         "member2.json",
-        docs.mixed_element_document(MixedElement(ctx, [2 * y ** 3], [y ** 2])),
+        docs.document(MixedElement(ctx, [2 * y ** 3], [y ** 2])),
     )
-    put("nonmember.json", docs.mixed_element_document(MixedElement(ctx, [qy.one()], [qy.one()])))
+    put("nonmember.json", docs.document(MixedElement(ctx, [qy.one()], [qy.one()])))
 
-    put("elem_x.json", docs.element_document(dx.basis(0).scale(x)))
-    put("elem_d.json", docs.element_document(dx.basis(0)))
+    put("elem_x.json", docs.document(dx.basis(0).scale(x)))
+    put("elem_d.json", docs.document(dx.basis(0)))
     return tmp_path, paths
 
 
@@ -82,14 +82,14 @@ def test_algebra_map_of_a_high_power(tmp_path, capsys):
     source = AlgebraPres(("x",), IdealPres(1, [MPoly.variable(1, 0) ** 1500]))
     target = AlgebraPres(("y",), IdealPres(1, [MPoly.variable(1, 0) ** 2]))
     path = tmp_path / "high_power.json"
-    docs.save_document(docs.algmorphism_document(AlgMorphism(source, target, [target.variable(0)])), path)
+    docs.save_document(docs.document(AlgMorphism(source, target, [target.variable(0)])), path)
     assert main(["check", "algmorphism", str(path)]) == 0
     assert "x^1500" in capsys.readouterr().out
 
 
 def test_coefficients_of_any_length(tmp_path, capsys):
     """Integers past CPython's 4,300-digit str limit parse and print."""
-    source = docs.Document("morphism", "1", {
+    source = docs.Document("morphism", {
         "source": {"variables": ["x"], "ideal": ["x^4400"], "order": "grevlex"},
         "target": {"variables": ["y"], "ideal": [], "order": "grevlex"},
         "images": ["10*y"],
@@ -100,7 +100,7 @@ def test_coefficients_of_any_length(tmp_path, capsys):
     assert "normal form of the image is 1%s*y^4400" % ("0" * 4400) in capsys.readouterr().out
     long = "7" * 4999 + "1"
     algebra = tmp_path / "long_coefficient.json"
-    docs.save_document(docs.Document("algebra", "1", {"variables": ["x"], "ideal": ["x^2 - %s/3" % long]}), algebra)
+    docs.save_document(docs.Document("algebra", {"variables": ["x"], "ideal": ["x^2 - %s/3" % long]}), algebra)
     assert main(["check-algebra", str(algebra)]) == 0
     assert "[x^2 - %s/3]" % long in capsys.readouterr().out
 
@@ -110,7 +110,7 @@ def test_algebra_map_powers_reduce_in_the_target(tmp_path, monkeypatch, capsys):
     they grow, so the witness comes quickly and a cap of one step stops the
     command at its second reduction."""
     path = tmp_path / "power.json"
-    docs.save_document(docs.Document("morphism", "1", {
+    docs.save_document(docs.Document("morphism", {
         "source": {"variables": ["x"], "ideal": ["x^2000"], "order": "grevlex"},
         "target": {"variables": ["y"], "ideal": ["y^2"], "order": "grevlex"},
         "images": ["y + 1"],
@@ -127,7 +127,7 @@ def test_algebra_map_of_a_hundred_digit_power(tmp_path, capsys):
     squares, so it takes a few hundred steps, not 10^100."""
     n = 10 ** 100
     path = tmp_path / "power.json"
-    docs.save_document(docs.Document("morphism", "1", {
+    docs.save_document(docs.Document("morphism", {
         "source": {"variables": ["x"], "ideal": ["x^%d" % n], "order": "grevlex"},
         "target": {"variables": ["y"], "ideal": ["y^2"], "order": "grevlex"},
         "images": ["y + 1"],
@@ -170,7 +170,7 @@ def test_long_exponents_and_json_integers_are_located_input_errors(tmp_path, cap
     """An exponent or a JSON integer literal past the 4,300-digit limit exits 2
     with the place of the bad value."""
     algebra = tmp_path / "long_exponent.json"
-    docs.save_document(docs.Document("algebra", "1", {"variables": ["x", "y"], "ideal": ["y + x^" + "1" * 5000]}), algebra)
+    docs.save_document(docs.Document("algebra", {"variables": ["x", "y"], "ideal": ["y + x^" + "1" * 5000]}), algebra)
     assert main(["check-algebra", str(algebra)]) == 2
     assert capsys.readouterr().err.endswith("': exponent too large (line 1, column 7) (at body.ideal)\n")
     body = docs.from_palg(make_der(algebras()["x"]))
@@ -224,7 +224,7 @@ def _identity_morphism_doc(tmp_path):
     qy = AlgebraPres.free("y")
     dy = make_der(qy)
     path = tmp_path / "id_dy.json"
-    docs.save_document(docs.pamorphism_document(PAMorphism.identity(dy)), path)
+    docs.save_document(docs.document(PAMorphism.identity(dy)), path)
     return str(path)
 
 
@@ -382,14 +382,14 @@ def test_grpd_map_commands(tmp_path):
     g1 = tmp_path / "g1.json"
     g2 = tmp_path / "g2.json"
     mp = tmp_path / "map.json"
-    docs.save_document(docs.groupoid_document(p2), g1)
-    docs.save_document(docs.groupoid_document(pxy), g2)
-    docs.save_document(docs.grpdmap_document(functor), mp)
+    docs.save_document(docs.document(p2), g1)
+    docs.save_document(docs.document(pxy), g2)
+    docs.save_document(docs.document(functor), mp)
     assert main(["grpd", "check-map", str(g1), str(g2), str(mp)]) == 0
     assert main(["grpd", "graph-theorem", str(g1), str(g2), str(mp)]) == 0
 
     broken = GrpdMorphism(phi, {**functor.arrows, ("1", "2"): ("x", "x")})
-    docs.save_document(docs.grpdmap_document(broken), mp)
+    docs.save_document(docs.document(broken), mp)
     assert main(["grpd", "check-map", str(g1), str(g2), str(mp)]) == 1
 
 
@@ -406,7 +406,7 @@ def test_grpd_check_reports_broken_tables(tmp_path, capsys, field, key, value, f
     g = make_pair(["a", "b"])
     getattr(g, field)[key] = value
     path = tmp_path / "broken.json"
-    docs.save_document(docs.groupoid_document(g), path)
+    docs.save_document(docs.document(g), path)
     assert main(["--format", "json", "grpd", "check", str(path)]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert checks[-1] == {"name": failing, "status": "fail", "witness": checks[-1]["witness"]}
@@ -441,7 +441,7 @@ def test_resource_cap_exit_code(tmp_path, monkeypatch):
         "order": "grevlex",
     }
     path = tmp_path / "alg.json"
-    docs.save_document(docs.Document("algebra", "1", body), path)
+    docs.save_document(docs.Document("algebra", body), path)
     assert main(["check-algebra", str(path)]) == 3
 
 
@@ -455,7 +455,7 @@ def test_step_cap_bounds_the_whole_command(tmp_path, monkeypatch, capsys):
 
     body = {"variables": ["x", "y"], "ideal": ["x^3 + y", "x*y + 1", "y^2 - x"], "order": "grevlex"}
     path = tmp_path / "alg.json"
-    docs.save_document(docs.Document("algebra", "1", body), path)
+    docs.save_document(docs.Document("algebra", body), path)
     units, opened = [], []
 
     def counted(fn):
@@ -509,7 +509,7 @@ def test_step_budget_closes_with_the_command(workspace, tmp_path, monkeypatch):
     _, p = workspace
     alg = tmp_path / "alg.json"
     body = {"variables": ["x", "y"], "ideal": ["x^3 + y", "x*y + 1", "y^2 - x"], "order": "grevlex"}
-    docs.save_document(docs.Document("algebra", "1", body), alg)
+    docs.save_document(docs.Document("algebra", body), alg)
     monkeypatch.setenv("LRA_STEP_CAP", "5")
     for argv, code in (
         (["grpd", "check", str(DATA["groupoid_pair2"])], 0),
@@ -550,7 +550,7 @@ def test_bad_inputs_exit_two(tmp_path):
     assert main(["check-algebra", str(path)]) == 2
     bad_poly = tmp_path / "badpoly.json"
     docs.save_document(
-        docs.Document("algebra", "1", {"variables": ["x"], "ideal": ["2*x^"]}), bad_poly
+        docs.Document("algebra", {"variables": ["x"], "ideal": ["2*x^"]}), bad_poly
     )
     assert main(["check-algebra", str(bad_poly)]) == 2
     assert main(["no-such-command"]) == 2
@@ -578,8 +578,8 @@ def test_compose_comorphism_command(workspace, tmp_path):
     dw_path = tmp_path / "dw.json"
     relabel_path = tmp_path / "relabel_co.json"
     out = tmp_path / "chained.json"
-    docs.save_document(docs.palg_document(dw), dw_path)
-    docs.save_document(docs.pacomorphism_document(relabel), relabel_path)
+    docs.save_document(docs.document(dw), dw_path)
+    docs.save_document(docs.document(relabel), relabel_path)
     code = main(
         [
             "compose", "comorphism",
@@ -607,7 +607,7 @@ def test_check_palg_failure_exits_one(tmp_path):
         ],
     }
     path = tmp_path / "broken.json"
-    docs.save_document(docs.Document("palg", "1", body), path)
+    docs.save_document(docs.Document("palg", body), path)
     assert main(["check-palg", str(path)]) == 1
 
 
@@ -637,9 +637,9 @@ def _pair_without_product(tmp_path):
     g = make_pair(["a", "b"])
     del g.comp[(("a", "b"), ("b", "a"))]
     broken = tmp_path / "broken.json"
-    docs.save_document(docs.groupoid_document(g), broken)
+    docs.save_document(docs.document(g), broken)
     good = tmp_path / "good.json"
-    docs.save_document(docs.groupoid_document(make_pair(["a", "b"])), good)
+    docs.save_document(docs.document(make_pair(["a", "b"])), good)
     return str(broken), str(good)
 
 
@@ -648,7 +648,7 @@ def _identity_map_doc(tmp_path, base):
 
     path = tmp_path / "map.json"
     arrows = {a: a for a in make_pair(["a", "b"]).arrows}
-    docs.save_document(docs.grpdmap_document(GrpdMorphism(base, arrows)), path)
+    docs.save_document(docs.document(GrpdMorphism(base, arrows)), path)
     return str(path)
 
 
@@ -707,7 +707,7 @@ def _base_with_extra_key_doc(tmp_path, kind):
     else:
         m = GrpdComorphism(base, {(g.src[w], w): w for w in g.arrows})
     path = tmp_path / ("extra-%s.json" % kind)
-    docs.save_document(docs.grpdmap_document(m), path)
+    docs.save_document(docs.document(m), path)
     return str(path)
 
 
@@ -762,10 +762,10 @@ def test_grpd_witnesses_do_not_depend_on_hash_seed(tmp_path):
     broken.comp[(("o3", 1), ("o3", 1))] = ("o3", 0)
     paths = {}
     for name, doc in (
-        ("bundle", docs.groupoid_document(bundle)),
-        ("point", docs.groupoid_document(point)),
-        ("mutant", docs.grpdmap_document(GrpdMorphism({x: "t" for x in objects}, mutant))),
-        ("broken", docs.groupoid_document(broken)),
+        ("bundle", docs.document(bundle)),
+        ("point", docs.document(point)),
+        ("mutant", docs.document(GrpdMorphism({x: "t" for x in objects}, mutant))),
+        ("broken", docs.document(broken)),
     ):
         paths[name] = str(tmp_path / (name + ".json"))
         docs.save_document(doc, paths[name])
@@ -1073,9 +1073,9 @@ def test_arrow_map_with_an_extra_arrow_fails_both_tests(tmp_path, capsys):
 
     pair = make_pair(["a", "b"])
     g, mp = tmp_path / "pair.json", tmp_path / "map.json"
-    docs.save_document(docs.groupoid_document(pair), g)
+    docs.save_document(docs.document(pair), g)
     extra = GrpdMorphism({"a": "a", "b": "b"}, {**{w: w for w in pair.arrows}, "zz": ("a", "a")})
-    docs.save_document(docs.grpdmap_document(extra), mp)
+    docs.save_document(docs.document(extra), mp)
     assert main(["--format", "json", "grpd", "check-map", str(g), str(g), str(mp)]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert checks == [

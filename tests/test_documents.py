@@ -11,6 +11,7 @@ from lra.maps import PAComorphism, PAMorphism
 from lra.poly import MPoly
 from lra.pseudoalgebra import make_action, make_der
 from lra.psisum import MixedElement, PsiSumCtx
+from lra.restriction import ResidueElement, RestrictionCtx
 
 
 CONVERTERS = {
@@ -45,18 +46,18 @@ def sample_documents():
         [make_der(alg["y"]).basis(0)],
     )
     out = [
-        docs.algebra_document(qx),
-        docs.algebra_document(quotient),
-        docs.algmorphism_document(psi),
-        docs.derivation_document(Derivation(quotient, [quotient.variable(0)])),
-        docs.palg_document(dx),
-        docs.palg_document(act),
-        docs.element_document(act.basis(1).scale(x)),
-        docs.pamorphism_document(relabel),
-        docs.pacomorphism_document(co),
+        docs.document(qx),
+        docs.document(quotient),
+        docs.document(psi),
+        docs.document(Derivation(quotient, [quotient.variable(0)])),
+        docs.document(dx),
+        docs.document(act),
+        docs.document(act.basis(1).scale(x)),
+        docs.document(relabel),
+        docs.document(co),
     ]
     for g in groupoid_corpus().values():
-        out.append(docs.groupoid_document(g))
+        out.append(docs.document(g))
     return out
 
 
@@ -66,6 +67,14 @@ def test_render_parse_round_trip_is_identity():
         again = docs.parse_document(text)
         assert again == doc
         assert docs.render_document(again) == text
+
+
+def test_document_refuses_an_object_of_no_kind():
+    """A residue class of a restriction has no document kind."""
+    dx = make_der(algebras()["x"])
+    residue = ResidueElement(RestrictionCtx(dx, [dx.algebra.variable(0)]), [dx.algebra.one()])
+    with pytest.raises(TypeError, match="^no document kind carries a ResidueElement$"):
+        docs.document(residue)
 
 
 def test_parse_rejects_bad_envelopes():
@@ -214,7 +223,7 @@ def test_groupoid_doc_round_trips_through_builder():
     from lra.groupoid import check_groupoid, make_pair, make_phi_product
 
     g = make_phi_product(make_pair(["1", "2"]), make_pair(["a"]), {"1": "a", "2": "a"})
-    doc = docs.groupoid_document(g)
+    doc = docs.document(g)
     rebuilt = docs.to_groupoid(docs.parse_document(docs.render_document(doc)).body)
     assert check_groupoid(rebuilt).verdict
     assert len(rebuilt.arrows) == len(g.arrows)
@@ -253,7 +262,7 @@ def test_semantic_binding_errors():
     duv = make_der(alg["uv"])
     x = alg["x"].variable(0)
     psi = AlgMorphism(alg["uv"], alg["x"], [x, x ** 2])
-    co_doc = docs.pacomorphism_document(PAComorphism(dx, duv, psi, [[alg["x"].one(), 2 * x]]))
+    co_doc = docs.document(PAComorphism(dx, duv, psi, [[alg["x"].one(), 2 * x]]))
     with pytest.raises(docs.DocumentError, match="does not connect"):
         docs.to_pacomorphism(co_doc.body, dx, dx)
 
@@ -264,7 +273,7 @@ def test_mixed_element_documents():
     y = alg["y"].variable(0)
     ctx = PsiSumCtx(e, f, AlgMorphism(alg["x"], alg["y"], [y ** 2]))
     z = MixedElement(ctx, [2 * y], [alg["y"].one()])
-    doc = docs.mixed_element_document(z)
+    doc = docs.document(z)
     again = docs.to_mixed_element(docs.parse_document(docs.render_document(doc)).body, ctx)
     assert again == z
 
@@ -309,7 +318,7 @@ def test_algebra_with_huge_exponents(tmp_path, capsys, order):
 
     body = {"variables": ["x", "y"], "ideal": ["y^2", "x^65537 - y"], "order": order}
     path = tmp_path / "huge.json"
-    docs.save_document(docs.Document("algebra", "1", body), path)
+    docs.save_document(docs.Document("algebra", body), path)
     algebra = docs.to_algebra(docs.load_document(path).body)
     x, y = algebra.variable(0), algebra.variable(1)
     assert algebra.ideal.groebner == (y ** 2, x ** 65537 - y)

@@ -122,7 +122,10 @@ def test_find_isomorphism_tells_vertex_groups_apart():
     z4 = make_action_groupoid(cyclic_group(4), ["o"], {("o", g): "o" for g in range(4)})
     one_object_z2 = make_action_groupoid(Z2, ["o"], {("o", 0): "o", ("o", 1): "o"})
     klein = make_direct_product(one_object_z2, one_object_z2)
-    assert sorted(len(klein.hom(x, y)) for x in klein.objects for y in klein.objects) == [4]
+    assert sorted(
+        sum(klein.src[g] == x and klein.tgt[g] == y for g in klein.arrows)
+        for x in klein.objects for y in klein.objects
+    ) == [4]
     assert find_isomorphism(z4, klein) is None
     assert find_isomorphism(klein, z4) is None
     assert checked_isomorphism(z4, z4) is not None
@@ -323,6 +326,32 @@ def test_action_names_an_arrow_without_a_map():
     broken = GroupoidAction(action.groupoid, action.space, action.projection, maps)
     report = check_groupoid_action(broken)
     assert _failures(report) == [("arrow ('o', 1) acts", "no map assigned")]
+
+
+def test_action_names_the_points_over_non_objects():
+    """A projection that sends a point outside the base names that point."""
+    pair = make_pair(["a", "b"])
+    over = {"a": "p", "b": "q"}
+    maps = {(x, y): {over[x]: over[y]} for (x, y) in pair.arrows}
+    action = GroupoidAction(pair, ["p", "q", "r"], {"p": "a", "q": "b", "r": "zz"}, maps)
+    assert _failures(check_groupoid_action(action)) == [
+        ("projection is onto the base", "uncovered objects: []; points over non-objects: ['r']")
+    ]
+
+
+@pytest.mark.parametrize(
+    "build, label",
+    [
+        (lambda: make_pair(["a", "a"]), "object label 'a'"),
+        (lambda: restrict_groupoid(make_pair(["a", "b"]), ["a", "a"]), "object label 'a'"),
+        (lambda: FinGroupoid([0], [0, 0], {0: 0}, {0: 0}, {0: 0}, {0: 0}, {(0, 0): 0}), "arrow label 0"),
+    ],
+    ids=["pair", "restrict", "arrows"],
+)
+def test_groupoid_labels_are_distinct(build, label):
+    """The constructor rejects a repeated label, so no table lists an object twice."""
+    with pytest.raises(ValueError, match="^repeated %s$" % label):
+        build()
 
 
 def test_graph_subgroupoid_examples():

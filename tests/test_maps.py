@@ -30,7 +30,7 @@ from lra.maps import (
     graph_subalgebra_check,
     induced_infinitesimal_action,
 )
-from lra.pseudoalgebra import PAlg, axioms_check, make_cotangent_poisson, make_der, make_klie
+from lra.pseudoalgebra import PAElement, PAlg, axioms_check, make_cotangent_poisson, make_der, make_klie
 from lra.psisum import membership_report, psisum_bracket
 from lra.verdict import VerificationError
 
@@ -138,7 +138,7 @@ def test_graph_generators():
     assert list(gens2[0].f_part) == [alg["x"].one()]
 
     zero = PAMorphism(
-        dx, dy, AlgMorphism(alg["x"], alg["y"], [alg["y"].variable(0)]), [dy.zero_element()]
+        dx, dy, AlgMorphism(alg["x"], alg["y"], [alg["y"].variable(0)]), [PAElement(dy, [dy.algebra.zero()] * dy.rank)]
     )
     _, gens3 = graph(zero)
     assert list(gens3[0].tensor) == [alg["y"].one()]

@@ -82,7 +82,7 @@ UNREDUCED = ["x^2 + y^2", "x^3"]
 
 def test_loaded_documents_are_reduced():
     """Loaders parse payloads as written; the constructors they build through reduce."""
-    body = docs.palg_document(E).body
+    body = docs.document(E).body
     body["anchor"][0] = ["-x^2*y - y^3", "x^3 + x*y^2"]
     body["structure"][0]["coeffs"] = ["x^3 + x*y^2", "x^2 + y^2 - 1"]
     assert docs.to_palg(body) == E

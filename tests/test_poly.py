@@ -68,7 +68,7 @@ def test_arithmetic_basics():
     p = (x + y) * (x - y)
     assert p == x ** 2 - y ** 2
     assert (x - x).is_zero()
-    assert (2 * x).coeff((1, 0)) == 2
+    assert (2 * x).terms[(1, 0)] == 2
     assert x * 0 == MPoly.zero(2)
 
 

@@ -55,9 +55,9 @@ def _grpd_maps():
 def _documents():
     g = make_pair(["a", "b"])
     made = {
-        "groupoid": docs.groupoid_document(g),
-        "grpdmap": docs.grpdmap_document(GrpdMorphism({x: x for x in g.objects}, {w: w for w in g.arrows})),
-        "palg": docs.palg_document(make_der(AlgebraPres.free("x", "y"))),
+        "groupoid": docs.document(g),
+        "grpdmap": docs.document(GrpdMorphism({x: x for x in g.objects}, {w: w for w in g.arrows})),
+        "palg": docs.document(make_der(AlgebraPres.free("x", "y"))),
     }
     made.update({"%s again" % k: docs.parse_document(docs.render_document(d)) for k, d in made.items()})
     made["groupoid empty body"] = docs.parse_document('{"kind": "groupoid", "version": "1", "body": {}}')
