@@ -13,9 +13,17 @@ min-heap of ints hands out the leading term, a shifted term's key is
 ``tail_key + (key - lead_key)`` and "lead divides term" is an addition and
 a mask.  An exponent that outgrows its field clears its guard bit, and
 the work restarts from the budget it began with on fields twice as wide.
-Completion runs on primitive integer polynomials, keeps its S-pairs in a
-heap in normal selection order pruned by the Gebauer-Moeller criteria
-(1988), and makes each element of the reduced basis monic at the end.
+Completion runs on primitive integer polynomials and keeps its S-pairs in
+a heap in normal selection order, pruned by the Gebauer-Moeller criteria
+(1988) with the same cover/guard divisibility test on packed keys.  It
+ends with the reduced basis as primitive integer entries (lead key, cover
+minus lead key, leading coefficient, tail) and hands over both those and
+the monic polynomials derived from them, so a presented ideal divides by
+the entries completion made.  Normal forms run fraction-free on them:
+p's denominators are cleared once, the kernel rescales by lc/gcd(c, lc)
+as completion does, and the remainder is divided by both factors once at
+the end.  Over a basis whose leading coefficients are all 1 nothing is
+rescaled, and p's coefficients enter as they are.
 
 Each reduction step and each S-pair spends one step of the open budget
 (``budget.step_budget``), and running out of it raises
@@ -26,16 +34,12 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, and_, le, mul, rshift
+from operator import and_, mul, rshift
 
 # DEFAULT_STEP_CAP and default_step_cap are read here by the benchmark
 # harness (perfbench/run.py), which names this module.
 from .budget import DEFAULT_STEP_CAP, budget, default_step_cap  # noqa: F401
 from .poly import MPoly, _coefficient, order_key
-
-
-def _divides(small, big):
-    return all(map(le, small, big))
 
 
 _FIELD_BITS = 8  # bits per exponent field, guard bit included; doubled on overflow
@@ -88,11 +92,14 @@ class _Packing:
 def _reduce_terms(work, prepared, guards, steps):
     """Full remainder, key -> coefficient with the leading term first, of ``work``
     (consumed) against ``prepared``: (lead key, cover - lead key, lc, tail as
-    (key, coefficient) pairs) per element.  An integer lc other than 1 first
-    scales the whole polynomial by lc/gcd(c, lc), so integers stay integers."""
+    (key, int) pairs) per element; and M, the product of the rescalings.  An lc
+    other than 1 first scales the whole polynomial by lc/gcd(c, lc), so integers
+    stay integers, and the remainder is M times that of ``work`` by the monic
+    elements.  Where every lc is 1, no rescaling happens and ``work`` may hold
+    Fractions."""
     heap = list(work)
     heapify(heap)
-    remainder = {}
+    remainder, scale = {}, 1
     while heap:
         key = heappop(heap)
         c = work.pop(key, None)
@@ -104,6 +111,7 @@ def _reduce_terms(work, prepared, guards, steps):
                 if lc != 1:
                     m = lc // gcd(c, lc)
                     if m != 1:
+                        scale *= m
                         for k in work:
                             work[k] *= m
                         for e in remainder:
@@ -128,35 +136,58 @@ def _reduce_terms(work, prepared, guards, steps):
                 break
         else:
             remainder[key] = c
-    return remainder
+    return remainder, scale
+
+
+def _cleared(terms):
+    """(D, D * terms) for D the lcm of the denominators of the coefficients of ``terms``."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
 def _prepare(basis, pack):
-    """``pack``, widened until ``basis`` fits, and its nonzero elements prepared, monic."""
+    """The prepared form of ``basis`` under ``pack``, widened until ``basis`` fits:
+    its nonzero elements as completion leaves them, primitive integer entries
+    with a positive lc (``_primitive``); see ``_prepared``."""
     try:
-        prepared = []
-        for keyed in (pack.keyed(g.terms) for g in basis if not g.is_zero()):
-            lead_key = min(keyed)
-            lc = keyed.pop(lead_key)
-            tail = [(k, _coefficient(Fraction(c, lc))) for k, c in keyed.items()]
-            prepared.append((lead_key, pack.cover - lead_key, 1, tail))
-        return pack, prepared
+        entries = []
+        for g in basis:
+            if g.terms:
+                keyed = pack.keyed(_cleared(g.terms)[1])
+                lead_key = min(keyed)
+                entries.append(_primitive({lead_key: keyed.pop(lead_key), **keyed}, pack))
     except _Overflow:
         return _prepare(basis, pack.wider())
+    return _prepared(pack, entries)
 
 
-def _divide(p, basis, pack, prepared):
-    """Remainder of ``p`` by ``basis``, prepared under ``pack``; a copy of ``p`` if nothing reduces."""
+def _prepared(pack, entries):
+    """(``pack``, ``entries``, whether every lc is 1): what ``_divide`` divides by.
+    Over a basis whose lcs are all 1 (its monic elements have integer
+    coefficients) the kernel never rescales, so p's coefficients enter as they are."""
+    return pack, entries, all(lc == 1 for _, _, lc, _ in entries)
+
+
+def _divide(p, basis, pack, entries, unit_lcs):
+    """Remainder of ``p`` by ``basis``, prepared under ``pack``; a copy of ``p`` if nothing reduces.
+
+    Unless every lc is 1, the kernel runs fraction-free on D p, D the lcm of
+    p's denominators, and the remainder it returns is divided by D M once."""
     steps = budget()
     left = steps.left
+    den, terms = (1, p.terms) if unit_lcs else _cleared(p.terms)
     try:
-        remainder = _reduce_terms(pack.keyed(p.terms), prepared, pack.guards, steps)
+        remainder, scale = _reduce_terms(pack.keyed(terms), entries, pack.guards, steps)
     except _Overflow:
         steps.left = left
         return _divide(p, basis, *_prepare(basis, pack.wider()))
     if steps.left == left:
         return MPoly._raw(p.arity, dict(p.terms))
-    return MPoly._raw(p.arity, {pack.exponent(k): _coefficient(c) for k, c in remainder.items()})
+    den *= scale
+    exponent = pack.exponent
+    if den == 1:
+        return MPoly._raw(p.arity, {exponent(k): _coefficient(c) for k, c in remainder.items()})
+    return MPoly._raw(p.arity, {exponent(k): _coefficient(Fraction(c, den)) for k, c in remainder.items()})
 
 
 def normal_form(p, basis, order="grevlex"):
@@ -205,11 +236,21 @@ def _s_terms(f, g, lcm_key, guards):
     return work
 
 
+class _Basis(list):
+    """A reduced basis as ``buchberger`` returns it: a list of monic polynomials
+    that also carries, as ``prepared``, the integer form completion ended with
+    (see ``_prepared``), so no caller needs to prepare it again."""
+
+    __slots__ = ("prepared",)
+
+
 def buchberger(generators, order="grevlex"):
     """Reduced Groebner basis of the ideal spanned by ``generators``.
 
     The result is autoreduced, monic and sorted by leading monomial, so
-    equal ideals (over the same order) get structurally equal bases.
+    equal ideals (over the same order) get structurally equal bases.  It is
+    a list whose ``prepared`` attribute holds the same basis prepared for
+    ``_divide``.
     """
     order_key(order)  # validates the tag
     arity = None
@@ -220,8 +261,7 @@ def buchberger(generators, order="grevlex"):
         elif p.arity != arity:
             raise ValueError("generators have mixed arities")
         if not p.is_zero():
-            den = lcm(*(c.denominator for c in p.terms.values()))
-            integral.append({e: c.numerator * (den // c.denominator) for e, c in p.terms.items()})
+            integral.append(_cleared(p.terms)[1])
     if arity is None:
         raise ValueError("cannot infer arity from an empty generator list; use IdealPres")
     steps = budget()
@@ -234,42 +274,49 @@ def buchberger(generators, order="grevlex"):
 
 
 def _complete(integral, pack, steps):
-    guards, exponent = pack.guards, pack.exponent
-    elements, leads = [], []  # prepared entries, which pairs and the basis name by index; their leads
+    guards, cover, exponent = pack.guards, pack.cover, pack.exponent
+    # prepared entries, which pairs and the basis name by index; their leading
+    # exponents, and the degrees of those
+    elements, leads, degrees = [], [], []
     basis = []  # elements that take new pairs, smallest leading monomial first
     queue = []  # (-key of the lcm, i, j, lcm): the heap of S-pairs, smallest lcm first
 
     def update(h):
-        """Add element h: pair it with the basis, then prune by Gebauer-Moeller."""
-        lead = leads[h]
-        new = [(g, tuple(map(max, lead, leads[g]))) for g in basis]
+        """Add element h: pair it with the basis, then prune by Gebauer-Moeller.
+        Every divisibility test is the cover/guard test on packed keys."""
+        lead, degree, divisor = leads[h], degrees[h], elements[h][1]
+        new = []  # (g, lcm, its key, cover - its key, coprime)
+        for g in basis:
+            m = tuple(map(max, lead, leads[g]))
+            key = pack.key(m)
+            new.append((g, m, key, cover - key, sum(m) == degree + degrees[g]))
         kept = []
-        for n, (g, m) in enumerate(new):
-            coprime = m == tuple(map(add, lead, leads[g]))
+        for n, (g, m, key, _, coprime) in enumerate(new):
             # criteria M and F: another new pair's lcm divides this one's
             if coprime or not (
-                any(_divides(other, m) for _, other in new[n + 1 :])
-                or any(_divides(other, m) for _, other, _ in kept)
+                any((other + key) & guards == guards for _, _, _, other, _ in new[n + 1 :])
+                or any((other + key) & guards == guards for _, _, _, other, _ in kept)
             ):
-                kept.append((g, m, coprime))
+                kept.append(new[n])
         # criterion B: lead divides an old pair's lcm but neither lcm with lead equals it
         queue[:] = [
-            pair for pair in queue if not _divides(lead, pair[3])
+            pair for pair in queue if (divisor - pair[0]) & guards != guards
             or tuple(map(max, leads[pair[1]], lead)) == pair[3]
             or tuple(map(max, leads[pair[2]], lead)) == pair[3]
         ]
         heapify(queue)
-        for g, m, coprime in kept:
+        for g, m, key, _, coprime in kept:
             if not coprime:  # Buchberger's product criterion
-                heappush(queue, (-pack.key(m), g, h, m))
-        basis[:] = [g for g in basis if not _divides(lead, leads[g])] + [h]
+                heappush(queue, (-key, g, h, m))
+        basis[:] = [g for g in basis if (divisor + elements[g][0]) & guards != guards] + [h]
         basis.sort(key=lambda g: elements[g][0], reverse=True)
 
     def add_remainder(work):
-        r = _reduce_terms(work, [elements[g] for g in basis], guards, steps)
+        r, _ = _reduce_terms(work, [elements[g] for g in basis], guards, steps)
         if r:
             elements.append(_primitive(r, pack))
             leads.append(exponent(elements[-1][0]))
+            degrees.append(sum(leads[-1]))
             update(len(elements) - 1)
 
     # each generator enters reduced by the basis so far, smallest lead first
@@ -289,18 +336,22 @@ def _complete(integral, pack, steps):
         lead_key, _, lc, tail = elements[g]
         work = dict(tail)
         work[lead_key] = lc
-        reduced.append(_primitive(_reduce_terms(work, reduced, guards, steps), pack))
+        reduced.append(_primitive(_reduce_terms(work, reduced, guards, steps)[0], pack))
     arity = pack.arity
-    return [MPoly._raw(arity, {exponent(lead): 1, **{exponent(k): _coefficient(Fraction(c, lc)) for k, c in tail}})
-            for lead, _, lc, tail in reduced]
+    out = _Basis(MPoly._raw(arity, {exponent(lead): 1, **{exponent(k): _coefficient(Fraction(c, lc)) for k, c in tail}})
+                 for lead, _, lc, tail in reduced)
+    out.prepared = _prepared(pack, reduced)
+    return out
 
 
 class IdealPres:
     """An ideal of Q[x1..xn] presented by generators plus a reduced basis.
 
-    The basis is also held prepared for division (each element monic and
-    split into its leading monomial and a tail under packed keys), so
-    ``normal_form`` never searches for a leading monomial again.
+    The basis is also held as completion left it, prepared for division:
+    each element a primitive integer polynomial split into its leading
+    monomial, its leading coefficient and a tail under packed keys.  So
+    ``normal_form`` never prepares the basis or searches for a leading
+    monomial again.
     """
 
     __slots__ = ("arity", "generators", "order", "groebner", "_prepared")
@@ -314,8 +365,11 @@ class IdealPres:
             if not p.is_zero():
                 gens.append(p)
         self.arity, self.generators, self.order = arity, tuple(gens), order
-        self.groebner = tuple(buchberger(gens, order)) if gens else ()
-        self._prepared = _prepare(self.groebner, _Packing(order, arity, _FIELD_BITS)) if gens else None
+        if gens:
+            basis = buchberger(gens, order)
+            self.groebner, self._prepared = tuple(basis), basis.prepared
+        else:
+            self.groebner, self._prepared = (), None
 
     def normal_form(self, p):
         if p.arity != self.arity:

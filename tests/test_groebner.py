@@ -233,22 +233,40 @@ ORACLE_CASES = [pytest.param(name, "grevlex", id=name) for name in sorted(ALL_SY
     if (name, order) != ("katsura-4", "lex")  # sympy's own lex completion takes about a minute
 ]
 
-# steps each completion spends (reduction steps plus S-pairs taken); a change of
-# monomial representation must not move them
+# steps each completion spends (reduction steps plus S-pairs taken), and the
+# steps the normal forms of its ten sympy probes spend; a change of monomial or
+# coefficient representation must not move them
 ORACLE_STEPS = {
     "grevlex": {
-        "cyclic-4": 37, "cyclic-5": 1403, "katsura-3": 102, "katsura-4": 643, "katsura-5": 3317,
-        "random-0": 220, "random-1": 8, "random-2": 25, "random-3": 10, "random-4": 8, "random-5": 108,
+        "cyclic-4": (37, 184), "cyclic-5": (1403, 569), "katsura-3": (102, 471), "katsura-4": (643, 1866),
+        "katsura-5": (3317, 555), "random-0": (220, 30), "random-1": (8, 15), "random-2": (25, 26),
+        "random-3": (10, 5), "random-4": (8, 76), "random-5": (108, 43),
     },
     "grlex": {
-        "cyclic-4": 37, "katsura-3": 129, "katsura-4": 873,
-        "random-0": 220, "random-1": 8, "random-2": 46, "random-3": 27, "random-4": 8, "random-5": 155,
+        "cyclic-4": (37, 184), "katsura-3": (129, 629), "katsura-4": (873, 2108),
+        "random-0": (220, 30), "random-1": (8, 15), "random-2": (46, 26), "random-3": (27, 6),
+        "random-4": (8, 76), "random-5": (155, 66),
     },
     "lex": {
-        "cyclic-4": 97, "katsura-3": 341,
-        "random-0": 194, "random-1": 54, "random-2": 52, "random-3": 58, "random-4": 2, "random-5": 232,
+        "cyclic-4": (97, 299), "katsura-3": (341, 776),
+        "random-0": (194, 401), "random-1": (54, 114), "random-2": (52, 165), "random-3": (58, 45),
+        "random-4": (2, 101), "random-5": (232, 385),
     },
 }
+
+
+def _oracle_probes(name, arity):
+    """Five probes with integer coefficients, then five with denominators up to 7."""
+    rng = random.Random(name)
+    top = 2 if arity < 6 else 1  # sympy's division takes seconds on katsura-5 at higher degrees
+    probes = []
+    for rational in [False] * 5 + [True] * 5:
+        probes.append({
+            tuple(rng.randint(0, top) for _ in range(arity)):
+                Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 7) if rational else 1)
+            for _ in range(4)
+        })
+    return probes
 
 
 def _to_sympy(sympy, symbols, terms):
@@ -276,17 +294,34 @@ def test_reduced_basis_matches_sympy(name, order):
     reference, symbols = _sympy_basis(sympy, arity, gens, order)
     with step_budget(10 ** 6) as steps:
         ideal = IdealPres(arity, [MPoly(arity, g) for g in gens], order)
-    assert steps.cap - steps.left == ORACLE_STEPS[order][name]
+    completion_steps = steps.cap - steps.left
     assert {frozenset(g.terms.items()) for g in ideal.groebner} == set(map(_sympy_terms, reference.polys))
-    rng = random.Random(name)
-    top = 2 if arity < 6 else 1  # sympy's division takes seconds on katsura-5 at higher degrees
-    for _ in range(5):
-        p = {
-            tuple(rng.randint(0, top) for _ in range(arity)): Fraction(rng.randint(-5, 5) or 1)
-            for _ in range(4)
-        }
-        _, remainder = reference.reduce(_to_sympy(sympy, symbols, p))
-        assert frozenset(ideal.normal_form(MPoly(arity, p)).terms.items()) == _sympy_terms(remainder)
+    probes = _oracle_probes(name, arity)
+    with step_budget(10 ** 6) as steps:
+        remainders = [ideal.normal_form(MPoly(arity, p)) for p in probes]
+    assert (completion_steps, steps.cap - steps.left) == ORACLE_STEPS[order][name]
+    for p, remainder in zip(probes, remainders):
+        _, expected = reference.reduce(_to_sympy(sympy, symbols, p))
+        assert frozenset(remainder.terms.items()) == _sympy_terms(expected)
+
+
+def test_an_ideal_divides_by_the_basis_its_completion_prepared(monkeypatch):
+    """Building an ideal prepares nothing: it keeps the primitive integer entries
+    that completion ended with, and preparing its monic basis afresh gives them back."""
+    prepare, calls = groebner._prepare, []
+    monkeypatch.setattr(groebner, "_prepare", lambda *args: calls.append(args) or prepare(*args))
+    ideals = [IdealPres(2, [X ** 2 + Y, Y]), IdealPres(2, [3 * X ** 2 + Fraction(1, 2), X * Y - 5])]
+    for name, order in (param.values for param in NARROW_CASES):
+        arity, gens = ALL_SYSTEMS[name]
+        ideals.append(IdealPres(arity, [MPoly(arity, g) for g in gens], order))
+    assert not calls
+    for ideal in ideals:
+        pack, entries, unit_lcs = ideal._prepared
+        fresh, fresh_entries, fresh_unit_lcs = prepare(
+            ideal.groebner, groebner._Packing(ideal.order, ideal.arity, groebner._FIELD_BITS))
+        assert (fresh.bits, fresh_entries, fresh_unit_lcs) == (pack.bits, entries, unit_lcs)
+        assert unit_lcs == all(type(c) is int for g in ideal.groebner for c in g.terms.values())
+    assert [ideal._prepared[2] for ideal in ideals[:2]] == [True, False]
 
 
 _NONZERO = st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool)
@@ -392,7 +427,7 @@ def test_narrow_fields_change_no_basis_and_no_step(monkeypatch, bits, name, orde
         assert widened
     assert narrow.groebner == wide.groebner
     assert [list(g.terms) for g in narrow.groebner] == [list(g.terms) for g in wide.groebner]
-    assert steps.cap - steps.left == ORACLE_STEPS[order][name]
+    assert steps.cap - steps.left == ORACLE_STEPS[order][name][0]
     for p in probes:
         expected, spent = wide.normal_form(p), set()
         for divide in (wide.normal_form, narrow.normal_form, lambda p: normal_form(p, wide.groebner, order)):
