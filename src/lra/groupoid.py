@@ -7,7 +7,7 @@ set as their identity arrows.
 
 All constructions here are finite and checked exactly: pair, action,
 direct product, base-map product, restriction, gauge, plus both map
-notions with their verifiers, graphs, orbit tests and groupoid actions.
+notions with their verifiers and graphs, and groupoid actions.
 Associativity and the action law are decided on a generating set of the
 table and scanned on every arrow only to name the faults when they fail;
 the two map laws are scanned once on every composable pair, which costs
@@ -69,14 +69,6 @@ class FinGroupoid:
         self.ident = dict(ident)
         self.inv = dict(inv)
         self.comp = dict(comp)
-
-    def orbit(self, x):
-        return {self.tgt[g] for g in self.arrows if self.src[g] == x}
-
-    def composable_pairs(self):
-        for g, after in _composable(self.arrows, self.src, self.tgt):
-            for h in after:
-                yield g, h
 
     def __eq__(self, other):
         if not isinstance(other, FinGroupoid):
@@ -324,33 +316,36 @@ def restrict_groupoid(gamma, objects):
     )
 
 
-def _check_base_map(gamma, pi, phi):
-    """A base map must be defined exactly on the objects of gamma and land in pi's objects."""
+def _base_map_fault(gamma, pi, phi):
+    """(check name, witness, error text) of the first fault of a base map on gamma, or None.
+
+    A base map must be defined exactly on the objects of gamma and land in
+    pi's objects.  The objects are scanned first, in order, then the keys.
+    """
     for x in gamma.objects:
         if x not in phi:
-            raise ValueError("phi is not defined at %r" % (x,))
-        if phi[x] not in pi.objects:
-            raise ValueError("phi does not land in the other base: %r -> %r" % (x, phi[x]))
-    extra = _extra_objects(gamma, phi)
-    if extra:
-        raise ValueError("phi is defined at %r, which is not an object" % (extra[0],))
-
-
-def _extra_objects(gamma, phi):
-    """Keys of the base map ``phi`` that are not objects of gamma, in map order."""
+            text = "phi is not defined at %r" % (x,)
+        elif phi[x] not in pi.objects:
+            text = "phi does not land in the other base: %r -> %r" % (x, phi[x])
+        else:
+            continue
+        return "base map is total at %r" % (x,), "missing or dangling", text
     objects = set(gamma.objects)
-    return [x for x in phi if x not in objects]
-
-
-def _base_map_fault(gamma, pi, phi):
-    """(check name, witness) of the first fault of a base map on gamma, or None."""
-    for x in gamma.objects:
-        if x not in phi or phi[x] not in pi.objects:
-            return "base map is total at %r" % (x,), "missing or dangling"
-    extra = _extra_objects(gamma, phi)
+    extra = [x for x in phi if x not in objects]
     if extra:
-        return "base map is defined only on objects of gamma", "extra objects: %r" % extra[:3]
+        return (
+            "base map is defined only on objects of gamma",
+            "extra objects: %r" % extra[:3],
+            "phi is defined at %r, which is not an object" % (extra[0],),
+        )
     return None
+
+
+def _check_base_map(gamma, pi, phi):
+    """Raise the ``ValueError`` of the first fault of a base map on gamma, if any."""
+    fault = _base_map_fault(gamma, pi, phi)
+    if fault:
+        raise ValueError(fault[2])
 
 
 def make_phi_product(gamma, pi, phi):
@@ -410,14 +405,10 @@ def make_gauge(total, projection, group, act):
                 raise VerificationError("the action does not preserve fibers")
             if g != unit and act[(x, g)] == x:
                 raise VerificationError("the action is not free at %r" % (x,))
+    size = Counter(projection[x] for x in total)  # free: a fiber is one orbit iff it has |G| points
     for x in total:
-        for y in total:
-            if projection[x] == projection[y]:
-                if not any(act[(x, g)] == y for g in group.arrows):
-                    raise VerificationError(
-                        "the action is not transitive on the fiber over %r"
-                        % (projection[x],)
-                    )
+        if size[projection[x]] != len(group.arrows):
+            raise VerificationError("the action is not transitive on the fiber over %r" % (projection[x],))
 
     def canonical(pair):
         x1, x2 = pair
@@ -525,7 +516,8 @@ def check_grpd_morphism(gamma, pi, m):
     image = m.arrows
     bad = [
         (g, h)
-        for g, h in gamma.composable_pairs()
+        for g, after in _composable(gamma.arrows, gamma.src, gamma.tgt)
+        for h in after
         if image[gamma.comp[(g, h)]] != pi.comp[(image[g], image[h])]
     ]
     report.add(
@@ -669,26 +661,6 @@ def compose_grpd_comorphisms(m1, m2):
             if y == m1.base[x]:
                 table[(x, s)] = m1.table[(x, w)]
     return GrpdComorphism(base, table)
-
-
-# -- orbits ------------------------------------------------------------------
-
-
-def orbit_condition(phi, gamma, pi, kind):
-    """Necessary condition on orbits for a map over phi to exist.
-
-    Morphisms send each orbit into an orbit; comorphisms need the phi-image
-    of each orbit to cover the matching orbit.
-    """
-    if kind == "morphism":
-        return all(
-            {phi[y] for y in gamma.orbit(x)} <= pi.orbit(phi[x]) for x in gamma.objects
-        )
-    if kind == "comorphism":
-        return all(
-            pi.orbit(phi[x]) <= {phi[y] for y in gamma.orbit(x)} for x in gamma.objects
-        )
-    raise ValueError("kind must be 'morphism' or 'comorphism'")
 
 
 # -- groupoid actions --------------------------------------------------------

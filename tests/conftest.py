@@ -555,6 +555,24 @@ def checked_isomorphism(g1, g2):
     return found
 
 
+def orbit(g, x):
+    """The objects that an arrow of g leads to from x."""
+    return {g.tgt[a] for a in g.arrows if g.src[a] == x}
+
+
+def orbit_condition(phi, gamma, pi, kind):
+    """Necessary condition on orbits for a map over phi to exist.
+
+    Morphisms send each orbit into an orbit; comorphisms need the phi-image
+    of each orbit to cover the matching orbit.
+    """
+    if kind == "morphism":
+        return all({phi[y] for y in orbit(gamma, x)} <= orbit(pi, phi[x]) for x in gamma.objects)
+    if kind == "comorphism":
+        return all(orbit(pi, phi[x]) <= {phi[y] for y in orbit(gamma, x)} for x in gamma.objects)
+    raise ValueError("kind must be 'morphism' or 'comorphism'")
+
+
 def disjoint_union(*parts):
     """The disjoint union of groupoids, each label of part k tagged as (k, label)."""
     objects, arrows, src, tgt, ident, inv, comp = [], [], {}, {}, {}, {}, {}

@@ -685,6 +685,12 @@ def test_grpd_commands_reject_broken_groupoids(tmp_path, capsys, argv):
             ["enumerate", "{g}", "{g}", "--phi", "a->zz,b->a", "--kind", "comorphism"],
             "phi does not land in the other base",
         ),
+        # 'b' is missing and 'zz' extra: the objects are scanned first
+        (
+            ["enumerate", "{g}", "{g}", "--phi", "a->a,zz->a", "--kind", "morphism"],
+            "phi is not defined at 'b'",
+        ),
+        (["build", "phi-product", "{g}", "{g}", "--phi", "a->a,zz->a"], "phi is not defined at 'b'"),
     ],
 )
 def test_grpd_commands_reject_bad_base_maps(tmp_path, capsys, argv, message):
@@ -732,8 +738,9 @@ def test_grpd_base_map_keys_outside_gamma_fail(tmp_path, capsys, kind):
 
 def test_grpd_partial_base_map_fails_both_sides(tmp_path, capsys):
     _, good = _pair_without_product(tmp_path)
-    partial = _identity_map_doc(tmp_path, {"a": "a"})
-    _assert_map_fails_both_sides(capsys, good, partial, "base map is total at 'b' -- missing or dangling")
+    for base in ({"a": "a"}, {"a": "a", "zz": "a"}):  # the missing 'b' is named before the extra 'zz'
+        partial = _identity_map_doc(tmp_path, base)
+        _assert_map_fails_both_sides(capsys, good, partial, "base map is total at 'b' -- missing or dangling")
 
 
 @pytest.mark.parametrize("kind", ["morphism", "comorphism"])

@@ -128,7 +128,7 @@ UNREACHED = {
     "action_as_comorphism", "compose_grpd_comorphisms", "compose_grpd_morphisms", "default_step_cap",
     "direct_sum", "find_isomorphism", "free", "induced_groupoid_action", "induced_infinitesimal_action",
     "iter_candidate_maps", "make_action", "make_cotangent_poisson", "make_der", "make_klie",
-    "orbit_condition", "psisum_anchor", "save_document", "triple_inclusion_check",
+    "psisum_anchor", "save_document", "triple_inclusion_check",
 }
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,8 @@ from conftest import (
     composable_oracle,
     disjoint_union,
     groupoid_corpus,
+    orbit,
+    orbit_condition,
     shuffled_copy,
 )
 from lra import budget
@@ -39,10 +42,10 @@ from lra.groupoid import (
     make_gauge,
     make_pair,
     make_phi_product,
-    orbit_condition,
     pullback_domain,
     restrict_groupoid,
 )
+from lra.groupoid import _composable
 from lra.verdict import VerificationError
 
 Z2 = cyclic_group(2)
@@ -68,7 +71,7 @@ def test_make_pair_examples():
     trivial = make_pair(["only"])
     assert len(trivial.arrows) == 1
     p = make_pair([1, 2, 3])
-    assert p.orbit(2) == {1, 2, 3}
+    assert orbit(p, 2) == {1, 2, 3}
 
 
 def test_make_action_groupoid_examples():
@@ -201,6 +204,69 @@ def test_make_gauge_examples():
         make_gauge(total, projection, Z2, not_free)
     with pytest.raises(ValueError, match="^projection is defined at 'zz', which is not a point of the total space$"):
         make_gauge(total, {**projection, "zz": "3"}, Z2, act)
+
+
+def small_bundles(count):
+    """Seeded bundles (total, projection, group, act): 0-5 points over 1-3 base
+    points, Z1-Z4 acting through a permutation, or through a table that is
+    usually not one.  A permutation's cycles have lengths dividing the group
+    order, and each cycle lies over one base point nine times in ten."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        total = ["p%d" % i for i in range(rng.randint(0, 5))]
+        base = ["b%d" % i for i in range(rng.randint(1, 3))]
+        if rng.random() < 0.75:
+            step, projection, rest = {}, {}, rng.sample(total, len(total))
+            while rest:
+                length = rng.choice([d for d in range(1, len(rest) + 1) if n % d == 0])
+                cycle, rest = rest[:length], rest[length:]
+                step.update(zip(cycle, cycle[1:] + cycle[:1]))
+                over = rng.choice(base)
+                projection.update((x, over if rng.random() < 0.9 else rng.choice(base)) for x in cycle)
+            act = {}
+            for x in total:
+                y = x
+                for g in range(n):
+                    act[(x, g)], y = y, step[y]
+        else:
+            projection = {x: rng.choice(base) for x in total}
+            act = {(x, g): x if g == 0 else rng.choice(total) for x in total for g in range(n)}
+        yield total, projection, cyclic_group(n), act
+
+
+def ref_transitivity_fault(total, projection, group, act):
+    """The pair scan: the fiber of the first point x with a point y over it
+    that no group element moves x to, as make_gauge's error text, or None."""
+    for x in total:
+        for y in total:
+            if projection[x] == projection[y] and not any(act[(x, g)] == y for g in group.arrows):
+                return "the action is not transitive on the fiber over %r" % (projection[x],)
+    return None
+
+
+def test_gauge_transitivity_by_counting_matches_the_pair_scan():
+    """Once the action is free, a fiber is one orbit exactly when it has |G| points."""
+    outcomes = Counter()
+    for bundle in small_bundles(1800):
+        try:
+            gauge = make_gauge(*bundle)
+        except VerificationError as err:
+            text = str(err)
+            if "not transitive" in text:
+                assert text == ref_transitivity_fault(*bundle)
+            outcomes[text.split(" at ")[0].split(" on ")[0].split(":")[0]] += 1
+        else:
+            assert ref_transitivity_fault(*bundle) is None
+            assert check_groupoid(gauge).verdict
+            outcomes["built"] += 1
+    assert outcomes == {
+        "built": 489,
+        "the action is not transitive": 268,
+        "the action is not free": 786,
+        "the action does not preserve fibers": 41,
+        "the action tables do not verify": 216,
+    }
 
 
 def test_check_grpd_morphism_examples():
@@ -352,6 +418,47 @@ def test_groupoid_labels_are_distinct(build, label):
     """The constructor rejects a repeated label, so no table lists an object twice."""
     with pytest.raises(ValueError, match="^repeated %s$" % label):
         build()
+
+
+@pytest.mark.parametrize(
+    "phi, error, failure",
+    [
+        ({"a": "a"}, "phi is not defined at 'b'", ("base map is total at 'b'", "missing or dangling")),
+        (
+            {"a": "a", "b": "zz"},
+            "phi does not land in the other base: 'b' -> 'zz'",
+            ("base map is total at 'b'", "missing or dangling"),
+        ),
+        (
+            {"a": "a", "b": "b", "zz": "a"},
+            "phi is defined at 'zz', which is not an object",
+            ("base map is defined only on objects of gamma", "extra objects: ['zz']"),
+        ),
+        # two faults: the objects are scanned before the keys
+        ({"a": "a", "zz": "a"}, "phi is not defined at 'b'", ("base map is total at 'b'", "missing or dangling")),
+    ],
+    ids=["missing", "dangling", "extra", "missing-and-extra"],
+)
+def test_one_base_map_fault_both_raised_and_reported(phi, error, failure):
+    """Constructors and searches raise the first fault of a base map; the verifiers report it."""
+    g = make_pair(["a", "b"])
+    for build in (
+        lambda: make_phi_product(g, g, phi),
+        lambda: enumerate_maps(g, g, phi, "morphism"),
+        lambda: enumerate_maps(g, g, phi, "comorphism"),
+        lambda: list(iter_candidate_maps(g, g, phi, "morphism")),
+    ):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == error
+    morphism = GrpdMorphism(phi, {a: a for a in g.arrows})
+    comorphism = GrpdComorphism(phi, {(g.src[w], w): w for w in g.arrows})
+    for report in (
+        check_grpd_morphism(g, g, morphism),
+        check_grpd_comorphism(g, g, comorphism),
+        graph_subgroupoid_check(g, g, phi, graph_of_map(morphism)),
+    ):
+        assert _failures(report) == [failure]
 
 
 def test_graph_subgroupoid_examples():
@@ -615,7 +722,7 @@ def test_product_tables_match_the_brute_force_pairs():
     def check(g):
         pairs = composable_oracle(g)
         assert set(g.comp) == set(pairs), g
-        assert list(g.composable_pairs()) == pairs, g
+        assert [(a, b) for a, after in _composable(g.arrows, g.src, g.tgt) for b in after] == pairs, g
 
     corpus = groupoid_corpus()
     for g in corpus.values():
