@@ -89,12 +89,11 @@ def _emit_report(args, report):
 
 
 def _emit_document(args, value):
-    text = docs.render_document(docs.document(value))
+    doc = docs.document(value)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        docs.save_document(doc, args.output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(docs.render_document(doc))
     return 0
 
 

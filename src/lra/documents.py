@@ -23,7 +23,7 @@ from collections import namedtuple
 
 from .algebra import AlgebraPres, AlgMorphism, Derivation
 from .groebner import IdealPres
-from .groupoid import FinGroupoid, GrpdComorphism, GrpdMorphism
+from .groupoid import FinGroupoid, GrpdComorphism, GrpdMorphism, _owning
 from .maps import PAComorphism, PAMorphism
 from .poly import PolyParseError, _read_int, is_variable_name, parse_poly
 from .pseudoalgebra import PAlg, PAElement
@@ -406,6 +406,12 @@ def from_groupoid(g):
 
 
 def to_groupoid(body, path="body"):
+    """The groupoid of a document body, which owns its interned tables.
+
+    Each ``comp`` row is placed by arrow index; a row on a pair that is not
+    composable is kept as an extra pair, which ``check_groupoid`` reports.
+    The groupoid keeps the body's ``src``, ``tgt``, ``inv`` and ``id`` tables.
+    """
     objects = _expect_str_list(body, "objects", path)
     _no_repeats(objects, "object", "%s.objects" % path)
     arrows = _expect_str_list(body, "arrows", path)
@@ -431,22 +437,30 @@ def to_groupoid(body, path="body"):
             raise DocumentError("identity of %r is not an arrow" % key, "%s.id[%r]" % (path, key))
     if set(ident) != object_set:
         raise DocumentError("identity table must cover every object", "%s.id" % path)
-    comp = {}
-    for n, row in enumerate(_expect(body, "comp", list, path)):
-        try:  # arrows are strings, so a row of three arrows is well formed
-            known = isinstance(row, list) and len(row) == 3 and arrow_set.issuperset(row)
-        except TypeError:  # an unhashable entry
-            known = False
-        if not known:
-            where = "%s.comp[%d]" % (path, n)
-            if not _is_str_triple(row):
-                raise DocumentError("expected [g, h, gh]", where)
-            raise DocumentError("unknown arrow %r" % next(a for a in row if a not in arrow_set), where)
-        g, h, gh = row
-        if (g, h) in comp:
-            raise DocumentError("repeated pair %r" % ((g, h),), "%s.comp[%d]" % (path, n))
-        comp[(g, h)] = gh
-    return FinGroupoid(objects, arrows, tables["src"], tables["tgt"], ident, tables["inv"], comp)
+    rows = _expect(body, "comp", list, path)
+
+    def fill(g, index, t):
+        src, tgt, pos, products, extra = t.src, t.tgt, t.pos, t.rows, t.extra
+        for n, row in enumerate(rows):
+            try:  # an arrow is a string, so a list of three arrows is a well-formed row
+                x, y, xy = row if isinstance(row, list) else ()
+                a, b, c = index[x], index[y], index[xy]
+            except (KeyError, TypeError, ValueError):
+                where = "%s.comp[%d]" % (path, n)
+                if not _is_str_triple(row):
+                    raise DocumentError("expected [g, h, gh]", where) from None
+                raise DocumentError("unknown arrow %r" % next(z for z in row if z not in index), where) from None
+            if tgt[a] == src[b]:
+                held = products[a]
+                if held[pos[b]] is None:
+                    held[pos[b]] = c
+                    continue
+            elif (x, y) not in extra:
+                extra[(x, y)] = xy
+                continue
+            raise DocumentError("repeated pair %r" % ((x, y),), "%s.comp[%d]" % (path, n))
+
+    return _owning(objects, arrows, tables["src"], tables["tgt"], ident, tables["inv"], fill)
 
 
 def from_grpdmap(m):

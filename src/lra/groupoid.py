@@ -12,11 +12,16 @@ Associativity and the action law are decided on a generating set of the
 table and scanned on every arrow only to name the faults when they fail;
 the two map laws are scanned once on every composable pair, which costs
 about as much as picking a generating set for a two-arrow law.
-The table laws read ``_Tables``, an interned view built once the tables are
-total: arrow i is ``g.arrows[i]``; ``src``, ``tgt``, ``ident`` and ``inv`` are
-int lists; ``leaving[x]`` lists the arrows from object x in arrow order, and
-``rows[a][pos[b]]`` is the index of a*b (None if missing or not an arrow), the
-one read of each composable pair of ``g.comp``.  Witnesses name the labels.
+The table laws read the ``_Tables`` that a groupoid owns, its tables interned
+once they are total: arrow i is ``g.arrows[i]``; ``src``, ``tgt``, ``ident``
+and ``inv`` are int lists; ``leaving[x]`` lists the arrows from object x in
+arrow order; ``rows[a][pos[b]]`` is the index of a*b (None if missing, -1 if
+not an arrow), and ``extra`` maps each non-composable pair of the product
+table to its product.  ``documents.to_groupoid`` fills them straight from a
+document's rows.  A groupoid built from a ``(g, h) -> gh`` mapping interns it
+on the first check that needs the tables, one read of each composable pair;
+``g.comp`` is that mapping, read-only, or for a loaded groupoid derived from
+the rows on first read.  Witnesses name the labels.
 A group is a groupoid with one object (``cyclic_group``), and a group
 action is a ``GroupoidAction`` of it, so ``check_groupoid`` is the only
 associativity check and ``check_groupoid_action`` the only check of the
@@ -30,7 +35,8 @@ tests' oracle for it.
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, namedtuple
+from types import MappingProxyType
 
 from .budget import budget
 from .verdict import VerdictReport, VerificationError
@@ -49,13 +55,17 @@ def _composable(arrows, src, tgt):
         yield g, leaving.get(tgt[g], ())
 
 
+_Tables = namedtuple("_Tables", "src tgt ident inv leaving pos rows extra")
+
+
 class FinGroupoid:
     """A finite groupoid: explicit source, target, identity, inverse, product.
 
     Object and arrow labels are distinct: a repeated one is a ``ValueError``.
-    The tables are checked by ``check_groupoid``."""
+    The product mapping is kept as given and read through ``comp``, which is
+    read-only.  The tables are checked by ``check_groupoid``."""
 
-    __slots__ = ("objects", "arrows", "src", "tgt", "ident", "inv", "comp")
+    __slots__ = ("objects", "arrows", "src", "tgt", "ident", "inv", "_comp", "_t")
 
     def __init__(self, objects, arrows, src, tgt, ident, inv, comp):
         self.objects = tuple(objects)
@@ -68,72 +78,132 @@ class FinGroupoid:
         self.tgt = dict(tgt)
         self.ident = dict(ident)
         self.inv = dict(inv)
-        self.comp = dict(comp)
+        self._comp = MappingProxyType(comp)
+        self._t = None
+
+    @property
+    def comp(self):
+        """The product table (g, h) -> g*h, read-only; a loaded groupoid derives it from its rows."""
+        if self._comp is None:
+            t, label = self._t, self.arrows
+            comp = {
+                (label[a], label[b]): label[c]
+                for a, row in enumerate(t.rows)
+                for b, c in zip(t.leaving[t.tgt[a]], row)
+                if c is not None
+            }
+            comp.update(t.extra)
+            self._comp = MappingProxyType(comp)
+        return self._comp
 
     def __eq__(self, other):
         if not isinstance(other, FinGroupoid):
             return NotImplemented
-        return (
-            set(self.objects) == set(other.objects)
-            and set(self.arrows) == set(other.arrows)
-            and self.src == other.src
-            and self.tgt == other.tgt
-            and self.ident == other.ident
-            and self.inv == other.inv
-            and self.comp == other.comp
-        )
+        mine, theirs = ((set(g.objects), set(g.arrows), g.src, g.tgt, g.ident, g.inv, g.comp) for g in (self, other))
+        return mine == theirs
 
     def __repr__(self):
         return "FinGroupoid(%d objects, %d arrows)" % (len(self.objects), len(self.arrows))
 
 
+def _interned(g, fill):
+    """The ``_Tables`` of g's label tables, with the products that ``fill(g, index, tables)`` puts in.
+
+    ``index`` maps each arrow to its index, and every product is missing
+    until ``fill`` puts it in.  A ``KeyError`` if the label tables are not
+    total.
+    """
+    index = {a: i for i, a in enumerate(g.arrows)}
+    obj = {x: i for i, x in enumerate(g.objects)}
+    src = [obj[g.src[a]] for a in g.arrows]
+    tgt = [obj[g.tgt[a]] for a in g.arrows]
+    leaving, pos = [[] for _ in obj], []
+    for a, x in enumerate(src):
+        pos.append(len(leaving[x]))
+        leaving[x].append(a)
+    ident, inv = [index[g.ident[x]] for x in g.objects], [index[g.inv[a]] for a in g.arrows]
+    t = _Tables(src, tgt, ident, inv, leaving, pos, [[None] * len(leaving[x]) for x in tgt], {})
+    fill(g, index, t)
+    return t
+
+
+def _read_products(g, index, t):
+    """Put in each product of g's mapping, one read per composable pair; the other pairs it holds are ``extra``."""
+    arrows, comp, absent, pairs = g.arrows, g._comp, object(), set()
+    index[absent] = None  # a missing product; one that is not an arrow is -1
+    for a, row in enumerate(t.rows):
+        after = [(arrows[a], arrows[b]) for b in t.leaving[t.tgt[a]]]
+        pairs.update(after)
+        row[:] = [index.get(comp.get(p, absent), -1) for p in after]
+    t.extra.update((p, comp[p]) for p in comp.keys() - pairs)
+
+
+def _owning(objects, arrows, src, tgt, ident, inv, fill):
+    """A groupoid on total label tables, kept as they are, owning them interned by ``_interned``.
+
+    ``fill`` is ``documents.to_groupoid``'s, which puts in the products from
+    a document's rows; the groupoid derives ``comp`` from them on first read.
+    """
+    g = FinGroupoid.__new__(FinGroupoid)
+    g.objects, g.arrows, g.src, g.tgt, g.ident, g.inv = tuple(objects), tuple(arrows), src, tgt, ident, inv
+    g._comp, g._t = None, _interned(g, fill)
+    return g
+
+
+def _tables(g):
+    """The interned tables g owns, built on the first call; None if its label tables are not total."""
+    if g._t is None:
+        try:
+            g._t = _interned(g, _read_products)
+        except KeyError:
+            return None
+    return g._t
+
+
 def check_groupoid(g):
-    """Verification of all groupoid table invariants; associativity on a generating set."""
+    """Verification of all groupoid table invariants; associativity on a generating set.
+
+    The labels are scanned only when the tables cannot be interned, to name
+    what they miss; every other check reads the interned tables.
+    """
     report = VerdictReport()
-    objects, arrows = set(g.objects), set(g.arrows)
-    ok = True
-    for x in g.objects:
-        if x not in g.ident or g.ident[x] not in arrows:
-            report.add("identity arrow of %r exists" % (x,), False, "missing or dangling")
-            ok = False
-    for a in g.arrows:
-        if a not in g.src or a not in g.tgt or g.src[a] not in objects or g.tgt[a] not in objects:
-            report.add("endpoints of %r are objects" % (a,), False, "missing or dangling")
-            ok = False
-        if a not in g.inv or g.inv[a] not in arrows:
-            report.add("inverse of %r exists" % (a,), False, "missing or dangling")
-            ok = False
-    if not ok:
+    t = _tables(g)
+    if t is None:
+        objects, arrows = set(g.objects), set(g.arrows)
+        for x in g.objects:
+            if x not in g.ident or g.ident[x] not in arrows:
+                report.add("identity arrow of %r exists" % (x,), False, "missing or dangling")
+        for a in g.arrows:
+            if a not in g.src or a not in g.tgt or g.src[a] not in objects or g.tgt[a] not in objects:
+                report.add("endpoints of %r are objects" % (a,), False, "missing or dangling")
+            if a not in g.inv or g.inv[a] not in arrows:
+                report.add("inverse of %r exists" % (a,), False, "missing or dangling")
         return report
     report.add("tables are total and closed", True)
-
-    bad = [x for x in g.objects if g.src[g.ident[x]] != x or g.tgt[g.ident[x]] != x]
+    src, tgt, ident, inv, leaving, pos, rows, extra = t
+    label = g.arrows
+    bad = [g.objects[x] for x, a in enumerate(ident) if src[a] != x or tgt[a] != x]
     if not report.add(
         "identity arrows are loops at their objects",
         not bad,
         "objects with displaced identities: %r" % bad,
     ):
         return report
-    t = _Tables(g)
-    rows, src, tgt, ident, leaving, pos, label = t.rows, t.src, t.tgt, t.ident, t.leaving, t.pos, g.arrows
     bad = [
-        (label[a], label[b])
+        (a, b, c)
         for a, row in enumerate(rows)
         for b, c in zip(leaving[tgt[a]], row)
-        if c is None or src[c] != src[a] or tgt[c] != tgt[b]
+        if c is None or c < 0 or src[c] != src[a] or tgt[c] != tgt[b]
     ]
-    missing = [p for p in bad if p not in g.comp]  # a missing product is a bad pair too
-    if missing or len(g.comp) != sum(map(len, rows)):  # else comp holds exactly the composable pairs
-        pairs = {(label[a], label[b]) for a in range(len(rows)) for b in leaving[tgt[a]]}
-        extra = [p for p in g.comp if p not in pairs]
-        report.add(
-            "product defined exactly on composable pairs",
-            False,
-            "missing: %r, extra: %r" % (sorted(missing, key=repr)[:3], sorted(extra, key=repr)[:3]),
-        )
+    missing = sorted(((label[a], label[b]) for a, b, c in bad if c is None), key=repr)
+    if not report.add(
+        "product defined exactly on composable pairs",
+        not (missing or extra),
+        lambda: "missing: %r, extra: %r" % (missing[:3], sorted(extra, key=repr)[:3]),
+    ):
         return report
-    report.add("product defined exactly on composable pairs", True)
-    if not report.add("products have the right endpoints", not bad, "bad pairs: %r" % bad[:3]):
+    bad = [(label[a], label[b]) for a, b, _ in bad[:3]]
+    if not report.add("products have the right endpoints", not bad, "bad pairs: %r" % bad):
         return report
     bad = [
         label[a]
@@ -143,7 +213,7 @@ def check_groupoid(g):
     report.add("identities are neutral", not bad, "arrows violating unit laws: %r" % bad[:3])
     bad = [
         label[a]
-        for a, b in enumerate(t.inv)
+        for a, b in enumerate(inv)
         if src[b] != tgt[a] or tgt[b] != src[a]
         or rows[a][pos[b]] != ident[src[a]] or rows[b][pos[a]] != ident[tgt[a]]
     ]
@@ -162,27 +232,6 @@ def check_groupoid(g):
     bad = _law_faults(triples, t)
     report.add("associativity on all composable triples", not bad, "triples: %r" % bad[:3])
     return report
-
-
-class _Tables:
-    """The interned view of a groupoid's tables (see the module docstring)."""
-
-    def __init__(self, g):
-        arrows, get, missing = g.arrows, g.comp.get, object()
-        index = {a: i for i, a in enumerate(arrows)}
-        obj = {x: i for i, x in enumerate(g.objects)}
-        self.src = [obj[g.src[a]] for a in arrows]
-        self.tgt = [obj[g.tgt[a]] for a in arrows]
-        self.ident = [index[g.ident[x]] for x in g.objects]
-        self.inv = [index[g.inv[a]] for a in arrows]
-        self.leaving, self.pos = [[] for _ in g.objects], []
-        for a, x in enumerate(self.src):
-            self.pos.append(len(self.leaving[x]))
-            self.leaving[x].append(a)
-        self.rows = [  # the one read of each composable pair
-            [index.get(get((a, arrows[b]), missing)) for b in self.leaving[x]]
-            for a, x in zip(arrows, self.tgt)
-        ]
 
 
 def _generators(t):
@@ -236,10 +285,10 @@ def make_pair(objects):
     """The pair groupoid: one arrow (x, y) for every ordered pair."""
     objects = tuple(objects)
     arrows = [(x, y) for x in objects for y in objects]
-    src = {(x, y): x for (x, y) in arrows}
-    tgt = {(x, y): y for (x, y) in arrows}
+    src = {(x, y): x for x, y in arrows}
+    tgt = {(x, y): y for x, y in arrows}
     ident = {x: (x, x) for x in objects}
-    inv = {(x, y): (y, x) for (x, y) in arrows}
+    inv = {(x, y): (y, x) for x, y in arrows}
     return _from_product(objects, arrows, src, tgt, ident, inv, lambda a, b: (a[0], b[1]))
 
 
@@ -277,18 +326,29 @@ def make_action_groupoid(group, objects, act):
 
 def _componentwise(gamma, pi):
     """The product of pairs of arrows, one component in each groupoid."""
-    return lambda a, b: (gamma.comp[(a[0], b[0])], pi.comp[(a[1], b[1])])
+    first, second = gamma.comp, pi.comp
+    return lambda a, b: (first[(a[0], b[0])], second[(a[1], b[1])])
+
+
+def _on_pairs(gamma, pi, objects, arrows, ident, end):
+    """Arrows (g, w) from end(src g, src w) to end(tgt g, tgt w), inverted and composed componentwise."""
+    return _from_product(
+        objects,
+        arrows,
+        {(g, w): end(gamma.src[g], pi.src[w]) for g, w in arrows},
+        {(g, w): end(gamma.tgt[g], pi.tgt[w]) for g, w in arrows},
+        ident,
+        {(g, w): (gamma.inv[g], pi.inv[w]) for g, w in arrows},
+        _componentwise(gamma, pi),
+    )
 
 
 def make_direct_product(gamma, pi):
     """Componentwise structure on pairs of arrows over pairs of objects."""
     objects = [(m, n) for m in gamma.objects for n in pi.objects]
     arrows = [(g, w) for g in gamma.arrows for w in pi.arrows]
-    src = {(g, w): (gamma.src[g], pi.src[w]) for (g, w) in arrows}
-    tgt = {(g, w): (gamma.tgt[g], pi.tgt[w]) for (g, w) in arrows}
-    ident = {(m, n): (gamma.ident[m], pi.ident[n]) for (m, n) in objects}
-    inv = {(g, w): (gamma.inv[g], pi.inv[w]) for (g, w) in arrows}
-    return _from_product(objects, arrows, src, tgt, ident, inv, _componentwise(gamma, pi))
+    ident = {(m, n): (gamma.ident[m], pi.ident[n]) for m, n in objects}
+    return _on_pairs(gamma, pi, objects, arrows, ident, lambda m, n: (m, n))
 
 
 def restrict_groupoid(gamma, objects):
@@ -300,20 +360,9 @@ def restrict_groupoid(gamma, objects):
             raise ValueError("%r is not an object of the groupoid" % (x,))
     arrows = [a for a in gamma.arrows if gamma.src[a] in keep and gamma.tgt[a] in keep]
     arrow_set = set(arrows)
-    comp = {
-        (a, b): c
-        for (a, b), c in gamma.comp.items()
-        if a in arrow_set and b in arrow_set
-    }
-    return FinGroupoid(
-        objects,
-        arrows,
-        {a: gamma.src[a] for a in arrows},
-        {a: gamma.tgt[a] for a in arrows},
-        {x: gamma.ident[x] for x in objects},
-        {a: gamma.inv[a] for a in arrows},
-        comp,
-    )
+    comp = {(a, b): c for (a, b), c in gamma.comp.items() if a in arrow_set and b in arrow_set}
+    src, tgt, inv = ({a: table[a] for a in arrows} for table in (gamma.src, gamma.tgt, gamma.inv))
+    return FinGroupoid(objects, arrows, src, tgt, {x: gamma.ident[x] for x in objects}, inv, comp)
 
 
 def _base_map_fault(gamma, pi, phi):
@@ -355,16 +404,8 @@ def make_phi_product(gamma, pi, phi):
     object (x, phi(x)) named x, so it lives on gamma's base.
     """
     _check_base_map(gamma, pi, phi)
-    arrows = _phi_arrows(gamma, pi, phi)
-    return _from_product(
-        gamma.objects,
-        arrows,
-        {(g, w): gamma.src[g] for (g, w) in arrows},
-        {(g, w): gamma.tgt[g] for (g, w) in arrows},
-        {x: (gamma.ident[x], pi.ident[phi[x]]) for x in gamma.objects},
-        {(g, w): (gamma.inv[g], pi.inv[w]) for (g, w) in arrows},
-        _componentwise(gamma, pi),
-    )
+    ident = {x: (gamma.ident[x], pi.ident[phi[x]]) for x in gamma.objects}
+    return _on_pairs(gamma, pi, gamma.objects, _phi_arrows(gamma, pi, phi), ident, lambda x, _: x)
 
 
 def _phi_arrows(gamma, pi, phi):
@@ -395,10 +436,7 @@ def make_gauge(total, projection, group, act):
     action = _group_action(group, total, act)
     check_groupoid_action(action).require("the action tables do not verify")
     unit = group.ident[group.objects[0]]
-    base = []
-    for x in total:
-        if projection[x] not in base:
-            base.append(projection[x])
+    base = list(dict.fromkeys(projection[x] for x in total))
     for x in total:
         for g in group.arrows:
             if projection[act[(x, g)]] != projection[x]:
@@ -410,24 +448,22 @@ def make_gauge(total, projection, group, act):
         if size[projection[x]] != len(group.arrows):
             raise VerificationError("the action is not transitive on the fiber over %r" % (projection[x],))
 
-    def canonical(pair):
-        x1, x2 = pair
-        orbit = [(act[(x1, g)], act[(x2, g)]) for g in group.arrows]
-        return min(orbit, key=repr)
+    def canonical(x1, x2):
+        return min(((act[(x1, g)], act[(x2, g)]) for g in group.arrows), key=repr)
 
     def translate(frm, to):  # exists: the action is transitive on each fiber
         return next(g for g in group.arrows if act[(frm, g)] == to)
 
-    arrows = sorted({canonical((x1, x2)) for x1 in total for x2 in total}, key=repr)
+    arrows = sorted({canonical(x1, x2) for x1 in total for x2 in total}, key=repr)
     src = {a: projection[a[0]] for a in arrows}
     tgt = {a: projection[a[1]] for a in arrows}
     ident = {}
     for x in total:
-        ident.setdefault(projection[x], canonical((x, x)))
-    inv = {a: canonical((a[1], a[0])) for a in arrows}
+        ident.setdefault(projection[x], canonical(x, x))
+    inv = {a: canonical(a[1], a[0]) for a in arrows}
 
     def product(a, b):
-        return canonical((a[0], act[(b[1], translate(b[0], a[1]))]))
+        return canonical(a[0], act[(b[1], translate(b[0], a[1]))])
 
     return _from_product(base, arrows, src, tgt, ident, inv, product)
 
@@ -556,7 +592,7 @@ def check_grpd_comorphism(gamma, pi, m):
         report.add("table lands in the groupoid", False, "entries: %r" % dangling[:3])
         return report
     report.add("table is total on the pullback", True)
-    bad = [(x, w) for (x, w) in domain if gamma.src[m.table[(x, w)]] != x]
+    bad = [(x, w) for x, w in domain if gamma.src[m.table[(x, w)]] != x]
     report.add(
         "sources project to the first component",
         not bad,
@@ -572,7 +608,7 @@ def check_grpd_comorphism(gamma, pi, m):
     )
     bad = [
         (x, w)
-        for (x, w) in domain
+        for x, w in domain
         if phi[gamma.tgt[m.table[(x, w)]]] != pi.tgt[w]
     ]
     report.add("targets are compatible over the base map", not bad, "entries: %r" % bad[:3])
@@ -581,7 +617,7 @@ def check_grpd_comorphism(gamma, pi, m):
     after = dict(_composable(pi.arrows, pi.src, pi.tgt))
     table = m.table
     bad = []
-    for (x, w) in domain:
+    for x, w in domain:
         g = table[(x, w)]
         for z in after[w]:
             if table[(x, pi.comp[(w, z)])] != gamma.comp[(g, table[(gamma.tgt[g], z)])]:
@@ -597,7 +633,7 @@ def check_grpd_comorphism(gamma, pi, m):
 def graph_of_map(m):
     """The graph, as a set of phi-product arrows."""
     if isinstance(m, GrpdMorphism):
-        return {(g, w) for g, w in m.arrows.items()}
+        return set(m.arrows.items())
     if isinstance(m, GrpdComorphism):
         return {(g, w) for (_, w), g in m.table.items()}
     raise TypeError("expected a groupoid morphism or comorphism")
@@ -655,11 +691,7 @@ def compose_grpd_comorphisms(m1, m2):
     over phi2; the composite pulls sigma back to gamma over phi2 . phi1.
     """
     base = {x: m2.base[y] for x, y in m1.base.items()}
-    table = {}
-    for x in m1.base:
-        for (y, s), w in m2.table.items():
-            if y == m1.base[x]:
-                table[(x, s)] = m1.table[(x, w)]
+    table = {(x, s): m1.table[(x, w)] for x in m1.base for (y, s), w in m2.table.items() if y == m1.base[x]}
     return GrpdComorphism(base, table)
 
 
@@ -688,12 +720,8 @@ class GroupoidAction:
     def __eq__(self, other):
         if not isinstance(other, GroupoidAction):
             return NotImplemented
-        return (
-            self.groupoid == other.groupoid
-            and set(self.space) == set(other.space)
-            and self.projection == other.projection
-            and self.maps == other.maps
-        )
+        mine, theirs = ((a.groupoid, set(a.space), a.projection, a.maps) for a in (self, other))
+        return mine == theirs
 
 
 def check_groupoid_action(action):
@@ -717,10 +745,8 @@ def check_groupoid_action(action):
             continue
         source_fiber = action.fiber(g.src[a])
         target_fiber = set(action.fiber(g.tgt[a]))
-        total = set(table) == set(source_fiber)
-        bijective = total and len(set(table.values())) == len(source_fiber) and set(
-            table.values()
-        ) <= target_fiber
+        images = set(table.values())
+        bijective = set(table) == set(source_fiber) and len(images) == len(source_fiber) and images <= target_fiber
         report.add(
             "arrow %r acts as a bijection between its fibers" % (a,),
             bijective,
@@ -735,7 +761,7 @@ def check_groupoid_action(action):
         if any(action.maps[g.ident[x]][z] != z for z in action.fiber(x))
     ]
     report.add("identities act as the identity", not bad, "objects: %r" % bad[:3])
-    t = _Tables(g)
+    t = _tables(g)
     maps = [action.maps[a] for a in g.arrows]
     fibers = [action.fiber(x) for x in g.objects]
 
@@ -765,10 +791,7 @@ def action_as_comorphism(action):
     groupoid to it over the projection).
     """
     pair = make_pair(action.space)
-    table = {}
-    for g in action.groupoid.arrows:
-        for z, image in action.maps[g].items():
-            table[(z, g)] = (z, image)
+    table = {(z, g): (z, image) for g in action.groupoid.arrows for z, image in action.maps[g].items()}
     return pair, GrpdComorphism(dict(action.projection), table)
 
 
@@ -786,13 +809,7 @@ def induced_groupoid_action(omega, gamma, m):
     space, phi = omega.objects, m.base
     if {phi[z] for z in space} != set(gamma.objects):
         raise VerificationError("the base map is not surjective; no action is induced")
-    maps = {}
-    for g in gamma.arrows:
-        table = {}
-        for z in space:
-            if phi[z] == gamma.src[g]:
-                table[z] = omega.tgt[m.table[(z, g)]]
-        maps[g] = table
+    maps = {g: {z: omega.tgt[m.table[(z, g)]] for z in space if phi[z] == gamma.src[g]} for g in gamma.arrows}
     action = GroupoidAction(gamma, space, phi, maps)
     return action, check_groupoid_action(action)
 
@@ -808,14 +825,14 @@ def make_action_groupoid_of_action(action):
     space = action.space
     proj = action.projection
     arrows = [(z, a) for z in space for a in g.arrows if proj[z] == g.src[a]]
-    src = {(z, a): z for (z, a) in arrows}
-    tgt = {(z, a): action.maps[a][z] for (z, a) in arrows}
+    src = {(z, a): z for z, a in arrows}
+    tgt = {(z, a): action.maps[a][z] for z, a in arrows}
     ident = {z: (z, g.ident[proj[z]]) for z in space}
-    inv = {(z, a): (action.maps[a][z], g.inv[a]) for (z, a) in arrows}
+    inv = {(z, a): (action.maps[a][z], g.inv[a]) for z, a in arrows}
     groupoid = _from_product(
         space, arrows, src, tgt, ident, inv, lambda p, q: (p[0], g.comp[(p[1], q[1])])
     )
-    projection = GrpdMorphism(dict(proj), {(z, a): a for (z, a) in arrows})
+    projection = GrpdMorphism(dict(proj), {(z, a): a for z, a in arrows})
     return groupoid, projection
 
 
@@ -842,7 +859,7 @@ def iter_candidate_maps(gamma, pi, phi, kind):
         slots, make = pullback_domain(gamma, pi, phi), GrpdComorphism
         options = [
             [h for h in gamma.arrows if gamma.src[h] == x and phi[gamma.tgt[h]] == pi.tgt[w]]
-            for (x, w) in slots
+            for x, w in slots
         ]
     else:
         raise ValueError("kind must be 'morphism' or 'comorphism'")

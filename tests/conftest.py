@@ -12,6 +12,14 @@ from fractions import Fraction
 from operator import sub
 
 from lra.algebra import AlgebraPres, AlgMorphism, Derivation
+from lra.documents import (
+    DocumentError,
+    _expect,
+    _expect_str_list,
+    _expect_str_table,
+    _is_str_triple,
+    _no_repeats,
+)
 from lra.groupoid import (
     FinGroupoid,
     GroupoidAction,
@@ -513,6 +521,80 @@ def groupoid_corpus():
         "swap": swap,
         "swap-restricted": restrict_groupoid(swap, ["1"]),
     }
+
+
+# -- label-keyed references for the groupoid loader ----------------------------
+#
+# The loader and the interning as they were before a groupoid owned its
+# interned tables: the document's rows go into a dict keyed by label pairs,
+# and ``RefTables`` reads every product back through a new key.
+
+
+def ref_to_groupoid(body, path="body"):
+    """A groupoid document body read into label-keyed tables and built by the constructor."""
+    objects = _expect_str_list(body, "objects", path)
+    _no_repeats(objects, "object", "%s.objects" % path)
+    arrows = _expect_str_list(body, "arrows", path)
+    _no_repeats(arrows, "arrow", "%s.arrows" % path)
+    object_set, arrow_set = set(objects), set(arrows)
+    tables = {}
+    for field, values, fault in (
+        ("src", object_set, "endpoint of %r is not an object"),
+        ("tgt", object_set, "endpoint of %r is not an object"),
+        ("inv", arrow_set, "inverse of %r is not an arrow"),
+    ):
+        table = tables[field] = _expect_str_table(body, field, path)
+        for key, value in table.items():
+            if key not in arrow_set:
+                raise DocumentError("unknown arrow %r" % key, "%s.%s" % (path, field))
+            if value not in values:
+                raise DocumentError(fault % key, "%s.%s[%r]" % (path, field, key))
+        if len(table) != len(arrows):
+            raise DocumentError("table must cover every arrow exactly", "%s.%s" % (path, field))
+    ident = _expect_str_table(body, "id", path)
+    for key, value in ident.items():
+        if value not in arrow_set:
+            raise DocumentError("identity of %r is not an arrow" % key, "%s.id[%r]" % (path, key))
+    if set(ident) != object_set:
+        raise DocumentError("identity table must cover every object", "%s.id" % path)
+    comp = {}
+    for n, row in enumerate(_expect(body, "comp", list, path)):
+        try:  # arrows are strings, so a row of three arrows is well formed
+            known = isinstance(row, list) and len(row) == 3 and arrow_set.issuperset(row)
+        except TypeError:  # an unhashable entry
+            known = False
+        if not known:
+            where = "%s.comp[%d]" % (path, n)
+            if not _is_str_triple(row):
+                raise DocumentError("expected [g, h, gh]", where)
+            raise DocumentError("unknown arrow %r" % next(a for a in row if a not in arrow_set), where)
+        g, h, gh = row
+        if (g, h) in comp:
+            raise DocumentError("repeated pair %r" % ((g, h),), "%s.comp[%d]" % (path, n))
+        comp[(g, h)] = gh
+    return FinGroupoid(objects, arrows, tables["src"], tables["tgt"], ident, tables["inv"], comp)
+
+
+class RefTables:
+    """The interned view of a groupoid whose tables are total, every product read through ``g.comp``:
+    ``rows[a][pos[b]]`` is the index of a*b, None if missing or not an arrow."""
+
+    def __init__(self, g):
+        arrows, get, missing = g.arrows, g.comp.get, object()
+        index = {a: i for i, a in enumerate(arrows)}
+        obj = {x: i for i, x in enumerate(g.objects)}
+        self.src = [obj[g.src[a]] for a in arrows]
+        self.tgt = [obj[g.tgt[a]] for a in arrows]
+        self.ident = [index[g.ident[x]] for x in g.objects]
+        self.inv = [index[g.inv[a]] for a in arrows]
+        self.leaving, self.pos = [[] for _ in g.objects], []
+        for a, x in enumerate(self.src):
+            self.pos.append(len(self.leaving[x]))
+            self.leaving[x].append(a)
+        self.rows = [
+            [index.get(get((a, arrows[b]), missing)) for b in self.leaving[x]]
+            for a, x in zip(arrows, self.tgt)
+        ]
 
 
 def composable_oracle(g):

@@ -401,10 +401,12 @@ def test_grpd_map_commands(tmp_path):
     ],
 )
 def test_grpd_check_reports_broken_tables(tmp_path, capsys, field, key, value, failing):
-    from lra.groupoid import make_pair
+    from lra.groupoid import FinGroupoid, make_pair
 
     g = make_pair(["a", "b"])
-    getattr(g, field)[key] = value
+    tables = {name: dict(getattr(g, name)) for name in ("src", "tgt", "ident", "inv", "comp")}
+    tables[field][key] = value
+    g = FinGroupoid(g.objects, g.arrows, **tables)
     path = tmp_path / "broken.json"
     docs.save_document(docs.document(g), path)
     assert main(["--format", "json", "grpd", "check", str(path)]) == 1
@@ -632,12 +634,12 @@ def test_booleans_are_not_integers(tmp_path, capsys, edit, location):
 
 def _pair_without_product(tmp_path):
     """make_pair(["a", "b"]) with the product of (a, b) and (b, a) deleted."""
-    from lra.groupoid import make_pair
+    from lra.groupoid import FinGroupoid, make_pair
 
     g = make_pair(["a", "b"])
-    del g.comp[(("a", "b"), ("b", "a"))]
+    comp = {pair: c for pair, c in g.comp.items() if pair != (("a", "b"), ("b", "a"))}
     broken = tmp_path / "broken.json"
-    docs.save_document(docs.document(g), broken)
+    docs.save_document(docs.document(FinGroupoid(g.objects, g.arrows, g.src, g.tgt, g.ident, g.inv, comp)), broken)
     good = tmp_path / "good.json"
     docs.save_document(docs.document(make_pair(["a", "b"])), good)
     return str(broken), str(good)
@@ -757,7 +759,7 @@ def test_grpd_witnesses_do_not_depend_on_hash_seed(tmp_path):
     import subprocess
     import sys
 
-    from lra.groupoid import GrpdMorphism, cyclic_group, make_action_groupoid
+    from lra.groupoid import FinGroupoid, GrpdMorphism, cyclic_group, make_action_groupoid
 
     z3 = cyclic_group(3)
     objects = ["o1", "o2", "o3"]
@@ -765,8 +767,10 @@ def test_grpd_witnesses_do_not_depend_on_hash_seed(tmp_path):
     point = make_action_groupoid(z3, ["t"], {("t", g): "t" for g in range(3)})
     mutant = {(x, g): ("t", g) for x in objects for g in range(3)}
     mutant[("o2", 0)] = ("t", 1)
-    broken = make_action_groupoid(z3, objects, {(x, g): x for x in objects for g in range(3)})
-    broken.comp[(("o3", 1), ("o3", 1))] = ("o3", 0)
+    broken = FinGroupoid(
+        bundle.objects, bundle.arrows, bundle.src, bundle.tgt, bundle.ident, bundle.inv,
+        {**bundle.comp, (("o3", 1), ("o3", 1)): ("o3", 0)},
+    )
     paths = {}
     for name, doc in (
         ("bundle", docs.document(bundle)),

@@ -18,6 +18,7 @@ def test_rows_give_lines_tokens_and_peak_largest_peak_first(tmp_path):
         [sys.executable, str(COMPILE_COST), str(tmp_path)], capture_output=True, text=True, check=True
     ).stdout
     header, *rows = [line.split() for line in out.splitlines()]
-    assert header == ["module", "lines", "tokens", "peak_kb"]
-    assert [row[:3] for row in rows] == [["b.py", "600", "1801"], ["a.py", "2", "5"]]
-    assert int(rows[0][3]) > int(rows[1][3]) > 0
+    assert header == ["module", "lines", "tokens", "to_step", "peak_kb"]
+    # to_step: 2,048 - 1,801 and 8 - 5 tokens left below the next power of two
+    assert [row[:4] for row in rows] == [["b.py", "600", "1801", "247"], ["a.py", "2", "5", "3"]]
+    assert int(rows[0][4]) > int(rows[1][4]) > 0

@@ -36,7 +36,7 @@ from lra.groupoid import (
     make_pair,
     pullback_domain,
 )
-from lra.groupoid import _generators, _Tables
+from lra.groupoid import _generators, _tables
 
 def _cyclic_action(rng):
     """Z/k acting on up to three points through a random permutation of order dividing k."""
@@ -156,7 +156,7 @@ def test_associativity_on_generators_agrees_with_the_full_scan(rng, source):
 def test_generators_generate_every_arrow(rng, table):
     """Each generator lies outside the closure of those before it, and all of them reach every arrow."""
     g = random_table(rng) if table else product_mutant(random_groupoid(rng), rng)
-    gens = {g.arrows[a] for a in _generators(_Tables(g))}
+    gens = {g.arrows[a] for a in _generators(_tables(g))}
     assert ref_closure(g, gens) == set(g.arrows)
     ordered = [a for a in g.arrows if a in gens]
     for n, a in enumerate(ordered):
@@ -167,8 +167,21 @@ def test_generators_of_pair_groupoids_are_few():
     """In arrow order, a pair groupoid on n objects takes 2n - 1 generators and Z/12 takes 0 and 1."""
     for n in range(1, 6):
         g = make_pair(range(n))
-        assert len(_generators(_Tables(g))) == 2 * n - 1
-    assert _generators(_Tables(cyclic_group(12))) == {0, 1}  # arrow i of Z/12 is i
+        assert len(_generators(_tables(g))) == 2 * n - 1
+    assert _generators(_tables(cyclic_group(12))) == {0, 1}  # arrow i of Z/12 is i
+
+
+def test_a_product_that_is_no_arrow_has_the_wrong_endpoints():
+    """A product outside the arrows fails the endpoint check, also on a pair whose endpoints
+    are those of the last arrow, (b, b) here."""
+    pair = make_pair(["a", "b"])
+    comp = {**pair.comp, (("b", "a"), ("a", "b")): "zz"}
+    g = FinGroupoid(pair.objects, pair.arrows, pair.src, pair.tgt, pair.ident, pair.inv, comp)
+    checks = [(c.name, c.passed, c.witness) for c in check_groupoid(g).checks if c.name in TABLE_CHECKS]
+    assert checks == ref_table_checks(g) == [
+        ("product defined exactly on composable pairs", True, ""),
+        ("products have the right endpoints", False, "bad pairs: [(('b', 'a'), ('a', 'b'))]"),
+    ]
 
 
 class _CountedTable(dict):
@@ -190,11 +203,29 @@ class _CountedTable(dict):
 
 
 def test_a_passing_check_reads_each_product_once():
-    """The pair groupoid on 15 objects has 15^3 = 3,375 composable pairs."""
-    g = make_pair(range(15))
-    g.comp = _CountedTable(g.comp)
+    """The pair groupoid on 15 objects has 15^3 = 3,375 composable pairs: the first check reads
+    each product once from the mapping handed to the constructor, and a second check reads none."""
+    pair = make_pair(range(15))
+    counted = _CountedTable(pair.comp)
+    g = FinGroupoid(pair.objects, pair.arrows, pair.src, pair.tgt, pair.ident, pair.inv, counted)
     assert check_groupoid(g).verdict
-    assert g.comp.reads == 3375
+    assert counted.reads == 3375
+    assert check_groupoid(g).verdict
+    assert counted.reads == 3375
+
+
+def test_a_loaded_groupoid_is_checked_without_its_product_mapping(tmp_path):
+    """A document-loaded pair-15 is loaded and checked on its interned tables: ``comp`` is not
+    derived until something reads it."""
+    from lra import documents as docs
+    from lra.cli import _load_groupoid
+
+    path = tmp_path / "pair15.json"
+    docs.save_document(docs.document(make_pair(range(15))), path)
+    g = _load_groupoid(str(path))
+    assert check_groupoid(g).verdict
+    assert g._comp is None
+    assert len(g.comp) == 3375 and g._comp is not None
 
 
 def _maps(rng, gamma, pi, phi, kind):
