@@ -11,7 +11,7 @@ tuples to the normal form of each monomial's image, filled on first use and
 kept as long as its object; it is the only formula for an image.  ``check``
 sums ideal elements over it, ``apply`` maps p = sum c_a x^a to sum c_a
 table[a] (reduced, as the normal form is Q-linear), and ``_add_image`` adds
-w * s * sum c_a table[a], for a term dict w and a rational s, straight into
+s * w * sum c_a table[a], for a term dict w and a sign s, straight into
 a caller's ``poly._Sum``, so brackets, anchors, commutators and the anchor
 identity need no intermediate image.  A derivation's entry is the normal
 form of the Leibniz extension of x^a; an algebra map's is nf(table[a/2]^2)
@@ -176,21 +176,26 @@ class _TableMap:
         if not self._verified:
             self.check().require(self._REFUSAL)
 
-    def _add_image(self, out, p, weight, scale=1):
-        """``out += scale * weight * self(p)`` for a ``_Sum`` ``out``, from the table."""
+    def _add_image(self, out, p, weight, sign=1):
+        """``out += sign * weight * self(p)`` for a ``_Sum`` ``out``, from the table."""
         self.require()
-        self._add_table(out, p, weight, scale)
+        self._add_table(out, p, weight, sign)
 
-    def _add_table(self, out, p, weight, scale=1):
-        """``out += scale * weight * sum_a c_a table[a]`` over the terms c_a x^a of ``p``,
-        with no ideal check; a missing entry is stored once ``_monomial_image`` returns."""
+    def _add_table(self, out, p, weight, sign=1):
+        """``out += sign * weight * sum_a c_a table[a]`` over the terms c_a x^a of ``p``,
+        with no ideal check; a missing entry is stored once ``_monomial_image`` returns.
+        ``sign`` is 1 or -1.  Each c_a goes to the product kernel as the ints
+        sign * numerator and denominator, so a rational c_a builds no ``Fraction``."""
         table = self._table
         for exp, c in p.terms.items():
             image = table.get(exp)
             if image is None:
                 image = table[exp] = self._monomial_image(exp)
             if image.terms:
-                _add_product(out, weight, image.terms, c * scale)
+                if type(c) is int:
+                    _add_product(out, weight, image.terms, c * sign)
+                else:
+                    _add_product(out, weight, image.terms, c.numerator * sign, c.denominator)
 
     def _sum(self, p):
         """sum_a c_a table[a] with no ideal check, reduced as the entries are.

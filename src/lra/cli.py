@@ -16,7 +16,8 @@ Where a command takes a variable number of documents, its first
 positional's choices give the count for each variant, and an option read
 by only some variants lists them; ``main`` rejects any other count, and
 such an option set for another variant, with exit 2 before a document is
-read.
+read.  A command loads each pseudoalgebra path it names once, so a path
+named twice gives one object; nothing loaded outlives the command.
 """
 
 import argparse
@@ -104,8 +105,14 @@ def _load(path, kind):
     return doc
 
 
-def _load_palg(path):
-    return docs.to_palg(_load(path, "palg").body)
+def _load_palgs(*paths):
+    """The pseudoalgebra of each path, in order.  A path named twice is loaded
+    once and gives the same object both times; nothing is kept after the call."""
+    loaded = {}
+    for path in paths:
+        if path not in loaded:
+            loaded[path] = docs.to_palg(_load(path, "palg").body)
+    return [loaded[path] for path in paths]
 
 
 def _load_groupoid(path):
@@ -115,8 +122,7 @@ def _load_groupoid(path):
 
 
 def _load_psictx(e_path, f_path, psi_path):
-    e = _load_palg(e_path)
-    f = _load_palg(f_path)
+    e, f = _load_palgs(e_path, f_path)
     psi = docs.to_algmorphism(_load(psi_path, "morphism").body)
     if psi.source != e.algebra or psi.target != f.algebra:
         raise docs.DocumentError(
@@ -195,7 +201,7 @@ def cmd_check_algebra(args):
 
 
 def cmd_check_palg(args):
-    e = _load_palg(args.document)
+    (e,) = _load_palgs(args.document)
     return _emit_report(args, axioms_check(e))
 
 
@@ -216,16 +222,14 @@ def cmd_check(args):
     if args.what == "derivation":
         d = docs.to_derivation(_load(args.paths[0], "derivation").body)
         return _emit_report(args, d.check())
-    e = _load_palg(args.paths[0])
-    f = _load_palg(args.paths[1])
+    e, f = _load_palgs(*args.paths[:2])
     if args.what == "chainmap":
         return _emit_report(args, chain_map_check(_load_map("comorphism", args.paths[2], e, f)))
     return _emit_report(args, _direct(args.what, _load_map(args.what, args.paths[2], e, f)))
 
 
 def cmd_graph_theorem(args):
-    e = _load_palg(args.e)
-    f = _load_palg(args.f)
+    e, f = _load_palgs(args.e, args.f)
     m = _load_map(args.kind, args.map, e, f)
     direct = _direct(args.kind, m)
     ctx, gens = graph(m)
@@ -233,9 +237,7 @@ def cmd_graph_theorem(args):
 
 
 def cmd_compose(args):
-    e = _load_palg(args.e)
-    f = _load_palg(args.f)
-    g = _load_palg(args.g)
+    e, f, g = _load_palgs(args.e, args.f, args.g)
     m1 = _load_map(args.kind, args.m1, e, f)
     m2 = _load_map(args.kind, args.m2, f, g)
     compose = compose_morphisms if args.kind == "morphism" else compose_comorphisms
@@ -243,7 +245,7 @@ def cmd_compose(args):
 
 
 def cmd_restrict(args):
-    e = _load_palg(args.palg)
+    (e,) = _load_palgs(args.palg)
     gens = [e.algebra.parse(text) for text in args.ideal]
     ctx = RestrictionCtx(e, gens)
     elements = [docs.to_element(_load(path, "element").body, e) for path in args.elements]

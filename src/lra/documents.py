@@ -25,7 +25,7 @@ from .algebra import AlgebraPres, AlgMorphism, Derivation
 from .groebner import IdealPres
 from .groupoid import FinGroupoid, GrpdComorphism, GrpdMorphism, _owning
 from .maps import PAComorphism, PAMorphism
-from .poly import PolyParseError, _read_int, is_variable_name, parse_poly
+from .poly import PolyParseError, _name_index, _read_int, _read_poly, is_variable_name
 from .pseudoalgebra import PAlg, PAElement
 from .psisum import MixedElement
 
@@ -163,13 +163,15 @@ def _expect_str_table(body, field, path):
 # -- converters: documents -> objects ---------------------------------------
 
 
-def _parse_payloads(variables, texts, path):
-    """Parse polynomials over ``variables``, unreduced: every converter hands
-    them to a constructor that reduces (``IdealPres`` takes generators as given)."""
+def _parse_payloads(index, texts, path):
+    """Parse polynomials over the variables of ``index`` (``poly._name_index``),
+    unreduced: every converter hands them to a constructor that reduces
+    (``IdealPres`` takes generators as given).  A converter builds the index
+    once for all the texts it reads."""
     out = []
     for text in texts:
         try:
-            out.append(parse_poly(text, variables))
+            out.append(_read_poly(text, index))
         except PolyParseError as err:
             raise DocumentError("bad polynomial %r: %s" % (text, err), path) from None
     return out
@@ -185,7 +187,7 @@ def to_algebra(body, path="body"):
     order = _expect(body, "order", str, path) if "order" in body else "grevlex"
     if order not in ("grevlex", "grlex", "lex"):
         raise DocumentError("unknown monomial order %r" % order, "%s.order" % path)
-    gens = _parse_payloads(variables, ideal, "%s.ideal" % path)
+    gens = _parse_payloads(_name_index(variables), ideal, "%s.ideal" % path)
     try:
         return AlgebraPres(variables, IdealPres(len(variables), gens, order))
     except ValueError as err:
@@ -206,7 +208,7 @@ def to_algmorphism(body, path="body"):
     images = _expect_str_list(body, "images", path)
     if len(images) != source.arity:
         raise DocumentError("need one image per source variable", "%s.images" % path)
-    images = _parse_payloads(target.variables, images, "%s.images" % path)
+    images = _parse_payloads(_name_index(target.variables), images, "%s.images" % path)
     return AlgMorphism(source, target, images)
 
 
@@ -223,7 +225,7 @@ def to_derivation(body, path="body"):
     images = _expect_str_list(body, "images", path)
     if len(images) != algebra.arity:
         raise DocumentError("need one image per variable", "%s.images" % path)
-    images = _parse_payloads(algebra.variables, images, "%s.images" % path)
+    images = _parse_payloads(_name_index(algebra.variables), images, "%s.images" % path)
     return Derivation(algebra, images)
 
 
@@ -235,8 +237,17 @@ def from_derivation(d):
 
 
 def to_palg(body, path="body"):
+    """The pseudoalgebra of a document body, built straight into its sparse table.
+
+    Each anchor row is parsed and reduced as a derivation.  Of a structure
+    entry only the texts other than "0" are parsed, all entries first, so a
+    bad text anywhere is reported before any entry is reduced; over a
+    quotient algebra each parsed coefficient then goes through ``nf``.  A
+    coefficient that is zero is left out of its row, and ``PAlg._raw``
+    fills the table, negated rows included, once.
+    """
     algebra = to_algebra(_expect(body, "algebra", dict, path), "%s.algebra" % path)
-    names = algebra.variables
+    index = _name_index(algebra.variables)
     rank = _expect(body, "rank", int, path)
     rows = _expect_str_rows(body, "anchor", path)
     if len(rows) != rank:
@@ -244,9 +255,9 @@ def to_palg(body, path="body"):
     anchors = []
     for i, row in enumerate(rows):
         where = "%s.anchor[%d]" % (path, i)
-        if len(row) != len(names):
+        if len(row) != len(index):
             raise DocumentError("need one image per variable", where)
-        anchors.append(Derivation(algebra, _parse_payloads(names, row, where)))
+        anchors.append(Derivation(algebra, _parse_payloads(index, row, where)))
     structure = {}
     for n, entry in enumerate(_expect(body, "structure", list, path)):
         where = "%s.structure[%d]" % (path, n)
@@ -261,8 +272,13 @@ def to_palg(body, path="body"):
         coeffs = _expect_str_list(entry, "coeffs", where)
         if len(coeffs) != rank:
             raise DocumentError("need one coefficient per basis vector", where)
-        structure[(i, j)] = _parse_payloads(names, coeffs, where)
-    return PAlg(algebra, rank, anchors, structure)
+        ks = [k for k, text in enumerate(coeffs) if text != "0"]
+        structure[(i, j)] = list(zip(ks, _parse_payloads(index, [coeffs[k] for k in ks], where)))
+    if not algebra.is_free():
+        nf = algebra.nf
+        structure = {pair: [(k, nf(c)) for k, c in row] for pair, row in structure.items()}
+    rows = {pair: [(k, c) for k, c in row if c.terms] for pair, row in structure.items()}
+    return PAlg._raw(algebra, rank, anchors, rows)
 
 
 def from_palg(e):
@@ -298,7 +314,7 @@ def to_element(body, palg, path="body"):
     coords = _expect_str_list(body, "coords", path)
     if len(coords) != palg.rank:
         raise DocumentError("need one coordinate per basis vector", "%s.coords" % path)
-    return PAElement(palg, _parse_payloads(palg.algebra.variables, coords, "%s.coords" % path))
+    return PAElement(palg, _parse_payloads(_name_index(palg.algebra.variables), coords, "%s.coords" % path))
 
 
 def from_element(x):
@@ -314,9 +330,9 @@ def to_mixed_element(body, ctx, path="body"):
         raise DocumentError("need one tensor coefficient per E-basis vector", "%s.tensor" % path)
     if len(f_part) != ctx.f.rank:
         raise DocumentError("need one coordinate per F-basis vector", "%s.f_part" % path)
-    names = ctx.f.algebra.variables
-    tensor = _parse_payloads(names, tensor, "%s.tensor" % path)
-    return MixedElement(ctx, tensor, _parse_payloads(names, f_part, "%s.f_part" % path))
+    index = _name_index(ctx.f.algebra.variables)
+    tensor = _parse_payloads(index, tensor, "%s.tensor" % path)
+    return MixedElement(ctx, tensor, _parse_payloads(index, f_part, "%s.f_part" % path))
 
 
 def from_mixed_element(z):
@@ -340,12 +356,13 @@ def to_pamorphism(body, e, f, path="body"):
     rows = _expect_str_rows(body, "images", path)
     if len(rows) != e.rank:
         raise DocumentError("need one image per source basis vector", "%s.images" % path)
+    index = _name_index(f.algebra.variables)
     images = []
     for i, row in enumerate(rows):
         where = "%s.images[%d]" % (path, i)
         if len(row) != f.rank:
             raise DocumentError("need one coordinate per target basis vector", where)
-        images.append(PAElement(f, _parse_payloads(f.algebra.variables, row, where)))
+        images.append(PAElement(f, _parse_payloads(index, row, where)))
     return PAMorphism(e, f, psi, images)
 
 
@@ -362,12 +379,13 @@ def to_pacomorphism(body, e, f, path="body"):
     rows = _expect_str_rows(body, "images", path)
     if len(rows) != f.rank:
         raise DocumentError("need one image row per F-basis vector", "%s.images" % path)
+    index = _name_index(f.algebra.variables)
     images = []
     for j, row in enumerate(rows):
         where = "%s.images[%d]" % (path, j)
         if len(row) != e.rank:
             raise DocumentError("need one coefficient per E-basis vector", where)
-        images.append(_parse_payloads(f.algebra.variables, row, where))
+        images.append(_parse_payloads(index, row, where))
     return PAComorphism(f, e, psi, images)
 
 

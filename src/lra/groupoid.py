@@ -525,8 +525,9 @@ def check_grpd_morphism(gamma, pi, m):
     if fault:
         report.add(fault[0], False, fault[1])
         return report
+    arrows = set(pi.arrows)
     for g in gamma.arrows:
-        if g not in m.arrows or m.arrows[g] not in pi.arrows:
+        if g not in m.arrows or m.arrows[g] not in arrows:
             report.add("arrow map is total at %r" % (g,), False, "missing or dangling")
             return report
     if len(m.arrows) != len(gamma.arrows):
@@ -587,7 +588,8 @@ def check_grpd_comorphism(gamma, pi, m):
             "missing: %r, extra: %r" % (missing[:3], extra[:3]),
         )
         return report
-    dangling = [p for p in domain if m.table[p] not in gamma.arrows]
+    arrows = set(gamma.arrows)
+    dangling = [p for p in domain if m.table[p] not in arrows]
     if dangling:
         report.add("table lands in the groupoid", False, "entries: %r" % dangling[:3])
         return report
@@ -750,7 +752,7 @@ def check_groupoid_action(action):
         report.add(
             "arrow %r acts as a bijection between its fibers" % (a,),
             bijective,
-            "arrow %r: table %r is not a bijection %r -> %r"
+            lambda: "arrow %r: table %r is not a bijection %r -> %r"
             % (a, table, source_fiber, sorted(target_fiber, key=repr)),
         )
     if not report.verdict:

@@ -82,23 +82,24 @@ class _Sum(dict):
         return out
 
 
-def _add_product(out, a, b, scale=1):
-    """``out += scale * a * b`` for term dicts ``a`` and ``b`` of one arity, a
-    ``_Sum`` ``out`` and a nonzero rational ``scale`` (an int or a Fraction),
-    which a table sum uses to carry a term's coefficient.  A coefficient that
-    cancels is deleted.  Equal denominators add directly, unequal ones over
-    their lcm, so the pairs of a sum grow no faster than the lcm of its terms.
-    This is the one product loop outside the Groebner kernel: ``__mul__``,
-    derivations, algebra maps, the monomial tables and the pseudoalgebra sums
-    all call it, and they leave zero operands out."""
+def _add_product(out, a, b, num=1, den=1):
+    """``out += (num / den) * a * b`` for term dicts ``a`` and ``b`` of one arity
+    and a ``_Sum`` ``out``.  The scale is a nonzero rational given as two ints,
+    ``num`` and a positive ``den``, not necessarily in lowest terms: a sign, or
+    a table sum's term coefficient times its sign, so no ``Fraction`` is built
+    here.  A coefficient that cancels is deleted.  Equal denominators add
+    directly, unequal ones over their lcm, so the pairs of a sum grow no faster
+    than the lcm of its terms.  This is the one product loop outside the
+    Groebner kernel: ``__mul__``, derivations, algebra maps, the monomial
+    tables and the pseudoalgebra sums all call it, and they leave zero
+    operands out."""
     get = out.get
     b = b.items()
-    sn, sd = scale.numerator, scale.denominator
     for e1, c1 in a.items():
         if type(c1) is int:
-            n1, d1 = c1 * sn, sd
+            n1, d1 = c1 * num, den
         else:
-            n1, d1 = c1.numerator * sn, c1.denominator * sd
+            n1, d1 = c1.numerator * num, c1.denominator * den
         shift = any(e1)  # a constant term of ``a`` keeps the exponents of ``b``
         for e2, c2 in b:
             exp = tuple(map(_add, e1, e2)) if shift else e2
@@ -398,10 +399,22 @@ def parse_poly(text, names):
     becomes one exponent list and one coefficient, and the terms are summed
     in a dict of exponent tuples, with no polynomial arithmetic.
     """
-    arity = len(names)
-    if text == "0":  # most structure-table entries: no tokens needed
+    return _read_poly(text, _name_index(names))
+
+
+def _name_index(names):
+    """The dict from each of the variable ``names`` to its position, which
+    ``_read_poly`` reads by."""
+    return {name: i for i, name in enumerate(names)}
+
+
+def _read_poly(text, index):
+    """``parse_poly`` over the variables of ``index`` (see ``_name_index``).  A
+    caller that reads several texts over one variable list builds the index
+    once and reads every text with it."""
+    arity = len(index)
+    if text == "0":  # the commonest text, in anchor rows and coordinates: no tokens needed
         return MPoly._raw(arity, {})
-    index = {name: i for i, name in enumerate(names)}
     tokens = _TOKEN_RE.findall(text)
     end = len(tokens)
     tokens.append(("", "", "", ""))  # the end

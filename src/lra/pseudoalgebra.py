@@ -49,9 +49,12 @@ class PAlg:
     """A Lie pseudoalgebra over a presented algebra.
 
     The constructor takes the coefficients of [e_i, e_j] for pairs i < j; a
-    pair left out is zero.  ``structure[(i, j)]`` holds the nonzero ones as
-    (index, coefficient) pairs for every i and j: the (j, i) row negated,
-    the (i, i) row empty.
+    pair left out is zero.  It checks the anchors, reduces every entry and
+    then checks the row length and that every key is a pair i < j.
+    ``structure[(i, j)]`` holds the nonzero coefficients as (index,
+    coefficient) pairs for every i and j: the (j, i) row negated, the (i, i)
+    row empty.  ``documents.to_palg`` builds through ``_raw`` from the
+    nonzero entries alone, with no dense row.
     """
 
     __slots__ = ("algebra", "rank", "anchors", "structure")
@@ -63,7 +66,7 @@ class PAlg:
         for d in anchors:
             if d.algebra != algebra:
                 raise ValueError("anchor derivation lives on the wrong algebra")
-        table = {(i, j): () for i in range(rank) for j in range(rank)}
+        rows = {}
         structure = dict(structure or {})
         for i in range(rank):
             for j in range(i + 1, rank):
@@ -73,10 +76,27 @@ class PAlg:
                 row = [algebra.nf(c) for c in row]
                 if len(row) != rank:
                     raise ValueError("structure row (%d,%d) has wrong length" % (i, j))
-                pairs = table[(i, j)] = tuple((k, c) for k, c in enumerate(row) if c.terms)
-                table[(j, i)] = tuple((k, -c) for k, c in pairs)
+                rows[(i, j)] = [(k, c) for k, c in enumerate(row) if c.terms]
         if structure:
             raise ValueError("structure table keys must satisfy i < j; got %r" % sorted(structure))
+        self._fill(algebra, rank, anchors, rows)
+
+    @classmethod
+    def _raw(cls, algebra, rank, anchors, rows):
+        """Trusted constructor: ``anchors`` are ``rank`` derivations of
+        ``algebra``, and ``rows`` maps pairs i < j < rank to the nonzero
+        coefficients of [e_i, e_j] as (index, coefficient) pairs, by index,
+        each coefficient in normal form.  Nothing is checked or reduced."""
+        e = object.__new__(cls)
+        e._fill(algebra, rank, anchors, rows)
+        return e
+
+    def _fill(self, algebra, rank, anchors, rows):
+        """Set every slot; ``structure`` gets each row of ``rows`` and its negation."""
+        table = {(i, j): () for i in range(rank) for j in range(rank)}
+        for (i, j), pairs in rows.items():
+            pairs = table[(i, j)] = tuple(pairs)
+            table[(j, i)] = tuple((k, -c) for k, c in pairs)
         self.algebra = algebra
         self.rank = rank
         self.anchors = tuple(anchors)

@@ -44,7 +44,9 @@ class PsiSumCtx:
     """Two pseudoalgebras joined along a verified algebra map psi: A -> B.
 
     It owns the mixed elements: their coordinates live in B, one per
-    E-basis vector and then one per F-basis vector.
+    E-basis vector and then one per F-basis vector.  The constructor
+    decides psi and the axioms of both summands, those of E once when F is
+    the same object.
     """
 
     __slots__ = ("e", "f", "psi")
@@ -54,7 +56,8 @@ class PsiSumCtx:
             raise ValueError("psi must map E's algebra into F's algebra")
         psi.check().require("psi is not an algebra morphism")
         axioms_check(e).require("the first summand fails its axioms")
-        axioms_check(f).require("the second summand fails its axioms")
+        if f is not e:
+            axioms_check(f).require("the second summand fails its axioms")
         self.e = e
         self.f = f
         self.psi = psi
@@ -229,7 +232,7 @@ class TripleElement:
     __slots__ = ("ctx", "parts", "g_part")
 
     def __init__(self, ctx, parts, g_part):
-        if g_part.parent is not ctx.g and g_part.parent != ctx.g:
+        if g_part.parent != ctx.g:
             raise ValueError("the G-part is not an element of G")
         c_alg = ctx.g.algebra
         self.ctx = ctx

@@ -16,9 +16,11 @@ from lra.documents import (
     DocumentError,
     _expect,
     _expect_str_list,
+    _expect_str_rows,
     _expect_str_table,
     _is_str_triple,
     _no_repeats,
+    to_algebra,
 )
 from lra.groupoid import (
     FinGroupoid,
@@ -32,8 +34,8 @@ from lra.groupoid import (
     restrict_groupoid,
 )
 from lra.maps import PAComorphism, PAMorphism
-from lra.poly import MPoly, order_key
-from lra.pseudoalgebra import PAElement, bracket, make_der, make_klie
+from lra.poly import MPoly, PolyParseError, order_key, parse_poly
+from lra.pseudoalgebra import PAElement, PAlg, bracket, make_der, make_klie
 
 
 def coefficient_form(c):
@@ -521,6 +523,53 @@ def groupoid_corpus():
         "swap": swap,
         "swap-restricted": restrict_groupoid(swap, ["1"]),
     }
+
+
+# -- the dense reference for the pseudoalgebra loader -------------------------
+
+
+def _ref_parse(names, texts, where):
+    out = []
+    for text in texts:
+        try:
+            out.append(parse_poly(text, names))
+        except PolyParseError as err:
+            raise DocumentError("bad polynomial %r: %s" % (text, err), where) from None
+    return out
+
+
+def ref_to_palg(body, path="body"):
+    """The pseudoalgebra loader as it was before the sparse load: every text of
+    every dense row parsed, each by ``parse_poly``, then the public ``PAlg``
+    constructor, which reduces every entry and fills the table."""
+    algebra = to_algebra(_expect(body, "algebra", dict, path), "%s.algebra" % path)
+    names = algebra.variables
+    rank = _expect(body, "rank", int, path)
+    rows = _expect_str_rows(body, "anchor", path)
+    if len(rows) != rank:
+        raise DocumentError("need one anchor row per basis vector", "%s.anchor" % path)
+    anchors = []
+    for i, row in enumerate(rows):
+        where = "%s.anchor[%d]" % (path, i)
+        if len(row) != len(names):
+            raise DocumentError("need one image per variable", where)
+        anchors.append(Derivation(algebra, _ref_parse(names, row, where)))
+    structure = {}
+    for n, entry in enumerate(_expect(body, "structure", list, path)):
+        where = "%s.structure[%d]" % (path, n)
+        if not isinstance(entry, dict):
+            raise DocumentError("expected an object", where)
+        i = _expect(entry, "i", int, where)
+        j = _expect(entry, "j", int, where)
+        if not 0 <= i < j < rank:
+            raise DocumentError("indices must satisfy 0 <= i < j < rank", where)
+        if (i, j) in structure:
+            raise DocumentError("repeated pair %r" % ((i, j),), where)
+        coeffs = _expect_str_list(entry, "coeffs", where)
+        if len(coeffs) != rank:
+            raise DocumentError("need one coefficient per basis vector", where)
+        structure[(i, j)] = _ref_parse(names, coeffs, where)
+    return PAlg(algebra, rank, anchors, structure)
 
 
 # -- label-keyed references for the groupoid loader ----------------------------

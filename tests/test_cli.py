@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import algebras, sl2, sl2_action_images
-from lra import documents as docs
+from lra import documents as docs, psisum
 from lra.algebra import AlgebraPres, AlgMorphism
 from lra.cli import COMMANDS, UsageError, _check_variant, _report_json, build_parser, main
 from lra.groebner import IdealPres
@@ -75,6 +75,44 @@ def test_check_comorphism_exit_codes(workspace, capsys):
     out = capsys.readouterr().out
     assert "3*x" in out  # witness printed
     assert main(["check", "comorphism", p["duv.json"], p["dx.json"], "missing.json"]) == 2
+
+
+def test_a_document_named_twice_is_loaded_once_per_command(monkeypatch):
+    loaded = []
+    to_palg = docs.to_palg
+    monkeypatch.setattr(docs, "to_palg", lambda body, path="body": loaded.append(body) or to_palg(body, path))
+    line = str(DATA["palg_der_line"])
+    argv = ["check", "morphism", line, line, str(DATA["pamorphism_line_identity"])]
+    assert main(argv) == 0
+    assert len(loaded) == 1
+    assert main(argv) == 0  # a second command reads its documents afresh
+    assert len(loaded) == 2 and loaded[0] is not loaded[1]
+
+
+def test_graph_theorem_with_e_as_f_checks_the_axioms_once(tmp_path, monkeypatch, capsys):
+    e = docs.to_palg(docs.load_document(DATA["palg_sl2_action"]).body)
+    psi = AlgMorphism.identity(e.algebra)
+    images = [e.basis(i) for i in range(e.rank)]
+    paths = {}
+    for name, value in (
+        ("e", e),
+        ("e-copy", e),
+        ("identity", PAMorphism(e, e, psi, images)),
+        ("mutant", PAMorphism(e, e, psi, [images[0].scale(2)] + images[1:])),
+    ):
+        paths[name] = str(tmp_path / (name + ".json"))
+        docs.save_document(docs.document(value), paths[name])
+    checked = []
+    axioms_check = psisum.axioms_check
+    monkeypatch.setattr(psisum, "axioms_check", lambda x: checked.append(x) or axioms_check(x))
+    for m, code in (("identity", 0), ("mutant", 1)):
+        reports = []
+        for f in ("e", "e-copy"):  # one document as E and F, then two copies of it
+            del checked[:]
+            assert main(["--format", "json", "graph-theorem", "morphism", paths["e"], paths[f], paths[m]]) == code
+            assert len(checked) == (1 if f == "e" else 2)
+            reports.append(dict(json.loads(capsys.readouterr().out), timing_ms=None))
+        assert reports[0] == reports[1]
 
 
 def test_algebra_map_of_a_high_power(tmp_path, capsys):

@@ -366,7 +366,8 @@ def _rational_terms(arity=2):
 
 
 # the scale of a product: a sign, as in most sums, or any nonzero rational,
-# as a table sum uses to carry a term's coefficient
+# as a table sum uses to carry a term's coefficient; the kernel takes it as
+# its numerator and denominator
 _SCALES = st.sampled_from([1, -1, 3, Fraction(-2, 3), Fraction(5, 4)])
 
 
@@ -384,7 +385,7 @@ def test_sum_of_products_matches_fraction_arithmetic(products, data):
     out, expected, lcms = _Sum(), {}, {}
     for a, b, scale in sums:
         if a and b:
-            _add_product(out, a, b, scale)
+            _add_product(out, a, b, scale.numerator, scale.denominator)
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 exp = tuple(x + y for x, y in zip(e1, e2))
